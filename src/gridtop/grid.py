@@ -272,6 +272,20 @@ class ForestConfig:
         return tuple(sorted(self.grid.load_ids, key=lambda n: (self._tree_of[n], n)))
 
     @cached_property
+    def load_tree_index(self) -> np.ndarray:
+        """Tree index of every load node in canonical (ascending id) order."""
+        out = np.array([self._tree_of[n] for n in self.grid.load_ids], dtype=np.intp)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def memo(self) -> dict:
+        """Store for operators other modules derive from this forest (such
+        as the linear model's response matrices); entries are built on
+        first use and die with the forest."""
+        return {}
+
+    @cached_property
     def loads_by_depth(self) -> tuple[int, ...]:
         """Load ids ordered root-to-leaf (parents before children)."""
         return tuple(sorted(self.grid.load_ids, key=lambda n: (self._depth[n], n)))

@@ -167,6 +167,7 @@ def read_samples(source: str | Path) -> VoltageSamples:
     except ValueError:
         raise ParseError("header row must hold integer node ids", f"{source}:1") from None
     rows = []
+    linenos = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -176,6 +177,11 @@ def read_samples(source: str | Path) -> VoltageSamples:
             rows.append([float(v) for v in row])
         except ValueError:
             raise ParseError("non-numeric sample value", f"{source}:{lineno}") from None
+        linenos.append(lineno)
     if not rows:
         raise ParseError("sample file has a header but no samples", str(source))
-    return VoltageSamples(nodes=nodes, eps=np.array(rows), theta=None)
+    eps = np.array(rows)
+    finite = np.isfinite(eps).all(axis=1)
+    if not finite.all():
+        raise ParseError("non-finite sample value", f"{source}:{linenos[int(np.argmin(finite))]}")
+    return VoltageSamples(nodes=nodes, eps=eps, theta=None)

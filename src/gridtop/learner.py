@@ -170,8 +170,16 @@ def reconstruct(data: VoltageSamples | MomentSet, model: InjectionModel, grid: G
 
     idx = grid.load_index
     if eps is not None:
+        # A non-finite cell makes its column's mean square non-finite.
         diag = {nid: float(np.mean(eps[:, idx[nid]] ** 2)) for nid in nodes}
+        for nid, value in diag.items():
+            if not math.isfinite(value):
+                raise DomainError(f"samples of node {nid} have a non-finite mean square ({value})")
     else:
+        finite = np.isfinite(sigma)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise DomainError(f"moment entry of nodes ({nodes[i]}, {nodes[j]}) is not finite")
         diag = {nid: float(sigma[idx[nid], idx[nid]]) for nid in nodes}
     for sub in grid.substation_ids:
         diag[sub] = 0.0

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AssumptionViolation, DomainError, ModelError
 from .grid import ForestConfig, path_sum_matrix
-from .powerflow import InjectionVector, VoltageSamples, VoltageState
+from .powerflow import InjectionVector, VoltageSamples, VoltageState, lcpf_response
 
 __all__ = [
     "InjectionModel",
@@ -45,6 +45,27 @@ __all__ = [
 ]
 
 _PSD_SLACK = 1e-10
+
+
+def _components(adjacent: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a symmetric boolean adjacency matrix, each
+    as ascending indices; a breadth-first closure per component, O(N^2)."""
+    n = adjacent.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        members = np.zeros(n, dtype=bool)
+        members[start] = True
+        frontier = np.array([start])
+        while frontier.size:
+            new = adjacent[frontier].any(axis=0) & ~members
+            members |= new
+            frontier = np.flatnonzero(new)
+        seen |= members
+        out.append(np.flatnonzero(members))
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,14 +97,33 @@ class InjectionModel:
                 raise ModelError(f"{name} must have shape ({n}, {n}), got {m.shape}")
             if not np.all(np.isfinite(m)):
                 raise ModelError(f"{name} contains non-finite entries")
+        if not (np.all(np.isfinite(self.mu_p)) and np.all(np.isfinite(self.mu_q))):
+            raise ModelError("mean vectors contain non-finite entries")
         for name in ("sigma_p", "sigma_q"):
             m = getattr(self, name)
             if not np.allclose(m, m.T, rtol=0, atol=1e-12 * max(1.0, np.abs(m).max())):
                 raise ModelError(f"{name} must be symmetric")
-        cov = self.joint_covariance
-        scale = max(1.0, float(np.abs(cov).max()))
-        if np.linalg.eigvalsh(cov).min() < -_PSD_SLACK * scale:
-            raise ModelError("joint covariance of (p, q) is not positive semidefinite")
+        self._check_psd()
+
+    def _check_psd(self):
+        """Eigenvalues of the joint covariance of (p, q), one connected
+        component of the covariance pattern at a time.
+
+        Nodes i and j share a component when any of omega_p, omega_q,
+        omega_pq or its transpose is nonzero at (i, j).  In component-major
+        order the joint covariance is block diagonal with one block per
+        component, so the blocks together have its eigenvalues; a forest's
+        trees are the components of the default model.
+        """
+        op, oq, opq = self.omega_p, self.omega_q, self.omega_pq
+        scale = max(1.0, *(float(np.abs(m).max(initial=0.0)) for m in (op, oq, opq)))
+        coupled = (op != 0) | (oq != 0) | (opq != 0)
+        coupled |= coupled.T
+        for comp in _components(coupled):
+            ix = np.ix_(comp, comp)
+            joint = np.block([[op[ix], opq[ix]], [opq[ix].T, oq[ix]]])
+            if np.linalg.eigvalsh(joint).min() < -_PSD_SLACK * scale:
+                raise ModelError("joint covariance of (p, q) is not positive semidefinite")
 
     @property
     def n(self) -> int:
@@ -179,12 +219,9 @@ def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float
     nodes = forest.grid.load_ids
     n = len(nodes)
     sig = sigma_ratio * abs(mu_p)
+    tree = forest.load_tree_index
     omega_p = np.zeros((n, n))
-    same_tree = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            same_tree[i, j] = forest.tree_of[a] == forest.tree_of[b]
-    omega_p[same_tree] = rho * sig * sig
+    omega_p[tree[:, None] == tree[None, :]] = rho * sig * sig
     np.fill_diagonal(omega_p, sig * sig * (1.0 + rho))
 
     mu_q = q_alpha * mu_p
@@ -254,19 +291,92 @@ def empirical_moments(samples: VoltageSamples | Iterable[VoltageState],
     )
 
 
-def _path_matrices(forest: ForestConfig) -> tuple[np.ndarray, np.ndarray]:
-    """A = H_{1/r}^-1 (path resistance sums), B = H_{1/x}^-1 (reactance sums)."""
-    a = path_sum_matrix(forest, {ei: 1.0 / forest.grid.edges[ei].r for ei in forest.closed_edges})
-    b = path_sum_matrix(forest, {ei: 1.0 / forest.grid.edges[ei].x for ei in forest.closed_edges})
-    return a, b
-
-
-def _conductance_matrix(forest: ForestConfig) -> np.ndarray:
-    return path_sum_matrix(forest, {ei: forest.grid.edges[ei].conductance for ei in forest.closed_edges})
-
-
 def _aligned(forest: ForestConfig, model: InjectionModel) -> InjectionModel:
     return model.aligned_to(forest.grid.load_ids)
+
+
+# The linear model gives eps = A p + B q and theta = B p - A q, so every
+# voltage moment is a signed sum of sandwiches X S Y with X, Y in {A, B} and
+# S an injection moment.  One row per sandwich: (S, X, Y, output, sign,
+# form), where form "" adds X S Y, "sym" adds X S Y and its transpose, and
+# "T" adds the transpose only (A S^T A = (A S A)^T since A is symmetric).
+# Rows are grouped by (S, X), so one product X S serves a whole group; each
+# output takes its terms in the order of the formulas in the docstrings.
+_TERMS = (
+    ("sigma_p", "a", "a", "sigma_eps", 1, ""),
+    ("sigma_p", "b", "b", "sigma_theta", 1, ""),
+    ("sigma_p", "b", "a", "sigma_theta_eps", 1, ""),
+    ("sigma_q", "b", "b", "sigma_eps", 1, ""),
+    ("sigma_q", "a", "a", "sigma_theta", 1, ""),
+    ("sigma_q", "a", "b", "sigma_theta_eps", -1, ""),
+    ("sigma_pq", "b", "a", "sigma_theta", -1, "sym"),
+    ("sigma_pq", "b", "b", "sigma_theta_eps", 1, ""),
+    ("sigma_pq", "a", "b", "sigma_eps", 1, "sym"),
+    ("sigma_pq", "a", "a", "sigma_theta_eps", -1, "T"),
+)
+_OUTPUTS = ("sigma_eps", "sigma_theta", "sigma_theta_eps")
+
+
+def _add(out: np.ndarray, term: np.ndarray, sign: int):
+    if sign > 0:
+        out += term
+    else:
+        out -= term
+
+
+def _analytic_moments(forest: ForestConfig, model: InjectionModel, variant: str,
+                      outputs: tuple[str, ...] = _OUTPUTS) -> dict[str, np.ndarray]:
+    """Exact voltage moments of the linear model, evaluated per tree.
+
+    "lc" takes (A, B) = (H_{1/r}^-1, H_{1/x}^-1) from ``lcpf_response``;
+    "dc" is the same evaluation with (A, B) = (H_g^-1, 0), whose zero
+    sandwiches are skipped.  A and B are block diagonal over the trees, so
+    in tree-major order X S multiplies only the k-th row block of S by the
+    k-th diagonal block of X, and (X S) Y likewise by column blocks: each
+    product costs sum_k n_k^2 N instead of N^3.
+    """
+    if variant == "lc":
+        a, b = lcpf_response(forest)
+    elif variant == "dc":
+        a = path_sum_matrix(forest, {ei: forest.grid.edges[ei].conductance for ei in forest.closed_edges})
+        b = None
+    else:
+        raise DomainError(f"unknown variant {variant!r}")
+    mod = _aligned(forest, model)
+    tree = forest.load_tree_index
+    n = len(tree)
+    order = np.argsort(tree, kind="stable")  # tree-major, ascending id within a tree
+    permuted = not np.array_equal(order, np.arange(n))
+    sizes = np.bincount(tree)
+    cuts = np.cumsum(sizes)
+    spans = [slice(lo, hi) for lo, hi in zip(cuts - sizes, cuts) if hi > lo]
+    blocks = {name: [m[np.ix_(order[sl], order[sl])] for sl in spans]
+              for name, m in (("a", a), ("b", b)) if m is not None}
+
+    result = {name: np.zeros((n, n)) for name in outputs}
+    terms = [t for t in _TERMS if t[3] in outputs and t[1] in blocks and t[2] in blocks]
+    for s_name in dict.fromkeys(t[0] for t in terms):
+        s = getattr(mod, s_name)
+        if permuted:
+            s = s[np.ix_(order, order)]
+        for x in dict.fromkeys(t[1] for t in terms if t[0] == s_name):
+            xs = np.empty_like(s)
+            for sl, blk in zip(spans, blocks[x]):
+                np.matmul(blk, s[sl], out=xs[sl])
+            for _, _, y, out_name, sign, form in (t for t in terms if t[:2] == (s_name, x)):
+                out = result[out_name]
+                for sl, blk in zip(spans, blocks[y]):
+                    xsy = xs[:, sl] @ blk  # columns sl of X S Y
+                    if form != "T":
+                        _add(out[:, sl], xsy, sign)
+                    if form:
+                        _add(out[sl], xsy.T, sign)
+            del xs
+    if permuted:
+        inverse = np.argsort(order)
+        for name in outputs:
+            result[name] = result[name][np.ix_(inverse, inverse)]
+    return result
 
 
 def analytic_sigma_eps(forest: ForestConfig, model: InjectionModel, variant: str = "lc") -> np.ndarray:
@@ -275,50 +385,22 @@ def analytic_sigma_eps(forest: ForestConfig, model: InjectionModel, variant: str
     "lc": A Sp A + B Sq B + A Spq B + (A Spq B)^T with A, B the path-sum
     inverse Laplacians; "dc": G Sp G with conductance path sums.
     """
-    mod = _aligned(forest, model)
-    if variant == "lc":
-        a, b = _path_matrices(forest)
-        cross = a @ mod.sigma_pq @ b
-        return a @ mod.sigma_p @ a + b @ mod.sigma_q @ b + cross + cross.T
-    if variant == "dc":
-        g = _conductance_matrix(forest)
-        return g @ mod.sigma_p @ g
-    raise DomainError(f"unknown variant {variant!r}")
+    return _analytic_moments(forest, model, variant, ("sigma_eps",))["sigma_eps"]
 
 
 def analytic_sigma_theta(forest: ForestConfig, model: InjectionModel, variant: str = "lc") -> np.ndarray:
     """Exact second moments of phase deviations."""
-    mod = _aligned(forest, model)
-    if variant == "lc":
-        a, b = _path_matrices(forest)
-        cross = b @ mod.sigma_pq @ a
-        return b @ mod.sigma_p @ b + a @ mod.sigma_q @ a - cross - cross.T
-    if variant == "dc":
-        g = _conductance_matrix(forest)
-        return g @ mod.sigma_q @ g
-    raise DomainError(f"unknown variant {variant!r}")
+    return _analytic_moments(forest, model, variant, ("sigma_theta",))["sigma_theta"]
 
 
 def analytic_sigma_theta_eps(forest: ForestConfig, model: InjectionModel, variant: str = "lc") -> np.ndarray:
     """Exact phase/voltage cross moments E[theta eps^T]; not symmetric."""
-    mod = _aligned(forest, model)
-    if variant == "lc":
-        a, b = _path_matrices(forest)
-        return b @ mod.sigma_p @ a - a @ mod.sigma_q @ b + b @ mod.sigma_pq @ b - a @ mod.sigma_pq.T @ a
-    if variant == "dc":
-        g = _conductance_matrix(forest)
-        return -g @ mod.sigma_pq.T @ g
-    raise DomainError(f"unknown variant {variant!r}")
+    return _analytic_moments(forest, model, variant, ("sigma_theta_eps",))["sigma_theta_eps"]
 
 
 def analytic_moment_set(forest: ForestConfig, model: InjectionModel, variant: str = "lc") -> MomentSet:
-    return MomentSet(
-        nodes=forest.grid.load_ids,
-        sigma_eps=analytic_sigma_eps(forest, model, variant),
-        sigma_theta=analytic_sigma_theta(forest, model, variant),
-        sigma_theta_eps=analytic_sigma_theta_eps(forest, model, variant),
-        source="analytic",
-    )
+    return MomentSet(nodes=forest.grid.load_ids, source="analytic",
+                     **_analytic_moments(forest, model, variant))
 
 
 def expected_sq_diff(forest: ForestConfig, model: InjectionModel, child: int, parent: int,
@@ -347,17 +429,13 @@ def assumption1_violations(forest: ForestConfig, model: InjectionModel) -> list[
     positive, as (node_a, node_b, matrix-name) triples; empty when the
     positivity assumption holds."""
     mod = _aligned(forest, model)
+    tree = forest.load_tree_index
+    pairs = np.triu(tree[:, None] == tree[None, :])
+    bad = np.stack([pairs & (mod.sigma_p <= 0), pairs & (mod.sigma_q <= 0),
+                    pairs & ((mod.sigma_pq <= 0) | (mod.sigma_pq.T <= 0))], axis=-1)
+    names = ("sigma_p", "sigma_q", "sigma_pq")
     nodes = mod.nodes
-    bad = []
-    for i, a in enumerate(nodes):
-        for j in range(i, len(nodes)):
-            b = nodes[j]
-            if forest.tree_of[a] != forest.tree_of[b]:
-                continue
-            for name, mat in (("sigma_p", mod.sigma_p), ("sigma_q", mod.sigma_q), ("sigma_pq", mod.sigma_pq)):
-                if mat[i, j] <= 0 or (name == "sigma_pq" and mat[j, i] <= 0):
-                    bad.append((a, b, name))
-    return bad
+    return [(nodes[i], nodes[j], names[k]) for i, j, k in zip(*np.nonzero(bad))]
 
 
 def verify_moment_ordering(forest: ForestConfig, model: InjectionModel,

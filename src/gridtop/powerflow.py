@@ -155,19 +155,29 @@ def dc_resistive_solve(forest: ForestConfig, inj: InjectionVector) -> VoltageSta
 def lcpf_response(forest: ForestConfig) -> tuple[np.ndarray, np.ndarray]:
     """Dense response matrices (A, B) of the linear model in canonical order:
     eps = A p + B q and theta = B p - A q, with A = H_{1/r}^-1 (root-path
-    resistance sums) and B = H_{1/x}^-1 (reactance sums)."""
-    a = path_sum_matrix(forest, {ei: 1.0 / forest.grid.edges[ei].r for ei in forest.closed_edges})
-    b = path_sum_matrix(forest, {ei: 1.0 / forest.grid.edges[ei].x for ei in forest.closed_edges})
-    return a, b
+    resistance sums) and B = H_{1/x}^-1 (reactance sums).
+
+    Built once per forest and kept, read-only, in the forest's memo, so
+    repeated solves and moment evaluations on one forest share them.
+    """
+    response = forest.memo.get("lcpf_response")
+    if response is None:
+        edges = forest.grid.edges
+        a = path_sum_matrix(forest, {ei: 1.0 / edges[ei].r for ei in forest.closed_edges})
+        b = path_sum_matrix(forest, {ei: 1.0 / edges[ei].x for ei in forest.closed_edges})
+        a.flags.writeable = False
+        b.flags.writeable = False
+        response = forest.memo["lcpf_response"] = (a, b)
+    return response
 
 
 def lcpf_solve_many(forest: ForestConfig, p: np.ndarray, q: np.ndarray) -> VoltageSamples:
     """Vectorized linear solves for sample batches of shape (m, N)."""
-    a, b = lcpf_response(forest)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.ndim != 2 or p.shape != q.shape or p.shape[1] != forest.grid.n_loads:
         raise DomainError(f"expected (m, {forest.grid.n_loads}) sample arrays, got {p.shape} and {q.shape}")
+    a, b = lcpf_response(forest)
     return VoltageSamples(nodes=forest.grid.load_ids, eps=p @ a + q @ b, theta=p @ b - q @ a)
 
 

@@ -225,6 +225,40 @@ def test_read_samples_reports_bad_rows(tmp_path):
         read_samples(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_read_samples_rejects_non_finite_values(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1,2\n0.1,0.2\n\n0.3,{cell}\n0.5,0.6\n")
+    with pytest.raises(ParseError, match="bad.csv:4: non-finite"):
+        read_samples(path)
+
+
+def test_reconstruct_rejects_non_finite_sample_column():
+    grid, forest = load_fixture("bus_13_3")
+    model = default_model(forest)
+    samples = simulate_voltage(forest, model, 200, seed=3)
+    eps = samples.eps.copy()
+    col = 4
+    eps[17, col] = np.nan
+    bad = type(samples)(nodes=samples.nodes, eps=eps, theta=None)
+    with pytest.raises(DomainError, match=f"node {samples.nodes[col]} "):
+        reconstruct(bad, model, grid, LearnerConfig(tau=0.05))
+
+
+def test_reconstruct_rejects_non_finite_moment_entry():
+    from gridtop.moments import MomentSet, analytic_moment_set
+
+    grid, forest = load_fixture("bus_13_3")
+    model = default_model(forest)
+    mset = analytic_moment_set(forest, model)
+    sigma = mset.sigma_eps.copy()
+    nodes = mset.nodes
+    sigma[2, 5] = np.inf
+    bad = MomentSet(nodes=nodes, sigma_eps=sigma, sigma_theta=None, sigma_theta_eps=None, source="analytic")
+    with pytest.raises(DomainError, match=rf"nodes \({nodes[2]}, {nodes[5]}\)"):
+        reconstruct(bad, model, grid, LearnerConfig(tau=0.05))
+
+
 # -- experiment driver -----------------------------------------------------------
 
 

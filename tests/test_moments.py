@@ -369,3 +369,221 @@ def test_moment_ordering_gates_on_assumption1(fig3):
     with pytest.raises(AssumptionViolation) as excinfo:
         verify_moment_ordering(forest, model)
     assert excinfo.value.pairs
+
+
+# -- per-tree evaluation against dense oracles -------------------------------------
+
+
+def _multi_tree_instance(seed):
+    from gridtop.harness import generate_random_grid
+
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    n = int(rng.integers(k + 3, 30))
+    return generate_random_grid(n, k, int(rng.integers(k - 1, k + 5)), seed=int(rng.integers(2**32)))
+
+
+def _cross_tree_model(forest, seed):
+    """Explicit model with dense cross-tree covariance and non-central means."""
+    rng = np.random.default_rng(seed)
+    n = forest.grid.n_loads
+    f = rng.normal(size=(2 * n, 2 * n + 3)) * 1e-3
+    joint = f @ f.T
+    return InjectionModel.from_covariances(
+        forest.grid.load_ids, -rng.uniform(0.002, 0.01, n), -rng.uniform(0.0, 0.004, n),
+        joint[:n, :n], joint[n:, n:], joint[:n, n:])
+
+
+def _dense_moments(forest, model, variant):
+    """The three moment matrices from dense inverses of the weighted
+    Laplacians, in the Laplacians' tree-major node order."""
+    from gridtop.grid import weighted_laplacians
+
+    wl = weighted_laplacians(forest)
+    perm = [forest.grid.load_index[n] for n in wl.node_order]
+    mod = model.aligned_to(forest.grid.load_ids)
+    sp, sq, spq = (m[np.ix_(perm, perm)] for m in (mod.sigma_p, mod.sigma_q, mod.sigma_pq))
+    if variant == "dc":
+        g = np.linalg.inv(wl.h_g)
+        return perm, (g @ sp @ g, g @ sq @ g, -g @ spq.T @ g)
+    a = np.linalg.inv(wl.h_inv_r)
+    b = np.linalg.inv(wl.h_inv_x)
+    eps_cross = a @ spq @ b
+    theta_cross = b @ spq @ a
+    return perm, (a @ sp @ a + b @ sq @ b + eps_cross + eps_cross.T,
+                  b @ sp @ b + a @ sq @ a - theta_cross - theta_cross.T,
+                  b @ sp @ a - a @ sq @ b + b @ spq @ b - a @ spq.T @ a)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["lc", "dc"]), st.sampled_from(["a1", "cross", "reordered"]))
+def test_per_tree_moments_match_dense_inverse_oracle(seed, variant, kind):
+    from gridtop.moments import analytic_moment_set
+
+    grid, forest = _multi_tree_instance(seed)
+    if kind == "cross":
+        model = _cross_tree_model(forest, seed + 5)
+    else:
+        model = random_a1_model(forest, seed + 7)
+        if kind == "reordered":
+            model = model.aligned_to(reversed(grid.load_ids))
+            assert model.nodes != grid.load_ids
+    perm, dense = _dense_moments(forest, model, variant)
+    mset = analytic_moment_set(forest, model, variant)
+    assert mset.nodes == grid.load_ids
+    singles = (analytic_sigma_eps, analytic_sigma_theta, analytic_sigma_theta_eps)
+    for got, want, single in zip((mset.sigma_eps, mset.sigma_theta, mset.sigma_theta_eps), dense, singles):
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got[np.ix_(perm, perm)], want, rtol=1e-9, atol=1e-12 * scale)
+        assert np.array_equal(single(forest, model, variant), got)
+
+
+def test_analytic_moments_reject_unknown_variant(fig3):
+    grid, forest = fig3
+    with pytest.raises(DomainError, match="unknown variant"):
+        analytic_sigma_eps(forest, default_model(forest), variant="ac")
+
+
+# -- block-wise PSD check ---------------------------------------------------------
+
+
+def _joint_min_eig(model):
+    return np.linalg.eigvalsh(model.joint_covariance).min()
+
+
+def test_blockwise_psd_eigenvalues_equal_full_eigvalsh():
+    from gridtop.moments import _components
+
+    for seed in range(8):
+        grid, forest = _multi_tree_instance(seed)
+        for model in (random_a1_model(forest, seed), default_model(forest), _cross_tree_model(forest, seed)):
+            op, oq, opq = model.omega_p, model.omega_q, model.omega_pq
+            coupled = (op != 0) | (oq != 0) | (opq != 0)
+            coupled |= coupled.T
+            parts = []
+            for comp in _components(coupled):
+                ix = np.ix_(comp, comp)
+                parts.append(np.linalg.eigvalsh(np.block([[op[ix], opq[ix]], [opq[ix].T, oq[ix]]])))
+            blockwise = np.sort(np.concatenate(parts))
+            full = np.linalg.eigvalsh(model.joint_covariance)
+            np.testing.assert_allclose(blockwise, full, rtol=0, atol=1e-12 * np.abs(full).max())
+
+
+def test_default_model_components_are_the_trees():
+    from gridtop.moments import _components
+
+    grid, forest = _multi_tree_instance(3)
+    model = default_model(forest)
+    coupled = model.omega_p != 0
+    comps = sorted(tuple(c) for c in _components(coupled | coupled.T))
+    tree = forest.load_tree_index
+    assert comps == sorted(tuple(np.flatnonzero(tree == k)) for k in range(forest.n_trees))
+
+
+def test_psd_check_rejects_model_indefinite_inside_one_tree():
+    grid, forest = _multi_tree_instance(11)
+    good = random_a1_model(forest, 11)
+    tree = forest.load_tree_index
+    members = np.flatnonzero(tree == 1)
+    i, j = members[:2]
+    omega_p = good.omega_p.copy()
+    bump = 10.0 * max(omega_p[i, i], omega_p[j, j])
+    omega_p[i, j] += bump
+    omega_p[j, i] += bump
+    args = (good.nodes, good.mu_p, good.mu_q, omega_p, good.omega_q, good.omega_pq)
+    scale = np.abs(omega_p).max()
+    joint = np.block([[omega_p, good.omega_pq], [good.omega_pq.T, good.omega_q]])
+    assert np.linalg.eigvalsh(joint).min() < -1e-10 * max(1.0, scale)
+    with pytest.raises(ModelError, match="positive semidefinite"):
+        InjectionModel.from_covariances(*args)
+
+
+def test_psd_check_treats_cross_tree_coupling_as_one_block():
+    # Each tree's own block is PSD, but the cross-tree covariance makes the
+    # joint matrix indefinite: only a check over the coupled block sees it.
+    from conftest import two_tree_grid
+
+    grid, forest = two_tree_grid()
+    omega_p = np.array([[1.0, 2.0], [2.0, 1.0]]) * 1e-4
+    for block in (omega_p[:1, :1], omega_p[1:, 1:]):
+        assert np.linalg.eigvalsh(block).min() >= 0
+    with pytest.raises(ModelError, match="positive semidefinite"):
+        InjectionModel.from_covariances(grid.load_ids, np.zeros(2), np.zeros(2),
+                                        omega_p, np.eye(2) * 1e-4, np.zeros((2, 2)))
+    coupled = InjectionModel.from_covariances(grid.load_ids, np.zeros(2), np.zeros(2),
+                                              np.array([[1.0, 0.5], [0.5, 1.0]]) * 1e-4,
+                                              np.eye(2) * 1e-4, np.zeros((2, 2)))
+    assert _joint_min_eig(coupled) > 0
+
+
+def test_model_rejects_non_finite_means():
+    with pytest.raises(ModelError, match="mean vectors"):
+        InjectionModel(nodes=(1, 2), mu_p=np.array([np.nan, 0.0]), mu_q=np.zeros(2),
+                       sigma_p=np.eye(2), sigma_q=np.eye(2), sigma_pq=np.zeros((2, 2)))
+
+
+# -- vectorised model functions against their loop forms ---------------------------
+
+
+def _default_model_loop(forest, mu_p=-0.005, sigma_ratio=0.2, rho=0.1, q_alpha=0.3, q_noise_ratio=0.2):
+    nodes = forest.grid.load_ids
+    n = len(nodes)
+    sig = sigma_ratio * abs(mu_p)
+    omega_p = np.zeros((n, n))
+    same_tree = np.zeros((n, n), dtype=bool)
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes):
+            same_tree[i, j] = forest.tree_of[a] == forest.tree_of[b]
+    omega_p[same_tree] = rho * sig * sig
+    np.fill_diagonal(omega_p, sig * sig * (1.0 + rho))
+    mu_q = q_alpha * mu_p
+    sig_eta = q_noise_ratio * abs(mu_q)
+    omega_q = q_alpha * q_alpha * omega_p + np.eye(n) * sig_eta * sig_eta
+    omega_pq = q_alpha * omega_p
+    return InjectionModel.from_covariances(
+        nodes=nodes, mu_p=np.full(n, mu_p), mu_q=np.full(n, mu_q),
+        omega_p=omega_p, omega_q=omega_q, omega_pq=omega_pq,
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_default_model_equals_loop_oracle(seed):
+    grid, forest = _multi_tree_instance(seed)
+    params = {} if seed % 2 else {"sigma_ratio": 0.8, "rho": 0.3}
+    got = default_model(forest, **params)
+    want = _default_model_loop(forest, **params)
+    assert got.nodes == want.nodes
+    for name in ("mu_p", "mu_q", "sigma_p", "sigma_q", "sigma_pq"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _violations_loop(forest, model):
+    mod = model.aligned_to(forest.grid.load_ids)
+    nodes = mod.nodes
+    bad = []
+    for i, a in enumerate(nodes):
+        for j in range(i, len(nodes)):
+            b = nodes[j]
+            if forest.tree_of[a] != forest.tree_of[b]:
+                continue
+            for name, mat in (("sigma_p", mod.sigma_p), ("sigma_q", mod.sigma_q), ("sigma_pq", mod.sigma_pq)):
+                if mat[i, j] <= 0 or (name == "sigma_pq" and mat[j, i] <= 0):
+                    bad.append((a, b, name))
+    return bad
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_assumption1_violations_equal_loop_oracle(seed):
+    # Means of mixed sign make entries of all three non-central matrices
+    # negative, and unequal p/q means make sigma_pq asymmetric.
+    grid, forest = _multi_tree_instance(seed)
+    rng = np.random.default_rng(seed)
+    n = grid.n_loads
+    small = np.eye(n) * 1e-8
+    model = InjectionModel.from_covariances(grid.load_ids, rng.normal(0, 0.01, n), rng.normal(0, 0.01, n),
+                                            small, small, np.zeros((n, n)))
+    model = model.aligned_to(reversed(grid.load_ids))
+    got = assumption1_violations(forest, model)
+    assert got == _violations_loop(forest, model)
+    assert {name for _, _, name in got} == {"sigma_p", "sigma_q", "sigma_pq"}
+    assert all(isinstance(a, int) and isinstance(b, int) for a, b, _ in got)

@@ -11,6 +11,7 @@ from gridtop.powerflow import (
     InjectionVector,
     dc_resistive_solve,
     distflow_solve,
+    lcpf_response,
     lcpf_solve,
     lcpf_solve_many,
 )
@@ -108,6 +109,52 @@ def test_lcpf_response_matches_batch(fig3):
         single = lcpf_solve(forest, InjectionVector(p=p[j], q=q[j]))
         np.testing.assert_allclose(batch.eps[j], single.eps, atol=1e-12)
         np.testing.assert_allclose(batch.theta[j], single.theta, atol=1e-12)
+
+
+def test_lcpf_response_built_once_per_forest(monkeypatch):
+    import gridtop.powerflow as powerflow
+    from gridtop.grid import path_sum_matrix
+    from gridtop.moments import analytic_moment_set, default_model
+
+    calls = []
+
+    def counting(forest, weights):
+        calls.append(forest)
+        return path_sum_matrix(forest, weights)
+
+    monkeypatch.setattr(powerflow, "path_sum_matrix", counting)
+    grid, forest = random_instance(5)
+    rng = np.random.default_rng(1)
+    p = rng.normal(-0.01, 0.003, (3, grid.n_loads))
+    first = lcpf_solve_many(forest, p, 0.3 * p)
+    for _ in range(4):
+        again = lcpf_solve_many(forest, p, 0.3 * p)
+    analytic_moment_set(forest, default_model(forest))
+    assert len(calls) == 2
+    assert np.array_equal(first.eps, again.eps) and np.array_equal(first.theta, again.theta)
+
+    a, b = lcpf_response(forest)
+    assert lcpf_response(forest)[0] is a
+    assert np.array_equal(a, path_sum_matrix(forest, {ei: 1.0 / grid.edges[ei].r for ei in forest.closed_edges}))
+    assert np.array_equal(b, path_sum_matrix(forest, {ei: 1.0 / grid.edges[ei].x for ei in forest.closed_edges}))
+    with pytest.raises(ValueError):
+        a[0, 0] = 1.0
+
+    _, other = random_instance(5)  # an equal but distinct forest builds its own
+    lcpf_response(other)
+    assert len(calls) == 4
+
+
+def test_lcpf_response_dies_with_its_forest():
+    import gc
+    import weakref
+
+    grid, forest = random_instance(2)
+    a, _ = lcpf_response(forest)
+    forest_ref = weakref.ref(forest)
+    del forest
+    gc.collect()
+    assert forest_ref() is None
 
 
 # -- DC-resistive model -------------------------------------------------------
