@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -18,10 +17,12 @@ import click
 from ..errors import GridTopError, ParseError
 from ..learner import TRACE_FIELDS, LearnerConfig, reconstruct
 from ..moments import assumption1_violations, empirical_moments, model_from_dict
+from ..powerflow import VARIANTS
 from ..fixtures import FIXTURE_NAMES, fixture_path
 from .experiment import (
     plan_from_json,
     run_experiment,
+    seed_or_env,
     simulate_voltage,
     write_error_csv,
     write_gnuplot_script,
@@ -29,12 +30,6 @@ from .experiment import (
 )
 from .generate import generate_random_grid
 from .gridfile import parse_grid, read_samples, write_grid, write_samples
-
-
-def _env_seed(seed):
-    if seed is not None:
-        return seed
-    return int(os.environ.get("GRIDTOP_SEED", "0"))
 
 
 def _load_grid(spec: str):
@@ -82,7 +77,7 @@ def gen_grid(loads, subs, ties, extra, r_min, r_max, x_min, x_max, seed, name, o
         grid, forest = generate_random_grid(
             loads, subs, extra, n_tie_lines=ties,
             r_range=(r_min, r_max), x_range=(x_min, x_max),
-            seed=_env_seed(seed), name=name)
+            seed=seed_or_env(seed), name=name)
         write_grid(output, grid, forest)
     except GridTopError as exc:
         _fail(str(exc))
@@ -105,7 +100,7 @@ def simulate(grid_spec, samples, model_path, engine, seed, output):
         if forest is None:
             _fail("the grid declares no operational forest (no closed edges)")
         model = _load_model(model_path, forest)
-        batch = simulate_voltage(forest, model, samples, _env_seed(seed), engine)
+        batch = simulate_voltage(forest, model, samples, seed_or_env(seed), engine)
         write_samples(output, batch)
     except GridTopError as exc:
         _fail(str(exc))
@@ -140,20 +135,19 @@ def moments(samples_path, output):
 @click.option("--grid", "grid_spec", required=True, help="Grid file or bundled fixture name.")
 @click.option("--samples", "samples_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--tau", type=float, default=0.05, show_default=True, help="Relative tolerance.")
-@click.option("--variant", type=click.Choice(["lc", "dc"]), default="lc", show_default=True)
-@click.option("--all-pairs", is_flag=True, help="Test every pair, not just grid lines.")
+@click.option("--variant", type=click.Choice(list(VARIANTS)), default="lc", show_default=True,
+              help="Linear model; dc is lc with each line's impedance taken as (1/g, 0).")
 @click.option("--model", "model_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None,
               help="Write the per-pair decision trace CSV here.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
-def learn(grid_spec, samples_path, tau, variant, all_pairs, model_path, trace_path, as_json):
+def learn(grid_spec, samples_path, tau, variant, model_path, trace_path, as_json):
     """Reconstruct the operational forest from voltage samples."""
     try:
         grid, truth = _load_grid(grid_spec)
         model = _load_model(model_path, truth)
         batch = read_samples(samples_path)
-        config = LearnerConfig(tau=tau, variant=variant,
-                               candidate_edges="all-pairs" if all_pairs else "grid")
+        config = LearnerConfig(tau=tau, variant=variant)
         result = reconstruct(batch, model, grid, config, truth=truth)
     except GridTopError as exc:
         _fail(str(exc))
@@ -189,7 +183,7 @@ def experiment(plan_path, output, verbose, timing, gnuplot):
     try:
         plan = plan_from_json(plan_path)
         result = run_experiment(plan, include_timing=timing)
-        write_error_csv(output, result, include_timing=timing)
+        write_error_csv(output, result)
         if verbose:
             write_trial_csv(str(output) + ".trials.csv", result)
         if gnuplot:

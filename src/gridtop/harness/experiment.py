@@ -40,6 +40,7 @@ __all__ = [
     "plan_from_dict",
     "plan_from_json",
     "resolve_plan_grid",
+    "seed_or_env",
     "simulate_voltage",
     "run_experiment",
     "write_error_csv",
@@ -135,15 +136,16 @@ def plan_from_json(path: str | Path) -> ExperimentPlan:
     return plan_from_dict(doc)
 
 
-def _master_seed(plan: ExperimentPlan) -> int:
-    if plan.seed is not None:
-        return plan.seed
+def seed_or_env(seed: int | None) -> int:
+    """``seed`` when given, else the GRIDTOP_SEED environment variable, else 0."""
+    if seed is not None:
+        return seed
     return int(os.environ.get("GRIDTOP_SEED", "0"))
 
 
 def resolve_plan_grid(plan: ExperimentPlan) -> tuple[GridGraph, ForestConfig, str]:
     """Materialize the plan's grid, operational forest, and CSV label."""
-    master = _master_seed(plan)
+    master = seed_or_env(plan.seed)
     spec = plan.grid
     if isinstance(spec, str):
         if spec in FIXTURE_NAMES:
@@ -214,11 +216,11 @@ def run_experiment(plan: ExperimentPlan, include_timing: bool = False) -> Experi
     surviving trials.  Rows come back in plan order (sample counts outer,
     taus inner) independent of execution timing.
     """
-    master = _master_seed(plan)
+    master = seed_or_env(plan.seed)
     grid, forest, label = resolve_plan_grid(plan)
-    model = model_from_dict(plan.model, forest) if plan.model else model_from_dict({}, forest)
+    model = model_from_dict(plan.model, forest)
 
-    analytic_cache: dict[str, object] = {}
+    analytic = None  # the exact moment set, built on the first "inf" trial
     rows = []
     trial_rows = []
     failures = 0
@@ -235,9 +237,9 @@ def run_experiment(plan: ExperimentPlan, include_timing: bool = False) -> Experi
                     if math.isinf(m):
                         if plan.engine != "lc":
                             raise DomainError("the infinite-sample limit is defined for the lc engine only")
-                        if "set" not in analytic_cache:
-                            analytic_cache["set"] = analytic_moment_set(forest, model, variant=plan.variant)
-                        data = analytic_cache["set"]
+                        if analytic is None:
+                            analytic = analytic_moment_set(forest, model, variant=plan.variant)
+                        data = analytic
                     else:
                         seed = np.random.SeedSequence((master, point_index, trial))
                         data = simulate_voltage(forest, model, int(m), seed, plan.engine)
@@ -285,8 +287,10 @@ def _write_rows(path: str | Path, columns: tuple[str, ...], rows) -> None:
                              for col in columns])
 
 
-def write_error_csv(path: str | Path, result: ExperimentResult, include_timing: bool = False) -> None:
-    columns = CSV_COLUMNS + (("seconds",) if include_timing else ())
+def write_error_csv(path: str | Path, result: ExperimentResult) -> None:
+    """One row per grid point; a ``seconds`` column follows when the rows
+    were timed (``run_experiment(..., include_timing=True)``)."""
+    columns = CSV_COLUMNS + (("seconds",) if any("seconds" in row for row in result.rows) else ())
     _write_rows(path, columns, result.rows)
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import ForestConfig, GridGraph
-from .moments import InjectionModel, MomentSet
-from .powerflow import VoltageSamples
+from .moments import InjectionModel, MomentSet, edge_sq_diff
+from .powerflow import VARIANTS, VoltageSamples
 
 __all__ = [
     "LearnerConfig",
@@ -47,16 +47,13 @@ class LearnerConfig:
 
     tau: float = 0.05
     variant: str = "lc"
-    candidate_edges: str = "grid"
     literal_tolerance: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
             raise DomainError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.variant not in ("lc", "dc"):
-            raise DomainError(f"variant must be 'lc' or 'dc', got {self.variant!r}")
-        if self.candidate_edges not in ("grid", "all-pairs"):
-            raise DomainError(f"candidate_edges must be 'grid' or 'all-pairs', got {self.candidate_edges!r}")
+        if self.variant not in VARIANTS:
+            raise DomainError(f"variant must be one of {list(VARIANTS)}, got {self.variant!r}")
 
 
 @dataclass(frozen=True)
@@ -147,10 +144,10 @@ def reconstruct(data: VoltageSamples | MomentSet, model: InjectionModel, grid: G
     ``data`` is either raw voltage-deviation samples (the mean squared
     difference on the left side is then the raw sample average, not
     reassembled from moment matrix entries) or an exact MomentSet for the
-    infinite-sample limit.  Candidate parents default to lines present in
-    the designed grid; "all-pairs" mode tests every pair but necessarily
-    rejects pairs without line parameters.  Substations are never attached
-    as children: they are roots of the base-constrained forest.
+    infinite-sample limit.  Candidate parents are the lines of the designed
+    grid, whose parameters the closed form needs; a pair without a line is
+    recorded in the trace and skipped.  Substations are never attached as
+    children: they are roots of the base-constrained forest.
     """
     nodes = grid.load_ids
     if tuple(data.nodes) != nodes:
@@ -200,14 +197,6 @@ def reconstruct(data: VoltageSamples | MomentSet, model: InjectionModel, grid: G
         sab = sigma[idx[a], idx[b]] if (a in idx and b in idx) else 0.0
         return float(saa - 2.0 * sab + sbb)
 
-    def rhs_of(leaf: int, edge_index: int) -> float:
-        e = grid.edges[edge_index]
-        sp, sq, spq = desc.sums[leaf]
-        if config.variant == "dc":
-            g = e.conductance
-            return sp / (g * g)
-        return e.r * e.r * sp + e.x * e.x * sq + 2.0 * e.r * e.x * spq
-
     pop_order = sorted(diag, key=lambda nid: (-diag[nid], nid))
     leaves: list[int] = []
     learned: set[tuple[int, int]] = set()
@@ -218,14 +207,10 @@ def reconstruct(data: VoltageSamples | MomentSet, model: InjectionModel, grid: G
         for a in list(leaves):
             edge_index = grid.edge_between(a, b_star)
             if edge_index is None:
-                if config.candidate_edges == "grid":
-                    trace.append(TraceRecord(a, b_star, None, None, None, False, "no line in grid"))
-                else:
-                    trace.append(TraceRecord(a, b_star, lhs_of(a, b_star), None, None, False,
-                                             "no line parameters"))
+                trace.append(TraceRecord(a, b_star, None, None, None, False, "no line in grid"))
                 continue
             lhs = lhs_of(a, b_star)
-            rhs = rhs_of(a, edge_index)
+            rhs = edge_sq_diff(grid.edges[edge_index], config.variant, *desc.sums[a])
             dev = _deviation(lhs, rhs, config.literal_tolerance)
             if dev < config.tau:
                 pair = (a, b_star) if a <= b_star else (b_star, a)

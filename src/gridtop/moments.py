@@ -23,8 +23,10 @@ from typing import Iterable
 import numpy as np
 
 from .errors import AssumptionViolation, DomainError, ModelError
-from .grid import ForestConfig, path_sum_matrix
-from .powerflow import InjectionVector, VoltageSamples, VoltageState, lcpf_response
+# path_sum_matrix is unused here but kept: perfbench/spans.py wraps it on this module by name.
+from .grid import ForestConfig, LineEdge, path_sum_matrix  # noqa: F401
+from .powerflow import (InjectionVector, VoltageSamples, VoltageState, effective_impedance,
+                        lcpf_response)
 
 __all__ = [
     "InjectionModel",
@@ -37,6 +39,7 @@ __all__ = [
     "analytic_sigma_theta",
     "analytic_sigma_theta_eps",
     "analytic_moment_set",
+    "edge_sq_diff",
     "expected_sq_diff",
     "assumption1_violations",
     "verify_moment_ordering",
@@ -206,6 +209,13 @@ class MomentSet:
     source: str
     m: int | None = None
 
+    def __post_init__(self):
+        n = len(self.nodes)
+        for name in ("sigma_eps", "sigma_theta", "sigma_theta_eps"):
+            matrix = getattr(self, name)
+            if (matrix is not None or name == "sigma_eps") and np.shape(matrix) != (n, n):
+                raise DomainError(f"{name} must have shape ({n}, {n}) for {n} nodes, got {np.shape(matrix)}")
+
 
 def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float = 0.2,
                   rho: float = 0.1, q_alpha: float = 0.3, q_noise_ratio: float = 0.2) -> InjectionModel:
@@ -252,7 +262,8 @@ def empirical_moments(samples: VoltageSamples | Iterable[VoltageState],
     """Non-central sample moments (1/m) sum_j y_a^j y_b^j.
 
     Accepts a stacked batch (one matmul) or any iterable of states
-    (accumulated in a single streaming pass, memory O(N^2) regardless of m).
+    (accumulated in a single streaming pass, memory O(N^2) regardless of m);
+    states carry no node labels, so an iterable needs ``nodes``.
     """
     if isinstance(samples, VoltageSamples):
         m = len(samples)
@@ -270,9 +281,15 @@ def empirical_moments(samples: VoltageSamples | Iterable[VoltageState],
     has_theta = True
     for state in samples:
         if s_ee is None:
-            s_ee = np.zeros((state.eps.shape[0], state.eps.shape[0]))
+            if nodes is None:
+                raise DomainError("nodes are required to label the moments of an iterable of states")
+            nodes = tuple(nodes)
+            s_ee = np.zeros((len(nodes), len(nodes)))
             s_tt = np.zeros_like(s_ee)
             s_te = np.zeros_like(s_ee)
+        for values in (state.eps, state.theta):
+            if values is not None and np.shape(values) != (len(nodes),):
+                raise DomainError(f"state {m} has shape {np.shape(values)} for {len(nodes)} nodes")
         s_ee += np.outer(state.eps, state.eps)
         if state.theta is None:
             has_theta = False
@@ -283,7 +300,7 @@ def empirical_moments(samples: VoltageSamples | Iterable[VoltageState],
     if m == 0:
         raise DomainError("empty sample set")
     return MomentSet(
-        nodes=tuple(nodes) if nodes is not None else tuple(range(s_ee.shape[0])),
+        nodes=nodes,
         sigma_eps=s_ee / m,
         sigma_theta=s_tt / m if has_theta else None,
         sigma_theta_eps=s_te / m if has_theta else None,
@@ -328,20 +345,13 @@ def _analytic_moments(forest: ForestConfig, model: InjectionModel, variant: str,
                       outputs: tuple[str, ...] = _OUTPUTS) -> dict[str, np.ndarray]:
     """Exact voltage moments of the linear model, evaluated per tree.
 
-    "lc" takes (A, B) = (H_{1/r}^-1, H_{1/x}^-1) from ``lcpf_response``;
-    "dc" is the same evaluation with (A, B) = (H_g^-1, 0), whose zero
-    sandwiches are skipped.  A and B are block diagonal over the trees, so
-    in tree-major order X S multiplies only the k-th row block of S by the
-    k-th diagonal block of X, and (X S) Y likewise by column blocks: each
-    product costs sum_k n_k^2 N instead of N^3.
+    (A, B) come from ``lcpf_response``; when B is None (the "dc" variant)
+    its sandwiches are zero and skipped.  A and B are block diagonal over the
+    trees, so in tree-major order X S multiplies only the k-th row block of
+    S by the k-th diagonal block of X, and (X S) Y likewise by column
+    blocks: each product costs sum_k n_k^2 N instead of N^3.
     """
-    if variant == "lc":
-        a, b = lcpf_response(forest)
-    elif variant == "dc":
-        a = path_sum_matrix(forest, {ei: forest.grid.edges[ei].conductance for ei in forest.closed_edges})
-        b = None
-    else:
-        raise DomainError(f"unknown variant {variant!r}")
+    a, b = lcpf_response(forest, variant)
     mod = _aligned(forest, model)
     tree = forest.load_tree_index
     n = len(tree)
@@ -382,8 +392,8 @@ def _analytic_moments(forest: ForestConfig, model: InjectionModel, variant: str,
 def analytic_sigma_eps(forest: ForestConfig, model: InjectionModel, variant: str = "lc") -> np.ndarray:
     """Exact second moments of voltage deviations under the linear model.
 
-    "lc": A Sp A + B Sq B + A Spq B + (A Spq B)^T with A, B the path-sum
-    inverse Laplacians; "dc": G Sp G with conductance path sums.
+    A Sp A + B Sq B + A Spq B + (A Spq B)^T with A, B the path-sum inverse
+    Laplacians of the variant's effective impedances.
     """
     return _analytic_moments(forest, model, variant, ("sigma_eps",))["sigma_eps"]
 
@@ -403,6 +413,14 @@ def analytic_moment_set(forest: ForestConfig, model: InjectionModel, variant: st
                      **_analytic_moments(forest, model, variant))
 
 
+def edge_sq_diff(edge: LineEdge, variant: str, sp: float, sq: float, spq: float) -> float:
+    """E[(eps_child - eps_parent)^2] across ``edge`` given the sums sp, sq,
+    spq of sigma_p, sigma_q, sigma_pq over the child's descendant set:
+    r^2 sp + x^2 sq + 2 r x spq in the variant's effective impedance."""
+    r, x = effective_impedance(edge, variant)
+    return r * r * sp + x * x * sq + 2.0 * r * x * spq
+
+
 def expected_sq_diff(forest: ForestConfig, model: InjectionModel, child: int, parent: int,
                      variant: str = "lc") -> float:
     """E[(eps_child - eps_parent)^2] by the direct double sum over the
@@ -411,17 +429,10 @@ def expected_sq_diff(forest: ForestConfig, model: InjectionModel, child: int, pa
     if forest.parent.get(child) != parent:
         raise DomainError(f"node {parent} is not the parent of node {child}")
     mod = _aligned(forest, model)
-    e = forest.grid.edges[forest.parent_edge[child]]
     members = forest.descendant_load_indices[child]
-    sp = float(mod.sigma_p[np.ix_(members, members)].sum())
-    if variant == "dc":
-        g = e.conductance
-        return sp / (g * g)
-    if variant != "lc":
-        raise DomainError(f"unknown variant {variant!r}")
-    sq = float(mod.sigma_q[np.ix_(members, members)].sum())
-    spq = float(mod.sigma_pq[np.ix_(members, members)].sum())
-    return e.r * e.r * sp + e.x * e.x * sq + 2.0 * e.r * e.x * spq
+    block = np.ix_(members, members)
+    sums = (float(m[block].sum()) for m in (mod.sigma_p, mod.sigma_q, mod.sigma_pq))
+    return edge_sq_diff(forest.grid.edges[forest.parent_edge[child]], variant, *sums)
 
 
 def assumption1_violations(forest: ForestConfig, model: InjectionModel) -> list[tuple[int, int, str]]:

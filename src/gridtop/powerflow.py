@@ -10,8 +10,9 @@ at eps = theta = 0.
   per-edge drops (the sweeps are exactly the lossless DistFlow recursion,
   which on trees coincides with the matrix form eps = H_{1/r}^-1 p +
   H_{1/x}^-1 q, theta = H_{1/x}^-1 p - H_{1/r}^-1 q).
-* ``dc_resistive_solve`` - the resistance-dominated limit, same sweeps with
-  conductance weights: eps = H_g^-1 p, theta = -H_g^-1 q.
+* ``dc_resistive_solve`` - the resistance-dominated limit: the same sweeps
+  with each line's effective impedance (1/g, 0), so eps = H_g^-1 p and
+  theta = -H_g^-1 q.
 * ``distflow_solve`` - the exact nonlinear recursion with quadratic loss
   terms, iterated backward/forward to a fixed point.  It determines voltage
   magnitudes and line flows only; no phase-recovery rule exists for it, so
@@ -26,9 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InfeasibleStateError
-from .grid import ForestConfig, path_sum_matrix
+from .grid import ForestConfig, LineEdge, path_sum_matrix
 
 __all__ = [
+    "VARIANTS",
+    "effective_impedance",
     "InjectionVector",
     "VoltageState",
     "VoltageSamples",
@@ -78,6 +81,14 @@ class VoltageSamples:
     eps: np.ndarray
     theta: np.ndarray | None = None
 
+    def __post_init__(self):
+        shape = np.shape(self.eps)
+        if len(shape) != 2 or shape[1] != len(self.nodes):
+            raise DomainError(f"eps must have shape (m, {len(self.nodes)}) for {len(self.nodes)} nodes, "
+                              f"got {shape}")
+        if self.theta is not None and np.shape(self.theta) != shape:
+            raise DomainError(f"theta must have the shape of eps {shape}, got {np.shape(self.theta)}")
+
     def __len__(self) -> int:
         return self.eps.shape[0]
 
@@ -116,8 +127,25 @@ def _subtree_sums(forest: ForestConfig, values: np.ndarray) -> dict[int, float]:
     return sums
 
 
-def lcpf_solve(forest: ForestConfig, inj: InjectionVector) -> VoltageState:
-    """Solve the coupled linear model by two tree sweeps, O(N) total."""
+# Each variant of the linear model is the coupled model with its own
+# effective line impedance (r, x); the resistive "dc" limit keeps only the
+# line conductance g, as (1/g, 0).
+VARIANTS = {
+    "lc": lambda edge: (edge.r, edge.x),
+    "dc": lambda edge: (1.0 / edge.conductance, 0.0),
+}
+
+
+def effective_impedance(edge: LineEdge, variant: str) -> tuple[float, float]:
+    """The (r, x) with which ``edge`` enters the linear model ``variant``."""
+    impedance = VARIANTS.get(variant)
+    if impedance is None:
+        raise DomainError(f"unknown variant {variant!r}")
+    return impedance(edge)
+
+
+def _sweep(forest: ForestConfig, inj: InjectionVector, variant: str) -> VoltageState:
+    """Solve the linear model by two tree sweeps, O(N) total."""
     _check_dim(forest, inj)
     idx = forest.grid.load_index
     sp = _subtree_sums(forest, inj.p)
@@ -126,48 +154,45 @@ def lcpf_solve(forest: ForestConfig, inj: InjectionVector) -> VoltageState:
     theta = np.zeros(forest.grid.n_loads)
     for nid in forest.loads_by_depth:
         par = forest.parent[nid]
-        e = forest.grid.edges[forest.parent_edge[nid]]
+        r, x = effective_impedance(forest.grid.edges[forest.parent_edge[nid]], variant)
         pe = 0.0 if forest.grid.is_substation(par) else eps[idx[par]]
         pt = 0.0 if forest.grid.is_substation(par) else theta[idx[par]]
-        eps[idx[nid]] = pe + e.r * sp[nid] + e.x * sq[nid]
-        theta[idx[nid]] = pt + e.x * sp[nid] - e.r * sq[nid]
+        eps[idx[nid]] = pe + r * sp[nid] + x * sq[nid]
+        theta[idx[nid]] = pt + x * sp[nid] - r * sq[nid]
     return VoltageState(eps=eps, theta=theta)
+
+
+def lcpf_solve(forest: ForestConfig, inj: InjectionVector) -> VoltageState:
+    """Solve the coupled linear model by two tree sweeps, O(N) total."""
+    return _sweep(forest, inj, "lc")
 
 
 def dc_resistive_solve(forest: ForestConfig, inj: InjectionVector) -> VoltageState:
     """Solve the resistance-dominated limit: eps = H_g^-1 p, theta = -H_g^-1 q."""
-    _check_dim(forest, inj)
-    idx = forest.grid.load_index
-    sp = _subtree_sums(forest, inj.p)
-    sq = _subtree_sums(forest, inj.q)
-    eps = np.zeros(forest.grid.n_loads)
-    theta = np.zeros(forest.grid.n_loads)
-    for nid in forest.loads_by_depth:
-        par = forest.parent[nid]
-        g = forest.grid.edges[forest.parent_edge[nid]].conductance
-        pe = 0.0 if forest.grid.is_substation(par) else eps[idx[par]]
-        pt = 0.0 if forest.grid.is_substation(par) else theta[idx[par]]
-        eps[idx[nid]] = pe + sp[nid] / g
-        theta[idx[nid]] = pt - sq[nid] / g
-    return VoltageState(eps=eps, theta=theta)
+    return _sweep(forest, inj, "dc")
 
 
-def lcpf_response(forest: ForestConfig) -> tuple[np.ndarray, np.ndarray]:
+def lcpf_response(forest: ForestConfig, variant: str = "lc") -> tuple[np.ndarray, np.ndarray | None]:
     """Dense response matrices (A, B) of the linear model in canonical order:
     eps = A p + B q and theta = B p - A q, with A = H_{1/r}^-1 (root-path
-    resistance sums) and B = H_{1/x}^-1 (reactance sums).
+    resistance sums) and B = H_{1/x}^-1 (reactance sums) over the effective
+    impedances of ``variant``; B is None when every reactance is zero.
 
-    Built once per forest and kept, read-only, in the forest's memo, so
-    repeated solves and moment evaluations on one forest share them.
+    Built once per forest and variant and kept, read-only, in the forest's
+    memo, so repeated solves and moment evaluations on one forest share them.
     """
-    response = forest.memo.get("lcpf_response")
+    key = ("lcpf_response", variant)
+    response = forest.memo.get(key)
     if response is None:
         edges = forest.grid.edges
-        a = path_sum_matrix(forest, {ei: 1.0 / edges[ei].r for ei in forest.closed_edges})
-        b = path_sum_matrix(forest, {ei: 1.0 / edges[ei].x for ei in forest.closed_edges})
+        rx = {ei: effective_impedance(edges[ei], variant) for ei in forest.closed_edges}
+        a = path_sum_matrix(forest, {ei: 1.0 / r for ei, (r, _) in rx.items()})
         a.flags.writeable = False
-        b.flags.writeable = False
-        response = forest.memo["lcpf_response"] = (a, b)
+        b = None
+        if any(x for _, x in rx.values()):
+            b = path_sum_matrix(forest, {ei: 1.0 / x for ei, (_, x) in rx.items()})
+            b.flags.writeable = False
+        response = forest.memo[key] = (a, b)
     return response
 
 

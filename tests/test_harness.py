@@ -24,6 +24,7 @@ from gridtop.harness import (
 from gridtop.harness.experiment import write_gnuplot_script, write_trial_csv
 from gridtop.learner import LearnerConfig, reconstruct
 from gridtop.moments import default_model
+from gridtop.powerflow import VoltageSamples
 
 from conftest import chain_grid
 
@@ -259,6 +260,35 @@ def test_reconstruct_rejects_non_finite_moment_entry():
         reconstruct(bad, model, grid, LearnerConfig(tau=0.05))
 
 
+@pytest.mark.parametrize("extra", [-1, 3])
+def test_reconstruct_rejects_samples_with_the_wrong_column_count(extra):
+    grid, forest = load_fixture("bus_13_3")
+    model = default_model(forest)
+    eps = simulate_voltage(forest, model, 50, seed=3).eps
+    n = grid.n_loads
+    cols = eps[:, :n + extra] if extra < 0 else np.hstack([eps, eps[:, :extra]])
+    with pytest.raises(DomainError, match=rf"shape \(m, {n}\)"):
+        reconstruct(VoltageSamples(nodes=grid.load_ids, eps=cols), model, grid, LearnerConfig(tau=0.05))
+
+
+def test_voltage_samples_reject_mis_shaped_theta():
+    with pytest.raises(DomainError, match="theta"):
+        VoltageSamples(nodes=(1, 2), eps=np.zeros((4, 2)), theta=np.zeros((4, 3)))
+    with pytest.raises(DomainError, match="eps"):
+        VoltageSamples(nodes=(1, 2), eps=np.zeros(2))
+
+
+def test_moment_set_rejects_mis_shaped_matrices():
+    from gridtop.moments import MomentSet
+
+    with pytest.raises(DomainError, match="sigma_eps"):
+        MomentSet(nodes=(1, 2, 3), sigma_eps=np.eye(2), sigma_theta=None, sigma_theta_eps=None,
+                  source="analytic")
+    with pytest.raises(DomainError, match="sigma_theta_eps"):
+        MomentSet(nodes=(1, 2), sigma_eps=np.eye(2), sigma_theta=np.eye(2),
+                  sigma_theta_eps=np.eye(3), source="analytic")
+
+
 # -- experiment driver -----------------------------------------------------------
 
 
@@ -335,7 +365,7 @@ def test_experiment_timing_column_is_opt_in(tmp_path):
     plan = _tiny_plan(trials=1, sample_counts=[20])
     result = run_experiment(plan, include_timing=True)
     path = tmp_path / "t.csv"
-    write_error_csv(path, result, include_timing=True)
+    write_error_csv(path, result)
     assert path.read_text().splitlines()[0].endswith(",seconds")
 
 

@@ -32,8 +32,6 @@ def test_config_rejects_bad_tau_and_variant():
         LearnerConfig(tau=1.0)
     with pytest.raises(DomainError):
         LearnerConfig(variant="ac")
-    with pytest.raises(DomainError):
-        LearnerConfig(candidate_edges="everything")
 
 
 # -- trivial and frozen examples -------------------------------------------------
@@ -188,7 +186,7 @@ def test_zero_rhs_with_nonzero_lhs_is_rejected_and_recorded():
     assert rec and rec[0].note == "rhs zero with nonzero lhs"
 
 
-def test_non_grid_pairs_skipped_in_grid_mode_and_rejected_in_all_pairs():
+def test_non_grid_pairs_are_skipped():
     # The fig3 tree has sibling leaves, so a popped sibling meets the other
     # in the frontier without a grid line between them.
     from conftest import fig3_tree
@@ -199,12 +197,6 @@ def test_non_grid_pairs_skipped_in_grid_mode_and_rejected_in_all_pairs():
     res = reconstruct(mset, model, grid, LearnerConfig(tau=1e-9), truth=forest)
     skipped = [r for r in res.trace if r.note == "no line in grid"]
     assert skipped and all(r.lhs is None for r in skipped)
-    res_all = reconstruct(mset, model, grid,
-                          LearnerConfig(tau=1e-9, candidate_edges="all-pairs"), truth=forest)
-    rejected = [r for r in res_all.trace if r.note == "no line parameters"]
-    assert rejected and all(not r.accepted for r in rejected)
-    assert res_all.learned_edges == res.learned_edges
-    assert res_all.relative_error == 0.0
 
 
 def test_trace_rows_expose_decision_fields():

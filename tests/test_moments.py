@@ -159,6 +159,18 @@ def test_empirical_moments_empty_set_rejected():
         empirical_moments(iter(()))
 
 
+def test_empirical_moments_of_an_iterable_need_nodes():
+    samples = VoltageSamples(nodes=(1, 2), eps=np.ones((3, 2)))
+    with pytest.raises(DomainError, match="nodes are required"):
+        empirical_moments(samples[j] for j in range(3))
+
+
+def test_empirical_moments_reject_states_of_the_wrong_size():
+    samples = VoltageSamples(nodes=(1, 2), eps=np.ones((3, 2)))
+    with pytest.raises(DomainError, match="state 0"):
+        empirical_moments((samples[j] for j in range(3)), nodes=(1,))
+
+
 def test_empirical_moments_converge_to_analytic(fig3):
     grid, forest = fig3
     model = default_model(forest, sigma_ratio=0.5)
