@@ -32,6 +32,7 @@ from .powerflow import (
     VoltageState,
     dc_resistive_solve,
     distflow_solve,
+    distflow_solve_many,
     lcpf_response,
     lcpf_solve,
     lcpf_solve_many,

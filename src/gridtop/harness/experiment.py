@@ -29,7 +29,8 @@ from ..errors import DomainError, GridTopError, ParseError
 from ..grid import ForestConfig, GridGraph
 from ..learner import LearnerConfig, reconstruct
 from ..moments import InjectionModel, analytic_moment_set, model_from_dict, sample_injections
-from ..powerflow import InjectionVector, VoltageSamples, distflow_solve, lcpf_solve_many
+# distflow_solve is unused here but kept: perfbench/spans.py wraps it on this module by name.
+from ..powerflow import VoltageSamples, distflow_solve, distflow_solve_many, lcpf_solve_many  # noqa: F401
 from .generate import add_open_lines, generate_random_grid, random_spanning_forest
 from .gridfile import parse_grid
 from ..fixtures import FIXTURE_NAMES, load_fixture
@@ -202,10 +203,7 @@ def simulate_voltage(forest: ForestConfig, model: InjectionModel, m: int, seed,
     if engine == "lc":
         return lcpf_solve_many(forest, batch.p, batch.q)
     if engine == "distflow":
-        eps = np.empty((m, forest.grid.n_loads))
-        for j in range(m):
-            eps[j] = distflow_solve(forest, InjectionVector(p=batch.p[j], q=batch.q[j])).state.eps
-        return VoltageSamples(nodes=forest.grid.load_ids, eps=eps, theta=None)
+        return distflow_solve_many(forest, batch.p, batch.q)
     raise DomainError(f"unknown power-flow engine {engine!r}")
 
 

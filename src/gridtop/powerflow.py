@@ -13,15 +13,25 @@ at eps = theta = 0.
 * ``dc_resistive_solve`` - the resistance-dominated limit: the same sweeps
   with each line's effective impedance (1/g, 0), so eps = H_g^-1 p and
   theta = -H_g^-1 q.
-* ``distflow_solve`` - the exact nonlinear recursion with quadratic loss
-  terms, iterated backward/forward to a fixed point.  It determines voltage
-  magnitudes and line flows only; no phase-recovery rule exists for it, so
-  ``theta`` is None on its output.
+* ``distflow_solve_many`` / ``distflow_solve`` - the exact nonlinear
+  recursion with quadratic loss terms, iterated backward/forward to a fixed
+  point (Baran & Wu 1989; Shirmohammadi et al. 1988).  It determines
+  voltage magnitudes and line flows only; no phase-recovery rule exists for
+  it, so ``theta`` is None on its output.
+
+Every tree sweep runs on one level plan per forest, built on first use and
+kept in ``forest.memo``: working arrays hold one row per load node in
+``loads_by_depth`` order and one column per sample, and a sweep visits one
+depth level at a time.  The Python work is per level, not per node or per
+sample; the arithmetic per node and sample is that of the scalar recursion,
+in the same order, so results do not depend on the batch they are solved in.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +49,7 @@ __all__ = [
     "lcpf_solve",
     "dc_resistive_solve",
     "distflow_solve",
+    "distflow_solve_many",
     "lcpf_response",
     "lcpf_solve_many",
 ]
@@ -109,22 +120,95 @@ class DistFlowResult:
     max_residual: float
 
 
-def _check_dim(forest: ForestConfig, inj: InjectionVector):
+def _check_batch(forest: ForestConfig, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Sample batches p, q as finite float arrays of shape (m, N)."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
     n = forest.grid.n_loads
-    if inj.p.shape[0] != n:
-        raise DomainError(f"injection dimension {inj.p.shape[0]} does not match {n} load nodes")
+    if p.ndim != 2 or p.shape != q.shape:
+        raise DomainError(f"expected (m, {n}) sample arrays, got {p.shape} and {q.shape}")
+    if p.shape[1] != n:
+        raise DomainError(f"injection dimension {p.shape[1]} does not match {n} load nodes")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+        raise DomainError("injections must be finite")
+    return p, q
 
 
-def _subtree_sums(forest: ForestConfig, values: np.ndarray) -> dict[int, float]:
-    """Sum of ``values`` (canonical order) over every load node's subtree."""
-    idx = forest.grid.load_index
-    sums: dict[int, float] = {}
-    for nid in reversed(forest.loads_by_depth):
-        acc = values[idx[nid]]
-        for ch in forest.children[nid]:
-            acc += sums[ch]
-        sums[nid] = acc
-    return sums
+@dataclass(frozen=True)
+class _LevelPlan:
+    """Row layout shared by every tree sweep over one forest.
+
+    A working array has one row per load node, in ``loads_by_depth`` order,
+    one column per sample, and a last *outside* row n.  The outside row is 0
+    in flow arrays, where it pads the child-row matrices, and holds the
+    substation value in voltage arrays, where it is the parent row of every
+    node attached to a substation.
+    """
+
+    canon: np.ndarray                 # canonical (ascending-id) index of each row's load
+    levels: tuple[slice, ...]         # the rows of each depth level, substation side first
+    children: tuple[np.ndarray, ...]  # per level: (max_children, width) child rows, by ascending id
+    parents: tuple[np.ndarray, ...]   # per level: the parent row of each node
+    r: np.ndarray                     # line resistance of each row, an (n, 1) column
+    x: np.ndarray                     # line reactance
+    z2: np.ndarray                    # r^2 + x^2
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=float).reshape(-1, 1)
+
+
+def _level_plan(forest: ForestConfig) -> _LevelPlan:
+    """The forest's sweep layout, built on first use and kept in its memo."""
+    plan = forest.memo.get("level_plan")
+    if plan is None:
+        order = forest.loads_by_depth
+        n = len(order)
+        row = {nid: i for i, nid in enumerate(order)}
+        levels, children, parents = [], [], []
+        for _, level in itertools.groupby(order, key=forest.depth.__getitem__):
+            level = tuple(level)
+            kids = np.full((max(len(forest.children[nid]) for nid in level), len(level)), n, dtype=np.intp)
+            for j, nid in enumerate(level):
+                kids[:len(forest.children[nid]), j] = [row[ch] for ch in forest.children[nid]]
+            start = row[level[0]]
+            levels.append(slice(start, start + len(level)))
+            children.append(kids)
+            parents.append(np.array([row.get(forest.parent[nid], n) for nid in level], dtype=np.intp))
+        lines = [forest.grid.edges[forest.parent_edge[nid]] for nid in order]
+        plan = forest.memo["level_plan"] = _LevelPlan(
+            canon=np.array([forest.grid.load_index[nid] for nid in order], dtype=np.intp),
+            levels=tuple(levels), children=tuple(children), parents=tuple(parents),
+            r=_column([e.r for e in lines]), x=_column([e.x for e in lines]),
+            z2=_column([e.r ** 2 + e.x ** 2 for e in lines]),
+        )
+    return plan
+
+
+def _rows(plan: _LevelPlan, batch: np.ndarray) -> np.ndarray:
+    """A canonical (m, N) batch as a working array, outside row 0."""
+    out = np.zeros((plan.canon.size + 1, batch.shape[0]))
+    out[:-1] = batch.T[plan.canon]
+    return out
+
+
+def _canonical(plan: _LevelPlan, rows: np.ndarray) -> np.ndarray:
+    """A working array as a canonical (m, N) batch."""
+    out = np.empty((rows.shape[1], plan.canon.size))
+    out[:, plan.canon] = rows[:-1].T
+    return out
+
+
+def _subtree_sums(plan: _LevelPlan, rows: np.ndarray) -> np.ndarray:
+    """Replace every row of a working array (outside row 0) by the sum over
+    its node's subtree, in place.  Children are added one at a time in
+    ascending id order; a node with fewer children adds the outside row's
+    exact 0.0 instead."""
+    for level, kids in zip(reversed(plan.levels), reversed(plan.children)):
+        acc = rows[level]
+        for k in kids:
+            acc += rows[k]
+    return rows
 
 
 # Each variant of the linear model is the coupled model with its own
@@ -144,22 +228,31 @@ def effective_impedance(edge: LineEdge, variant: str) -> tuple[float, float]:
     return impedance(edge)
 
 
+def _effective_columns(forest: ForestConfig, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (r, x) columns of ``variant``'s effective impedances in sweep-row
+    order, built once per forest and variant."""
+    key = ("effective_columns", variant)
+    columns = forest.memo.get(key)
+    if columns is None:
+        rx = [effective_impedance(forest.grid.edges[forest.parent_edge[nid]], variant)
+              for nid in forest.loads_by_depth]
+        columns = forest.memo[key] = (_column([r for r, _ in rx]), _column([x for _, x in rx]))
+    return columns
+
+
 def _sweep(forest: ForestConfig, inj: InjectionVector, variant: str) -> VoltageState:
     """Solve the linear model by two tree sweeps, O(N) total."""
-    _check_dim(forest, inj)
-    idx = forest.grid.load_index
-    sp = _subtree_sums(forest, inj.p)
-    sq = _subtree_sums(forest, inj.q)
-    eps = np.zeros(forest.grid.n_loads)
-    theta = np.zeros(forest.grid.n_loads)
-    for nid in forest.loads_by_depth:
-        par = forest.parent[nid]
-        r, x = effective_impedance(forest.grid.edges[forest.parent_edge[nid]], variant)
-        pe = 0.0 if forest.grid.is_substation(par) else eps[idx[par]]
-        pt = 0.0 if forest.grid.is_substation(par) else theta[idx[par]]
-        eps[idx[nid]] = pe + r * sp[nid] + x * sq[nid]
-        theta[idx[nid]] = pt + x * sp[nid] - r * sq[nid]
-    return VoltageState(eps=eps, theta=theta)
+    p, q = _check_batch(forest, inj.p[None], inj.q[None])
+    plan = _level_plan(forest)
+    r, x = _effective_columns(forest, variant)
+    sp = _subtree_sums(plan, _rows(plan, p))
+    sq = _subtree_sums(plan, _rows(plan, q))
+    eps = np.zeros_like(sp)    # the outside row is the substation's 0
+    theta = np.zeros_like(sp)
+    for level, par in zip(plan.levels, plan.parents):
+        eps[level] = eps[par] + r[level] * sp[level] + x[level] * sq[level]
+        theta[level] = theta[par] + x[level] * sp[level] - r[level] * sq[level]
+    return VoltageState(eps=_canonical(plan, eps)[0], theta=_canonical(plan, theta)[0])
 
 
 def lcpf_solve(forest: ForestConfig, inj: InjectionVector) -> VoltageState:
@@ -198,76 +291,155 @@ def lcpf_response(forest: ForestConfig, variant: str = "lc") -> tuple[np.ndarray
 
 def lcpf_solve_many(forest: ForestConfig, p: np.ndarray, q: np.ndarray) -> VoltageSamples:
     """Vectorized linear solves for sample batches of shape (m, N)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.ndim != 2 or p.shape != q.shape or p.shape[1] != forest.grid.n_loads:
-        raise DomainError(f"expected (m, {forest.grid.n_loads}) sample arrays, got {p.shape} and {q.shape}")
+    p, q = _check_batch(forest, p, q)
     a, b = lcpf_response(forest)
     return VoltageSamples(nodes=forest.grid.load_ids, eps=p @ a + q @ b, theta=p @ b - q @ a)
 
 
-def distflow_solve(forest: ForestConfig, inj: InjectionVector, v0: float = 1.0,
-                   tol: float = 1e-10, max_iter: int = 100) -> DistFlowResult:
-    """Iterate the nonlinear recursion to a fixed point.
+@dataclass(frozen=True)
+class _DistFlowBatch:
+    """Per-sample fixed points of the DistFlow recursion, canonical order."""
+
+    eps: np.ndarray         # (m, N) voltage deviations v - 1
+    fp: np.ndarray          # (m, N) active flow on each load's parent line
+    fq: np.ndarray          # (m, N) reactive flow on that line
+    iterations: np.ndarray  # (m,) sweeps until the sample stopped
+    residual: np.ndarray    # (m,) max(voltage change, flow residual) at that sweep
+
+
+def _max_ignoring_nan(values: np.ndarray, axis) -> np.ndarray:
+    """Largest entry along ``axis``, at least 0.0, skipping NaN.  This is how
+    the one-sample recursion has always folded its residuals with ``max``:
+    once a diverging sample's flows overflow, its NaN entries never count,
+    and it may stop with non-finite voltages that the caller then rejects."""
+    return np.fmax.reduce(values, axis=axis, initial=0.0)
+
+
+def _distflow(forest: ForestConfig, p, q, v0: float, tol: float, max_iter: int) -> _DistFlowBatch:
+    """Iterate the DistFlow recursion for every sample of a batch at once.
+
+    Each sample keeps its own stopping rule: it leaves the batch after the
+    sweep in which its own voltage change and flow residual both fall below
+    ``tol``, with the values the one-sample iteration stops at.  A sample
+    whose squared voltage falls to zero or below fails and leaves the batch
+    after that sweep; until then a placeholder v0^2 stands in for the value,
+    so no square root of a negative number is taken.  When samples fail, the
+    error of the lowest-index one is raised.
+    """
+    p, q = _check_batch(forest, p, q)
+    if not 0 < v0 < math.inf:
+        raise DomainError(f"root voltage must be positive and finite, got {v0}")
+    if not tol > 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise DomainError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
+    plan = _level_plan(forest)
+    rx = np.stack([plan.r, plan.x])
+    n, m = plan.canon.size, p.shape[0]
+
+    # Working arrays stacked on axis 0, one column per live sample: loads
+    # (consumption positive), squared voltages (starting flat), each line's
+    # loss factor (f_p^2 + f_q^2) / v_parent^2 as the latest voltage sweep
+    # left it, the active and reactive flows on each node's parent line
+    # (starting lossless) and the voltage magnitudes.
+    work = np.empty((7, n + 1, m))
+    work[0], work[1] = _rows(plan, -p), _rows(plan, -q)
+    work[2] = v0 * v0
+    work[4], work[5] = _subtree_sums(plan, work[0].copy()), _subtree_sums(plan, work[1].copy())
+    work[3] = (work[4] * work[4] + work[5] * work[5]) / work[2]
+    work[6] = np.sqrt(work[2])
+    live = np.arange(m)
+    last = np.zeros(m)  # each live sample's max(dv, residual) after the latest sweep
+    stopped = np.empty((3, n + 1, m))  # flows and voltages where each sample stopped
+    iterations = np.zeros(m, dtype=int)
+    residual_at_stop = np.zeros(m)
+    failures: dict[int, Exception] = {}
+    for iteration in range(1, max_iter + 1):
+        if not live.size:
+            break
+        load, vsq, loss, flows, v = work[0:2], work[2], work[3], work[4:6], work[6]
+
+        # Leaf-to-root flows.  A line's loss factor uses the flows and the
+        # parent voltage before this sweep, which is what the last voltage
+        # sweep stored.
+        previous = flows.copy()
+        for level, kids in zip(reversed(plan.levels), reversed(plan.children)):
+            recv = load[:, level].copy()
+            for k in kids:
+                recv += flows[:, k]
+            flows[:, level] = recv + rx[:, level] * loss[level]
+        residual = _max_ignoring_nan(np.abs(flows - previous), axis=(0, 1))
+
+        # Root-to-leaf squared voltages.
+        fp, fq = flows[0, :n], flows[1, :n]
+        sq = fp * fp + fq * fq
+        drop = 2.0 * (plan.r * fp + plan.x * fq)
+        failed = np.zeros(live.size, dtype=bool)
+        for level, par in zip(plan.levels, plan.parents):
+            v_par = vsq[par]
+            flow_sq = sq[level] / v_par
+            new_vsq = v_par - drop[level] + plan.z2[level] * flow_sq
+            bad = new_vsq <= 0.0
+            if bad.any():
+                lost = bad.any(axis=0)
+                for j in np.flatnonzero(lost):
+                    i = int(np.argmax(bad[:, j]))  # the sample's first node in sweep order
+                    failures.setdefault(int(live[j]), InfeasibleStateError(
+                        f"squared voltage at node {forest.loads_by_depth[level.start + i]} fell to "
+                        f"{new_vsq[i, j]}; grid is infeasible"))
+                failed |= lost
+                new_vsq[bad] = v0 * v0
+            vsq[level] = new_vsq
+            loss[level] = flow_sq
+        root = np.sqrt(vsq)
+        dv = _max_ignoring_nan(np.abs(root - v), axis=0)
+        v[...] = root
+
+        last = np.maximum(dv, residual)
+        stop = (dv < tol) & (residual < tol) & ~failed
+        if stop.any():
+            done = live[stop]
+            stopped[..., done] = work[4:, :, stop]
+            iterations[done] = iteration
+            residual_at_stop[done] = last[stop]
+        keep = ~(stop | failed)
+        if not keep.all():
+            work, live, last = work[..., keep], live[keep], last[keep]
+
+    for j, value in zip(live, last):
+        failures[int(j)] = ConvergenceError(
+            f"sweep did not converge within {max_iter} iterations (residual {value:.3e})",
+            residual=value, iterations=max_iter,
+        )
+    if failures:
+        raise failures[min(failures)]
+    return _DistFlowBatch(eps=_canonical(plan, stopped[2]) - 1.0, fp=_canonical(plan, stopped[0]),
+                          fq=_canonical(plan, stopped[1]), iterations=iterations, residual=residual_at_stop)
+
+
+def distflow_solve_many(forest: ForestConfig, p: np.ndarray, q: np.ndarray, v0: float = 1.0,
+                        tol: float = 1e-10, max_iter: int = 100) -> VoltageSamples:
+    """Solve the nonlinear recursion for sample batches of shape (m, N).
 
     Internally flows and nodal powers use the consumption-positive (load)
     convention of the recursion; injections are negated on entry.  Starting
     from a flat profile (v = v0, lossless flows), each pass aggregates flows
     leaf-to-root with quadratic loss terms evaluated at the sending end,
-    then updates squared voltages root-to-leaf; iteration stops when both
-    the voltage change and the flow-balance residual fall below ``tol``.
+    then updates squared voltages root-to-leaf; a sample stops when both its
+    voltage change and its flow-balance residual fall below ``tol``.  Every
+    sample gets exactly the values it gets when solved alone; when samples
+    fail, the error of the lowest-index one is raised.
     """
-    _check_dim(forest, inj)
-    if not v0 > 0:
-        raise DomainError(f"root voltage must be positive, got {v0}")
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
-    idx = forest.grid.load_index
-    load_p = -inj.p
-    load_q = -inj.q
+    return VoltageSamples(nodes=forest.grid.load_ids, eps=_distflow(forest, p, q, v0, tol, max_iter).eps)
 
-    fp = {nid: s for nid, s in _subtree_sums(forest, load_p).items()}
-    fq = {nid: s for nid, s in _subtree_sums(forest, load_q).items()}
-    vsq: dict[int, float] = {n.id: v0 * v0 for n in forest.grid.nodes}
 
-    order_up = tuple(reversed(forest.loads_by_depth))  # leaves first
-    for iteration in range(1, max_iter + 1):
-        residual = 0.0
-        for nid in order_up:
-            par = forest.parent[nid]
-            e = forest.grid.edges[forest.parent_edge[nid]]
-            recv = load_p[idx[nid]]
-            recv_q = load_q[idx[nid]]
-            for ch in forest.children[nid]:
-                recv += fp[ch]
-                recv_q += fq[ch]
-            loss = (fp[nid] ** 2 + fq[nid] ** 2) / vsq[par]
-            new_p = recv + e.r * loss
-            new_q = recv_q + e.x * loss
-            residual = max(residual, abs(new_p - fp[nid]), abs(new_q - fq[nid]))
-            fp[nid] = new_p
-            fq[nid] = new_q
-
-        dv = 0.0
-        for nid in forest.loads_by_depth:
-            par = forest.parent[nid]
-            e = forest.grid.edges[forest.parent_edge[nid]]
-            flow_sq = (fp[nid] ** 2 + fq[nid] ** 2) / vsq[par]
-            new_vsq = vsq[par] - 2.0 * (e.r * fp[nid] + e.x * fq[nid]) + (e.r ** 2 + e.x ** 2) * flow_sq
-            if new_vsq <= 0.0:
-                raise InfeasibleStateError(f"squared voltage at node {nid} fell to {new_vsq}; grid is infeasible")
-            dv = max(dv, abs(math.sqrt(new_vsq) - math.sqrt(vsq[nid])))
-            vsq[nid] = new_vsq
-
-        if dv < tol and residual < tol:
-            eps = np.array([math.sqrt(vsq[nid]) - 1.0 for nid in forest.grid.load_ids])
-            flows = {forest.parent_edge[nid]: (fp[nid], fq[nid]) for nid in forest.grid.load_ids}
-            return DistFlowResult(state=VoltageState(eps=eps, theta=None), flows=flows,
-                                  iterations=iteration, max_residual=max(dv, residual))
-
-    raise ConvergenceError(
-        f"sweep did not converge within {max_iter} iterations (residual {max(dv, residual):.3e})",
-        residual=max(dv, residual), iterations=max_iter,
-    )
+def distflow_solve(forest: ForestConfig, inj: InjectionVector, v0: float = 1.0,
+                   tol: float = 1e-10, max_iter: int = 100) -> DistFlowResult:
+    """Iterate the nonlinear recursion to a fixed point: the one-sample case
+    of ``distflow_solve_many``, with its line flows, sweep count and final
+    residual."""
+    batch = _distflow(forest, inj.p[None], inj.q[None], v0, tol, max_iter)
+    fp, fq = batch.fp[0], batch.fq[0]
+    flows = {forest.parent_edge[nid]: (fp[i], fq[i]) for i, nid in enumerate(forest.grid.load_ids)}
+    return DistFlowResult(state=VoltageState(eps=batch.eps[0], theta=None), flows=flows,
+                          iterations=int(batch.iterations[0]), max_residual=batch.residual[0])
