@@ -9,6 +9,12 @@ reduced weighted Laplacians reduce to root-path and descendant-set
 combinatorics on the forest, computed here.  Dense matrices are still
 constructed on demand because tests validate the combinatorial routes
 against plain linear algebra.
+
+The dense inverse Laplacian (``path_sum_matrix``) costs O(N^2): entry
+(a, b) is P(lca(a, b)), the root-path sum of the pair's lowest common
+ancestor.  P is computed once for all loads, and each node pair is written
+once, in a depth-first preorder where every descendant set is one run of
+consecutive positions.  ``laplacian_inverse_entry`` reads the same P.
 """
 
 from __future__ import annotations
@@ -464,17 +470,19 @@ def laplacian_inverse_entry(forest: ForestConfig, weights: Mapping[int, float], 
 
     Zero when a and b lie in different trees; otherwise the sum of 1/weight
     over the edges shared by both root paths, i.e. the root path of their
-    lowest common ancestor.  Computed combinatorially in O(depth), never by
-    dense inversion.
+    lowest common ancestor.  Read from the root-path sums behind
+    ``path_sum_matrix``, so it equals that matrix's entry bit for bit; never
+    by dense inversion.  Every closed edge needs a weight.
     """
     for node in (a, b):
         forest._require_node(node)
         if forest.grid.is_substation(node):
             raise DomainError(f"node {node} is a substation; inverse Laplacian rows cover load nodes only")
     meet = forest.lca(a, b)
-    if meet is None:
+    if meet is None or forest.grid.is_substation(meet):
         return 0.0
-    return sum(1.0 / _weight_of(weights, ei) for ei in forest.root_path_edges(meet))
+    position, size = _preorder(forest)
+    return float(_root_path_sums(forest, weights, position, size)[position[meet]])
 
 
 def laplacian_row_difference(forest: ForestConfig, weights: Mapping[int, float],
@@ -494,22 +502,66 @@ def laplacian_row_difference(forest: ForestConfig, weights: Mapping[int, float],
     return 0.0
 
 
+def _preorder(forest: ForestConfig) -> tuple[dict[int, int], dict[int, int]]:
+    """Depth-first preorder of the loads (trees in index order, children by
+    ascending id): each load's position and subtree size, so that every
+    descendant set is one run of consecutive positions."""
+    position: dict[int, int] = {}
+    for root in forest.grid.substation_ids:
+        stack = list(reversed(forest.children[root]))
+        while stack:
+            nid = stack.pop()
+            position[nid] = len(position)
+            stack.extend(reversed(forest.children[nid]))
+    size: dict[int, int] = {}
+    for nid in reversed(position):
+        size[nid] = 1 + sum(size[ch] for ch in forest.children[nid])
+    return position, size
+
+
+def _root_path_sums(forest: ForestConfig, weights: Mapping[int, float],
+                    position: dict[int, int], size: dict[int, int]) -> np.ndarray:
+    """P(v), the sum of 1/weight over the root path of every load v, indexed
+    by the preorder ``position`` of v (``size`` gives the subtree sizes).
+
+    Each edge adds its 1/weight to its child's whole subtree, edges taken in
+    ascending child id.  That fixes the order of every sequential sum, and
+    with it the last bits of every entry; a root-to-leaf prefix sum would add
+    in depth order instead, which differs wherever ids are not depth-ordered.
+    """
+    sums = np.zeros(len(position))
+    for nid in forest.grid.load_ids:
+        start = position[nid]
+        sums[start:start + size[nid]] += 1.0 / _weight_of(weights, forest.parent_edge[nid])
+    return sums
+
+
 def path_sum_matrix(forest: ForestConfig, weights: Mapping[int, float]) -> np.ndarray:
     """Dense inverse reduced Laplacian over the canonical (ascending load id)
-    index space, assembled from descendant sets.
+    index space, in O(N^2).
 
-    Entry (a, b) equals ``laplacian_inverse_entry(forest, weights, a, b)``:
-    each closed edge contributes 1/weight on the block of node pairs that
-    both descend through it.
+    Entry (a, b) is P(lca(a, b)), the root-path sum of the pair's lowest
+    common ancestor, or 0 when that is a substation or the pair spans two
+    trees; it equals ``laplacian_inverse_entry(forest, weights, a, b)``.
+    The matrix is filled in preorder, where descendant sets are contiguous,
+    writing each pair once: node v writes its own row and column over its
+    descendants, and each child subtree of v against the subtrees of v's
+    earlier children.
     """
-    n = forest.grid.n_loads
+    position, size = _preorder(forest)
+    sums = _root_path_sums(forest, weights, position, size)
+    n = len(position)
     out = np.zeros((n, n))
-    desc = forest.descendant_load_indices
-    for nid in forest.grid.load_ids:
-        ei = forest.parent_edge[nid]
-        members = desc[nid]
-        out[np.ix_(members, members)] += 1.0 / _weight_of(weights, ei)
-    return out
+    for nid, v in position.items():
+        value = sums[v]
+        out[v, v:v + size[nid]] = value
+        out[v + 1:v + size[nid], v] = value
+        for ch in forest.children[nid]:
+            lo, hi = position[ch], position[ch] + size[ch]
+            out[lo:hi, v + 1:lo] = value
+            out[v + 1:lo, lo:hi] = value
+    canon = np.array([position[nid] for nid in forest.grid.load_ids], dtype=np.intp)
+    return out[np.ix_(canon, canon)]
 
 
 # -- weighted Laplacians -----------------------------------------------------

@@ -104,13 +104,15 @@ class InjectionModel:
             raise ModelError("mean vectors contain non-finite entries")
         for name in ("sigma_p", "sigma_q"):
             m = getattr(self, name)
-            if not np.allclose(m, m.T, rtol=0, atol=1e-12 * max(1.0, np.abs(m).max())):
+            if not (np.array_equal(m, m.T)
+                    or np.allclose(m, m.T, rtol=0, atol=1e-12 * max(1.0, np.abs(m).max()))):
                 raise ModelError(f"{name} must be symmetric")
         self._check_psd()
 
     def _check_psd(self):
-        """Eigenvalues of the joint covariance of (p, q), one connected
-        component of the covariance pattern at a time.
+        """Reject a joint covariance of (p, q) with an eigenvalue below
+        -slack * scale, one connected component of the covariance pattern at
+        a time.
 
         Nodes i and j share a component when any of omega_p, omega_q,
         omega_pq or its transpose is nonzero at (i, j).  In component-major
@@ -120,12 +122,24 @@ class InjectionModel:
         """
         op, oq, opq = self.omega_p, self.omega_q, self.omega_pq
         scale = max(1.0, *(float(np.abs(m).max(initial=0.0)) for m in (op, oq, opq)))
+        threshold = _PSD_SLACK * scale
         coupled = (op != 0) | (oq != 0) | (opq != 0)
         coupled |= coupled.T
         for comp in _components(coupled):
             ix = np.ix_(comp, comp)
             joint = np.block([[op[ix], opq[ix]], [opq[ix].T, oq[ix]]])
-            if np.linalg.eigvalsh(joint).min() < -_PSD_SLACK * scale:
+            # A Cholesky factorization of J + (threshold / 2) I that succeeds
+            # shows that every eigenvalue of J is above -threshold / 2, up to
+            # Cholesky's backward error of about n * u * scale (u the unit
+            # roundoff), which is far below threshold / 2 and of the size of
+            # eigvalsh's own error.  So it accepts exactly the blocks that
+            # eigvalsh accepts with a margin; eigenvalues decide the rest.
+            try:
+                np.linalg.cholesky(joint + 0.5 * threshold * np.eye(len(joint)))
+                continue
+            except np.linalg.LinAlgError:
+                pass
+            if np.linalg.eigvalsh(joint).min() < -threshold:
                 raise ModelError("joint covariance of (p, q) is not positive semidefinite")
 
     @property
@@ -193,28 +207,70 @@ class InjectionBatch:
         return InjectionVector(p=self.p[j], q=self.q[j])
 
 
+def _check_moment_shape(name: str, matrix, n: int):
+    if np.shape(matrix) != (n, n):
+        raise DomainError(f"{name} must have shape ({n}, {n}) for {n} nodes, got {np.shape(matrix)}")
+
+
+class _Deferred:
+    """Moment matrices that one call computes together, on first read."""
+
+    def __init__(self, compute):
+        self._compute = compute
+        self._values = None
+
+    def get(self, name: str) -> np.ndarray:
+        if self._values is None:
+            self._values = self._compute()
+            self._compute = None  # release what the computation held
+        return self._values[name]
+
+
+class _ReadOnFirstAccess:
+    """A ``MomentSet`` field that may be given as a ``_Deferred``: the matrix
+    is computed, shape-checked and stored when the field is first read."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # so the dataclass field has no default
+        value = obj.__dict__[self.name]
+        if isinstance(value, _Deferred):
+            value = value.get(self.name)
+            _check_moment_shape(self.name, value, len(obj.nodes))
+            obj.__dict__[self.name] = value
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class MomentSet:
     """Second moments of voltage deviations (and phases when available).
 
     ``source`` is "analytic" or "empirical"; ``m`` carries the sample count
     for empirical sets.  Substations carry identically zero deviations and
-    are therefore not part of the matrices.
+    are therefore not part of the matrices.  An analytic set computes its
+    phase moments when one of them is first read.
     """
 
     nodes: tuple[int, ...]
     sigma_eps: np.ndarray
-    sigma_theta: np.ndarray | None
-    sigma_theta_eps: np.ndarray | None
+    sigma_theta: np.ndarray | None = _ReadOnFirstAccess()
+    sigma_theta_eps: np.ndarray | None = _ReadOnFirstAccess()
     source: str
     m: int | None = None
 
     def __post_init__(self):
         n = len(self.nodes)
-        for name in ("sigma_eps", "sigma_theta", "sigma_theta_eps"):
-            matrix = getattr(self, name)
-            if (matrix is not None or name == "sigma_eps") and np.shape(matrix) != (n, n):
-                raise DomainError(f"{name} must have shape ({n}, {n}) for {n} nodes, got {np.shape(matrix)}")
+        _check_moment_shape("sigma_eps", self.sigma_eps, n)
+        for name in ("sigma_theta", "sigma_theta_eps"):
+            matrix = self.__dict__[name]
+            if matrix is not None and not isinstance(matrix, _Deferred):
+                _check_moment_shape(name, matrix, n)
 
 
 def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float = 0.2,
@@ -409,8 +465,12 @@ def analytic_sigma_theta_eps(forest: ForestConfig, model: InjectionModel, varian
 
 
 def analytic_moment_set(forest: ForestConfig, model: InjectionModel, variant: str = "lc") -> MomentSet:
-    return MomentSet(nodes=forest.grid.load_ids, source="analytic",
-                     **_analytic_moments(forest, model, variant))
+    """Exact voltage moments of the linear model.  ``sigma_eps``, which the
+    learner reads, is computed here; the phase moments are computed together
+    when either is first read, with the values an eager call would give."""
+    phases = _Deferred(lambda: _analytic_moments(forest, model, variant, _OUTPUTS[1:]))
+    return MomentSet(nodes=forest.grid.load_ids, sigma_eps=analytic_sigma_eps(forest, model, variant),
+                     sigma_theta=phases, sigma_theta_eps=phases, source="analytic")
 
 
 def edge_sq_diff(edge: LineEdge, variant: str, sp: float, sq: float, spq: float) -> float:

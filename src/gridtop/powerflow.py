@@ -307,14 +307,6 @@ class _DistFlowBatch:
     residual: np.ndarray    # (m,) max(voltage change, flow residual) at that sweep
 
 
-def _max_ignoring_nan(values: np.ndarray, axis) -> np.ndarray:
-    """Largest entry along ``axis``, at least 0.0, skipping NaN.  This is how
-    the one-sample recursion has always folded its residuals with ``max``:
-    once a diverging sample's flows overflow, its NaN entries never count,
-    and it may stop with non-finite voltages that the caller then rejects."""
-    return np.fmax.reduce(values, axis=axis, initial=0.0)
-
-
 def _distflow(forest: ForestConfig, p, q, v0: float, tol: float, max_iter: int) -> _DistFlowBatch:
     """Iterate the DistFlow recursion for every sample of a batch at once.
 
@@ -323,8 +315,10 @@ def _distflow(forest: ForestConfig, p, q, v0: float, tol: float, max_iter: int) 
     ``tol``, with the values the one-sample iteration stops at.  A sample
     whose squared voltage falls to zero or below fails and leaves the batch
     after that sweep; until then a placeholder v0^2 stands in for the value,
-    so no square root of a negative number is taken.  When samples fail, the
-    error of the lowest-index one is raised.
+    so no square root of a negative number is taken.  A sample whose flows
+    or squared voltages are no longer finite after a sweep has diverged and
+    fails at that sweep.  When samples fail, the error of the lowest-index
+    one is raised.
     """
     p, q = _check_batch(forest, p, q)
     if not 0 < v0 < math.inf:
@@ -368,7 +362,7 @@ def _distflow(forest: ForestConfig, p, q, v0: float, tol: float, max_iter: int) 
             for k in kids:
                 recv += flows[:, k]
             flows[:, level] = recv + rx[:, level] * loss[level]
-        residual = _max_ignoring_nan(np.abs(flows - previous), axis=(0, 1))
+        residual = np.max(np.abs(flows - previous), axis=(0, 1), initial=0.0)
 
         # Root-to-leaf squared voltages.
         fp, fq = flows[0, :n], flows[1, :n]
@@ -392,8 +386,14 @@ def _distflow(forest: ForestConfig, p, q, v0: float, tol: float, max_iter: int) 
             vsq[level] = new_vsq
             loss[level] = flow_sq
         root = np.sqrt(vsq)
-        dv = _max_ignoring_nan(np.abs(root - v), axis=0)
+        dv = np.max(np.abs(root - v), axis=0, initial=0.0)
         v[...] = root
+        diverged = ~(np.isfinite(flows[:, :n]).all(axis=(0, 1)) & np.isfinite(vsq[:n]).all(axis=0))
+        for j in np.flatnonzero(diverged):
+            failures.setdefault(int(live[j]), ConvergenceError(
+                f"sweep {iteration} diverged: flows or voltages are no longer finite",
+                residual=math.inf, iterations=iteration))
+        failed |= diverged
 
         last = np.maximum(dv, residual)
         stop = (dv < tol) & (residual < tol) & ~failed
@@ -426,9 +426,11 @@ def distflow_solve_many(forest: ForestConfig, p: np.ndarray, q: np.ndarray, v0: 
     from a flat profile (v = v0, lossless flows), each pass aggregates flows
     leaf-to-root with quadratic loss terms evaluated at the sending end,
     then updates squared voltages root-to-leaf; a sample stops when both its
-    voltage change and its flow-balance residual fall below ``tol``.  Every
-    sample gets exactly the values it gets when solved alone; when samples
-    fail, the error of the lowest-index one is raised.
+    voltage change and its flow-balance residual fall below ``tol``, and
+    fails with ``ConvergenceError`` at the sweep where its flows or voltages
+    stop being finite.  Every sample gets exactly the values it gets when
+    solved alone; when samples fail, the error of the lowest-index one is
+    raised.
     """
     return VoltageSamples(nodes=forest.grid.load_ids, eps=_distflow(forest, p, q, v0, tol, max_iter).eps)
 

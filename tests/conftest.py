@@ -42,6 +42,29 @@ def chain_grid(n_loads, r=0.2, x=0.2, seed=None):
     return make_grid(nodes, edges, closed=list(range(n_loads)))
 
 
+def shuffled_chain_grid(n_loads, seed):
+    """Substation 0 with loads 1..n in a chain whose order along the line is
+    a random permutation of the ids, so ids are not ordered by depth."""
+    rng = np.random.default_rng(seed)
+    order = [0] + [int(i) for i in 1 + rng.permutation(n_loads)]
+    nodes = [(0, SUBSTATION)] + [(i, LOAD) for i in range(1, n_loads + 1)]
+    edges = [(u, v, float(rng.uniform(0.05, 0.3)), float(rng.uniform(0.05, 0.3))) for u, v in zip(order, order[1:])]
+    return make_grid(nodes, edges, closed=list(range(n_loads)))
+
+
+def star_grid(n_leaves, seed):
+    """A hub load (1) under substation 0 with leaves 2..n_leaves+1, and three
+    loads hanging off the substation directly: the hub's level pads the
+    childless loads up to n_leaves child rows."""
+    rng = np.random.default_rng(seed)
+    hub_leaves = range(2, n_leaves + 2)
+    direct = range(n_leaves + 2, n_leaves + 5)
+    nodes = [(0, SUBSTATION), (1, LOAD)] + [(i, LOAD) for i in (*hub_leaves, *direct)]
+    pairs = [(0, 1)] + [(1, i) for i in hub_leaves] + [(0, i) for i in direct]
+    edges = [(u, v, float(rng.uniform(0.05, 0.3)), float(rng.uniform(0.05, 0.3))) for u, v in pairs]
+    return make_grid(nodes, edges, closed=list(range(len(edges))))
+
+
 def two_tree_grid():
     """Two single-edge trees (subs 0 and 1, loads 2 and 3) plus one open tie."""
     return make_grid(

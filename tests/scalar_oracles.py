@@ -1,8 +1,11 @@
-"""Scalar references for the tree sweeps: per node, per sample.
+"""Scalar and block references for the package's fast paths.
 
-These are the recursions ``powerflow`` ran before its sweeps were batched
-over samples and depth levels.  They are kept here, out of the package, as
-the oracles the batched sweeps must match bit for bit: same visiting order,
+``scalar_sweep`` and ``scalar_distflow`` are the per-node, per-sample tree
+recursions that ``powerflow`` ran before its sweeps were batched over
+samples and depth levels; ``block_path_sums`` is the block accumulation
+that ``grid.path_sum_matrix`` ran before it filled each node pair once by
+its lowest common ancestor.  They are kept here, out of the package, as the
+oracles the fast paths must match bit for bit: same visiting order,
 children summed one at a time in ascending id order, the same stopping rule
 and the same errors.
 """
@@ -14,6 +17,7 @@ import math
 import numpy as np
 
 from gridtop.errors import ConvergenceError, InfeasibleStateError
+from gridtop.grid import _weight_of
 from gridtop.powerflow import DistFlowResult, VoltageState, effective_impedance
 
 
@@ -66,7 +70,7 @@ def scalar_distflow(forest, inj, v0=1.0, tol=1e-10, max_iter=100) -> DistFlowRes
             for ch in forest.children[nid]:
                 recv += fp[ch]
                 recv_q += fq[ch]
-            loss = (fp[nid] ** 2 + fq[nid] ** 2) / vsq[par]
+            loss = (fp[nid] * fp[nid] + fq[nid] * fq[nid]) / vsq[par]
             new_p = recv + e.r * loss
             new_q = recv_q + e.x * loss
             residual = max(residual, abs(new_p - fp[nid]), abs(new_q - fq[nid]))
@@ -77,13 +81,16 @@ def scalar_distflow(forest, inj, v0=1.0, tol=1e-10, max_iter=100) -> DistFlowRes
         for nid in forest.loads_by_depth:
             par = forest.parent[nid]
             e = forest.grid.edges[forest.parent_edge[nid]]
-            flow_sq = (fp[nid] ** 2 + fq[nid] ** 2) / vsq[par]
+            flow_sq = (fp[nid] * fp[nid] + fq[nid] * fq[nid]) / vsq[par]
             new_vsq = vsq[par] - 2.0 * (e.r * fp[nid] + e.x * fq[nid]) + (e.r ** 2 + e.x ** 2) * flow_sq
             if new_vsq <= 0.0:
                 raise InfeasibleStateError(f"squared voltage at node {nid} fell to {new_vsq}; grid is infeasible")
             dv = max(dv, abs(math.sqrt(new_vsq) - math.sqrt(vsq[nid])))
             vsq[nid] = new_vsq
 
+        if not all(map(math.isfinite, (*fp.values(), *fq.values(), *vsq.values()))):
+            raise ConvergenceError(f"sweep {iteration} diverged: flows or voltages are no longer finite",
+                                   residual=math.inf, iterations=iteration)
         if dv < tol and residual < tol:
             eps = np.array([math.sqrt(vsq[nid]) - 1.0 for nid in forest.grid.load_ids])
             flows = {forest.parent_edge[nid]: (fp[nid], fq[nid]) for nid in forest.grid.load_ids}
@@ -94,3 +101,17 @@ def scalar_distflow(forest, inj, v0=1.0, tol=1e-10, max_iter=100) -> DistFlowRes
         f"sweep did not converge within {max_iter} iterations (residual {max(dv, residual):.3e})",
         residual=max(dv, residual), iterations=max_iter,
     )
+
+
+def block_path_sums(forest, weights) -> np.ndarray:
+    """The inverse reduced Laplacian in canonical order by block
+    accumulation, O(sum of |desc|^2): each load, in ascending id order, adds
+    1/weight of its parent edge to the block of node pairs that both descend
+    through it."""
+    n = forest.grid.n_loads
+    out = np.zeros((n, n))
+    desc = forest.descendant_load_indices
+    for nid in forest.grid.load_ids:
+        members = desc[nid]
+        out[np.ix_(members, members)] += 1.0 / _weight_of(weights, forest.parent_edge[nid])
+    return out

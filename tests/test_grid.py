@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtop.errors import DomainError, StructureError
+from gridtop.fixtures import load_fixture
 from gridtop.grid import (
     LOAD,
     SUBSTATION,
@@ -18,8 +19,10 @@ from gridtop.grid import (
     path_sum_matrix,
     weighted_laplacians,
 )
+from gridtop.harness import generate_random_grid
 
-from conftest import chain_grid, make_grid, random_instance, two_tree_grid
+from conftest import chain_grid, make_grid, random_instance, shuffled_chain_grid, star_grid, two_tree_grid
+from scalar_oracles import block_path_sums
 
 
 # -- validation ---------------------------------------------------------------
@@ -223,7 +226,7 @@ def test_laplacian_inverse_entry_fig3_common_path(fig3):
     grid, forest = fig3
     g = edge_weights(forest, "g")
     expected = 1.0 / g[1] + 1.0 / g[0]
-    assert laplacian_inverse_entry(forest, g, 3, 4) == pytest.approx(expected, rel=1e-12)
+    assert laplacian_inverse_entry(forest, g, 3, 4) == expected
 
 
 def test_laplacian_inverse_entry_across_trees_is_zero():
@@ -297,8 +300,35 @@ def test_path_sum_matrix_matches_entry_function(seed):
     idx = grid.load_index
     for a in grid.load_ids:
         for b in grid.load_ids:
-            assert mat[idx[a], idx[b]] == pytest.approx(
-                laplacian_inverse_entry(forest, weights, a, b), rel=1e-12, abs=1e-15)
+            assert mat[idx[a], idx[b]] == laplacian_inverse_entry(forest, weights, a, b)
+
+
+PATH_SUM_KINDS = ("bus_13_3", "bus_29_1", "bus_83_11", "random", "random_300_4", "shuffled_chain", "star")
+
+
+def _path_sum_instance(kind, seed):
+    if kind.startswith("bus_"):
+        return load_fixture(kind)
+    if kind == "random":
+        return random_instance(seed, max_loads=40)
+    if kind == "random_300_4":
+        return generate_random_grid(300, 4, 40, seed=seed)
+    if kind == "shuffled_chain":
+        return shuffled_chain_grid(40 + seed % 81, seed)
+    return star_grid(5 + seed % 40, seed)
+
+
+@pytest.mark.parametrize("kind", PATH_SUM_KINDS)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_path_sum_matrix_matches_block_accumulation(kind, seed):
+    # Weights over four decades make the order of each root-path sum show
+    # in its last bits.
+    grid, forest = _path_sum_instance(kind, seed)
+    rng = np.random.default_rng(seed)
+    weights = {ei: float(10 ** rng.uniform(-2, 2)) for ei in forest.closed_edges}
+    got, want = path_sum_matrix(forest, weights), block_path_sums(forest, weights)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # -- weighted Laplacians ------------------------------------------------------

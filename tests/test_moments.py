@@ -450,6 +450,42 @@ def test_per_tree_moments_match_dense_inverse_oracle(seed, variant, kind):
         assert np.array_equal(single(forest, model, variant), got)
 
 
+@pytest.mark.parametrize("variant", ["lc", "dc"])
+def test_analytic_phase_moments_are_computed_on_first_read(monkeypatch, variant):
+    from gridtop import moments
+
+    grid, forest = _multi_tree_instance(5)
+    model = random_a1_model(forest, 5)
+    eager = moments._analytic_moments(forest, model, variant)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    real = moments._analytic_moments
+    monkeypatch.setattr(moments, "_analytic_moments", counting)
+    mset = moments.analytic_moment_set(forest, model, variant)
+    assert calls == [("sigma_eps",)]
+    assert np.array_equal(mset.sigma_theta_eps, eager["sigma_theta_eps"])
+    assert calls == [("sigma_eps",), ("sigma_theta", "sigma_theta_eps")]
+    for name, matrix in eager.items():
+        assert np.array_equal(getattr(mset, name), matrix)
+        assert getattr(mset, name) is getattr(mset, name)
+    assert len(calls) == 2
+
+
+def test_deferred_moments_are_shape_checked_on_first_read():
+    from gridtop.moments import MomentSet, _Deferred
+
+    phases = _Deferred(lambda: {"sigma_theta": np.eye(2), "sigma_theta_eps": np.eye(3)})
+    mset = MomentSet(nodes=(1, 2), sigma_eps=np.eye(2), sigma_theta=phases, sigma_theta_eps=phases,
+                     source="analytic")
+    assert np.array_equal(mset.sigma_theta, np.eye(2))
+    with pytest.raises(DomainError, match="sigma_theta_eps must have shape"):
+        mset.sigma_theta_eps
+
+
 def test_analytic_moments_reject_unknown_variant(fig3):
     grid, forest = fig3
     with pytest.raises(DomainError, match="unknown variant"):
@@ -526,6 +562,47 @@ def test_psd_check_treats_cross_tree_coupling_as_one_block():
                                               np.array([[1.0, 0.5], [0.5, 1.0]]) * 1e-4,
                                               np.eye(2) * 1e-4, np.zeros((2, 2)))
     assert _joint_min_eig(coupled) > 0
+
+
+def _joint_with_min_eigenvalue(n, seed, target):
+    """A symmetric 2n x 2n matrix with entries below 1 (so the PSD check's
+    scale is 1) whose smallest eigenvalue is ``target``."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(2 * n, 2 * n)))
+    spectrum = np.concatenate([[0.0], rng.uniform(1e-3, 1.0 / (2 * n), 2 * n - 1)])
+    joint = (q * spectrum) @ q.T + target * np.eye(2 * n)
+    return (joint + joint.T) / 2
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_psd_check_cholesky_verdict_equals_eigenvalue_verdict(monkeypatch, n):
+    # Blocks whose smallest eigenvalue sits 0.5, 2 and 10 thresholds above
+    # and below the rejection threshold -1e-10: the model must accept exactly
+    # those eigvalsh accepts, and ask for eigenvalues only when Cholesky of
+    # the half-threshold shift fails.
+    from gridtop import moments
+
+    threshold = moments._PSD_SLACK
+    real_eigvalsh = np.linalg.eigvalsh
+    eig_calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eig_calls.append(len(a)) or real_eigvalsh(a))
+    nodes = tuple(range(1, n + 1))
+    for k in (-10, -2, -0.5, 0.5, 2, 10):
+        joint = _joint_with_min_eigenvalue(n, n, (k - 1) * threshold)
+        assert np.abs(joint).max() < 1.0
+        rejected_by_eigvalsh = real_eigvalsh(joint).min() < -threshold
+        assert rejected_by_eigvalsh == (k < 0)
+        eig_calls.clear()
+        args = (nodes, np.zeros(n), np.zeros(n), joint[:n, :n], joint[n:, n:], joint[:n, n:])
+        if rejected_by_eigvalsh:
+            with pytest.raises(ModelError, match="positive semidefinite"):
+                InjectionModel.from_covariances(*args)
+        else:
+            InjectionModel.from_covariances(*args)
+        if k < 0:
+            assert eig_calls == [2 * n]  # Cholesky failed; eigenvalues decided
+        elif k >= 2:
+            assert eig_calls == []  # Cholesky accepted the block
 
 
 def test_model_rejects_non_finite_means():
