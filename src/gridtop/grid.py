@@ -10,15 +10,22 @@ combinatorics on the forest, computed here.  Dense matrices are still
 constructed on demand because tests validate the combinatorial routes
 against plain linear algebra.
 
+A forest is traversed once, when it is built: one depth-first pass per tree
+validates it and records the load preorder, in which every node's subtree
+(its descendant set) is one run of consecutive positions.  Every ancestry
+question reads those runs: descendant sets are slices, and "v lies below u"
+is one interval test.
+
 The dense inverse Laplacian (``path_sum_matrix``) costs O(N^2): entry
 (a, b) is P(lca(a, b)), the root-path sum of the pair's lowest common
 ancestor.  P is computed once for all loads, and each node pair is written
-once, in a depth-first preorder where every descendant set is one run of
-consecutive positions.  ``laplacian_inverse_entry`` reads the same P.
+once, in preorder.  ``laplacian_inverse_entry`` adds up the same P for one
+pair, in the same order, in O(depth log depth).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -29,6 +36,16 @@ from .errors import DomainError, StructureError
 
 SUBSTATION = "substation"
 LOAD = "load"
+
+
+def _repeated(ids) -> int | None:
+    """The first id that ``ids`` lists twice, or None."""
+    seen = set()
+    for nid in ids:
+        if nid in seen:
+            return nid
+        seen.add(nid)
+    return None
 
 
 @dataclass(frozen=True)
@@ -79,8 +96,8 @@ class GridGraph:
 
     def __post_init__(self):
         ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
-            raise StructureError("duplicate node ids")
+        if (nid := _repeated(ids)) is not None:
+            raise StructureError(f"duplicate node ids: node id {nid} is listed twice")
         id_set = set(ids)
         seen_pairs: set[tuple[int, int]] = set()
         for i, e in enumerate(self.edges):
@@ -133,11 +150,11 @@ class GridGraph:
 
     @property
     def n_loads(self) -> int:
-        return sum(1 for n in self.nodes if n.kind == LOAD)
+        return len(self.load_ids)
 
     @property
     def n_substations(self) -> int:
-        return sum(1 for n in self.nodes if n.kind == SUBSTATION)
+        return len(self.substation_ids)
 
     @cached_property
     def kind_of(self) -> dict[int, str]:
@@ -159,6 +176,12 @@ class GridGraph:
         return self._pair_to_edge.get(pair)
 
 
+def _is_index(value) -> bool:
+    # The exact-type test keeps the common case cheap: the abstract-class
+    # check is several times slower, and every forest build runs this per edge.
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class ForestConfig:
     """A base-constrained spanning forest of a grid.
@@ -166,8 +189,8 @@ class ForestConfig:
     ``closed_edges`` are indices into ``grid.edges``; they must form a
     spanning forest with exactly one substation per tree.  Trees are indexed
     by the ascending order of their substation ids.  The parent relation,
-    depths, and descendant sets are derived once and cached; instances are
-    immutable and safe to share across threads.
+    depths, and the preorder runs that give descendant sets are derived once
+    and cached; instances are immutable and safe to share across threads.
     """
 
     grid: GridGraph
@@ -180,11 +203,16 @@ class ForestConfig:
 
     @classmethod
     def from_closed_edges(cls, grid: GridGraph, closed: Iterable[int]) -> "ForestConfig":
-        return cls(grid=grid, closed_edges=tuple(sorted(closed)))
+        closed = tuple(closed)
+        if all(map(_is_index, closed)):  # otherwise __post_init__ names the bad index
+            closed = tuple(sorted(closed))
+        return cls(grid=grid, closed_edges=closed)
 
     def __post_init__(self):
         seen = set()
         for ei in self.closed_edges:
+            if not _is_index(ei):
+                raise StructureError(f"closed edge index {ei!r} is not an integer")
             if not (0 <= ei < len(self.grid.edges)):
                 raise StructureError(f"closed edge index {ei} is not an edge of the grid")
             if ei in seen:
@@ -193,37 +221,52 @@ class ForestConfig:
         self._derive()  # populates the cached maps and validates the forest
 
     def _derive(self):
+        """The forest's one traversal: a depth-first pass per tree, trees in
+        substation-index order and neighbours by ascending id.  It validates
+        the forest and records the parent relation, the load preorder, and
+        each node's subtree as the run [start, stop) of preorder positions
+        (a substation's run is its whole tree)."""
         grid = self.grid
         adj: dict[int, list[tuple[int, int]]] = {n.id: [] for n in grid.nodes}
         for ei in self.closed_edges:
             e = grid.edges[ei]
             adj[e.u].append((e.v, ei))
             adj[e.v].append((e.u, ei))
+        for neighbours in adj.values():
+            neighbours.sort()
+        substations = set(grid.substation_ids)
 
         tree_of: dict[int, int] = {}
         parent: dict[int, int] = {}
         parent_edge: dict[int, int] = {}
         depth: dict[int, int] = {}
+        children: dict[int, list[int]] = {n.id: [] for n in grid.nodes}
+        preorder: list[int] = []
+        span: dict[int, tuple[int, int]] = {}
         for k, root in enumerate(grid.substation_ids):
             tree_of[root] = k
             depth[root] = 0
-            queue = [root]
-            while queue:
-                cur = queue.pop()
-                for nb, ei in adj[cur]:
+            stack = [(root, len(preorder), iter(adj[root]))]  # (node, its start, neighbours left)
+            while stack:
+                cur, start, todo = stack[-1]
+                for nb, ei in todo:
                     if nb == parent.get(cur):
                         continue
                     if nb in tree_of:
-                        if grid.is_substation(nb):
-                            raise StructureError(f"tree {k} contains two substations ({root} and {nb})")
                         raise StructureError(f"closed edges contain a cycle through node {nb}")
-                    if grid.is_substation(nb):
+                    if nb in substations:
                         raise StructureError(f"tree {k} contains two substations ({root} and {nb})")
                     tree_of[nb] = k
                     parent[nb] = cur
                     parent_edge[nb] = ei
                     depth[nb] = depth[cur] + 1
-                    queue.append(nb)
+                    children[cur].append(nb)
+                    stack.append((nb, len(preorder), iter(adj[nb])))
+                    preorder.append(nb)
+                    break
+                else:
+                    stack.pop()
+                    span[cur] = (start, len(preorder))
         unreached = sorted(n.id for n in grid.nodes if n.id not in tree_of)
         if unreached:
             raise StructureError(f"closed edges do not span the grid (unreached nodes: {unreached})")
@@ -231,14 +274,13 @@ class ForestConfig:
             # Coverage plus acyclicity already imply this; kept as a guard.
             raise StructureError("closed edge count does not match a base-constrained spanning forest")
 
-        children: dict[int, list[int]] = {n.id: [] for n in grid.nodes}
-        for child, par in parent.items():
-            children[par].append(child)
         object.__setattr__(self, "_tree_of", tree_of)
         object.__setattr__(self, "_parent", parent)
         object.__setattr__(self, "_parent_edge", parent_edge)
         object.__setattr__(self, "_depth", depth)
-        object.__setattr__(self, "_children", {k: tuple(sorted(v)) for k, v in children.items()})
+        object.__setattr__(self, "_children", {k: tuple(v) for k, v in children.items()})
+        object.__setattr__(self, "_load_preorder", tuple(preorder))
+        object.__setattr__(self, "_span", span)
 
     # -- structure lookups --------------------------------------------------
 
@@ -267,9 +309,6 @@ class ForestConfig:
     @property
     def children(self) -> dict[int, tuple[int, ...]]:
         return self._children
-
-    def root_of(self, k: int) -> int:
-        return self.grid.substation_ids[k]
 
     @cached_property
     def load_order(self) -> tuple[int, ...]:
@@ -311,6 +350,17 @@ class ForestConfig:
             cur = self._parent[cur]
         return tuple(path)
 
+    def _contains(self, u: int, v: int) -> bool:
+        """Whether v lies in the subtree of u (u itself included): one test
+        of v's preorder position against u's run.  A substation has no
+        position, and lies only in its own subtree."""
+        if v == u:
+            return True
+        if v not in self._parent:
+            return False
+        start, stop = self._span[u]
+        return start <= self._span[v][0] < stop
+
     def lca(self, a: int, b: int) -> int | None:
         """Deepest common node on the root paths of a and b; None when the
         nodes lie in different trees."""
@@ -318,42 +368,23 @@ class ForestConfig:
         self._require_node(b)
         if self._tree_of[a] != self._tree_of[b]:
             return None
-        da, db = self._depth[a], self._depth[b]
-        while da > db:
+        while not self._contains(a, b):
             a = self._parent[a]
-            da -= 1
-        while db > da:
-            b = self._parent[b]
-            db -= 1
-        while a != b:
-            a = self._parent[a]
-            b = self._parent[b]
         return a
 
     def descendants(self, node: int) -> frozenset[int]:
         """All nodes whose root path passes through ``node``, including the
         node itself; for a substation this is its whole tree."""
         self._require_node(node)
-        out = [node]
-        stack = [node]
-        while stack:
-            for ch in self._children[stack.pop()]:
-                out.append(ch)
-                stack.append(ch)
-        return frozenset(out)
+        start, stop = self._span[node]
+        return frozenset((node, *self._load_preorder[start:stop]))
 
     @cached_property
     def descendant_load_indices(self) -> dict[int, np.ndarray]:
         """For every load node, the canonical (ascending load id) indices of
         the loads in its descendant set, itself included."""
-        idx = self.grid.load_index
-        post: dict[int, list[int]] = {}
-        for nid in reversed(self.loads_by_depth):
-            members = [idx[nid]]
-            for ch in self._children[nid]:
-                members.extend(post[ch].tolist())
-            post[nid] = np.array(sorted(members), dtype=np.intp)
-        return post
+        canon = np.array([self.grid.load_index[nid] for nid in self._load_preorder], dtype=np.intp)
+        return {nid: np.sort(canon[slice(*self._span[nid])]) for nid in self.grid.load_ids}
 
 
 # -- reduced incidence ------------------------------------------------------
@@ -423,13 +454,10 @@ def build_reduced_incidence(forest: ForestConfig,
         if head in col:
             m[i, col[head]] = -1.0
 
-    blocks = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or forest.tree_of[order[i]] != forest.tree_of[order[start]]:
-            blocks.append((start, i))
-            start = i
-    return ReducedIncidence(matrix=m, node_order=order, edge_order=tuple(edge_order), blocks=tuple(blocks))
+    # A tree's loads take the same positions in preorder as in tree-major order.
+    trees = (forest._span[root] for root in forest.grid.substation_ids)
+    blocks = tuple((start, stop) for start, stop in trees if stop > start)
+    return ReducedIncidence(matrix=m, node_order=order, edge_order=tuple(edge_order), blocks=blocks)
 
 
 def inverse_incidence_entry(forest: ForestConfig, node: int, edge_index: int,
@@ -444,9 +472,7 @@ def inverse_incidence_entry(forest: ForestConfig, node: int, edge_index: int,
     if forest.grid.is_substation(node):
         raise DomainError(f"node {node} is a substation; the reduced matrix has no such row")
     child = _edge_child(forest, edge_index)  # also rejects open edges
-    if forest.tree_of[node] != forest.tree_of[child]:
-        return 0
-    if edge_index not in forest.root_path_edges(node):
+    if not forest._contains(child, node):  # the edge is off the node's root path
         return 0
     tail, _ = _edge_direction(forest, edge_index, orientation)
     return 1 if tail == child else -1
@@ -470,19 +496,24 @@ def laplacian_inverse_entry(forest: ForestConfig, weights: Mapping[int, float], 
 
     Zero when a and b lie in different trees; otherwise the sum of 1/weight
     over the edges shared by both root paths, i.e. the root path of their
-    lowest common ancestor.  Read from the root-path sums behind
-    ``path_sum_matrix``, so it equals that matrix's entry bit for bit; never
-    by dense inversion.  Every closed edge needs a weight.
+    lowest common ancestor (the meet).  The lines are added in ascending
+    child id, starting from 0.0, as ``_root_path_sums`` adds them, so the
+    value equals the ``path_sum_matrix`` entry bit for bit; never by dense
+    inversion.  Every line on the meet's root path needs a weight.
     """
     for node in (a, b):
         forest._require_node(node)
         if forest.grid.is_substation(node):
             raise DomainError(f"node {node} is a substation; inverse Laplacian rows cover load nodes only")
     meet = forest.lca(a, b)
-    if meet is None or forest.grid.is_substation(meet):
-        return 0.0
-    position, size = _preorder(forest)
-    return float(_root_path_sums(forest, weights, position, size)[position[meet]])
+    path = []
+    while meet in forest.parent:  # stops at the substation, at once when the meet is one or None
+        path.append(meet)
+        meet = forest.parent[meet]
+    total = 0.0
+    for nid in sorted(path):
+        total += 1.0 / _weight_of(weights, forest.parent_edge[nid])
+    return total
 
 
 def laplacian_row_difference(forest: ForestConfig, weights: Mapping[int, float],
@@ -494,45 +525,23 @@ def laplacian_row_difference(forest: ForestConfig, weights: Mapping[int, float],
     forest._require_node(child)
     if forest.parent.get(child) != parent:
         raise DomainError(f"node {parent} is not the parent of node {child}")
-    ei = forest.parent_edge[child]
-    if forest.tree_of[node] != forest.tree_of[child]:
-        return 0.0
-    if node in forest.descendants(child):
-        return 1.0 / _weight_of(weights, ei)
+    if forest._contains(child, node):
+        return 1.0 / _weight_of(weights, forest.parent_edge[child])
     return 0.0
 
 
-def _preorder(forest: ForestConfig) -> tuple[dict[int, int], dict[int, int]]:
-    """Depth-first preorder of the loads (trees in index order, children by
-    ascending id): each load's position and subtree size, so that every
-    descendant set is one run of consecutive positions."""
-    position: dict[int, int] = {}
-    for root in forest.grid.substation_ids:
-        stack = list(reversed(forest.children[root]))
-        while stack:
-            nid = stack.pop()
-            position[nid] = len(position)
-            stack.extend(reversed(forest.children[nid]))
-    size: dict[int, int] = {}
-    for nid in reversed(position):
-        size[nid] = 1 + sum(size[ch] for ch in forest.children[nid])
-    return position, size
-
-
-def _root_path_sums(forest: ForestConfig, weights: Mapping[int, float],
-                    position: dict[int, int], size: dict[int, int]) -> np.ndarray:
+def _root_path_sums(forest: ForestConfig, weights: Mapping[int, float]) -> np.ndarray:
     """P(v), the sum of 1/weight over the root path of every load v, indexed
-    by the preorder ``position`` of v (``size`` gives the subtree sizes).
+    by the preorder position of v.
 
     Each edge adds its 1/weight to its child's whole subtree, edges taken in
     ascending child id.  That fixes the order of every sequential sum, and
     with it the last bits of every entry; a root-to-leaf prefix sum would add
     in depth order instead, which differs wherever ids are not depth-ordered.
     """
-    sums = np.zeros(len(position))
+    sums = np.zeros(len(forest._load_preorder))
     for nid in forest.grid.load_ids:
-        start = position[nid]
-        sums[start:start + size[nid]] += 1.0 / _weight_of(weights, forest.parent_edge[nid])
+        sums[slice(*forest._span[nid])] += 1.0 / _weight_of(weights, forest.parent_edge[nid])
     return sums
 
 
@@ -548,25 +557,40 @@ def path_sum_matrix(forest: ForestConfig, weights: Mapping[int, float]) -> np.nd
     descendants, and each child subtree of v against the subtrees of v's
     earlier children.
     """
-    position, size = _preorder(forest)
-    sums = _root_path_sums(forest, weights, position, size)
-    n = len(position)
+    span = forest._span
+    sums = _root_path_sums(forest, weights)
+    n = len(sums)
     out = np.zeros((n, n))
-    for nid, v in position.items():
+    for v, nid in enumerate(forest._load_preorder):
         value = sums[v]
-        out[v, v:v + size[nid]] = value
-        out[v + 1:v + size[nid], v] = value
+        stop = span[nid][1]
+        out[v, v:stop] = value
+        out[v + 1:stop, v] = value
         for ch in forest.children[nid]:
-            lo, hi = position[ch], position[ch] + size[ch]
+            lo, hi = span[ch]
             out[lo:hi, v + 1:lo] = value
             out[v + 1:lo, lo:hi] = value
-    canon = np.array([position[nid] for nid in forest.grid.load_ids], dtype=np.intp)
+    canon = np.array([span[nid][0] for nid in forest.grid.load_ids], dtype=np.intp)
     return out[np.ix_(canon, canon)]
 
 
 # -- weighted Laplacians -----------------------------------------------------
 
-_WEIGHT_TAGS = ("g", "beta", "1/r", "1/x")
+# Weight tag -> (its WeightedLaplacians field, the weight of a line).
+_WEIGHTS = {
+    "g": ("h_g", lambda e: e.conductance),
+    "beta": ("h_beta", lambda e: e.susceptance),
+    "1/r": ("h_inv_r", lambda e: 1.0 / e.r),
+    "1/x": ("h_inv_x", lambda e: 1.0 / e.x),
+}
+_WEIGHT_TAGS = tuple(_WEIGHTS)
+
+
+def _weight_source(tag: str):
+    try:
+        return _WEIGHTS[tag]
+    except KeyError:
+        raise DomainError(f"unknown weight tag {tag!r}; expected one of {_WEIGHT_TAGS}") from None
 
 
 @dataclass(frozen=True)
@@ -584,39 +608,20 @@ class WeightedLaplacians:
     edge_order: tuple[int, ...]
 
     def matrix(self, tag: str) -> np.ndarray:
-        try:
-            return {"g": self.h_g, "beta": self.h_beta, "1/r": self.h_inv_r, "1/x": self.h_inv_x}[tag]
-        except KeyError:
-            raise DomainError(f"unknown weight tag {tag!r}; expected one of {_WEIGHT_TAGS}") from None
+        return getattr(self, _weight_source(tag)[0])
 
 
 def edge_weights(forest: ForestConfig, tag: str) -> dict[int, float]:
     """Per-closed-edge weight vector for a weight source tag."""
-    out = {}
-    for ei in forest.closed_edges:
-        e = forest.grid.edges[ei]
-        if tag == "g":
-            out[ei] = e.conductance
-        elif tag == "beta":
-            out[ei] = e.susceptance
-        elif tag == "1/r":
-            out[ei] = 1.0 / e.r
-        elif tag == "1/x":
-            out[ei] = 1.0 / e.x
-        else:
-            raise DomainError(f"unknown weight tag {tag!r}; expected one of {_WEIGHT_TAGS}")
-    return out
+    weight = _weight_source(tag)[1]
+    return {ei: weight(forest.grid.edges[ei]) for ei in forest.closed_edges}
 
 
 def weighted_laplacians(forest: ForestConfig) -> WeightedLaplacians:
     """Assemble H_y = M^T diag(w_y) M for the four weight sources."""
     inc = build_reduced_incidence(forest)
     mats = {}
-    for tag in _WEIGHT_TAGS:
-        w = edge_weights(forest, tag)
-        diag = np.array([w[ei] for ei in inc.edge_order])
-        mats[tag] = inc.matrix.T @ (diag[:, None] * inc.matrix)
-    return WeightedLaplacians(
-        h_g=mats["g"], h_beta=mats["beta"], h_inv_r=mats["1/r"], h_inv_x=mats["1/x"],
-        node_order=inc.node_order, edge_order=inc.edge_order,
-    )
+    for field, weight in _WEIGHTS.values():
+        diag = np.array([weight(forest.grid.edges[ei]) for ei in inc.edge_order])
+        mats[field] = inc.matrix.T @ (diag[:, None] * inc.matrix)
+    return WeightedLaplacians(**mats, node_order=inc.node_order, edge_order=inc.edge_order)

@@ -97,30 +97,44 @@ class ExperimentResult:
     failures: int
 
 
-def plan_from_dict(doc: dict) -> ExperimentPlan:
-    def _counts(values) -> tuple[float, ...]:
-        out = []
-        for v in values:
-            if isinstance(v, str):
-                if v.lower() in ("inf", "infinity", "analytic"):
-                    out.append(math.inf)
-                    continue
-                raise ParseError(f"bad sample count {v!r}", "sample_counts")
-            out.append(math.inf if (isinstance(v, float) and math.isinf(v)) else float(v))
-        return tuple(out)
+def _sample_count(value) -> float:
+    if isinstance(value, str):
+        if value.lower() in ("inf", "infinity", "analytic"):
+            return math.inf
+        raise ValueError(value)
+    return math.inf if (isinstance(value, float) and math.isinf(value)) else float(value)
 
+
+def _parsed(key: str, noun: str, convert, value):
+    """``convert(value)``; a value it cannot take raises ParseError naming
+    the plan key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"bad {noun} {value!r}", key) from None
+
+
+def _parsed_list(key: str, noun: str, convert, values) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise ParseError(f"expected a list of {noun}s, got {values!r}", key)
+    return tuple(_parsed(key, noun, convert, v) for v in values)
+
+
+def plan_from_dict(doc: dict) -> ExperimentPlan:
+    if not isinstance(doc, dict):
+        raise ParseError("a plan must be a JSON object", "plan")
     try:
         return ExperimentPlan(
             grid=doc["grid"],
-            sample_counts=_counts(doc["sample_counts"]),
-            taus=tuple(float(t) for t in doc["taus"]),
-            trials=int(doc["trials"]),
-            seed=None if doc.get("seed") is None else int(doc["seed"]),
+            sample_counts=_parsed_list("sample_counts", "sample count", _sample_count, doc["sample_counts"]),
+            taus=_parsed_list("taus", "tau", float, doc["taus"]),
+            trials=_parsed("trials", "trial count", int, doc["trials"]),
+            seed=None if doc.get("seed") is None else _parsed("seed", "seed", int, doc["seed"]),
             model=doc.get("model", {}),
             forest=doc.get("forest", "declared"),
             variant=doc.get("variant", "lc"),
             engine=doc.get("engine", "lc"),
-            augment_open_lines=int(doc.get("augment_open_lines", 0)),
+            augment_open_lines=_parsed("augment_open_lines", "line count", int, doc.get("augment_open_lines", 0)),
             name=doc.get("name", ""),
         )
     except KeyError as exc:
@@ -179,7 +193,10 @@ def resolve_plan_grid(plan: ExperimentPlan) -> tuple[GridGraph, ForestConfig, st
         raise ParseError("grid must be a fixture name, a path, or a {path}/{generator} object", "grid")
 
     if isinstance(plan.forest, dict) and "closed_edges" in plan.forest:
-        forest = ForestConfig.from_closed_edges(grid, plan.forest["closed_edges"])
+        closed = plan.forest["closed_edges"]
+        if not isinstance(closed, (list, tuple)):
+            raise ParseError(f"expected a list of edge indices, got {closed!r}", "forest.closed_edges")
+        forest = ForestConfig.from_closed_edges(grid, closed)
     elif isinstance(plan.forest, dict) and "random_seed" in plan.forest:
         forest = random_spanning_forest(grid, plan.forest["random_seed"])
     elif plan.forest != "declared":
@@ -188,12 +205,9 @@ def resolve_plan_grid(plan: ExperimentPlan) -> tuple[GridGraph, ForestConfig, st
         raise DomainError("the plan's grid declares no operational forest")
 
     if plan.augment_open_lines:
-        grid, forest = add_open_lines_seeded(grid, forest, plan.augment_open_lines, master)
+        grid, forest = add_open_lines(grid, forest, plan.augment_open_lines,
+                                      np.random.SeedSequence((master, 0x417)))
     return grid, forest, plan.name or label
-
-
-def add_open_lines_seeded(grid: GridGraph, forest: ForestConfig, count: int, master: int):
-    return add_open_lines(grid, forest, count, np.random.SeedSequence((master, 0x417)))
 
 
 def simulate_voltage(forest: ForestConfig, model: InjectionModel, m: int, seed,

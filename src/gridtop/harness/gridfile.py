@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ParseError
-from ..grid import LOAD, SUBSTATION, ForestConfig, GridGraph, GridNode, LineEdge
+from ..grid import LOAD, SUBSTATION, ForestConfig, GridGraph, GridNode, LineEdge, _repeated
 from ..powerflow import VoltageSamples
 
 __all__ = [
@@ -166,6 +166,8 @@ def read_samples(source: str | Path) -> VoltageSamples:
         nodes = tuple(int(h) for h in header)
     except ValueError:
         raise ParseError("header row must hold integer node ids", f"{source}:1") from None
+    if (nid := _repeated(nodes)) is not None:
+        raise ParseError(f"header row lists node id {nid} twice", f"{source}:1")
     rows = []
     linenos = []
     for lineno, row in enumerate(reader, start=2):

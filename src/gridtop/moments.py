@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import AssumptionViolation, DomainError, ModelError
 # path_sum_matrix is unused here but kept: perfbench/spans.py wraps it on this module by name.
-from .grid import ForestConfig, LineEdge, path_sum_matrix  # noqa: F401
-from .powerflow import (InjectionVector, VoltageSamples, VoltageState, effective_impedance,
-                        lcpf_response)
+from .grid import ForestConfig, LineEdge, _repeated, path_sum_matrix  # noqa: F401
+from .powerflow import InjectionVector, VoltageSamples, effective_impedance, lcpf_response
 
 __all__ = [
     "InjectionModel",
@@ -90,6 +89,8 @@ class InjectionModel:
 
     def __post_init__(self):
         n = len(self.nodes)
+        if (nid := _repeated(self.nodes)) is not None:
+            raise ModelError(f"node id {nid} is listed twice")
         for name in ("mu_p", "mu_q", "sigma_p", "sigma_q", "sigma_pq"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.mu_p.shape != (n,) or self.mu_q.shape != (n,):
@@ -266,6 +267,8 @@ class MomentSet:
 
     def __post_init__(self):
         n = len(self.nodes)
+        if (nid := _repeated(self.nodes)) is not None:
+            raise DomainError(f"node id {nid} is listed twice")
         _check_moment_shape("sigma_eps", self.sigma_eps, n)
         for name in ("sigma_theta", "sigma_theta_eps"):
             matrix = self.__dict__[name]
@@ -313,55 +316,20 @@ def sample_injections(model: InjectionModel, m: int, seed) -> InjectionBatch:
     return InjectionBatch(nodes=model.nodes, p=draws[:, :n], q=draws[:, n:])
 
 
-def empirical_moments(samples: VoltageSamples | Iterable[VoltageState],
-                      nodes: tuple[int, ...] | None = None) -> MomentSet:
-    """Non-central sample moments (1/m) sum_j y_a^j y_b^j.
-
-    Accepts a stacked batch (one matmul) or any iterable of states
-    (accumulated in a single streaming pass, memory O(N^2) regardless of m);
-    states carry no node labels, so an iterable needs ``nodes``.
-    """
-    if isinstance(samples, VoltageSamples):
-        m = len(samples)
-        if m < 1:
-            raise DomainError("empty sample set")
-        eps, theta = samples.eps, samples.theta
-        sigma_eps = eps.T @ eps / m
-        sigma_theta = None if theta is None else theta.T @ theta / m
-        sigma_theta_eps = None if theta is None else theta.T @ eps / m
-        return MomentSet(nodes=samples.nodes, sigma_eps=sigma_eps, sigma_theta=sigma_theta,
-                         sigma_theta_eps=sigma_theta_eps, source="empirical", m=m)
-
-    s_ee = s_tt = s_te = None
-    m = 0
-    has_theta = True
-    for state in samples:
-        if s_ee is None:
-            if nodes is None:
-                raise DomainError("nodes are required to label the moments of an iterable of states")
-            nodes = tuple(nodes)
-            s_ee = np.zeros((len(nodes), len(nodes)))
-            s_tt = np.zeros_like(s_ee)
-            s_te = np.zeros_like(s_ee)
-        for values in (state.eps, state.theta):
-            if values is not None and np.shape(values) != (len(nodes),):
-                raise DomainError(f"state {m} has shape {np.shape(values)} for {len(nodes)} nodes")
-        s_ee += np.outer(state.eps, state.eps)
-        if state.theta is None:
-            has_theta = False
-        elif has_theta:
-            s_tt += np.outer(state.theta, state.theta)
-            s_te += np.outer(state.theta, state.eps)
-        m += 1
-    if m == 0:
+def empirical_moments(samples: VoltageSamples) -> MomentSet:
+    """Non-central sample moments (1/m) sum_j y_a^j y_b^j of a stacked
+    batch, one matrix product per moment matrix."""
+    if not isinstance(samples, VoltageSamples):
+        raise DomainError(f"expected a VoltageSamples batch, got {type(samples).__name__}")
+    m = len(samples)
+    if m < 1:
         raise DomainError("empty sample set")
-    return MomentSet(
-        nodes=nodes,
-        sigma_eps=s_ee / m,
-        sigma_theta=s_tt / m if has_theta else None,
-        sigma_theta_eps=s_te / m if has_theta else None,
-        source="empirical", m=m,
-    )
+    eps, theta = samples.eps, samples.theta
+    sigma_eps = eps.T @ eps / m
+    sigma_theta = None if theta is None else theta.T @ theta / m
+    sigma_theta_eps = None if theta is None else theta.T @ eps / m
+    return MomentSet(nodes=samples.nodes, sigma_eps=sigma_eps, sigma_theta=sigma_theta,
+                     sigma_theta_eps=sigma_theta_eps, source="empirical", m=m)
 
 
 def _aligned(forest: ForestConfig, model: InjectionModel) -> InjectionModel:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InfeasibleStateError
-from .grid import ForestConfig, LineEdge, path_sum_matrix
+from .grid import ForestConfig, LineEdge, _repeated, path_sum_matrix
 
 __all__ = [
     "VARIANTS",
@@ -93,6 +93,8 @@ class VoltageSamples:
     theta: np.ndarray | None = None
 
     def __post_init__(self):
+        if (nid := _repeated(self.nodes)) is not None:
+            raise DomainError(f"node id {nid} is listed twice")
         shape = np.shape(self.eps)
         if len(shape) != 2 or shape[1] != len(self.nodes):
             raise DomainError(f"eps must have shape (m, {len(self.nodes)}) for {len(self.nodes)} nodes, "

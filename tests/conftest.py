@@ -65,6 +65,18 @@ def star_grid(n_leaves, seed):
     return make_grid(nodes, edges, closed=list(range(len(edges))))
 
 
+def empty_substation_grid():
+    """Substation 0 closes no line (its tie to load 3 is open), so its tree
+    holds no load; substation 1 feeds loads 2..6, whose ids are not in
+    depth order."""
+    return make_grid(
+        [(0, SUBSTATION), (1, SUBSTATION)] + [(i, LOAD) for i in range(2, 7)],
+        [(1, 4, 0.2, 0.1), (4, 2, 0.3, 0.2), (4, 6, 0.1, 0.3), (6, 3, 0.2, 0.2), (1, 5, 0.25, 0.15),
+         (0, 3, 0.2, 0.2)],
+        closed=[0, 1, 2, 3, 4],
+    )
+
+
 def two_tree_grid():
     """Two single-edge trees (subs 0 and 1, loads 2 and 3) plus one open tie."""
     return make_grid(

@@ -8,6 +8,13 @@ its lowest common ancestor.  They are kept here, out of the package, as the
 oracles the fast paths must match bit for bit: same visiting order,
 children summed one at a time in ascending id order, the same stopping rule
 and the same errors.
+
+The ancestry oracles (``preorder``, ``descendants``,
+``descendant_load_indices``, ``lca``, ``inverse_incidence_entry`` and
+``laplacian_row_difference``) are the separate walks ``grid`` made before
+every ancestry question read the preorder runs recorded when a forest is
+built: a preorder rebuilt per call, a stack walk over children, a post-order
+merge, a depth-equalising climb and a root-path membership test.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import math
 import numpy as np
 
 from gridtop.errors import ConvergenceError, InfeasibleStateError
-from gridtop.grid import _weight_of
+from gridtop.grid import _edge_child, _edge_direction, _weight_of
 from gridtop.powerflow import DistFlowResult, VoltageState, effective_impedance
 
 
@@ -110,8 +117,84 @@ def block_path_sums(forest, weights) -> np.ndarray:
     through it."""
     n = forest.grid.n_loads
     out = np.zeros((n, n))
-    desc = forest.descendant_load_indices
+    desc = descendant_load_indices(forest)
     for nid in forest.grid.load_ids:
         members = desc[nid]
         out[np.ix_(members, members)] += 1.0 / _weight_of(weights, forest.parent_edge[nid])
     return out
+
+
+def preorder(forest):
+    """Depth-first preorder of the loads (trees in index order, children by
+    ascending id): each load's position and subtree size."""
+    position = {}
+    for root in forest.grid.substation_ids:
+        stack = list(reversed(forest.children[root]))
+        while stack:
+            nid = stack.pop()
+            position[nid] = len(position)
+            stack.extend(reversed(forest.children[nid]))
+    size = {}
+    for nid in reversed(position):
+        size[nid] = 1 + sum(size[ch] for ch in forest.children[nid])
+    return position, size
+
+
+def descendants(forest, node):
+    """The node and everything below it, by a stack walk over children."""
+    out = [node]
+    stack = [node]
+    while stack:
+        for ch in forest.children[stack.pop()]:
+            out.append(ch)
+            stack.append(ch)
+    return frozenset(out)
+
+
+def descendant_load_indices(forest):
+    """Canonical indices of every load's descendant set, merged leaves first."""
+    idx = forest.grid.load_index
+    post = {}
+    for nid in reversed(forest.loads_by_depth):
+        members = [idx[nid]]
+        for ch in forest.children[nid]:
+            members.extend(post[ch].tolist())
+        post[nid] = np.array(sorted(members), dtype=np.intp)
+    return post
+
+
+def lca(forest, a, b):
+    """Lowest common ancestor by climbing to equal depth, then in step."""
+    if forest.tree_of[a] != forest.tree_of[b]:
+        return None
+    da, db = forest.depth[a], forest.depth[b]
+    while da > db:
+        a = forest.parent[a]
+        da -= 1
+    while db > da:
+        b = forest.parent[b]
+        db -= 1
+    while a != b:
+        a = forest.parent[a]
+        b = forest.parent[b]
+    return a
+
+
+def inverse_incidence_entry(forest, node, edge_index, orientation=None):
+    """The inverse incidence entry by a search of the node's root path."""
+    child = _edge_child(forest, edge_index)
+    if forest.tree_of[node] != forest.tree_of[child]:
+        return 0
+    if edge_index not in forest.root_path_edges(node):
+        return 0
+    tail, _ = _edge_direction(forest, edge_index, orientation)
+    return 1 if tail == child else -1
+
+
+def laplacian_row_difference(forest, weights, child, node):
+    """1/w of the child's parent line when node descends from child, else 0."""
+    if forest.tree_of[node] != forest.tree_of[child]:
+        return 0.0
+    if node in descendants(forest, child):
+        return 1.0 / _weight_of(weights, forest.parent_edge[child])
+    return 0.0

@@ -1,16 +1,63 @@
 """The benchmark's traced mode replaces named attributes of program modules
 (``perfbench/spans.py``, ``WRAP_POINTS``) and stops with MissingWrapPoint
 when one is gone.  Resolving them here catches a rename or a dropped import
-in the regular suite, not only in a benchmark run."""
+in the regular suite, not only in a benchmark run.  The counters of those
+wrap points read attributes of the program's arguments and results, so each
+counter is also run once on a real call."""
 
 import importlib
 from pathlib import Path
 
+import pytest
+
+from gridtop.fixtures import fixture_path, load_fixture
+from gridtop.grid import edge_weights
+from gridtop.harness import simulate_voltage, write_samples
+from gridtop.moments import default_model, sample_injections
+from gridtop.powerflow import InjectionVector
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_every_benchmark_wrap_point_resolves(monkeypatch):
+@pytest.fixture
+def spans(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    spans = importlib.import_module("spans")
+    return importlib.import_module("spans")
+
+
+def test_every_benchmark_wrap_point_resolves(spans):
     resolved = spans.resolve_wrap_points()
     assert len(resolved) == len(spans.WRAP_POINTS)
+
+
+def _call_args(tmp_path) -> dict:
+    """Arguments for one small call of every function a counter follows,
+    keyed by function name."""
+    grid, forest = load_fixture("bus_13_3")
+    model = default_model(forest)
+    batch = sample_injections(model, 20, seed=1)
+    samples = simulate_voltage(forest, model, 20, seed=1)
+    samples_file = tmp_path / "samples.csv"
+    write_samples(samples_file, samples)
+    return {
+        "sample_injections": (model, 20, 1),
+        "lcpf_solve_many": (forest, batch.p, batch.q),
+        "distflow_solve": (forest, InjectionVector(p=batch.p[0], q=batch.q[0])),
+        "reconstruct": (samples, model, grid),
+        "parse_grid": (fixture_path("bus_13_3"),),
+        "write_samples": (tmp_path / "written.csv", samples),
+        "read_samples": (samples_file,),
+        "path_sum_matrix": (forest, edge_weights(forest, "g")),
+    }
+
+
+def test_every_benchmark_counter_reads_a_real_call(spans, tmp_path):
+    calls = _call_args(tmp_path)
+    # resolve_wrap_points gives (module, owner name, owner, method, target, span, counter).
+    for _, _, _, _, target, _, counter in spans.resolve_wrap_points():
+        if counter is None:
+            continue
+        args = calls[target.__name__]
+        counts = dict.fromkeys(spans.COUNT_NAMES, 0)
+        counter(counts, args, {}, target(*args))
+        assert counts != dict.fromkeys(spans.COUNT_NAMES, 0), f"the counter of {target.__name__} counted nothing"

@@ -173,3 +173,22 @@ def test_env_seed_fallback(runner, tmp_path, monkeypatch):
     r2 = runner.invoke(main, ["gen-grid", "--loads", "5", "-o", str(out2)])
     assert r1.exit_code == 0 and r2.exit_code == 0
     assert out1.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"trials": "x"}, "trials"),
+    ({"sample_counts": 10}, "sample_counts"),
+    ({"taus": "0.1"}, "taus"),
+    ({"forest": {"closed_edges": [0.5]}}, "closed edge index 0.5 is not an integer"),
+])
+def test_experiment_cli_reports_a_mis_typed_plan_value(runner, tmp_path, overrides, key):
+    plan = {"grid": "bus_13_3", "sample_counts": [20], "taus": [0.1], "trials": 1, "seed": 1}
+    plan.update(overrides)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    res = runner.invoke(main, ["experiment", "--plan", str(path), "-o", str(tmp_path / "out.csv")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a clean exit, not an escaped exception
+    errors = [line for line in res.output.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and key in errors[0]
+    assert "Traceback" not in res.output

@@ -1,5 +1,7 @@
 """Grid/forest structure, incidence matrices, and inverse-Laplacian combinatorics."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,9 @@ from gridtop.grid import (
 )
 from gridtop.harness import generate_random_grid
 
-from conftest import chain_grid, make_grid, random_instance, shuffled_chain_grid, star_grid, two_tree_grid
-from scalar_oracles import block_path_sums
+import scalar_oracles as oracle
+from conftest import (chain_grid, empty_substation_grid, make_grid, random_instance, shuffled_chain_grid,
+                      star_grid, two_tree_grid)
 
 
 # -- validation ---------------------------------------------------------------
@@ -36,6 +39,11 @@ def test_grid_rejects_nonpositive_impedance():
 def test_grid_rejects_duplicate_edges():
     with pytest.raises(StructureError, match="duplicate"):
         make_grid([(0, SUBSTATION), (1, LOAD)], [(0, 1, 0.1, 0.2), (1, 0, 0.3, 0.1)])
+
+
+def test_grid_rejects_duplicate_node_ids_naming_the_id():
+    with pytest.raises(StructureError, match="node id 1 is listed twice"):
+        make_grid([(0, SUBSTATION), (1, LOAD), (1, LOAD)], [(0, 1, 0.1, 0.2)])
 
 
 def test_grid_rejects_unknown_endpoint_and_self_loop():
@@ -78,6 +86,20 @@ def test_forest_rejects_unspanned_nodes():
     )
     with pytest.raises(StructureError, match="do not span"):
         ForestConfig.from_closed_edges(grid, [0])
+
+
+@pytest.mark.parametrize("bad", [1.5, "a", True, None])
+def test_forest_rejects_a_closed_edge_index_that_is_not_an_integer(bad):
+    grid, _ = chain_grid(3)
+    with pytest.raises(StructureError, match=f"closed edge index {bad!r} is not an integer"):
+        ForestConfig.from_closed_edges(grid, [0, 1, bad])
+    with pytest.raises(StructureError, match="is not an integer"):
+        ForestConfig(grid=grid, closed_edges=(bad, 0, 1))
+
+
+def test_forest_accepts_numpy_integer_edge_indices():
+    grid, forest = chain_grid(3)
+    assert ForestConfig.from_closed_edges(grid, np.array([2, 0, 1])).closed_edges == forest.closed_edges
 
 
 # -- descendants and paths ----------------------------------------------------
@@ -315,6 +337,8 @@ def _path_sum_instance(kind, seed):
         return generate_random_grid(300, 4, 40, seed=seed)
     if kind == "shuffled_chain":
         return shuffled_chain_grid(40 + seed % 81, seed)
+    if kind == "empty_substation":
+        return empty_substation_grid()
     return star_grid(5 + seed % 40, seed)
 
 
@@ -327,8 +351,57 @@ def test_path_sum_matrix_matches_block_accumulation(kind, seed):
     grid, forest = _path_sum_instance(kind, seed)
     rng = np.random.default_rng(seed)
     weights = {ei: float(10 ** rng.uniform(-2, 2)) for ei in forest.closed_edges}
-    got, want = path_sum_matrix(forest, weights), block_path_sums(forest, weights)
+    got, want = path_sum_matrix(forest, weights), oracle.block_path_sums(forest, weights)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+ANCESTRY_KINDS = PATH_SUM_KINDS + ("empty_substation",)
+
+
+@pytest.mark.parametrize("kind", ANCESTRY_KINDS)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_ancestry_matches_the_walks_it_replaced(kind, seed):
+    # Every ancestry question now reads the preorder runs recorded when the
+    # forest is built; each must answer as the separate walk it replaced.
+    grid, forest = _path_sum_instance(kind, seed)
+    rng = np.random.default_rng(seed)
+    nodes = [n.id for n in grid.nodes]
+    loads = list(grid.load_ids)
+
+    position, size = oracle.preorder(forest)
+    assert forest._load_preorder == tuple(position)
+    assert all(forest._span[nid] == (position[nid], position[nid] + size[nid]) for nid in loads)
+    for node in nodes:
+        assert forest.descendants(node) == oracle.descendants(forest, node)
+    got, want = forest.descendant_load_indices, oracle.descendant_load_indices(forest)
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[nid], want[nid]) for nid in want)
+    tree_sizes = [len(list(run)) for _, run in itertools.groupby(forest.load_order, key=forest.tree_of.get)]
+    cuts = np.cumsum([0] + tree_sizes).tolist()
+    assert build_reduced_incidence(forest).blocks == tuple(zip(cuts, cuts[1:]))
+
+    for a, b in rng.choice(nodes, size=(200, 2)).tolist():
+        assert forest.lca(a, b) == oracle.lca(forest, a, b)
+    closed = list(forest.closed_edges)
+    edges = grid.edges
+    orientation = {ei: (edges[ei].v, edges[ei].u) if rng.random() < 0.5 else (edges[ei].u, edges[ei].v)
+                   for ei in closed}
+    for node, ei in zip(rng.choice(loads, 200).tolist(), rng.choice(closed, 200).tolist()):
+        for orient in (None, orientation):
+            assert (inverse_incidence_entry(forest, node, ei, orient)
+                    == oracle.inverse_incidence_entry(forest, node, ei, orient))
+    weights = {ei: float(10 ** rng.uniform(-2, 2)) for ei in closed}
+    for child, node in zip(rng.choice(loads, 200).tolist(), rng.choice(nodes, 200).tolist()):
+        assert (laplacian_row_difference(forest, weights, child, forest.parent[child], node)
+                == oracle.laplacian_row_difference(forest, weights, child, node))
+
+    mat = path_sum_matrix(forest, weights)
+    idx = grid.load_index
+    pairs = rng.choice(loads, size=(200, 2)).tolist()
+    entries = np.array([laplacian_inverse_entry(forest, weights, a, b) for a, b in pairs])
+    want = mat[[idx[a] for a, _ in pairs], [idx[b] for _, b in pairs]]
+    assert np.array_equal(entries.view(np.int64), want.view(np.int64))
 
 
 # -- weighted Laplacians ------------------------------------------------------

@@ -289,6 +289,57 @@ def test_moment_set_rejects_mis_shaped_matrices():
                   sigma_theta_eps=np.eye(3), source="analytic")
 
 
+def _doubled(nodes, matrix, repeat):
+    """``nodes`` with ``repeat`` appended once more, and ``matrix`` padded
+    with a column (and a row, for a square matrix) of ones to match."""
+    rows, cols = matrix.shape
+    out = np.ones((rows + (rows == cols), cols + 1))
+    out[:rows, :cols] = matrix
+    return tuple(nodes) + (repeat,), out
+
+
+def test_voltage_samples_reject_a_repeated_node_id():
+    # The repeated column once let reconstruct return a plausible forest
+    # (relative error 0.077 here) with no error.
+    grid, forest = load_fixture("bus_13_3")
+    model = default_model(forest)
+    samples = simulate_voltage(forest, model, 2000, seed=5)
+    nodes, eps = _doubled(samples.nodes, samples.eps, 3)
+    with pytest.raises(DomainError, match="node id 3 is listed twice"):
+        reconstruct(VoltageSamples(nodes=nodes, eps=eps), model, grid, LearnerConfig(tau=0.05), truth=forest)
+
+
+def test_moment_set_rejects_a_repeated_node_id():
+    from gridtop.moments import MomentSet, analytic_moment_set
+
+    grid, forest = load_fixture("bus_13_3")
+    model = default_model(forest)
+    mset = analytic_moment_set(forest, model)
+    nodes, sigma = _doubled(mset.nodes, mset.sigma_eps, 3)
+    with pytest.raises(DomainError, match="node id 3 is listed twice"):
+        bad = MomentSet(nodes=nodes, sigma_eps=sigma, sigma_theta=None, sigma_theta_eps=None, source="analytic")
+        reconstruct(bad, model, grid, LearnerConfig(tau=1e-4), truth=forest)
+
+
+def test_injection_model_rejects_a_repeated_node_id():
+    from gridtop.errors import ModelError
+    from gridtop.moments import InjectionModel
+
+    with pytest.raises(ModelError, match="node id 2 is listed twice"):
+        InjectionModel(nodes=(1, 2, 2), mu_p=-np.ones(3), mu_q=-np.ones(3),
+                       sigma_p=np.eye(3), sigma_q=np.eye(3), sigma_pq=np.zeros((3, 3)))
+    model = default_model(load_fixture("bus_13_3")[1])
+    with pytest.raises(ModelError, match="node id 3 is listed twice"):
+        model.aligned_to(model.nodes + (3,))
+
+
+def test_read_samples_rejects_a_repeated_header_id(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("1,2,1\n0.1,0.2,0.3\n")
+    with pytest.raises(ParseError, match="bad.csv:1: header row lists node id 1 twice"):
+        read_samples(path)
+
+
 # -- experiment driver -----------------------------------------------------------
 
 
@@ -319,6 +370,32 @@ def test_plan_validation():
         _tiny_plan(sample_counts=[0])
     with pytest.raises(ParseError):
         plan_from_dict({"grid": "bus_13_3", "taus": [0.1], "trials": 1})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("trials", "x"), ("trials", None), ("sample_counts", 10), ("sample_counts", [100, "x"]),
+    ("taus", "0.1"), ("taus", [0.1, [0.2]]), ("seed", "x"), ("augment_open_lines", "x"),
+])
+def test_plan_rejects_a_mis_typed_value_naming_its_key(key, value):
+    with pytest.raises(ParseError, match=f"^{key}: "):
+        _tiny_plan(**{key: value})
+
+
+def test_plan_must_be_an_object():
+    with pytest.raises(ParseError, match="plan: a plan must be a JSON object"):
+        plan_from_dict([1, 2])
+
+
+@pytest.mark.parametrize("closed, message", [
+    ([0.5], "closed edge index 0.5 is not an integer"),
+    ([0, "a"], "closed edge index 'a' is not an integer"),
+    ([True], "closed edge index True is not an integer"),
+    (3, "forest.closed_edges: expected a list of edge indices, got 3"),
+])
+def test_plan_rejects_mis_typed_closed_edges(closed, message):
+    plan = _tiny_plan(forest={"closed_edges": closed})
+    with pytest.raises((ParseError, StructureError), match=message):
+        run_experiment(plan)
 
 
 def test_analytic_sentinel_recovers_exactly():
