@@ -182,6 +182,10 @@ def _is_index(value) -> bool:
     return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
+def _is_number(value) -> bool:
+    return type(value) in (float, int) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class ForestConfig:
     """A base-constrained spanning forest of a grid.

@@ -155,8 +155,7 @@ def learn(grid_spec, samples_path, tau, variant, model_path, trace_path, as_json
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(TRACE_FIELDS)
-            for record in result.trace:
-                writer.writerow(["" if v is None else v for v in record.as_row()])
+            writer.writerows(result.trace)  # csv writes None as an empty field
     edges = sorted(result.learned_edges)
     if as_json:
         click.echo(json.dumps({

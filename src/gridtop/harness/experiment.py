@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DomainError, GridTopError, ParseError
-from ..grid import ForestConfig, GridGraph
+from ..grid import ForestConfig, GridGraph, _is_index, _is_number
 from ..learner import LearnerConfig, reconstruct
 from ..moments import InjectionModel, analytic_moment_set, model_from_dict, sample_injections
 # distflow_solve is unused here but kept: perfbench/spans.py wraps it on this module by name.
@@ -97,12 +97,32 @@ class ExperimentResult:
     failures: int
 
 
+def _integer(value) -> int:
+    """A JSON integer; a bool or a float is refused, not converted."""
+    if not _is_index(value):
+        raise TypeError(value)
+    return int(value)
+
+
+def _seed(value) -> int:
+    seed = _integer(value)
+    if seed < 0:
+        raise ValueError(value)
+    return seed
+
+
+def _number(value) -> float:
+    if not _is_number(value):
+        raise TypeError(value)
+    return float(value)
+
+
 def _sample_count(value) -> float:
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity", "analytic"):
             return math.inf
         raise ValueError(value)
-    return math.inf if (isinstance(value, float) and math.isinf(value)) else float(value)
+    return math.inf if value == math.inf else float(_integer(value))
 
 
 def _parsed(key: str, noun: str, convert, value):
@@ -127,14 +147,15 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
         return ExperimentPlan(
             grid=doc["grid"],
             sample_counts=_parsed_list("sample_counts", "sample count", _sample_count, doc["sample_counts"]),
-            taus=_parsed_list("taus", "tau", float, doc["taus"]),
-            trials=_parsed("trials", "trial count", int, doc["trials"]),
-            seed=None if doc.get("seed") is None else _parsed("seed", "seed", int, doc["seed"]),
+            taus=_parsed_list("taus", "tau", _number, doc["taus"]),
+            trials=_parsed("trials", "trial count", _integer, doc["trials"]),
+            seed=None if doc.get("seed") is None else _parsed("seed", "seed", _seed, doc["seed"]),
             model=doc.get("model", {}),
             forest=doc.get("forest", "declared"),
             variant=doc.get("variant", "lc"),
             engine=doc.get("engine", "lc"),
-            augment_open_lines=_parsed("augment_open_lines", "line count", int, doc.get("augment_open_lines", 0)),
+            augment_open_lines=_parsed("augment_open_lines", "line count", _integer,
+                                       doc.get("augment_open_lines", 0)),
             name=doc.get("name", ""),
         )
     except KeyError as exc:
@@ -198,7 +219,8 @@ def resolve_plan_grid(plan: ExperimentPlan) -> tuple[GridGraph, ForestConfig, st
             raise ParseError(f"expected a list of edge indices, got {closed!r}", "forest.closed_edges")
         forest = ForestConfig.from_closed_edges(grid, closed)
     elif isinstance(plan.forest, dict) and "random_seed" in plan.forest:
-        forest = random_spanning_forest(grid, plan.forest["random_seed"])
+        forest = random_spanning_forest(grid, _parsed("forest.random_seed", "seed", _seed,
+                                                      plan.forest["random_seed"]))
     elif plan.forest != "declared":
         raise ParseError("forest must be 'declared', {closed_edges: [...]}, or {random_seed: n}", "forest")
     if forest is None:

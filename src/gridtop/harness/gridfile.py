@@ -143,11 +143,12 @@ def write_grid(path: str | Path, grid: GridGraph, forest: ForestConfig | None = 
 
 
 def write_samples(path: str | Path, samples: VoltageSamples) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([str(nid) for nid in samples.nodes])
-        for row in samples.eps:
-            writer.writerow([repr(float(v)) for v in row])
+    # No field needs CSV quoting: ids are integers and a float's repr holds
+    # no comma, quote or line break.
+    lines = [",".join(str(nid) for nid in samples.nodes)]
+    lines.extend(",".join(map(repr, row)) for row in samples.eps.tolist())
+    lines.append("")
+    Path(path).write_text("\n".join(lines), newline="")
 
 
 def read_samples(source: str | Path) -> VoltageSamples:

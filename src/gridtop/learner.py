@@ -14,7 +14,8 @@ below the tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,22 +33,13 @@ __all__ = [
     "TRACE_FIELDS",
 ]
 
-TRACE_FIELDS = ("leaf", "candidate", "lhs", "rhs", "deviation", "accepted", "note")
-
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Tolerance and variant switches for one reconstruction.
-
-    ``literal_tolerance`` evaluates the acceptance statistic in its literal
-    published form 1 - |LHS/RHS| (vacuously true whenever the ratio exceeds
-    one) instead of the corrected relative deviation |1 - LHS/RHS|; it
-    exists only for comparison.
-    """
+    """Tolerance and variant switches for one reconstruction."""
 
     tau: float = 0.05
     variant: str = "lc"
-    literal_tolerance: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
@@ -56,8 +48,9 @@ class LearnerConfig:
             raise DomainError(f"variant must be one of {list(VARIANTS)}, got {self.variant!r}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One tested (leaf, popped node) pair; a record is its own CSV row."""
+
     leaf: int
     candidate: int
     lhs: float | None
@@ -66,8 +59,8 @@ class TraceRecord:
     accepted: bool
     note: str = ""
 
-    def as_row(self) -> tuple:
-        return (self.leaf, self.candidate, self.lhs, self.rhs, self.deviation, self.accepted, self.note)
+
+TRACE_FIELDS = TraceRecord._fields
 
 
 @dataclass(frozen=True)
@@ -92,22 +85,16 @@ class _DescendantSums:
     exactly once, so the total merge work over a full reconstruction is
     O(N^2) for dense moment matrices and each tested pair costs O(1)."""
 
-    def __init__(self, model: InjectionModel, load_index: dict[int, int]):
+    def __init__(self, model: InjectionModel, substations: tuple[int, ...]):
         self._sp = model.sigma_p
         self._sq = model.sigma_q
         self._spq = model.sigma_pq
-        self._load_index = load_index
-        self.members: dict[int, list[int]] = {}
-        self.sums: dict[int, tuple[float, float, float]] = {}
-
-    def add_node(self, node: int):
-        i = self._load_index.get(node)
-        if i is None:  # substations carry no injection moments
-            self.members[node] = []
-            self.sums[node] = (0.0, 0.0, 0.0)
-        else:
-            self.members[node] = [i]
-            self.sums[node] = (float(self._sp[i, i]), float(self._sq[i, i]), float(self._spq[i, i]))
+        diagonals = zip(self._sp.diagonal().tolist(), self._sq.diagonal().tolist(), self._spq.diagonal().tolist())
+        self.members: dict[int, list[int]] = {nid: [i] for i, nid in enumerate(model.nodes)}
+        self.sums: dict[int, tuple[float, float, float]] = dict(zip(model.nodes, diagonals))
+        for sub in substations:  # substations carry no injection moments
+            self.members[sub] = []
+            self.sums[sub] = (0.0, 0.0, 0.0)
 
     def merge(self, src: int, dst: int):
         a = self.members[src]
@@ -129,11 +116,47 @@ class _DescendantSums:
         del self.members[src], self.sums[src]
 
 
-def _deviation(lhs: float, rhs: float, literal: bool) -> float:
+def _pair_statistic(data: VoltageSamples | MomentSet, grid: GridGraph) -> tuple[dict[int, float], Callable]:
+    """The diagonal moment of each load, and ``lhs(i, j)``: the left side
+    E[(eps_i - eps_j)^2] for two indices into ``grid.load_ids``."""
+    nodes = grid.load_ids
+    if tuple(data.nodes) != nodes:
+        if set(data.nodes) != set(nodes):
+            raise DomainError("sample nodes do not match the grid's load nodes")
+        pos = {nid: i for i, nid in enumerate(data.nodes)}
+        perm = np.array([pos[nid] for nid in nodes], dtype=np.intp)
+    else:
+        perm = None
+
+    if isinstance(data, MomentSet):
+        sigma = data.sigma_eps if perm is None else data.sigma_eps[np.ix_(perm, perm)]
+        finite = np.isfinite(sigma)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise DomainError(f"moment entry of nodes ({nodes[i]}, {nodes[j]}) is not finite")
+
+        def lhs(i: int, j: int) -> float:
+            return float(sigma[i, i] - 2.0 * sigma[i, j] + sigma[j, j])
+
+        return dict(zip(nodes, sigma.diagonal().tolist())), lhs
+
+    eps = data.eps if perm is None else data.eps[:, perm]
+    # A non-finite cell makes its column's mean square non-finite.
+    diag = {nid: float(np.mean(eps[:, i] ** 2)) for i, nid in enumerate(nodes)}
+    for nid, value in diag.items():
+        if not math.isfinite(value):
+            raise DomainError(f"samples of node {nid} have a non-finite mean square ({value})")
+
+    def lhs(i: int, j: int) -> float:
+        d = eps[:, i] - eps[:, j]
+        return float(np.mean(d * d))
+
+    return diag, lhs
+
+
+def _deviation(lhs: float, rhs: float) -> float:
     if rhs == 0.0:
         return 0.0 if lhs == 0.0 else math.inf
-    if literal:
-        return 1.0 - abs(lhs / rhs)
     return abs(1.0 - lhs / rhs)
 
 
@@ -147,74 +170,31 @@ def reconstruct(data: VoltageSamples | MomentSet, model: InjectionModel, grid: G
     infinite-sample limit.  Candidate parents are the lines of the designed
     grid, whose parameters the closed form needs; a pair without a line is
     recorded in the trace and skipped.  Substations are never attached as
-    children: they are roots of the base-constrained forest.
+    children: they are roots of the base-constrained forest, with zero
+    deviation, so the left side of a leaf and a substation is the leaf's own
+    diagonal moment.
     """
-    nodes = grid.load_ids
-    if tuple(data.nodes) != nodes:
-        if set(data.nodes) != set(nodes):
-            raise DomainError("sample nodes do not match the grid's load nodes")
-        pos = {nid: i for i, nid in enumerate(data.nodes)}
-        perm = np.array([pos[nid] for nid in nodes], dtype=np.intp)
-    else:
-        perm = None
-
-    if isinstance(data, MomentSet):
-        sigma = data.sigma_eps if perm is None else data.sigma_eps[np.ix_(perm, perm)]
-        eps = None
-    else:
-        eps = data.eps if perm is None else data.eps[:, perm]
-        sigma = None
-
+    diag, pair_lhs = _pair_statistic(data, grid)
+    diag.update(dict.fromkeys(grid.substation_ids, 0.0))
+    desc = _DescendantSums(model.aligned_to(grid.load_ids), grid.substation_ids)
     idx = grid.load_index
-    if eps is not None:
-        # A non-finite cell makes its column's mean square non-finite.
-        diag = {nid: float(np.mean(eps[:, idx[nid]] ** 2)) for nid in nodes}
-        for nid, value in diag.items():
-            if not math.isfinite(value):
-                raise DomainError(f"samples of node {nid} have a non-finite mean square ({value})")
-    else:
-        finite = np.isfinite(sigma)
-        if not finite.all():
-            i, j = np.argwhere(~finite)[0]
-            raise DomainError(f"moment entry of nodes ({nodes[i]}, {nodes[j]}) is not finite")
-        diag = {nid: float(sigma[idx[nid], idx[nid]]) for nid in nodes}
-    for sub in grid.substation_ids:
-        diag[sub] = 0.0
-
-    model = model.aligned_to(nodes)
-    desc = _DescendantSums(model, idx)
-    for nid in diag:
-        desc.add_node(nid)
-
-    def lhs_of(a: int, b: int) -> float:
-        if eps is not None:
-            col_a = eps[:, idx[a]] if a in idx else 0.0
-            col_b = eps[:, idx[b]] if b in idx else 0.0
-            d = col_a - col_b
-            return float(np.mean(d * d)) if isinstance(d, np.ndarray) else 0.0
-        saa = sigma[idx[a], idx[a]] if a in idx else 0.0
-        sbb = sigma[idx[b], idx[b]] if b in idx else 0.0
-        sab = sigma[idx[a], idx[b]] if (a in idx and b in idx) else 0.0
-        return float(saa - 2.0 * sab + sbb)
 
     pop_order = sorted(diag, key=lambda nid: (-diag[nid], nid))
     leaves: list[int] = []
-    learned: set[tuple[int, int]] = set()
     parent_map: dict[int, int] = {}
     trace: list[TraceRecord] = []
 
     for b_star in pop_order:
+        j = idx.get(b_star)  # None for a substation
         for a in list(leaves):
             edge_index = grid.edge_between(a, b_star)
             if edge_index is None:
                 trace.append(TraceRecord(a, b_star, None, None, None, False, "no line in grid"))
                 continue
-            lhs = lhs_of(a, b_star)
+            lhs = diag[a] if j is None else pair_lhs(idx[a], j)
             rhs = edge_sq_diff(grid.edges[edge_index], config.variant, *desc.sums[a])
-            dev = _deviation(lhs, rhs, config.literal_tolerance)
+            dev = _deviation(lhs, rhs)
             if dev < config.tau:
-                pair = (a, b_star) if a <= b_star else (b_star, a)
-                learned.add(pair)
                 parent_map[a] = b_star
                 desc.merge(a, b_star)
                 leaves.remove(a)
@@ -222,18 +202,12 @@ def reconstruct(data: VoltageSamples | MomentSet, model: InjectionModel, grid: G
             else:
                 note = "rhs zero with nonzero lhs" if math.isinf(dev) else ""
                 trace.append(TraceRecord(a, b_star, lhs, rhs, dev, False, note))
-        if not grid.is_substation(b_star):
+        if j is not None:
             leaves.append(b_star)
 
-    result = ReconstructionResult(
-        learned_edges=frozenset(learned),
-        parent_map=parent_map,
-        trace=tuple(trace),
-        pop_order=tuple(pop_order),
-    )
-    if truth is not None:
-        result = replace(result, relative_error=relative_error(result, truth))
-    return result
+    learned = frozenset((a, b) if a <= b else (b, a) for a, b in parent_map.items())
+    return ReconstructionResult(learned, parent_map, tuple(trace), tuple(pop_order),
+                                None if truth is None else relative_error(learned, truth))
 
 
 def relative_error(result: ReconstructionResult | frozenset, truth: ForestConfig) -> float:

@@ -22,9 +22,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import AssumptionViolation, DomainError, ModelError
+from .errors import AssumptionViolation, DomainError, ModelError, ParseError
 # path_sum_matrix is unused here but kept: perfbench/spans.py wraps it on this module by name.
-from .grid import ForestConfig, LineEdge, _repeated, path_sum_matrix  # noqa: F401
+from .grid import ForestConfig, LineEdge, _is_index, _is_number, _repeated, path_sum_matrix  # noqa: F401
 from .powerflow import InjectionVector, VoltageSamples, effective_impedance, lcpf_response
 
 __all__ = [
@@ -85,7 +85,6 @@ class InjectionModel:
     sigma_p: np.ndarray
     sigma_q: np.ndarray
     sigma_pq: np.ndarray
-    kind: str = "gaussian"
 
     def __post_init__(self):
         n = len(self.nodes)
@@ -166,7 +165,7 @@ class InjectionModel:
         return np.vstack([top, bot])
 
     @classmethod
-    def from_covariances(cls, nodes, mu_p, mu_q, omega_p, omega_q, omega_pq, kind="gaussian") -> "InjectionModel":
+    def from_covariances(cls, nodes, mu_p, mu_q, omega_p, omega_q, omega_pq) -> "InjectionModel":
         mu_p = np.asarray(mu_p, dtype=float)
         mu_q = np.asarray(mu_q, dtype=float)
         return cls(
@@ -174,7 +173,6 @@ class InjectionModel:
             sigma_p=np.asarray(omega_p, dtype=float) + np.outer(mu_p, mu_p),
             sigma_q=np.asarray(omega_q, dtype=float) + np.outer(mu_q, mu_q),
             sigma_pq=np.asarray(omega_pq, dtype=float) + np.outer(mu_p, mu_q),
-            kind=kind,
         )
 
     def aligned_to(self, nodes: Iterable[int]) -> "InjectionModel":
@@ -189,7 +187,7 @@ class InjectionModel:
         return InjectionModel(
             nodes=nodes, mu_p=self.mu_p[perm], mu_q=self.mu_q[perm],
             sigma_p=self.sigma_p[np.ix_(perm, perm)], sigma_q=self.sigma_q[np.ix_(perm, perm)],
-            sigma_pq=self.sigma_pq[np.ix_(perm, perm)], kind=self.kind,
+            sigma_pq=self.sigma_pq[np.ix_(perm, perm)],
         )
 
 
@@ -307,8 +305,6 @@ def sample_injections(model: InjectionModel, m: int, seed) -> InjectionBatch:
     """Draw m joint Gaussian samples of (p, q); deterministic per seed."""
     if m < 1:
         raise DomainError(f"sample count must be at least 1, got {m}")
-    if model.kind != "gaussian":
-        raise ModelError(f"no sampler registered for distribution kind {model.kind!r}")
     rng = np.random.default_rng(seed)
     mean = np.concatenate([model.mu_p, model.mu_q])
     draws = rng.multivariate_normal(mean, model.joint_covariance, size=m, method="eigh")
@@ -515,7 +511,6 @@ def verify_moment_ordering(forest: ForestConfig, model: InjectionModel,
 def model_to_dict(model: InjectionModel) -> dict:
     return {
         "kind": "explicit",
-        "distribution": model.kind,
         "nodes": list(model.nodes),
         "mu_p": model.mu_p.tolist(),
         "mu_q": model.mu_q.tolist(),
@@ -525,24 +520,55 @@ def model_to_dict(model: InjectionModel) -> dict:
     }
 
 
+_DEFAULT_MODEL_KEYS = ("mu_p", "sigma_ratio", "rho", "q_alpha", "q_noise_ratio")
+
+
+def _model_array(doc: dict, key: str, ndim: int, noun: str = "numbers", entry=_is_number):
+    """``doc[key]`` once it is a list of entries (ndim 1) or a list of
+    equal-length lists of entries (ndim 2); else ParseError naming the key."""
+    if key not in doc:
+        raise ParseError(f"missing required key {key!r}", "model")
+    value = doc[key]
+    rows = value if ndim == 2 else [value]
+    if not (isinstance(value, (list, tuple)) and all(isinstance(row, (list, tuple)) for row in rows)
+            and len({len(row) for row in rows}) <= 1 and all(entry(v) for row in rows for v in row)):
+        shape = "a list of equal-length lists" if ndim == 2 else "a list"
+        raise ParseError(f"expected {shape} of {noun}", f"model.{key}")
+    return value
+
+
 def model_from_dict(doc: dict, forest: ForestConfig | None = None) -> InjectionModel:
     """Build a model from its JSON form: either {"kind": "default", ...}
     with the parametric constants (requires a forest) or an explicit
-    {"kind": "explicit", nodes, means, moment matrices} document."""
+    {"kind": "explicit", nodes, means, moment matrices} document.
+
+    A mis-typed value, a missing array or a key a default model does not
+    take raises ParseError naming the key.  Injections are Gaussian; an
+    explicit document may say so with ``"distribution": "gaussian"``."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"expected an object, got {doc!r}", "model")
     kind = doc.get("kind", "default")
     if kind == "default":
+        params = {k: v for k, v in doc.items() if k != "kind"}
+        for key, value in params.items():
+            if key not in _DEFAULT_MODEL_KEYS:
+                raise ParseError(f"unknown key; a default model takes {', '.join(_DEFAULT_MODEL_KEYS)}",
+                                 f"model.{key}")
+            if not _is_number(value):
+                raise ParseError(f"expected a number, got {value!r}", f"model.{key}")
         if forest is None:
             raise DomainError("a forest is required to derive the default model")
-        params = {k: doc[k] for k in ("mu_p", "sigma_ratio", "rho", "q_alpha", "q_noise_ratio") if k in doc}
         return default_model(forest, **params)
     if kind == "explicit":
+        if doc.get("distribution", "gaussian") != "gaussian":
+            raise ParseError(f"only 'gaussian' injections can be sampled, got {doc['distribution']!r}",
+                             "model.distribution")
         return InjectionModel(
-            nodes=tuple(doc["nodes"]),
-            mu_p=np.asarray(doc["mu_p"], dtype=float),
-            mu_q=np.asarray(doc["mu_q"], dtype=float),
-            sigma_p=np.asarray(doc["sigma_p"], dtype=float),
-            sigma_q=np.asarray(doc["sigma_q"], dtype=float),
-            sigma_pq=np.asarray(doc["sigma_pq"], dtype=float),
-            kind=doc.get("distribution", "gaussian"),
+            nodes=tuple(_model_array(doc, "nodes", 1, "integer node ids", _is_index)),
+            mu_p=_model_array(doc, "mu_p", 1),
+            mu_q=_model_array(doc, "mu_q", 1),
+            sigma_p=_model_array(doc, "sigma_p", 2),
+            sigma_q=_model_array(doc, "sigma_q", 2),
+            sigma_pq=_model_array(doc, "sigma_pq", 2),
         )
-    raise DomainError(f"unknown model kind {kind!r}")
+    raise ParseError(f"unknown model kind {kind!r}", "model.kind")

@@ -15,16 +15,24 @@ The ancestry oracles (``preorder``, ``descendants``,
 every ancestry question read the preorder runs recorded when a forest is
 built: a preorder rebuilt per call, a stack walk over children, a post-order
 merge, a depth-equalising climb and a root-path membership test.
+
+``reconstruct`` is the learner as it was before it chose its pair statistic
+once per call: it decides per tested pair whether the data are samples or
+moments and whether either end is a substation, and fills its descendant
+sums node by node.  It keeps only the corrected deviation |1 - LHS/RHS|.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from gridtop.errors import ConvergenceError, InfeasibleStateError
+from gridtop.errors import ConvergenceError, DomainError, InfeasibleStateError
 from gridtop.grid import _edge_child, _edge_direction, _weight_of
+from gridtop.learner import LearnerConfig, ReconstructionResult, TraceRecord, relative_error
+from gridtop.moments import MomentSet, edge_sq_diff
 from gridtop.powerflow import DistFlowResult, VoltageState, effective_impedance
 
 
@@ -198,3 +206,135 @@ def laplacian_row_difference(forest, weights, child, node):
     if node in descendants(forest, child):
         return 1.0 / _weight_of(weights, forest.parent_edge[child])
     return 0.0
+
+
+class _DescendantSums:
+    """Descendant sets with their cached injection-moment sums, filled node
+    by node; merging set A into set B adds the A-B cross blocks once."""
+
+    def __init__(self, model, load_index):
+        self._sp = model.sigma_p
+        self._sq = model.sigma_q
+        self._spq = model.sigma_pq
+        self._load_index = load_index
+        self.members = {}
+        self.sums = {}
+
+    def add_node(self, node):
+        i = self._load_index.get(node)
+        if i is None:  # substations carry no injection moments
+            self.members[node] = []
+            self.sums[node] = (0.0, 0.0, 0.0)
+        else:
+            self.members[node] = [i]
+            self.sums[node] = (float(self._sp[i, i]), float(self._sq[i, i]), float(self._spq[i, i]))
+
+    def merge(self, src, dst):
+        a = self.members[src]
+        b = self.members[dst]
+        sp_a, sq_a, spq_a = self.sums[src]
+        sp_b, sq_b, spq_b = self.sums[dst]
+        if a and b:
+            ix = np.ix_(a, b)
+            xi = np.ix_(b, a)
+            sp_b += sp_a + 2.0 * float(self._sp[ix].sum())
+            sq_b += sq_a + 2.0 * float(self._sq[ix].sum())
+            spq_b += spq_a + float(self._spq[ix].sum()) + float(self._spq[xi].sum())
+        else:
+            sp_b += sp_a
+            sq_b += sq_a
+            spq_b += spq_a
+        b.extend(a)
+        self.sums[dst] = (sp_b, sq_b, spq_b)
+        del self.members[src], self.sums[src]
+
+
+def reconstruct(data, model, grid, config=LearnerConfig(), truth=None) -> ReconstructionResult:
+    """The bottom-up reconstruction with its pair statistic chosen per pair."""
+    nodes = grid.load_ids
+    if tuple(data.nodes) != nodes:
+        if set(data.nodes) != set(nodes):
+            raise DomainError("sample nodes do not match the grid's load nodes")
+        pos = {nid: i for i, nid in enumerate(data.nodes)}
+        perm = np.array([pos[nid] for nid in nodes], dtype=np.intp)
+    else:
+        perm = None
+
+    if isinstance(data, MomentSet):
+        sigma = data.sigma_eps if perm is None else data.sigma_eps[np.ix_(perm, perm)]
+        eps = None
+    else:
+        eps = data.eps if perm is None else data.eps[:, perm]
+        sigma = None
+
+    idx = grid.load_index
+    if eps is not None:
+        diag = {nid: float(np.mean(eps[:, idx[nid]] ** 2)) for nid in nodes}
+        for nid, value in diag.items():
+            if not math.isfinite(value):
+                raise DomainError(f"samples of node {nid} have a non-finite mean square ({value})")
+    else:
+        finite = np.isfinite(sigma)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise DomainError(f"moment entry of nodes ({nodes[i]}, {nodes[j]}) is not finite")
+        diag = {nid: float(sigma[idx[nid], idx[nid]]) for nid in nodes}
+    for sub in grid.substation_ids:
+        diag[sub] = 0.0
+
+    model = model.aligned_to(nodes)
+    desc = _DescendantSums(model, idx)
+    for nid in diag:
+        desc.add_node(nid)
+
+    def lhs_of(a, b):
+        if eps is not None:
+            col_a = eps[:, idx[a]] if a in idx else 0.0
+            col_b = eps[:, idx[b]] if b in idx else 0.0
+            d = col_a - col_b
+            return float(np.mean(d * d)) if isinstance(d, np.ndarray) else 0.0
+        saa = sigma[idx[a], idx[a]] if a in idx else 0.0
+        sbb = sigma[idx[b], idx[b]] if b in idx else 0.0
+        sab = sigma[idx[a], idx[b]] if (a in idx and b in idx) else 0.0
+        return float(saa - 2.0 * sab + sbb)
+
+    pop_order = sorted(diag, key=lambda nid: (-diag[nid], nid))
+    leaves = []
+    learned = set()
+    parent_map = {}
+    trace = []
+
+    for b_star in pop_order:
+        for a in list(leaves):
+            edge_index = grid.edge_between(a, b_star)
+            if edge_index is None:
+                trace.append(TraceRecord(a, b_star, None, None, None, False, "no line in grid"))
+                continue
+            lhs = lhs_of(a, b_star)
+            rhs = edge_sq_diff(grid.edges[edge_index], config.variant, *desc.sums[a])
+            if rhs == 0.0:
+                dev = 0.0 if lhs == 0.0 else math.inf
+            else:
+                dev = abs(1.0 - lhs / rhs)
+            if dev < config.tau:
+                pair = (a, b_star) if a <= b_star else (b_star, a)
+                learned.add(pair)
+                parent_map[a] = b_star
+                desc.merge(a, b_star)
+                leaves.remove(a)
+                trace.append(TraceRecord(a, b_star, lhs, rhs, dev, True))
+            else:
+                note = "rhs zero with nonzero lhs" if math.isinf(dev) else ""
+                trace.append(TraceRecord(a, b_star, lhs, rhs, dev, False, note))
+        if not grid.is_substation(b_star):
+            leaves.append(b_star)
+
+    result = ReconstructionResult(
+        learned_edges=frozenset(learned),
+        parent_map=parent_map,
+        trace=tuple(trace),
+        pop_order=tuple(pop_order),
+    )
+    if truth is not None:
+        result = replace(result, relative_error=relative_error(result, truth))
+    return result

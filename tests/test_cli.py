@@ -180,6 +180,13 @@ def test_env_seed_fallback(runner, tmp_path, monkeypatch):
     ({"sample_counts": 10}, "sample_counts"),
     ({"taus": "0.1"}, "taus"),
     ({"forest": {"closed_edges": [0.5]}}, "closed edge index 0.5 is not an integer"),
+    ({"trials": 2.7}, "trials"),
+    ({"taus": ["0.1"]}, "taus"),
+    ({"model": 3}, "model"),
+    ({"model": {"kind": "explicit"}}, "'nodes'"),
+    ({"model": {"mu_p": "x"}}, "model.mu_p"),
+    ({"model": {"sigma_ration": 0.3}}, "model.sigma_ration"),
+    ({"forest": {"random_seed": "x"}}, "forest.random_seed"),
 ])
 def test_experiment_cli_reports_a_mis_typed_plan_value(runner, tmp_path, overrides, key):
     plan = {"grid": "bus_13_3", "sample_counts": [20], "taus": [0.1], "trials": 1, "seed": 1}
@@ -192,3 +199,28 @@ def test_experiment_cli_reports_a_mis_typed_plan_value(runner, tmp_path, overrid
     errors = [line for line in res.output.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and key in errors[0]
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("command", ["simulate", "learn", "validate"])
+@pytest.mark.parametrize("model_doc, key", [
+    ({"mu_p": "x"}, "model.mu_p"),
+    ({"sigma_ration": 0.3}, "model.sigma_ration"),
+    ({"kind": "explicit"}, "'nodes'"),
+    (3, "model"),
+])
+def test_model_file_errors_name_their_key(runner, tmp_path, command, model_doc, key):
+    model_path, samples_path = tmp_path / "model.json", tmp_path / "samples.csv"
+    model_path.write_text(json.dumps(model_doc))
+    samples_path.write_text("1,2\n0.1,0.2\n")
+    args = {
+        "simulate": ["simulate", "--grid", "bus_13_3", "-m", "10", "-o", str(tmp_path / "s.csv")],
+        "learn": ["learn", "--grid", "bus_13_3", "--samples", str(samples_path)],
+        "validate": ["validate", "--grid", "bus_13_3"],
+    }[command]
+    res = runner.invoke(main, args + ["--model", str(model_path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    prefix = "invalid model: " if command == "validate" else "error: "
+    errors = [line for line in res.output.splitlines() if line.startswith(prefix)]
+    assert len(errors) == 1 and key in errors[0]

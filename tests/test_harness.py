@@ -1,7 +1,10 @@
 """Grid files, generators, bundled fixtures, and the experiment driver."""
 
+import csv
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +208,21 @@ def test_sample_csv_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(back.eps, samples.eps)
 
 
+def test_write_samples_writes_what_a_csv_writer_writes(tmp_path):
+    rng = np.random.default_rng(4)
+    special = [-0.0, 5e-324, 1.8e308, -1.8e308, 1e16, math.nan, math.inf, -math.inf]
+    eps = np.vstack([rng.normal(0.0, 0.02, (5, 8)), special])
+    samples = VoltageSamples(nodes=(7, 3, 12, 1, 9, 4, 30, 2), eps=eps, theta=None)
+    path = tmp_path / "samples.csv"
+    write_samples(path, samples)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow([str(nid) for nid in samples.nodes])
+    for row in eps:
+        writer.writerow([repr(float(v)) for v in row])
+    assert path.read_bytes() == want.getvalue().encode()
+
+
 def test_file_pipeline_equals_in_memory_pipeline(tmp_path):
     grid, forest = load_fixture("bus_13_3")
     model = default_model(forest)
@@ -375,10 +393,29 @@ def test_plan_validation():
 @pytest.mark.parametrize("key, value", [
     ("trials", "x"), ("trials", None), ("sample_counts", 10), ("sample_counts", [100, "x"]),
     ("taus", "0.1"), ("taus", [0.1, [0.2]]), ("seed", "x"), ("augment_open_lines", "x"),
+    # exact types: no truncation of floats, no bools as numbers, no numeric strings
+    ("trials", 2.7), ("trials", True), ("seed", 1.9), ("seed", -1), ("sample_counts", [True]),
+    ("sample_counts", [100, 2.5]), ("augment_open_lines", True), ("taus", ["0.1"]), ("taus", [True]),
 ])
 def test_plan_rejects_a_mis_typed_value_naming_its_key(key, value):
     with pytest.raises(ParseError, match=f"^{key}: "):
         _tiny_plan(**{key: value})
+
+
+@pytest.mark.parametrize("overrides, location", [
+    ({"model": 3}, "model"),
+    ({"model": {"kind": "explicit"}}, "model"),
+    ({"model": {"kind": "mystery"}}, "model.kind"),
+    ({"model": {"mu_p": "x"}}, "model.mu_p"),
+    ({"model": {"rho": True}}, "model.rho"),
+    ({"model": {"sigma_ration": 0.3}}, "model.sigma_ration"),
+    ({"forest": {"random_seed": "x"}}, "forest.random_seed"),
+    ({"forest": {"random_seed": 2.5}}, "forest.random_seed"),
+    ({"forest": {"random_seed": -1}}, "forest.random_seed"),
+])
+def test_plan_model_and_forest_errors_name_their_key(overrides, location):
+    with pytest.raises(ParseError, match=f"^{re.escape(location)}: "):
+        run_experiment(_tiny_plan(**overrides))
 
 
 def test_plan_must_be_an_object():

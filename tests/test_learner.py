@@ -1,16 +1,20 @@
 """Forest reconstruction: exact recovery, error metric, traces, and edge cases."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtop.errors import DomainError
+from gridtop.fixtures import load_fixture
 from gridtop.learner import LearnerConfig, reconstruct, relative_error
 from gridtop.moments import MomentSet, analytic_moment_set, default_model, sample_injections
-from gridtop.powerflow import lcpf_solve_many
+from gridtop.powerflow import VoltageSamples, lcpf_solve_many
 
-from conftest import chain_grid, random_a1_model, random_instance, single_edge_grid
+from conftest import chain_grid, random_a1_model, random_instance, shuffled_chain_grid, single_edge_grid, star_grid
+from scalar_oracles import reconstruct as oracle_reconstruct
 
 
 def _analytic(forest, model, variant="lc"):
@@ -156,9 +160,10 @@ def test_output_is_always_a_forest(seed):
 # -- acceptance statistic mechanics -------------------------------------------------
 
 
-def test_literal_tolerance_flag_accepts_overshoot():
+def test_overshoot_of_the_closed_form_is_rejected():
     # When the sample average overshoots the closed form by 50%, the
-    # corrected deviation rejects but the literal form is vacuously true.
+    # deviation |1 - LHS/RHS| is 0.5 and rejects; the published form
+    # 1 - |LHS/RHS| would be negative and accept.
     grid, forest = single_edge_grid()
     model = default_model(forest)
     exact = _analytic(forest, model)
@@ -166,8 +171,6 @@ def test_literal_tolerance_flag_accepts_overshoot():
                          sigma_theta=None, sigma_theta_eps=None, source="analytic")
     corrected = reconstruct(inflated, model, grid, LearnerConfig(tau=0.1))
     assert corrected.learned_edges == frozenset()
-    literal = reconstruct(inflated, model, grid, LearnerConfig(tau=0.1, literal_tolerance=True))
-    assert literal.learned_edges == {(0, 1)}
 
 
 def test_zero_rhs_with_nonzero_lhs_is_rejected_and_recorded():
@@ -208,8 +211,7 @@ def test_trace_rows_expose_decision_fields():
     for rec in accepted:
         assert rec.lhs == pytest.approx(rec.rhs, rel=1e-9)
         assert rec.deviation < 1e-9
-        row = rec.as_row()
-        assert len(row) == 7
+        assert len(rec) == 7
 
 
 def test_mismatched_sample_nodes_rejected():
@@ -231,3 +233,94 @@ def test_permuted_sample_columns_are_realigned():
     a = reconstruct(samples, model, grid, LearnerConfig(tau=0.2), truth=forest)
     b = reconstruct(shuffled, model, grid, LearnerConfig(tau=0.2), truth=forest)
     assert a.learned_edges == b.learned_edges
+
+
+# -- against the per-pair learner it replaced ------------------------------------
+
+FIXTURES = ("bus_13_3", "bus_29_1", "bus_83_11")
+ORACLE_KINDS = FIXTURES + ("random", "shuffled_chain", "star")
+
+
+def _learner_case(kind, seed, m, variant, permute, zero_model):
+    """Grid, truth, learner input and learner model for one drawn case: m
+    lc samples (columns permuted on request) or, at m = inf, the exact
+    moments of ``variant``; a zero-variance learner model makes every
+    closed form zero."""
+    if kind in FIXTURES:
+        grid, forest = load_fixture(kind)
+    elif kind == "random":
+        grid, forest = random_instance(seed)
+    elif kind == "shuffled_chain":
+        grid, forest = shuffled_chain_grid(3 + seed % 20, seed)
+    else:
+        grid, forest = star_grid(2 + seed % 10, seed)
+    model = random_a1_model(forest, seed + 1)
+    perm = np.random.default_rng(seed).permutation(grid.n_loads) if permute else np.arange(grid.n_loads)
+    nodes = tuple(np.array(grid.load_ids)[perm].tolist())
+    if m == math.inf:
+        sigma = _analytic(forest, model, variant).sigma_eps[np.ix_(perm, perm)]
+        data = MomentSet(nodes=nodes, sigma_eps=sigma, sigma_theta=None, sigma_theta_eps=None, source="analytic")
+    else:
+        eps = _sampled(forest, model, m, seed=seed + 2).eps[:, perm]
+        data = VoltageSamples(nodes=nodes, eps=eps, theta=None)
+    if zero_model:
+        n = grid.n_loads
+        model = type(model)(nodes=model.nodes, mu_p=np.zeros(n), mu_q=np.zeros(n), sigma_p=np.zeros((n, n)),
+                            sigma_q=np.zeros((n, n)), sigma_pq=np.zeros((n, n)))
+    return grid, forest, data, model
+
+
+_cases = dict(
+    seed=st.integers(0, 2**16),
+    m=st.sampled_from([3, 50, 2000, math.inf]),
+    variant=st.sampled_from(["lc", "dc"]),
+    tau=st.floats(-9.0, math.log10(0.3)).map(lambda e: 10.0 ** e),
+    permute=st.booleans(),
+    zero_model=st.booleans(),
+)
+
+
+def _bits(value):
+    return None if value is None else int(np.float64(value).view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@settings(max_examples=12, deadline=None)
+@given(**_cases)
+def test_reconstruct_matches_the_per_pair_oracle(kind, seed, m, variant, tau, permute, zero_model):
+    grid, forest, data, model = _learner_case(kind, seed, m, variant, permute, zero_model)
+    config = LearnerConfig(tau=tau, variant=variant)
+    got = reconstruct(data, model, grid, config, truth=forest)
+    want = oracle_reconstruct(data, model, grid, config, truth=forest)
+    assert got.learned_edges == want.learned_edges
+    assert got.parent_map == want.parent_map
+    assert got.pop_order == want.pop_order
+    assert got.relative_error == want.relative_error
+    assert len(got.trace) == len(want.trace)
+    for g, w in zip(got.trace, want.trace):
+        assert (g.leaf, g.candidate, g.accepted, g.note) == (w.leaf, w.candidate, w.accepted, w.note)
+        assert [_bits(v) for v in g[2:5]] == [_bits(v) for v in w[2:5]]
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@settings(max_examples=8, deadline=None)
+@given(**_cases)
+def test_reconstruct_invariants(kind, seed, m, variant, tau, permute, zero_model):
+    grid, forest, data, model = _learner_case(kind, seed, m, variant, permute, zero_model)
+    res = reconstruct(data, model, grid, LearnerConfig(tau=tau, variant=variant))
+    rank = {nid: k for k, nid in enumerate(res.pop_order)}
+    accepted = [rec for rec in res.trace if rec.accepted]
+    # every accepted record joins a grid line, and no node gets two parents
+    assert all(grid.edge_between(rec.leaf, rec.candidate) is not None for rec in accepted)
+    assert len({rec.leaf for rec in accepted}) == len(accepted) == len(res.parent_map)
+    assert res.parent_map == {rec.leaf: rec.candidate for rec in accepted}
+    # a parent pops after its child
+    assert all(rank[parent] > rank[child] for child, parent in res.parent_map.items())
+    # each popped load is a leaf of every later pop up to and including the
+    # one that adopts it, in pop order, and of none after
+    adopted_at = {child: rank[parent] for child, parent in res.parent_map.items()}
+    for k, b_star in enumerate(res.pop_order):
+        tested = [rec.leaf for rec in res.trace if rec.candidate == b_star]
+        expected = [a for a in res.pop_order[:k]
+                    if not grid.is_substation(a) and adopted_at.get(a, math.inf) >= k]
+        assert tested == expected

@@ -1,12 +1,14 @@
 """Sampling, empirical moments, analytic moment formulas, and the moment
 identities behind the learner."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtop.errors import AssumptionViolation, DomainError, ModelError
+from gridtop.errors import AssumptionViolation, DomainError, ModelError, ParseError
 from gridtop.grid import LOAD, SUBSTATION
 from gridtop.moments import (
     InjectionModel,
@@ -78,6 +80,34 @@ def test_model_round_trips_through_dict(fig3):
     np.testing.assert_allclose(back.sigma_p, model.sigma_p)
     np.testing.assert_allclose(back.sigma_pq, model.sigma_pq)
     np.testing.assert_allclose(back.mu_q, model.mu_q)
+
+
+@pytest.mark.parametrize("key, value, location", [
+    ("sigma_pq", None, "model"),
+    ("nodes", None, "model"),
+    ("nodes", [1.5, 2, 3, 4, 5], "model.nodes"),
+    ("mu_q", "abc", "model.mu_q"),
+    ("mu_p", [-0.005, True, -0.005, -0.005, -0.005], "model.mu_p"),
+    ("sigma_p", [[1.0, "x", 0.0, 0.0, 0.0]] * 5, "model.sigma_p"),
+    ("sigma_q", [[1.0, 0.0], [0.0, 1.0, 0.0]], "model.sigma_q"),
+    ("distribution", "laplace", "model.distribution"),
+])
+def test_explicit_model_errors_name_their_key(fig3, key, value, location):
+    doc = model_to_dict(default_model(fig3[1]))
+    if value is None:  # the key is missing
+        del doc[key]
+    else:
+        doc[key] = value
+    with pytest.raises(ParseError, match=f"^{re.escape(location)}: "):
+        model_from_dict(doc)
+
+
+def test_explicit_model_is_gaussian(fig3):
+    grid, forest = fig3
+    doc = model_to_dict(default_model(forest))
+    assert "distribution" not in doc
+    model = model_from_dict(dict(doc, distribution="gaussian"))
+    np.testing.assert_array_equal(model.sigma_p, default_model(forest).sigma_p)
 
 
 # -- sampling -----------------------------------------------------------------
