@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,6 +47,12 @@ def _load_model(path: str | None, forest):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", f"{path}:{exc.lineno}:{exc.colno}") from exc
     return model_from_dict(doc, forest)
+
+
+def _json_margin(value: float | None):
+    """A decision margin for JSON output, which has no infinity: a
+    non-finite margin is written as a string ("inf")."""
+    return value if value is None or math.isfinite(value) else repr(value)
 
 
 def _fail(message: str):
@@ -161,6 +168,8 @@ def learn(grid_spec, samples_path, tau, variant, model_path, trace_path, as_json
         click.echo(json.dumps({
             "learned_edges": [list(e) for e in edges],
             "relative_error": result.relative_error,
+            "accept_margin": _json_margin(result.accept_margin),
+            "reject_margin": _json_margin(result.reject_margin),
         }))
         return
     click.echo(f"learned {len(edges)} edges:")

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -140,9 +140,16 @@ def _parsed_list(key: str, noun: str, convert, values) -> tuple:
     return tuple(_parsed(key, noun, convert, v) for v in values)
 
 
+_PLAN_KEYS = tuple(f.name for f in fields(ExperimentPlan))
+_GENERATOR_COUNTS = ("n_loads", "k_subs", "n_extra_lines", "n_tie_lines")
+
+
 def plan_from_dict(doc: dict) -> ExperimentPlan:
     if not isinstance(doc, dict):
         raise ParseError("a plan must be a JSON object", "plan")
+    for key in doc:
+        if key not in _PLAN_KEYS:
+            raise ParseError(f"unknown key; a plan takes {', '.join(_PLAN_KEYS)}", str(key))
     try:
         return ExperimentPlan(
             grid=doc["grid"],
@@ -194,8 +201,14 @@ def resolve_plan_grid(plan: ExperimentPlan) -> tuple[GridGraph, ForestConfig, st
         grid, forest = parse_grid(spec["path"])
         label = grid.name or Path(spec["path"]).stem
     elif isinstance(spec, dict) and "generator" in spec:
+        if not isinstance(spec["generator"], dict):
+            raise ParseError(f"expected an object, got {spec['generator']!r}", "grid.generator")
         params = dict(spec["generator"])
-        params.setdefault("seed", master)
+        for key in _GENERATOR_COUNTS:
+            if key in params:
+                params[key] = _parsed(f"grid.generator.{key}", "count", _integer, params[key])
+        seed = params.get("seed")
+        params["seed"] = master if seed is None else _parsed("grid.generator.seed", "seed", _seed, seed)
         try:
             n_loads = params.pop("n_loads")
             k_subs = params.pop("k_subs")

@@ -5,16 +5,20 @@ limit, exact moments), the true injection second moments, and the line
 parameters of the whole designed grid.  Nodes are discovered in order of
 decreasing diagonal voltage moment, which under the positivity assumption
 runs from the leaves toward the roots; each newly popped node is tested as
-the parent of every current leaf by comparing the empirical mean squared
-deviation difference against its closed-form value over the leaf's
-descendant set, and the edge is accepted when the relative mismatch is
-below the tolerance.
+the parent of every current leaf it shares a grid line with, by comparing
+the empirical mean squared deviation difference against its closed-form
+value over the leaf's descendant set, and the edge is accepted when the
+relative mismatch is below the tolerance.  A leaf without a line to the
+popped node cannot be its child, so it is not tested; the full per-pair
+trace, with those pairs as "no line in grid" records, is rebuilt from the
+tested decisions when it is first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -65,17 +69,67 @@ TRACE_FIELDS = TraceRecord._fields
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Learned operational edges plus the full per-pair decision trace.
+    """Learned operational edges plus the decisions behind them.
 
-    ``learned_edges`` is always cycle-free: a leaf leaves the frontier as
-    soon as its first edge is accepted, so no node acquires two parents.
+    ``decisions`` holds the tested (leaf, popped node) pairs, those joined
+    by a grid line, in test order.  ``trace`` is the full per-pair trace:
+    every current leaf against every popped node, the untested pairs as
+    "no line in grid" records.  It is rebuilt from ``pop_order`` and the
+    decisions on first read, so a caller that never reads it never pays for
+    it.  ``learned_edges`` is always cycle-free: a leaf leaves the frontier
+    as soon as its first edge is accepted, so no node acquires two parents.
     """
 
     learned_edges: frozenset[tuple[int, int]]
     parent_map: dict[int, int]
-    trace: tuple[TraceRecord, ...]
+    decisions: tuple[TraceRecord, ...]
     pop_order: tuple[int, ...]
+    tau: float
+    grid: GridGraph = field(compare=False, repr=False)
     relative_error: float | None = None
+
+    @cached_property
+    def trace(self) -> tuple[TraceRecord, ...]:
+        return _replay_trace(self)
+
+    @cached_property
+    def accept_margin(self) -> float | None:
+        """``tau`` minus the largest accepted deviation; None when no pair
+        was accepted."""
+        accepted = [rec.deviation for rec in self.decisions if rec.accepted]
+        return self.tau - max(accepted) if accepted else None
+
+    @cached_property
+    def reject_margin(self) -> float | None:
+        """The smallest rejected deviation minus ``tau``; None when no
+        tested pair was rejected."""
+        rejected = [rec.deviation for rec in self.decisions if not rec.accepted]
+        return min(rejected) - self.tau if rejected else None
+
+
+def _replay_trace(result: ReconstructionResult) -> tuple[TraceRecord, ...]:
+    """Every current leaf against every popped node, in pop order: the
+    stored decisions, with a "no line in grid" record for each pair
+    without a line."""
+    grid = result.grid
+    decisions = iter(result.decisions)
+    leaves: list[int] = []
+    trace: list[TraceRecord] = []
+    for b_star in result.pop_order:
+        kept = []
+        for a in leaves:
+            if grid.edge_between(a, b_star) is None:
+                trace.append(TraceRecord(a, b_star, None, None, None, False, "no line in grid"))
+                kept.append(a)
+            else:
+                rec = next(decisions)
+                trace.append(rec)
+                if not rec.accepted:
+                    kept.append(a)
+        leaves = kept
+        if b_star in grid.load_index:
+            leaves.append(b_star)
+    return tuple(trace)
 
 
 class _DescendantSums:
@@ -90,10 +144,12 @@ class _DescendantSums:
         self._sq = model.sigma_q
         self._spq = model.sigma_pq
         diagonals = zip(self._sp.diagonal().tolist(), self._sq.diagonal().tolist(), self._spq.diagonal().tolist())
-        self.members: dict[int, list[int]] = {nid: [i] for i, nid in enumerate(model.nodes)}
+        rows = np.arange(len(model.nodes), dtype=np.intp)
+        # Member index arrays in merge order; one-element views to start.
+        self.members: dict[int, np.ndarray] = {nid: rows[i:i + 1] for i, nid in enumerate(model.nodes)}
         self.sums: dict[int, tuple[float, float, float]] = dict(zip(model.nodes, diagonals))
         for sub in substations:  # substations carry no injection moments
-            self.members[sub] = []
+            self.members[sub] = rows[:0]
             self.sums[sub] = (0.0, 0.0, 0.0)
 
     def merge(self, src: int, dst: int):
@@ -101,17 +157,17 @@ class _DescendantSums:
         b = self.members[dst]
         sp_a, sq_a, spq_a = self.sums[src]
         sp_b, sq_b, spq_b = self.sums[dst]
-        if a and b:
-            ix = np.ix_(a, b)
-            xi = np.ix_(b, a)
-            sp_b += sp_a + 2.0 * float(self._sp[ix].sum())
-            sq_b += sq_a + 2.0 * float(self._sq[ix].sum())
-            spq_b += spq_a + float(self._spq[ix].sum()) + float(self._spq[xi].sum())
+        if a.size and b.size:
+            ab = (a[:, None], b)  # the np.ix_(a, b) block: same shape, same order
+            ba = (b[:, None], a)
+            sp_b += sp_a + 2.0 * float(self._sp[ab].sum())
+            sq_b += sq_a + 2.0 * float(self._sq[ab].sum())
+            spq_b += spq_a + float(self._spq[ab].sum()) + float(self._spq[ba].sum())
         else:
             sp_b += sp_a
             sq_b += sq_a
             spq_b += spq_a
-        b.extend(a)
+        self.members[dst] = np.concatenate([b, a])
         self.sums[dst] = (sp_b, sq_b, spq_b)
         del self.members[src], self.sums[src]
 
@@ -140,15 +196,17 @@ def _pair_statistic(data: VoltageSamples | MomentSet, grid: GridGraph) -> tuple[
 
         return dict(zip(nodes, sigma.diagonal().tolist())), lhs
 
-    eps = data.eps if perm is None else data.eps[:, perm]
-    # A non-finite cell makes its column's mean square non-finite.
-    diag = {nid: float(np.mean(eps[:, i] ** 2)) for i, nid in enumerate(nodes)}
+    # One (N, m) copy with each node's samples in a contiguous row; a row's
+    # mean has the bits of the per-column mean over the (m, N) samples.
+    et = np.ascontiguousarray(data.eps.T if perm is None else data.eps.T[perm])
+    # A non-finite cell makes its node's mean square non-finite.
+    diag = dict(zip(nodes, np.mean(et * et, axis=1).tolist()))
     for nid, value in diag.items():
         if not math.isfinite(value):
             raise DomainError(f"samples of node {nid} have a non-finite mean square ({value})")
 
     def lhs(i: int, j: int) -> float:
-        d = eps[:, i] - eps[:, j]
+        d = et[i] - et[j]
         return float(np.mean(d * d))
 
     return diag, lhs
@@ -168,11 +226,14 @@ def reconstruct(data: VoltageSamples | MomentSet, model: InjectionModel, grid: G
     difference on the left side is then the raw sample average, not
     reassembled from moment matrix entries) or an exact MomentSet for the
     infinite-sample limit.  Candidate parents are the lines of the designed
-    grid, whose parameters the closed form needs; a pair without a line is
-    recorded in the trace and skipped.  Substations are never attached as
-    children: they are roots of the base-constrained forest, with zero
-    deviation, so the left side of a leaf and a substation is the leaf's own
-    diagonal moment.
+    grid, whose parameters the closed form needs: each popped node is tested
+    against those of its grid neighbours that are current leaves, in pop
+    order, and a leaf without a line to it is skipped untested (the trace
+    records it on first read).  An accept changes only the popped node's
+    descendant sums, so no test of one popped node depends on another.
+    Substations are never attached as children: they are roots of the
+    base-constrained forest, with zero deviation, so the left side of a leaf
+    and a substation is the leaf's own diagonal moment.
     """
     diag, pair_lhs = _pair_statistic(data, grid)
     diag.update(dict.fromkeys(grid.substation_ids, 0.0))
@@ -180,16 +241,20 @@ def reconstruct(data: VoltageSamples | MomentSet, model: InjectionModel, grid: G
     idx = grid.load_index
 
     pop_order = sorted(diag, key=lambda nid: (-diag[nid], nid))
-    leaves: list[int] = []
+    rank = {nid: k for k, nid in enumerate(pop_order)}
+    # Per node, its lines to nodes popped before it, as (rank, node, line): sorted, in pop order.
+    earlier: dict[int, list[tuple[int, int, int]]] = {nid: [] for nid in pop_order}
+    for edge_index, edge in enumerate(grid.edges):
+        a, b = (edge.u, edge.v) if rank[edge.u] < rank[edge.v] else (edge.v, edge.u)
+        earlier[b].append((rank[a], a, edge_index))
+    leaves: set[int] = set()
     parent_map: dict[int, int] = {}
-    trace: list[TraceRecord] = []
+    decisions: list[TraceRecord] = []
 
     for b_star in pop_order:
         j = idx.get(b_star)  # None for a substation
-        for a in list(leaves):
-            edge_index = grid.edge_between(a, b_star)
-            if edge_index is None:
-                trace.append(TraceRecord(a, b_star, None, None, None, False, "no line in grid"))
+        for _, a, edge_index in sorted(earlier[b_star]):
+            if a not in leaves:
                 continue
             lhs = diag[a] if j is None else pair_lhs(idx[a], j)
             rhs = edge_sq_diff(grid.edges[edge_index], config.variant, *desc.sums[a])
@@ -198,15 +263,15 @@ def reconstruct(data: VoltageSamples | MomentSet, model: InjectionModel, grid: G
                 parent_map[a] = b_star
                 desc.merge(a, b_star)
                 leaves.remove(a)
-                trace.append(TraceRecord(a, b_star, lhs, rhs, dev, True))
+                decisions.append(TraceRecord(a, b_star, lhs, rhs, dev, True))
             else:
                 note = "rhs zero with nonzero lhs" if math.isinf(dev) else ""
-                trace.append(TraceRecord(a, b_star, lhs, rhs, dev, False, note))
+                decisions.append(TraceRecord(a, b_star, lhs, rhs, dev, False, note))
         if j is not None:
-            leaves.append(b_star)
+            leaves.add(b_star)
 
     learned = frozenset((a, b) if a <= b else (b, a) for a, b in parent_map.items())
-    return ReconstructionResult(learned, parent_map, tuple(trace), tuple(pop_order),
+    return ReconstructionResult(learned, parent_map, tuple(decisions), tuple(pop_order), config.tau, grid,
                                 None if truth is None else relative_error(learned, truth))
 
 

@@ -20,18 +20,20 @@ merge, a depth-equalising climb and a root-path membership test.
 once per call: it decides per tested pair whether the data are samples or
 moments and whether either end is a substation, and fills its descendant
 sums node by node.  It keeps only the corrected deviation |1 - LHS/RHS|.
+It visits every (current leaf, popped node) pair and builds the full trace
+as it goes, so it returns its own ``OracleResult`` with an eager trace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
 from gridtop.errors import ConvergenceError, DomainError, InfeasibleStateError
 from gridtop.grid import _edge_child, _edge_direction, _weight_of
-from gridtop.learner import LearnerConfig, ReconstructionResult, TraceRecord, relative_error
+from gridtop.learner import LearnerConfig, TraceRecord, relative_error
 from gridtop.moments import MomentSet, edge_sq_diff
 from gridtop.powerflow import DistFlowResult, VoltageState, effective_impedance
 
@@ -249,7 +251,17 @@ class _DescendantSums:
         del self.members[src], self.sums[src]
 
 
-def reconstruct(data, model, grid, config=LearnerConfig(), truth=None) -> ReconstructionResult:
+class OracleResult(NamedTuple):
+    """The learner's outputs, with the full trace built eagerly."""
+
+    learned_edges: frozenset
+    parent_map: dict
+    trace: tuple
+    pop_order: tuple
+    relative_error: float | None
+
+
+def reconstruct(data, model, grid, config=LearnerConfig(), truth=None) -> OracleResult:
     """The bottom-up reconstruction with its pair statistic chosen per pair."""
     nodes = grid.load_ids
     if tuple(data.nodes) != nodes:
@@ -329,12 +341,6 @@ def reconstruct(data, model, grid, config=LearnerConfig(), truth=None) -> Recons
         if not grid.is_substation(b_star):
             leaves.append(b_star)
 
-    result = ReconstructionResult(
-        learned_edges=frozenset(learned),
-        parent_map=parent_map,
-        trace=tuple(trace),
-        pop_order=tuple(pop_order),
-    )
-    if truth is not None:
-        result = replace(result, relative_error=relative_error(result, truth))
-    return result
+    learned = frozenset(learned)
+    return OracleResult(learned, parent_map, tuple(trace), tuple(pop_order),
+                        None if truth is None else relative_error(learned, truth))

@@ -3,16 +3,19 @@
 when one is gone.  Resolving them here catches a rename or a dropped import
 in the regular suite, not only in a benchmark run.  The counters of those
 wrap points read attributes of the program's arguments and results, so each
-counter is also run once on a real call."""
+counter is also run once on a real call.  Unit 0 of each experiment
+workload, at the reference seed, must write the error CSV that
+``perfbench/reference.json`` records, as the benchmark's own check demands."""
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
 from gridtop.fixtures import fixture_path, load_fixture
 from gridtop.grid import edge_weights
-from gridtop.harness import simulate_voltage, write_samples
+from gridtop.harness import simulate_voltage, write_error_csv, write_samples
 from gridtop.moments import default_model, sample_injections
 from gridtop.powerflow import InjectionVector
 
@@ -61,3 +64,15 @@ def test_every_benchmark_counter_reads_a_real_call(spans, tmp_path):
         counts = dict.fromkeys(spans.COUNT_NAMES, 0)
         counter(counts, args, {}, target(*args))
         assert counts != dict.fromkeys(spans.COUNT_NAMES, 0), f"the counter of {target.__name__} counted nothing"
+
+
+@pytest.mark.parametrize("name", ["mc_fixture", "distflow_mc"])
+def test_experiment_workload_reproduces_its_reference_csv(monkeypatch, tmp_path, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    workload = workloads.WORKLOADS[name](reference["seed"], False, tmp_path)
+    plan = workload.inputs(reference["unit"])
+    out = tmp_path / "errors.csv"
+    write_error_csv(out, workload.run(plan))
+    assert out.read_text() == reference["csv"][name]

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gridtop.fixtures import load_fixture
+from gridtop.harness import read_samples
 from gridtop.harness.cli import main
+from gridtop.learner import LearnerConfig, reconstruct
+from gridtop.moments import default_model
 
 
 @pytest.fixture
@@ -59,6 +63,40 @@ def test_simulate_moments_learn_pipeline(runner, tmp_path):
     lines = trace.read_text().splitlines()
     assert lines[0] == "leaf,candidate,lhs,rhs,deviation,accepted,note"
     assert len(lines) > 1
+
+
+def test_learn_json_reports_the_decision_margins(runner, tmp_path):
+    samples = tmp_path / "s.csv"
+    runner.invoke(main, ["simulate", "--grid", "bus_13_3", "-m", "200", "--seed", "4", "-o", str(samples)])
+    res = runner.invoke(main, ["learn", "--grid", "bus_13_3", "--samples", str(samples), "--tau", "0.05", "--json"])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    grid, forest = load_fixture("bus_13_3")
+    model = default_model(forest)
+    want = reconstruct(read_samples(samples), model, grid, LearnerConfig(tau=0.05))
+    assert (doc["accept_margin"], doc["reject_margin"]) == (want.accept_margin, want.reject_margin)
+    assert doc["accept_margin"] > 0.0 and doc["reject_margin"] >= 0.0
+
+
+def test_learn_json_writes_an_infinite_margin_as_a_string(runner, tmp_path):
+    # A zero-variance model makes every closed form zero, so every tested
+    # pair is rejected with an infinite deviation.
+    samples, model_path = tmp_path / "s.csv", tmp_path / "zero.json"
+    runner.invoke(main, ["simulate", "--grid", "bus_13_3", "-m", "50", "--seed", "1", "-o", str(samples)])
+    grid, _ = load_fixture("bus_13_3")
+    n = grid.n_loads
+    zeros = np.zeros((n, n)).tolist()
+    model_path.write_text(json.dumps({"kind": "explicit", "nodes": list(grid.load_ids), "mu_p": [0.0] * n,
+                                      "mu_q": [0.0] * n, "sigma_p": zeros, "sigma_q": zeros, "sigma_pq": zeros}))
+    res = runner.invoke(main, ["learn", "--grid", "bus_13_3", "--samples", str(samples), "--model", str(model_path),
+                               "--json"])
+    assert res.exit_code == 0, res.output
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    doc = json.loads(res.output, parse_constant=refuse)
+    assert (doc["accept_margin"], doc["reject_margin"]) == (None, "inf")
 
 
 def test_learn_human_readable_output(runner, tmp_path):
@@ -187,6 +225,10 @@ def test_env_seed_fallback(runner, tmp_path, monkeypatch):
     ({"model": {"mu_p": "x"}}, "model.mu_p"),
     ({"model": {"sigma_ration": 0.3}}, "model.sigma_ration"),
     ({"forest": {"random_seed": "x"}}, "forest.random_seed"),
+    ({"sede": 5}, "sede"),
+    ({"enigne": "distflow"}, "enigne"),
+    ({"grid": {"generator": {"n_loads": 6, "k_subs": 1, "n_extra_lines": 2, "seed": -3}}}, "grid.generator.seed"),
+    ({"grid": {"generator": {"n_loads": True, "k_subs": 1, "n_extra_lines": 2}}}, "grid.generator.n_loads"),
 ])
 def test_experiment_cli_reports_a_mis_typed_plan_value(runner, tmp_path, overrides, key):
     plan = {"grid": "bus_13_3", "sample_counts": [20], "taus": [0.1], "trials": 1, "seed": 1}

@@ -396,6 +396,8 @@ def test_plan_validation():
     # exact types: no truncation of floats, no bools as numbers, no numeric strings
     ("trials", 2.7), ("trials", True), ("seed", 1.9), ("seed", -1), ("sample_counts", [True]),
     ("sample_counts", [100, 2.5]), ("augment_open_lines", True), ("taus", ["0.1"]), ("taus", [True]),
+    # misspelt keys are refused, not ignored
+    ("sede", 5), ("enigne", "distflow"),
 ])
 def test_plan_rejects_a_mis_typed_value_naming_its_key(key, value):
     with pytest.raises(ParseError, match=f"^{key}: "):
@@ -412,6 +414,14 @@ def test_plan_rejects_a_mis_typed_value_naming_its_key(key, value):
     ({"forest": {"random_seed": "x"}}, "forest.random_seed"),
     ({"forest": {"random_seed": 2.5}}, "forest.random_seed"),
     ({"forest": {"random_seed": -1}}, "forest.random_seed"),
+    ({"grid": {"generator": 3}}, "grid.generator"),
+    ({"grid": {"generator": {"n_loads": 6, "k_subs": 1, "n_extra_lines": 2, "seed": -3}}}, "grid.generator.seed"),
+    ({"grid": {"generator": {"n_loads": 6, "k_subs": 1, "n_extra_lines": 2, "seed": 1.5}}}, "grid.generator.seed"),
+    ({"grid": {"generator": {"n_loads": True, "k_subs": 1, "n_extra_lines": 2}}}, "grid.generator.n_loads"),
+    ({"grid": {"generator": {"n_loads": 6, "k_subs": "1", "n_extra_lines": 2}}}, "grid.generator.k_subs"),
+    ({"grid": {"generator": {"n_loads": 6, "k_subs": 1, "n_extra_lines": None}}}, "grid.generator.n_extra_lines"),
+    ({"grid": {"generator": {"n_loads": 6, "k_subs": 1, "n_extra_lines": 2, "n_tie_lines": 2.5}}},
+     "grid.generator.n_tie_lines"),
 ])
 def test_plan_model_and_forest_errors_name_their_key(overrides, location):
     with pytest.raises(ParseError, match=f"^{re.escape(location)}: "):

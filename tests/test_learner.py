@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridtop import learner
 from gridtop.errors import DomainError
 from gridtop.fixtures import load_fixture
+from gridtop.grid import LOAD, SUBSTATION
+from gridtop.harness import plan_from_dict, run_experiment
 from gridtop.learner import LearnerConfig, reconstruct, relative_error
 from gridtop.moments import MomentSet, analytic_moment_set, default_model, sample_injections
 from gridtop.powerflow import VoltageSamples, lcpf_solve_many
 
-from conftest import chain_grid, random_a1_model, random_instance, shuffled_chain_grid, single_edge_grid, star_grid
+from conftest import (chain_grid, make_grid, random_a1_model, random_instance, shuffled_chain_grid, single_edge_grid,
+                      star_grid)
 from scalar_oracles import reconstruct as oracle_reconstruct
 
 
@@ -212,6 +216,70 @@ def test_trace_rows_expose_decision_fields():
         assert rec.lhs == pytest.approx(rec.rhs, rel=1e-9)
         assert rec.deviation < 1e-9
         assert len(rec) == 7
+
+
+# -- the trace on first read and the decision margins ---------------------------
+
+
+def test_run_experiment_never_builds_the_trace(monkeypatch):
+    def refuse(result):
+        raise RuntimeError("the trace was built")
+
+    monkeypatch.setattr(learner, "_replay_trace", refuse)
+    plan = plan_from_dict({"grid": "bus_13_3", "sample_counts": [50, "inf"], "taus": [0.1],
+                           "trials": 2, "seed": 3})
+    assert run_experiment(plan).failures == 0
+
+
+def test_trace_is_built_once_from_the_tested_pairs():
+    grid, forest = load_fixture("bus_13_3")
+    model = default_model(forest)
+    res = reconstruct(_sampled(forest, model, 200, seed=4), model, grid, LearnerConfig(tau=0.05))
+    first = res.trace
+    assert res.trace is first
+    assert [rec for rec in first if rec.note != "no line in grid"] == list(res.decisions)
+
+
+def test_leaves_are_tested_in_pop_order_not_id_order():
+    # Hub 1 has leaves 2..5 whose lines grow with the id, so under the
+    # default model the leaves pop in descending id order, against the
+    # order of their ids and of the grid's lines.
+    nodes = [(0, SUBSTATION)] + [(i, LOAD) for i in range(1, 6)]
+    lines = [(0, 1, 0.1, 0.1), (1, 2, 0.05, 0.05), (1, 3, 0.1, 0.1), (1, 4, 0.2, 0.2),
+             (1, 5, 0.3, 0.3), (2, 5, 0.2, 0.2)]
+    grid, forest = make_grid(nodes, lines, closed=[0, 1, 2, 3, 4])
+    model = default_model(forest)
+    samples = _sampled(forest, model, 400, seed=6)
+    res = reconstruct(samples, model, grid, LearnerConfig(tau=0.3), truth=forest)
+    want = oracle_reconstruct(samples, model, grid, LearnerConfig(tau=0.3), truth=forest)
+    assert res.pop_order[:4] == (5, 4, 3, 2)
+    assert [rec.leaf for rec in res.decisions if rec.candidate == 1] == [5, 4, 3, 2]
+    assert list(res.decisions) == [rec for rec in want.trace if rec.note != "no line in grid"]
+    assert res.trace == want.trace
+
+
+def test_decision_margins_read_the_tested_pairs():
+    grid, forest = load_fixture("bus_13_3")
+    model = default_model(forest)
+    res = reconstruct(_sampled(forest, model, 200, seed=4), model, grid, LearnerConfig(tau=0.05))
+    accepted = [rec.deviation for rec in res.trace if rec.accepted]
+    rejected = [rec.deviation for rec in res.trace if rec.deviation is not None and not rec.accepted]
+    assert accepted and rejected
+    assert res.accept_margin == 0.05 - max(accepted) > 0.0
+    assert res.reject_margin == min(rejected) - 0.05 >= 0.0
+
+
+def test_decision_margins_are_none_without_such_a_decision():
+    grid, forest = chain_grid(4)
+    model = default_model(forest)
+    exact = reconstruct(_analytic(forest, model), model, grid, LearnerConfig(tau=1e-9))
+    assert exact.accept_margin is not None and exact.reject_margin is None
+    grid, forest = single_edge_grid()
+    mset = _analytic(forest, model := default_model(forest))
+    inflated = MomentSet(nodes=mset.nodes, sigma_eps=1.5 * mset.sigma_eps,
+                         sigma_theta=None, sigma_theta_eps=None, source="analytic")
+    none_accepted = reconstruct(inflated, model, grid, LearnerConfig(tau=0.1))
+    assert none_accepted.accept_margin is None and none_accepted.reject_margin is not None
 
 
 def test_mismatched_sample_nodes_rejected():
