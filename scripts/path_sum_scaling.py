@@ -1,27 +1,49 @@
 #!/usr/bin/env python
-"""Scaling of the dense response matrices on deep chains.
+"""Scaling of the infinite-sample path with the number of loads.
 
-Times ``lcpf_response`` (the two path-sum matrices of the linear model) on
-chains of N loads whose ids are shuffled along the line, so that ids are not
-in depth order, and fits the exponent k of t ~ N^k by least squares on the
-log-log points.  A chain is the worst case for root-path sums: its
-descendant sets sum to N^2 / 2 entries.  Each timing is the best of
-``--repeats`` calls, each on a freshly built forest.  Prints one JSON
-object.
+Times three calls on two kinds of forest and fits the exponent k of
+t ~ N^k by least squares on the log-log points of each (call, kind):
 
-    PYTHONPATH=src python scripts/path_sum_scaling.py
+* ``lcpf_response``: the dense response matrices (A, B) of the linear model,
+  which the sample solves use;
+* ``analytic_moment_set``: the exact voltage moments of the default model;
+* ``reconstruct``: the learner fed those moments, at the ``feeder_scale``
+  benchmark's tau = 1e-4.  The relative error it reaches is recorded at
+  that tau and at 1e-12, where an error above 0 means the statistic lost
+  its digits to rounding (a learner that rejects every pair also merges
+  nothing, so its time at 1e-12 would not be comparable).
+
+The forests are chains of N loads whose ids are shuffled along the line
+(one deep tree: ids are not in depth order, and descendant sets sum to
+N^2 / 2 loads), and the benchmark's feeders (``perfbench/feeder.py``: four
+trees, one of them a spine of N / 5 loads).  Each timing is the best of
+``--repeats`` calls, each on a freshly built forest, so no call reuses what
+an earlier one kept in the forest's memo.  Writes one JSON document.
+
+    PYTHONPATH=src python scripts/path_sum_scaling.py --out BENCH_scaling.json
 """
 
 import argparse
 import json
 import os
 import platform
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from gridtop.grid import LOAD, SUBSTATION, ForestConfig, GridGraph, GridNode, LineEdge
+from gridtop.harness import parse_grid
+from gridtop.learner import LearnerConfig, reconstruct
+from gridtop.moments import analytic_moment_set, default_model
 from gridtop.powerflow import lcpf_response
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from feeder import feeder_document  # noqa: E402
+
+TIMED_TAU = 1e-4
+TAUS = (1e-4, 1e-12)
 
 
 def shuffled_chain(n_loads: int, rng: np.random.Generator) -> GridGraph:
@@ -33,33 +55,78 @@ def shuffled_chain(n_loads: int, rng: np.random.Generator) -> GridGraph:
     return GridGraph(nodes=nodes, edges=edges, name=f"shuffled_chain_{n_loads}")
 
 
+def forests(kind: str, n: int, rng: np.random.Generator):
+    """The grid of one case and a function that builds a fresh forest of it."""
+    if kind == "shuffled_chain":
+        grid = shuffled_chain(n, rng)
+        return grid, lambda: ForestConfig.from_closed_edges(grid, range(n))
+    text = feeder_document(rng, n_loads=n, n_subs=4, spine=n // 5, name=f"feeder_{n}")
+    grid = parse_grid(text)[0]
+    return grid, lambda: parse_grid(text)[1]
+
+
+def best(repeats: int, build, call) -> float:
+    """Best wall time of ``call(build())`` over ``repeats`` runs; the build
+    is not timed."""
+    out = float("inf")
+    for _ in range(repeats):
+        arg = build()
+        started = time.perf_counter()
+        call(arg)
+        out = min(out, time.perf_counter() - started)
+    return out
+
+
+def exponent(sizes, seconds) -> float:
+    return round(float(np.polyfit(np.log(sizes), np.log(seconds), 1)[0]), 3)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", type=int, nargs="+", default=[250, 500, 1000, 2000])
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--out", default="BENCH_scaling.json")
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    seconds = []
-    for n in args.sizes:
-        grid = shuffled_chain(n, rng)
-        best = float("inf")
-        for _ in range(args.repeats):
-            forest = ForestConfig.from_closed_edges(grid, range(n))
-            started = time.perf_counter()
-            lcpf_response(forest)
-            best = min(best, time.perf_counter() - started)
-        seconds.append(best)
-    exponent = float(np.polyfit(np.log(args.sizes), np.log(seconds), 1)[0])
-    print(json.dumps({
+    cases = {}
+    for kind in ("shuffled_chain", "feeder"):
+        rows = {"lcpf_response": [], "analytic_moment_set": [], "reconstruct": []}
+        errors = []
+        for n in args.sizes:
+            grid, fresh = forests(kind, n, rng)
+
+            def learned(prepared, tau=TIMED_TAU):
+                forest, model, mset = prepared
+                return reconstruct(mset, model, grid, LearnerConfig(tau=tau), truth=forest)
+
+            def prepare():
+                forest = fresh()
+                model = default_model(forest)
+                return forest, model, analytic_moment_set(forest, model)
+
+            rows["lcpf_response"].append(best(args.repeats, fresh, lcpf_response))
+            rows["analytic_moment_set"].append(best(args.repeats, lambda: (f := fresh(), default_model(f)),
+                                                    lambda fm: analytic_moment_set(*fm)))
+            rows["reconstruct"].append(best(args.repeats, prepare, learned))
+            prepared = prepare()
+            errors.append([learned(prepared, tau).relative_error for tau in TAUS])
+        cases[kind] = {
+            "seconds": {name: [round(s, 6) for s in seconds] for name, seconds in rows.items()},
+            "exponent": {name: exponent(args.sizes, seconds) for name, seconds in rows.items()},
+            "relative_error": {f"tau_{tau:g}": [e[k] for e in errors] for k, tau in enumerate(TAUS)},
+        }
+    doc = {
         "sizes": args.sizes,
-        "seconds": [round(s, 6) for s in seconds],
-        "exponent": round(exponent, 3),
         "repeats": args.repeats,
+        "seed": args.seed,
+        "cases": cases,
         "machine": {"cpus": os.cpu_count(), "processor": platform.machine(),
                     "python": platform.python_version(), "numpy": np.__version__},
-    }))
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    print(json.dumps(doc))
 
 
 if __name__ == "__main__":

@@ -191,8 +191,15 @@ def _pair_statistic(data: VoltageSamples | MomentSet, grid: GridGraph) -> tuple[
             i, j = np.argwhere(~finite)[0]
             raise DomainError(f"moment entry of nodes ({nodes[i]}, {nodes[j]}) is not finite")
 
-        def lhs(i: int, j: int) -> float:
-            return float(sigma[i, i] - 2.0 * sigma[i, j] + sigma[j, j])
+        if data.drops is not None:  # exact: no difference of nearly equal moments
+            sq_diff = data.drops.sq_diff
+            order = range(len(nodes)) if perm is None else perm.tolist()
+
+            def lhs(i: int, j: int) -> float:
+                return sq_diff(order[i], order[j])
+        else:
+            def lhs(i: int, j: int) -> float:
+                return float(sigma[i, i] - 2.0 * sigma[i, j] + sigma[j, j])
 
         return dict(zip(nodes, sigma.diagonal().tolist())), lhs
 

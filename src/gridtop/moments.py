@@ -6,18 +6,26 @@ on is stated on these non-central matrices (it holds in particular whenever
 every load node consumes strictly more than it produces, in both active and
 reactive power).  Covariances are derived, informational quantities.
 
-The analytic formulas express the voltage-deviation moments through the
-inverse reduced Laplacians of the forest, whose entries are root-path sums;
-they are evaluated from those path sums directly, never by dense inversion.
-For a load node a with parent b the expected squared difference of their
-deviations collapses to a double sum of injection moments over the
-descendant set of a, which is the identity the reconstruction algorithm
-tests edge by edge.
+The analytic moments are computed in the forest's edge coordinates.  Index
+each line by its child load: the drop across line e is delta_e = r_e P_e +
+x_e Q_e, with P_e, Q_e the injections summed over e's subtree, and a
+deviation is the sum of the drops on its root path.  So every voltage moment
+is two subtree sweeps of an injection covariance, a weighting by the line
+impedances and two root-path sweeps, one block of trees at a time (the trees
+the model's covariance couples), plus the product of the means; no inverse
+Laplacian or dense response matrix is formed.  For a load a with parent b,
+E[(eps_a - eps_b)^2] is the second moment of the single drop delta_a: a
+double sum of injection moments over the descendant set of a, which is the
+identity the reconstruction algorithm tests edge by edge.  An analytic
+``MomentSet`` keeps the drop moments and answers that statistic from them,
+without subtracting nearly equal voltage moments, so exact recovery holds at
+any tolerance above rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -25,12 +33,13 @@ import numpy as np
 from .errors import AssumptionViolation, DomainError, ModelError, ParseError
 # path_sum_matrix is unused here but kept: perfbench/spans.py wraps it on this module by name.
 from .grid import ForestConfig, LineEdge, _is_index, _is_number, _repeated, path_sum_matrix  # noqa: F401
-from .powerflow import InjectionVector, VoltageSamples, effective_impedance, lcpf_response
+from .powerflow import InjectionVector, VoltageSamples, _Deferred, _ReadOnFirstAccess, effective_impedance
 
 __all__ = [
     "InjectionModel",
     "InjectionBatch",
     "MomentSet",
+    "LineDrops",
     "default_model",
     "sample_injections",
     "empirical_moments",
@@ -47,6 +56,13 @@ __all__ = [
 ]
 
 _PSD_SLACK = 1e-10
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _components(adjacent: np.ndarray) -> list[np.ndarray]:
@@ -85,6 +101,9 @@ class InjectionModel:
     sigma_p: np.ndarray
     sigma_q: np.ndarray
     sigma_pq: np.ndarray
+    # The connected components of the covariance pattern, as ascending
+    # indices into ``nodes``; found by the PSD check.
+    components: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.nodes)
@@ -120,14 +139,24 @@ class InjectionModel:
         component, so the blocks together have its eigenvalues; a forest's
         trees are the components of the default model.
         """
-        op, oq, opq = self.omega_p, self.omega_q, self.omega_pq
-        scale = max(1.0, *(float(np.abs(m).max(initial=0.0)) for m in (op, oq, opq)))
+        n = len(self.nodes)
+        coupled = np.zeros((n, n), dtype=bool)
+        scale = 1.0
+        for name in ("omega_p", "omega_q", "omega_pq"):  # one N x N matrix at a time
+            omega = getattr(self, name)
+            coupled |= omega != 0
+            scale = max(scale, float(omega.max(initial=0.0)), -float(omega.min(initial=0.0)))
+        del omega
         threshold = _PSD_SLACK * scale
-        coupled = (op != 0) | (oq != 0) | (opq != 0)
         coupled |= coupled.T
-        for comp in _components(coupled):
+        components = _components(coupled)
+        object.__setattr__(self, "components", tuple(components))
+        for comp in components:
             ix = np.ix_(comp, comp)
-            joint = np.block([[op[ix], opq[ix]], [opq[ix].T, oq[ix]]])
+            mp, mq = self.mu_p[comp], self.mu_q[comp]
+            opq = self.sigma_pq[ix] - np.outer(mp, mq)  # the block of omega_pq, and so on
+            joint = np.block([[self.sigma_p[ix] - np.outer(mp, mp), opq],
+                              [opq.T, self.sigma_q[ix] - np.outer(mq, mq)]])
             # A Cholesky factorization of J + (threshold / 2) I that succeeds
             # shows that every eigenvalue of J is above -threshold / 2, up to
             # Cholesky's backward error of about n * u * scale (u the unit
@@ -206,46 +235,6 @@ class InjectionBatch:
         return InjectionVector(p=self.p[j], q=self.q[j])
 
 
-def _check_moment_shape(name: str, matrix, n: int):
-    if np.shape(matrix) != (n, n):
-        raise DomainError(f"{name} must have shape ({n}, {n}) for {n} nodes, got {np.shape(matrix)}")
-
-
-class _Deferred:
-    """Moment matrices that one call computes together, on first read."""
-
-    def __init__(self, compute):
-        self._compute = compute
-        self._values = None
-
-    def get(self, name: str) -> np.ndarray:
-        if self._values is None:
-            self._values = self._compute()
-            self._compute = None  # release what the computation held
-        return self._values[name]
-
-
-class _ReadOnFirstAccess:
-    """A ``MomentSet`` field that may be given as a ``_Deferred``: the matrix
-    is computed, shape-checked and stored when the field is first read."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.name)  # so the dataclass field has no default
-        value = obj.__dict__[self.name]
-        if isinstance(value, _Deferred):
-            value = value.get(self.name)
-            _check_moment_shape(self.name, value, len(obj.nodes))
-            obj.__dict__[self.name] = value
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
-
-
 @dataclass(frozen=True)
 class MomentSet:
     """Second moments of voltage deviations (and phases when available).
@@ -253,7 +242,8 @@ class MomentSet:
     ``source`` is "analytic" or "empirical"; ``m`` carries the sample count
     for empirical sets.  Substations carry identically zero deviations and
     are therefore not part of the matrices.  An analytic set computes its
-    phase moments when one of them is first read.
+    phase moments when one of them is first read, and carries in ``drops``
+    the line-drop moments that answer E[(eps_a - eps_b)^2] exactly.
     """
 
     nodes: tuple[int, ...]
@@ -262,16 +252,21 @@ class MomentSet:
     sigma_theta_eps: np.ndarray | None = _ReadOnFirstAccess()
     source: str
     m: int | None = None
+    drops: LineDrops | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.nodes)
         if (nid := _repeated(self.nodes)) is not None:
             raise DomainError(f"node id {nid} is listed twice")
-        _check_moment_shape("sigma_eps", self.sigma_eps, n)
+        self._check_field("sigma_eps", self.sigma_eps)
         for name in ("sigma_theta", "sigma_theta_eps"):
             matrix = self.__dict__[name]
             if matrix is not None and not isinstance(matrix, _Deferred):
-                _check_moment_shape(name, matrix, n)
+                self._check_field(name, matrix)
+
+    def _check_field(self, name: str, matrix):
+        n = len(self.nodes)
+        if np.shape(matrix) != (n, n):
+            raise DomainError(f"{name} must have shape ({n}, {n}) for {n} nodes, got {np.shape(matrix)}")
 
 
 def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float = 0.2,
@@ -281,8 +276,14 @@ def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float
     Every load consumes mu_p on average, with active-power covariance
     sigma^2 (I + rho * ones) within each tree (sigma = sigma_ratio * |mu_p|)
     and zero correlation across trees; reactive injections are q_alpha * p
-    plus independent noise.  All constants are overridable defaults.
+    plus independent noise.  All constants are overridable defaults and
+    must be finite.
     """
+    params = {"mu_p": mu_p, "sigma_ratio": sigma_ratio, "rho": rho, "q_alpha": q_alpha,
+              "q_noise_ratio": q_noise_ratio}
+    for name, value in params.items():
+        if not _finite(value):
+            raise DomainError(f"default-model parameter {name} must be finite, got {value}")
     nodes = forest.grid.load_ids
     n = len(nodes)
     sig = sigma_ratio * abs(mu_p)
@@ -303,6 +304,8 @@ def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float
 
 def sample_injections(model: InjectionModel, m: int, seed) -> InjectionBatch:
     """Draw m joint Gaussian samples of (p, q); deterministic per seed."""
+    if not _is_index(m):
+        raise DomainError(f"sample count must be an integer, got {m!r}")
     if m < 1:
         raise DomainError(f"sample count must be at least 1, got {m}")
     rng = np.random.default_rng(seed)
@@ -332,109 +335,260 @@ def _aligned(forest: ForestConfig, model: InjectionModel) -> InjectionModel:
     return model.aligned_to(forest.grid.load_ids)
 
 
-# The linear model gives eps = A p + B q and theta = B p - A q, so every
-# voltage moment is a signed sum of sandwiches X S Y with X, Y in {A, B} and
-# S an injection moment.  One row per sandwich: (S, X, Y, output, sign,
-# form), where form "" adds X S Y, "sym" adds X S Y and its transpose, and
-# "T" adds the transpose only (A S^T A = (A S A)^T since A is symmetric).
-# Rows are grouped by (S, X), so one product X S serves a whole group; each
-# output takes its terms in the order of the formulas in the docstrings.
-_TERMS = (
-    ("sigma_p", "a", "a", "sigma_eps", 1, ""),
-    ("sigma_p", "b", "b", "sigma_theta", 1, ""),
-    ("sigma_p", "b", "a", "sigma_theta_eps", 1, ""),
-    ("sigma_q", "b", "b", "sigma_eps", 1, ""),
-    ("sigma_q", "a", "a", "sigma_theta", 1, ""),
-    ("sigma_q", "a", "b", "sigma_theta_eps", -1, ""),
-    ("sigma_pq", "b", "a", "sigma_theta", -1, "sym"),
-    ("sigma_pq", "b", "b", "sigma_theta_eps", 1, ""),
-    ("sigma_pq", "a", "b", "sigma_eps", 1, "sym"),
-    ("sigma_pq", "a", "a", "sigma_theta_eps", -1, "T"),
-)
-_OUTPUTS = ("sigma_eps", "sigma_theta", "sigma_theta_eps")
+# -- infinite-sample moments in edge coordinates ---------------------------------
+#
+# With D the subtree indicator (row e marks the loads below line e), the
+# drops are delta = R D p + X D q, eps = D^T delta, and the phases are the same
+# root-path sums of phi = X D p - R D q.  The covariances are zero across the
+# blocks the model's covariance components define, so the sweeps run one
+# block at a time, on arrays as wide as the block.
+#
+# These per-block sweeps and the forest's level plan (``powerflow._level_plan``)
+# are two kernels for one recursion.  The level plan sweeps all N rows of a
+# sample batch per depth level, its columns the samples; the tree-by-tree
+# arrays here have as many columns as the block has loads, so a sweep at full
+# N width would do N / n_k times the work for a tree of n_k loads.
+
+_WEIGHTS = {"eps": lambda r, x: (r, x), "theta": lambda r, x: (x, -r)}
+# Moment name -> the (left, right) weights of its drop covariance.
+_MOMENTS = {"sigma_eps": ("eps", "eps"), "sigma_theta": ("theta", "theta"),
+            "sigma_theta_eps": ("theta", "eps")}
 
 
-def _add(out: np.ndarray, term: np.ndarray, sign: int):
-    if sign > 0:
-        out += term
-    else:
-        out -= term
+@dataclass(frozen=True)
+class _BlockPlan:
+    """The sweep layout of one block: the loads of the trees that one
+    component of the injection covariance touches, as canonical indices in
+    breadth-first order, so each depth level is a run of rows and the
+    children of a node are consecutive.  ``steps`` has one entry per level
+    below the first, root side first: the level's rows, their parent rows,
+    the first row of each run of siblings (None when no two rows share a
+    parent) and the parent of each run.  Runs of consecutive rows are
+    slices."""
+
+    loads: np.ndarray
+    steps: tuple[tuple, ...]
 
 
-def _analytic_moments(forest: ForestConfig, model: InjectionModel, variant: str,
-                      outputs: tuple[str, ...] = _OUTPUTS) -> dict[str, np.ndarray]:
-    """Exact voltage moments of the linear model, evaluated per tree.
+def _run(index: np.ndarray) -> slice | np.ndarray:
+    """An ascending ``index`` without repeats as a slice when its rows are
+    consecutive."""
+    if index[-1] - index[0] == len(index) - 1:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
 
-    (A, B) come from ``lcpf_response``; when B is None (the "dc" variant)
-    its sandwiches are zero and skipped.  A and B are block diagonal over the
-    trees, so in tree-major order X S multiplies only the k-th row block of
-    S by the k-th diagonal block of X, and (X S) Y likewise by column
-    blocks: each product costs sum_k n_k^2 N instead of N^3.
-    """
-    a, b = lcpf_response(forest, variant)
-    mod = _aligned(forest, model)
+
+def _block_plans(forest: ForestConfig, model: InjectionModel) -> list[_BlockPlan]:
+    """One plan per block of trees; ``model`` is aligned to the forest."""
     tree = forest.load_tree_index
-    n = len(tree)
-    order = np.argsort(tree, kind="stable")  # tree-major, ascending id within a tree
-    permuted = not np.array_equal(order, np.arange(n))
-    sizes = np.bincount(tree)
-    cuts = np.cumsum(sizes)
-    spans = [slice(lo, hi) for lo, hi in zip(cuts - sizes, cuts) if hi > lo]
-    blocks = {name: [m[np.ix_(order[sl], order[sl])] for sl in spans]
-              for name, m in (("a", a), ("b", b)) if m is not None}
+    touched = np.zeros((forest.n_trees, forest.n_trees), dtype=bool)
+    for comp in model.components:
+        hit = np.bincount(tree[comp], minlength=forest.n_trees) > 0
+        touched |= np.outer(hit, hit)
+    idx = forest.grid.load_index
+    subs = forest.grid.substation_ids
+    plans = []
+    for trees in _components(touched):
+        rows = [nid for k in trees for nid in forest.children[subs[k]]]
+        for nid in rows:  # breadth first: the list grows as it is read
+            rows.extend(forest.children[nid])
+        if not rows:
+            continue
+        row = {nid: i for i, nid in enumerate(rows)}
+        parent = np.array([row.get(forest.parent[nid], -1) for nid in rows], dtype=np.intp)
+        first = np.diff(parent, prepend=-2) != 0  # the first row of each run of siblings
+        depth = np.array([forest.depth[nid] for nid in rows])
+        cuts = [*np.flatnonzero(np.diff(depth)) + 1, len(rows)]
+        steps = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            parents = parent[lo:hi]
+            starts = np.flatnonzero(first[lo:hi])
+            if len(starts) == hi - lo:  # no two rows share a parent
+                owners = _run(parents)
+                steps.append((slice(lo, hi), owners, None, owners))
+            else:
+                steps.append((slice(lo, hi), parents, starts, _run(parents[starts])))
+        plans.append(_BlockPlan(np.array([idx[nid] for nid in rows], dtype=np.intp), tuple(steps)))
+    return plans
 
-    result = {name: np.zeros((n, n)) for name in outputs}
-    terms = [t for t in _TERMS if t[3] in outputs and t[1] in blocks and t[2] in blocks]
-    for s_name in dict.fromkeys(t[0] for t in terms):
-        s = getattr(mod, s_name)
-        if permuted:
-            s = s[np.ix_(order, order)]
-        for x in dict.fromkeys(t[1] for t in terms if t[0] == s_name):
-            xs = np.empty_like(s)
-            for sl, blk in zip(spans, blocks[x]):
-                np.matmul(blk, s[sl], out=xs[sl])
-            for _, _, y, out_name, sign, form in (t for t in terms if t[:2] == (s_name, x)):
-                out = result[out_name]
-                for sl, blk in zip(spans, blocks[y]):
-                    xsy = xs[:, sl] @ blk  # columns sl of X S Y
-                    if form != "T":
-                        _add(out[:, sl], xsy, sign)
-                    if form:
-                        _add(out[sl], xsy.T, sign)
-            del xs
-    if permuted:
-        inverse = np.argsort(order)
-        for name in outputs:
-            result[name] = result[name][np.ix_(inverse, inverse)]
-    return result
+
+def _sum_subtrees(plan: _BlockPlan, rows: np.ndarray) -> np.ndarray:
+    """D rows: each row becomes the sum over its load's subtree, in place."""
+    for level, _, starts, owners in reversed(plan.steps):
+        rows[owners] += rows[level] if starts is None else np.add.reduceat(rows[level], starts, axis=0)
+    return rows
+
+
+def _sum_root_paths(plan: _BlockPlan, rows: np.ndarray) -> np.ndarray:
+    """D^T rows: each row becomes the sum over its load's root path, in place."""
+    for level, parents, _, _ in plan.steps:
+        rows[level] += rows[parents]
+    return rows
+
+
+def _injection_sums(plan: _BlockPlan, mod: InjectionModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D W D^T over one block for W = omega_p, omega_q and omega_pq^T: the
+    covariances of the injections summed below each pair of lines."""
+    loads = plan.loads
+    n = len(loads)
+    ix = np.ix_(loads, loads)
+    mp, mq = mod.mu_p[loads], mod.mu_q[loads]
+    w = np.empty((n, 3 * n))
+    for k, (sigma, left, right) in enumerate(((mod.sigma_p, mp, mp), (mod.sigma_q, mq, mq), (mod.sigma_pq, mp, mq))):
+        np.subtract(sigma[ix], np.outer(left, right), out=w[:, k * n:(k + 1) * n])  # omega, as the model has it
+    w = _sum_subtrees(plan, w)  # D W, side by side
+    w = _sum_subtrees(plan, np.hstack([w[:, k * n:(k + 1) * n].T for k in range(3)]))  # D (D W)^T
+    return w[:, :n], w[:, n:2 * n], w[:, 2 * n:]
+
+
+def _drop_covariance(sums, left, right) -> np.ndarray:
+    """Cov(u1 P + v1 Q, u2 P + v2 Q) over one block's lines, for the
+    weights left = (u1, v1) and right = (u2, v2)."""
+    gp, gq, gqp = sums
+    (u1, v1), (u2, v2) = left, right
+    return (np.outer(u1, u2) * gp + np.outer(v1, v2) * gq
+            + np.outer(u1, v2) * gqp.T + np.outer(v1, u2) * gqp)
+
+
+def _path_sums(plan: _BlockPlan, block: np.ndarray) -> np.ndarray:
+    """D^T block D, leaving ``block`` as it is."""
+    half = _sum_root_paths(plan, block.copy()).T.copy()
+    return _sum_root_paths(plan, half).T
+
+
+class LineDrops:
+    """The line-drop moments an analytic ``MomentSet`` was computed from.
+
+    Per block, the covariance Delta of the drops delta_e of its lines; for
+    every line, its mean drop m_e; for every load, the variance and mean of
+    its deviation.  ``sq_diff`` reads E[(eps_a - eps_b)^2] from them without
+    forming a difference of nearly equal voltage moments.
+    """
+
+    def __init__(self, forest: ForestConfig, plans: list[_BlockPlan], covariances: list[np.ndarray],
+                 mean_drop: np.ndarray, variance: np.ndarray, mean: np.ndarray):
+        idx = forest.grid.load_index
+        n = len(idx)
+        # Lists of ints for the path walk; index n is every substation, at
+        # depth 0.  Float values stay in arrays: a list of N new float
+        # objects per set scattered over the heap and raised the peak RSS
+        # of a run of feeder units.
+        self._parent = [idx.get(forest.parent[nid], n) for nid in forest.grid.load_ids] + [n]
+        self._depth = [forest.depth[nid] for nid in forest.grid.load_ids] + [0]
+        block = np.empty(n, dtype=np.intp)
+        local = np.empty(n, dtype=np.intp)
+        for k, plan in enumerate(plans):
+            block[plan.loads] = k
+            local[plan.loads] = np.arange(len(plan.loads))
+        self._block, self._local = block.tolist(), local
+        self._covariances = covariances
+        self._mean_drop = mean_drop
+        self._variance, self._mean = variance, mean
+
+    def sq_diff(self, i: int, j: int) -> float:
+        """E[(eps_i - eps_j)^2] for two canonical load indices.
+
+        Within a block this is u^T Delta u + (u^T m)^2, where u is +1 on the
+        lines from load i up to the lowest common ancestor and -1 on those
+        from j (on both whole root paths across trees); for a load and its
+        parent it is Delta_ii + m_i^2.  Across blocks the deviations are
+        uncorrelated: var_i + var_j + (E eps_i - E eps_j)^2.
+        """
+        block = self._block
+        if block[i] != block[j]:
+            shift = self._mean[i] - self._mean[j]
+            return float(self._variance[i] + self._variance[j] + shift * shift)
+        parent, depth = self._parent, self._depth
+        up, down = [], []
+        a, b = i, j
+        while a != b:
+            if depth[a] >= depth[b]:
+                up.append(a)
+                a = parent[a]
+            else:
+                down.append(b)
+                b = parent[b]
+        cov = self._covariances[block[i]]
+        if len(up) + len(down) == 1:
+            line = (up or down)[0]
+            k = self._local[line]
+            shift = self._mean_drop[line]
+            return float(cov[k, k] + shift * shift)
+        lines = np.array(up + down, dtype=np.intp)
+        signs = np.repeat([1.0, -1.0], [len(up), len(down)])
+        sub = self._local[lines]
+        shift = signs @ self._mean_drop[lines]
+        return float(signs @ cov[np.ix_(sub, sub)] @ signs + shift * shift)
+
+
+def _edge_moments(forest: ForestConfig, model: InjectionModel, variant: str,
+                  names: tuple[str, ...]) -> tuple[dict[str, np.ndarray], LineDrops | None]:
+    """The moment matrices ``names`` of the linear model, in canonical
+    order, and the line drops behind ``sigma_eps`` when it is asked for."""
+    mod = _aligned(forest, model)
+    lines = [effective_impedance(forest.grid.edges[forest.parent_edge[nid]], variant)
+             for nid in forest.grid.load_ids]
+    r = np.array([r for r, _ in lines])
+    x = np.array([x for _, x in lines])
+    kinds = dict.fromkeys(kind for name in names for kind in _MOMENTS[name])
+    weights = {kind: _WEIGHTS[kind](r, x) for kind in kinds}
+    plans = _block_plans(forest, mod)
+
+    n = len(r)
+    mean_drop = {kind: np.empty(n) for kind in kinds}
+    mean = {kind: np.empty(n) for kind in kinds}
+    for plan in plans:
+        loads = plan.loads
+        below = _sum_subtrees(plan, np.stack([mod.mu_p[loads], mod.mu_q[loads]], axis=1))
+        for kind, (u, v) in weights.items():
+            drop = mean_drop[kind][loads] = u[loads] * below[:, 0] + v[loads] * below[:, 1]
+            mean[kind][loads] = _sum_root_paths(plan, drop.copy())
+
+    out = {name: np.outer(mean[_MOMENTS[name][0]], mean[_MOMENTS[name][1]]) for name in names}
+    covariances, variance = [], np.empty(n)
+    for plan in plans:
+        sums = _injection_sums(plan, mod)
+        local = {kind: (u[plan.loads], v[plan.loads]) for kind, (u, v) in weights.items()}
+        ix = np.ix_(plan.loads, plan.loads)
+        for name in names:
+            left, right = _MOMENTS[name]
+            cov = _drop_covariance(sums, local[left], local[right])
+            voltage = _path_sums(plan, cov)
+            out[name][ix] += voltage
+            if name == "sigma_eps":
+                covariances.append(cov)
+                variance[plan.loads] = voltage.diagonal()
+    drops = None
+    if "sigma_eps" in names:
+        drops = LineDrops(forest, plans, covariances, mean_drop["eps"], variance, mean["eps"])
+    return out, drops
 
 
 def analytic_sigma_eps(forest: ForestConfig, model: InjectionModel, variant: str = "lc") -> np.ndarray:
-    """Exact second moments of voltage deviations under the linear model.
-
-    A Sp A + B Sq B + A Spq B + (A Spq B)^T with A, B the path-sum inverse
-    Laplacians of the variant's effective impedances.
-    """
-    return _analytic_moments(forest, model, variant, ("sigma_eps",))["sigma_eps"]
+    """Exact second moments of voltage deviations under the linear model:
+    D^T E[delta delta^T] D for the line drops delta of the variant's
+    effective impedances."""
+    return _edge_moments(forest, model, variant, ("sigma_eps",))[0]["sigma_eps"]
 
 
 def analytic_sigma_theta(forest: ForestConfig, model: InjectionModel, variant: str = "lc") -> np.ndarray:
     """Exact second moments of phase deviations."""
-    return _analytic_moments(forest, model, variant, ("sigma_theta",))["sigma_theta"]
+    return _edge_moments(forest, model, variant, ("sigma_theta",))[0]["sigma_theta"]
 
 
 def analytic_sigma_theta_eps(forest: ForestConfig, model: InjectionModel, variant: str = "lc") -> np.ndarray:
     """Exact phase/voltage cross moments E[theta eps^T]; not symmetric."""
-    return _analytic_moments(forest, model, variant, ("sigma_theta_eps",))["sigma_theta_eps"]
+    return _edge_moments(forest, model, variant, ("sigma_theta_eps",))[0]["sigma_theta_eps"]
 
 
 def analytic_moment_set(forest: ForestConfig, model: InjectionModel, variant: str = "lc") -> MomentSet:
-    """Exact voltage moments of the linear model.  ``sigma_eps``, which the
-    learner reads, is computed here; the phase moments are computed together
-    when either is first read, with the values an eager call would give."""
-    phases = _Deferred(lambda: _analytic_moments(forest, model, variant, _OUTPUTS[1:]))
-    return MomentSet(nodes=forest.grid.load_ids, sigma_eps=analytic_sigma_eps(forest, model, variant),
-                     sigma_theta=phases, sigma_theta_eps=phases, source="analytic")
+    """Exact voltage moments of the linear model, with the line drops that
+    answer the learner's pair statistic.  ``sigma_eps`` is computed here;
+    the phase moments are computed together when either is first read."""
+    values, drops = _edge_moments(forest, model, variant, ("sigma_eps",))
+    phases = _Deferred(lambda: _edge_moments(forest, model, variant, ("sigma_theta", "sigma_theta_eps"))[0])
+    return MomentSet(nodes=forest.grid.load_ids, sigma_eps=values["sigma_eps"], sigma_theta=phases,
+                     sigma_theta_eps=phases, source="analytic", drops=drops)
 
 
 def edge_sq_diff(edge: LineEdge, variant: str, sp: float, sq: float, spq: float) -> float:
@@ -554,8 +708,8 @@ def model_from_dict(doc: dict, forest: ForestConfig | None = None) -> InjectionM
             if key not in _DEFAULT_MODEL_KEYS:
                 raise ParseError(f"unknown key; a default model takes {', '.join(_DEFAULT_MODEL_KEYS)}",
                                  f"model.{key}")
-            if not _is_number(value):
-                raise ParseError(f"expected a number, got {value!r}", f"model.{key}")
+            if not (_is_number(value) and _finite(value)):
+                raise ParseError(f"expected a finite number, got {value!r}", f"model.{key}")
         if forest is None:
             raise DomainError("a forest is required to derive the default model")
         return default_model(forest, **params)

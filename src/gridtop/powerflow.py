@@ -84,13 +84,58 @@ class VoltageState:
     theta: np.ndarray | None
 
 
+class _Deferred:
+    """Arrays that one call computes together, on first read."""
+
+    def __init__(self, compute):
+        self._compute = compute
+        self._values = None
+
+    def get(self, name: str) -> np.ndarray:
+        if self._values is None:
+            self._values = self._compute()
+            self._compute = None  # release what the computation held
+        return self._values[name]
+
+
+_NO_DEFAULT = object()
+
+
+class _ReadOnFirstAccess:
+    """A frozen-dataclass field that may be given as a ``_Deferred``: the
+    array is computed, checked by the owner's ``_check_field(name, value)``
+    and stored when the field is first read."""
+
+    def __init__(self, default=_NO_DEFAULT):
+        self.default = default
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            if self.default is _NO_DEFAULT:
+                raise AttributeError(self.name)  # so the dataclass field has no default
+            return self.default
+        value = obj.__dict__[self.name]
+        if isinstance(value, _Deferred):
+            value = value.get(self.name)
+            obj._check_field(self.name, value)
+            obj.__dict__[self.name] = value
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class VoltageSamples:
-    """A batch of voltage states: row j of ``eps`` (and ``theta``) is sample j."""
+    """A batch of voltage states: row j of ``eps`` (and ``theta``) is sample j.
+    ``theta`` may be computed when it is first read."""
 
     nodes: tuple[int, ...]
     eps: np.ndarray
-    theta: np.ndarray | None = None
+    theta: np.ndarray | None = _ReadOnFirstAccess(default=None)
 
     def __post_init__(self):
         if (nid := _repeated(self.nodes)) is not None:
@@ -99,8 +144,13 @@ class VoltageSamples:
         if len(shape) != 2 or shape[1] != len(self.nodes):
             raise DomainError(f"eps must have shape (m, {len(self.nodes)}) for {len(self.nodes)} nodes, "
                               f"got {shape}")
-        if self.theta is not None and np.shape(self.theta) != shape:
-            raise DomainError(f"theta must have the shape of eps {shape}, got {np.shape(self.theta)}")
+        theta = self.__dict__["theta"]
+        if theta is not None and not isinstance(theta, _Deferred):
+            self._check_field("theta", theta)
+
+    def _check_field(self, name: str, value):
+        if np.shape(value) != np.shape(self.eps):
+            raise DomainError(f"{name} must have the shape of eps {np.shape(self.eps)}, got {np.shape(value)}")
 
     def __len__(self) -> int:
         return self.eps.shape[0]
@@ -292,10 +342,12 @@ def lcpf_response(forest: ForestConfig, variant: str = "lc") -> tuple[np.ndarray
 
 
 def lcpf_solve_many(forest: ForestConfig, p: np.ndarray, q: np.ndarray) -> VoltageSamples:
-    """Vectorized linear solves for sample batches of shape (m, N)."""
+    """Vectorized linear solves for sample batches of shape (m, N).  The
+    phases are computed when ``theta`` is first read."""
     p, q = _check_batch(forest, p, q)
     a, b = lcpf_response(forest)
-    return VoltageSamples(nodes=forest.grid.load_ids, eps=p @ a + q @ b, theta=p @ b - q @ a)
+    phases = _Deferred(lambda: {"theta": p @ b - q @ a})
+    return VoltageSamples(nodes=forest.grid.load_ids, eps=p @ a + q @ b, theta=phases)
 
 
 @dataclass(frozen=True)

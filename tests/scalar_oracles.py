@@ -344,3 +344,32 @@ def reconstruct(data, model, grid, config=LearnerConfig(), truth=None) -> Oracle
     learned = frozenset(learned)
     return OracleResult(learned, parent_map, tuple(trace), tuple(pop_order),
                         None if truth is None else relative_error(learned, truth))
+
+
+def subtree_indicator(forest) -> np.ndarray:
+    """D with D[e, v] = 1 when load v lies in the subtree of load e, over the
+    canonical load order: row e stands for e's parent line, and column v of
+    D marks the lines on v's root path.  Built by a walk up from every load."""
+    idx = forest.grid.load_index
+    out = np.zeros((len(idx), len(idx)))
+    for nid, j in idx.items():
+        cur = nid
+        while cur in idx:
+            out[idx[cur], j] = 1.0
+            cur = forest.parent[cur]
+    return out
+
+
+def dense_drop_moments(forest, model, variant="lc") -> np.ndarray:
+    """E[delta delta^T] for the line drops delta_e = r_e P_e + x_e Q_e of the
+    linear model, from the non-central injection moments and a dense D, in
+    canonical order: eps = D^T delta, so E[(eps_a - eps_b)^2] is u^T Delta u
+    with u = D[:, a] - D[:, b]."""
+    mod = model.aligned_to(forest.grid.load_ids)
+    rx = [effective_impedance(forest.grid.edges[forest.parent_edge[nid]], variant) for nid in forest.grid.load_ids]
+    r = np.array([v for v, _ in rx])
+    x = np.array([v for _, v in rx])
+    d = subtree_indicator(forest)
+    rd, xd = r[:, None] * d, x[:, None] * d
+    cross = rd @ mod.sigma_pq @ xd.T
+    return rd @ mod.sigma_p @ rd.T + xd @ mod.sigma_q @ xd.T + cross + cross.T

@@ -1,6 +1,9 @@
 """Forest reconstruction: exact recovery, error metric, traces, and edge cases."""
 
+import importlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from gridtop import learner
 from gridtop.errors import DomainError
 from gridtop.fixtures import load_fixture
 from gridtop.grid import LOAD, SUBSTATION
-from gridtop.harness import plan_from_dict, run_experiment
+from gridtop.harness import parse_grid, plan_from_dict, resolve_plan_grid, run_experiment
 from gridtop.learner import LearnerConfig, reconstruct, relative_error
 from gridtop.moments import MomentSet, analytic_moment_set, default_model, sample_injections
 from gridtop.powerflow import VoltageSamples, lcpf_solve_many
@@ -392,3 +395,49 @@ def test_reconstruct_invariants(kind, seed, m, variant, tau, permute, zero_model
         expected = [a for a in res.pop_order[:k]
                     if not grid.is_substation(a) and adopted_at.get(a, math.inf) >= k]
         assert tested == expected
+
+
+# -- exact recovery below the old cancellation floor ------------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN_PLANS = json.loads((Path(__file__).with_name("golden") / "plans.json").read_text())
+
+
+def _recovery_case(monkeypatch, case):
+    """The golden "inf" plan's 300-load, 4-tree grid, or a 1000-load,
+    4-tree feeder with a 200-node spine as the benchmark builds it."""
+    if case == "golden_inf":
+        grid, forest, _ = resolve_plan_grid(plan_from_dict(GOLDEN_PLANS["analytic_multi_tree"]))
+        return grid, forest
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    feeder = importlib.import_module("feeder")
+    rng = np.random.default_rng(int(case.rpartition("_")[2]))
+    return parse_grid(feeder.feeder_document(rng, n_loads=1000, n_subs=4, spine=200, name=case))
+
+
+@pytest.mark.parametrize("case", ["golden_inf", "feeder_0", "feeder_1"])
+def test_exact_recovery_at_a_tolerance_of_1e_12(monkeypatch, case):
+    # The paper's infinite-sample guarantee holds at any tolerance above
+    # rounding: each tested pair's statistic must not lose its digits to
+    # cancellation on deep nodes.
+    grid, forest = _recovery_case(monkeypatch, case)
+    model = default_model(forest)
+    for tau in (1e-10, 1e-12):
+        res = reconstruct(_analytic(forest, model), model, grid, LearnerConfig(tau=tau), truth=forest)
+        assert res.relative_error == 0.0, tau
+
+
+def test_analytic_sets_answer_the_pair_statistic_themselves():
+    # Every tested pair of two loads reads the set's own statistic; a pair
+    # with a substation reads the leaf's diagonal moment.
+    grid, forest = load_fixture("bus_29_1")
+    model = default_model(forest)
+    mset = _analytic(forest, model)
+    idx = grid.load_index
+    res = reconstruct(mset, model, grid, LearnerConfig(tau=1e-12), truth=forest)
+    assert res.relative_error == 0.0
+    for rec in res.decisions:
+        if grid.is_substation(rec.candidate):
+            assert rec.lhs == mset.sigma_eps[idx[rec.leaf], idx[rec.leaf]]
+        else:
+            assert rec.lhs == mset.drops.sq_diff(idx[rec.leaf], idx[rec.candidate])

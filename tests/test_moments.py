@@ -12,6 +12,7 @@ from gridtop.errors import AssumptionViolation, DomainError, ModelError, ParseEr
 from gridtop.grid import LOAD, SUBSTATION
 from gridtop.moments import (
     InjectionModel,
+    analytic_moment_set,
     analytic_sigma_eps,
     analytic_sigma_theta,
     analytic_sigma_theta_eps,
@@ -26,7 +27,8 @@ from gridtop.moments import (
 )
 from gridtop.powerflow import VoltageSamples, lcpf_solve_many
 
-from conftest import chain_grid, make_grid, random_a1_model, random_instance, single_edge_grid
+from conftest import (chain_grid, empty_substation_grid, make_grid, random_a1_model, random_instance,
+                      shuffled_chain_grid, single_edge_grid)
 
 
 def _zero_model(nodes):
@@ -462,21 +464,87 @@ def test_per_tree_moments_match_dense_inverse_oracle(seed, variant, kind):
         assert np.array_equal(single(forest, model, variant), got)
 
 
+def _coupled_trees_model(forest, seed):
+    """Explicit model with nonzero means whose covariance couples the first
+    two trees that hold loads; every other tree is a block of its own."""
+    rng = np.random.default_rng(seed)
+    tree = forest.load_tree_index
+    n = len(tree)
+    trees = [k for k in range(forest.n_trees) if (tree == k).any()]
+    groups = [np.flatnonzero(np.isin(tree, trees[:2]))] + [np.flatnonzero(tree == k) for k in trees[2:]]
+    joint = np.zeros((2 * n, 2 * n))
+    for members in groups:
+        both = np.concatenate([members, n + members])
+        f = rng.normal(size=(len(both), len(both) + 2)) * 1e-3
+        joint[np.ix_(both, both)] = f @ f.T
+    return InjectionModel.from_covariances(
+        forest.grid.load_ids, -rng.uniform(0.002, 0.01, n), -rng.uniform(0.0, 0.004, n),
+        joint[:n, :n], joint[n:, n:], joint[:n, n:])
+
+
+ORACLE_GRIDS = ("multi_tree", "empty_substation", "shuffled_chain")
+
+
+def _oracle_case(seed, grid_kind, model_kind):
+    if grid_kind == "empty_substation":
+        grid, forest = empty_substation_grid()
+    elif grid_kind == "shuffled_chain":
+        grid, forest = shuffled_chain_grid(3 + seed % 30, seed)
+    else:
+        grid, forest = _multi_tree_instance(seed)
+    if model_kind == "coupled":
+        return forest, _coupled_trees_model(forest, seed + 11)
+    return forest, random_a1_model(forest, seed + 13)
+
+
+def _check_against_dense_inverses(seed, grid_kind, model_kind, variant):
+    forest, model = _oracle_case(seed, grid_kind, model_kind)
+    perm, dense = _dense_moments(forest, model, variant)
+    singles = (analytic_sigma_eps, analytic_sigma_theta, analytic_sigma_theta_eps)
+    for single, want in zip(singles, dense):
+        got = single(forest, model, variant)[np.ix_(perm, perm)]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(ORACLE_GRIDS), st.sampled_from(["a1", "coupled"]))
+def test_analytic_lc_phase_moments_match_dense_oracle(seed, grid_kind, model_kind):
+    _check_against_dense_inverses(seed, grid_kind, model_kind, "lc")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(ORACLE_GRIDS), st.sampled_from(["a1", "coupled"]))
+def test_analytic_dc_phase_moments_match_dense_oracle(seed, grid_kind, model_kind):
+    _check_against_dense_inverses(seed, grid_kind, model_kind, "dc")
+
+
+def test_coupled_trees_model_couples_exactly_two_trees():
+    from gridtop.moments import _components
+
+    grid, forest = _multi_tree_instance(4)
+    model = _coupled_trees_model(forest, 4)
+    coupled = (model.omega_p != 0) | (model.omega_q != 0) | (model.omega_pq != 0)
+    tree = forest.load_tree_index
+    comps = [np.unique(tree[c]).tolist() for c in _components(coupled | coupled.T)]
+    assert sorted(comps) == [[0, 1]] + [[k] for k in range(2, forest.n_trees) if (tree == k).any()]
+    assert (model.mu_p != 0).all() and (model.mu_q != 0).all()
+
+
 @pytest.mark.parametrize("variant", ["lc", "dc"])
 def test_analytic_phase_moments_are_computed_on_first_read(monkeypatch, variant):
     from gridtop import moments
 
     grid, forest = _multi_tree_instance(5)
     model = random_a1_model(forest, 5)
-    eager = moments._analytic_moments(forest, model, variant)
+    eager, _ = moments._edge_moments(forest, model, variant, ("sigma_eps", "sigma_theta", "sigma_theta_eps"))
     calls = []
 
     def counting(*args):
         calls.append(args[3])
         return real(*args)
 
-    real = moments._analytic_moments
-    monkeypatch.setattr(moments, "_analytic_moments", counting)
+    real = moments._edge_moments
+    monkeypatch.setattr(moments, "_edge_moments", counting)
     mset = moments.analytic_moment_set(forest, model, variant)
     assert calls == [("sigma_eps",)]
     assert np.array_equal(mset.sigma_theta_eps, eager["sigma_theta_eps"])
@@ -688,3 +756,123 @@ def test_assumption1_violations_equal_loop_oracle(seed):
     assert got == _violations_loop(forest, model)
     assert {name for _, _, name in got} == {"sigma_p", "sigma_q", "sigma_pq"}
     assert all(isinstance(a, int) and isinstance(b, int) for a, b, _ in got)
+
+
+# -- the analytic pair statistic in edge coordinates -------------------------------
+
+
+def _pair_case(seed, grid_kind, model_kind):
+    forest, model = _oracle_case(seed, grid_kind, model_kind)
+    return forest, model, analytic_moment_set(forest, model, "lc" if seed % 2 else "dc")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(ORACLE_GRIDS), st.sampled_from(["a1", "coupled"]))
+def test_pair_statistic_equals_expected_sq_diff_on_tree_edges(seed, grid_kind, model_kind):
+    forest, model, mset = _pair_case(seed, grid_kind, model_kind)
+    variant = "lc" if seed % 2 else "dc"
+    idx = forest.grid.load_index
+    for child, parent in forest.parent.items():
+        want = expected_sq_diff(forest, model, child, parent, variant)
+        if parent in idx:
+            got = mset.drops.sq_diff(idx[child], idx[parent])
+            assert got == mset.drops.sq_diff(idx[parent], idx[child])
+        else:  # a substation's deviation is 0: the learner reads the diagonal
+            got = mset.sigma_eps[idx[child], idx[child]]
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(ORACLE_GRIDS), st.sampled_from(["a1", "coupled"]))
+def test_pair_statistic_matches_the_dense_path_form(seed, grid_kind, model_kind):
+    # u^T Delta u with u = D[:, a] - D[:, b] from a dense subtree indicator
+    # D, on every pair of loads: adjacent, within a tree and across trees.
+    import scalar_oracles as oracle
+
+    forest, model, mset = _pair_case(seed, grid_kind, model_kind)
+    delta = oracle.dense_drop_moments(forest, model, "lc" if seed % 2 else "dc")
+    d = oracle.subtree_indicator(forest)
+    n = forest.grid.n_loads
+    for i in range(n):
+        for j in range(n):
+            u = d[:, i] - d[:, j]
+            want = u @ delta @ u
+            got = mset.drops.sq_diff(i, j)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15 * np.abs(delta).max()), (i, j)
+
+
+def test_pair_statistic_oracle_cases_reach_every_branch():
+    # The cases above must include the pairs the statistic treats apart:
+    # two blocks, two trees in one coupled block, and paths of many lines.
+    from gridtop import moments
+
+    forest, model = _oracle_case(3, "multi_tree", "coupled")
+    assert forest.n_trees >= 3
+    assert len(moments._block_plans(forest, model)) == forest.n_trees - 1  # the first two share a block
+    forest, _ = _oracle_case(8, "shuffled_chain", "a1")
+    assert max(forest.depth.values()) >= 10
+
+
+def test_analytic_moments_build_no_path_sum_matrix(monkeypatch):
+    from gridtop import grid as grid_module
+    from gridtop import moments, powerflow
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense response or path-sum matrix was built")
+
+    for module, name in ((powerflow, "lcpf_response"), (powerflow, "path_sum_matrix"),
+                         (moments, "path_sum_matrix"), (grid_module, "path_sum_matrix")):
+        monkeypatch.setattr(module, name, refuse)
+    grid, forest = _multi_tree_instance(7)
+    for model in (default_model(forest), _coupled_trees_model(forest, 7)):
+        for variant in ("lc", "dc"):
+            mset = moments.analytic_moment_set(forest, model, variant)
+            assert mset.sigma_theta.shape == mset.sigma_theta_eps.shape == mset.sigma_eps.shape
+            verify_moment_ordering(forest, default_model(forest), variant)
+
+
+def test_hand_built_moment_sets_carry_no_pair_statistic(fig3):
+    grid, forest = fig3
+    mset = analytic_moment_set(forest, default_model(forest))
+    assert mset.drops is not None
+    plain = type(mset)(nodes=mset.nodes, sigma_eps=mset.sigma_eps, sigma_theta=None, sigma_theta_eps=None,
+                       source="analytic")
+    assert plain.drops is None
+    assert plain == type(mset)(nodes=mset.nodes, sigma_eps=mset.sigma_eps, sigma_theta=None,
+                               sigma_theta_eps=None, source="analytic", drops=mset.drops)
+    assert "drops" not in repr(plain)
+
+
+# -- input checks -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("doc, key", [('{"mu_p": NaN}', "mu_p"), ('{"sigma_ratio": Infinity}', "sigma_ratio"),
+                                      ('{"rho": -Infinity}', "rho"), ('{"q_alpha": 1e400}', "q_alpha")])
+def test_default_model_document_rejects_non_finite_parameters(fig3, doc, key):
+    import json
+
+    with pytest.raises(ParseError, match=f"^model.{key}: expected a finite number"):
+        model_from_dict(json.loads(doc), fig3[1])
+
+
+@pytest.mark.parametrize("key", ["mu_p", "sigma_ratio", "rho", "q_alpha", "q_noise_ratio"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400])
+def test_default_model_rejects_non_finite_parameters(fig3, key, value):
+    with pytest.raises(DomainError, match=f"parameter {key} must be finite"):
+        default_model(fig3[1], **{key: value})
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, True, "3", None, np.float64(4)])
+def test_sampling_rejects_a_non_integer_count(fig3, count):
+    with pytest.raises(DomainError, match="sample count must be an integer"):
+        sample_injections(default_model(fig3[1]), count, seed=1)
+
+
+def test_sampling_accepts_numpy_integers_with_the_same_draws(fig3):
+    model = default_model(fig3[1])
+    plain = sample_injections(model, 40, seed=5)
+    for count in (np.int64(40), np.int32(40)):
+        batch = sample_injections(model, count, seed=5)
+        assert np.array_equal(batch.p, plain.p) and np.array_equal(batch.q, plain.q)
+    with pytest.raises(DomainError, match="at least 1"):
+        sample_injections(model, np.int64(0), seed=5)

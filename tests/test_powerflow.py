@@ -145,6 +145,35 @@ def test_lcpf_response_built_once_per_forest(monkeypatch):
     assert len(calls) == 4
 
 
+def test_lcpf_phases_are_computed_on_first_read():
+    from gridtop.fixtures import load_fixture
+    from gridtop.moments import default_model, sample_injections
+    from gridtop.powerflow import _Deferred
+
+    grid, forest = load_fixture("bus_13_3")
+    batch = sample_injections(default_model(forest), 300, seed=4)
+    a, b = lcpf_response(forest)
+    eager = batch.p @ b - batch.q @ a  # the product every call computed before
+    samples = lcpf_solve_many(forest, batch.p, batch.q)
+    assert isinstance(samples.__dict__["theta"], _Deferred)
+    assert np.array_equal(samples.theta.view(np.int64), eager.view(np.int64))
+    assert samples.theta is samples.theta
+    assert np.array_equal(samples[7].theta, eager[7])
+
+
+def test_run_experiment_never_computes_phases(monkeypatch):
+    from gridtop.harness import plan_from_dict, run_experiment
+    from gridtop.powerflow import _Deferred
+
+    def refuse(self, name):
+        raise AssertionError(f"{name} was computed")
+
+    monkeypatch.setattr(_Deferred, "get", refuse)
+    plan = plan_from_dict({"grid": "bus_13_3", "sample_counts": [50, "inf"], "taus": [0.1], "trials": 2,
+                           "seed": 3})
+    assert run_experiment(plan).failures == 0
+
+
 def test_lcpf_response_dies_with_its_forest():
     import gc
     import weakref
