@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -60,6 +61,15 @@ def _fail(message: str):
     sys.exit(1)
 
 
+@contextmanager
+def _writing(path):
+    """End the command with one error line naming ``path`` when writing it fails."""
+    try:
+        yield
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc.strerror or exc}")
+
+
 @click.group()
 def main():
     """Simulate linearized power flow on radial grids and learn the
@@ -85,7 +95,8 @@ def gen_grid(loads, subs, ties, extra, r_min, r_max, x_min, x_max, seed, name, o
             loads, subs, extra, n_tie_lines=ties,
             r_range=(r_min, r_max), x_range=(x_min, x_max),
             seed=seed_or_env(seed), name=name)
-        write_grid(output, grid, forest)
+        with _writing(output):
+            write_grid(output, grid, forest)
     except GridTopError as exc:
         _fail(str(exc))
     click.echo(f"wrote {output}: {grid.n_loads} loads, {grid.n_substations} substations, "
@@ -132,7 +143,8 @@ def moments(samples_path, output):
     }
     text = json.dumps(doc, indent=2)
     if output:
-        Path(output).write_text(text + "\n")
+        with _writing(output):
+            Path(output).write_text(text + "\n")
         click.echo(f"wrote {output}")
     else:
         click.echo(text)
@@ -159,7 +171,7 @@ def learn(grid_spec, samples_path, tau, variant, model_path, trace_path, as_json
     except GridTopError as exc:
         _fail(str(exc))
     if trace_path:
-        with open(trace_path, "w", newline="") as fh:
+        with _writing(trace_path), open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(TRACE_FIELDS)
             writer.writerows(result.trace)  # csv writes None as an empty field
@@ -191,13 +203,16 @@ def experiment(plan_path, output, verbose, timing, gnuplot):
     try:
         plan = plan_from_json(plan_path)
         result = run_experiment(plan, include_timing=timing)
-        write_error_csv(output, result)
-        if verbose:
-            write_trial_csv(str(output) + ".trials.csv", result)
-        if gnuplot:
-            write_gnuplot_script(str(output) + ".gnuplot", output, result)
     except GridTopError as exc:
         _fail(str(exc))
+    with _writing(output):
+        write_error_csv(output, result)
+    if verbose:
+        with _writing(trials := f"{output}.trials.csv"):
+            write_trial_csv(trials, result)
+    if gnuplot:
+        with _writing(script := f"{output}.gnuplot"):
+            write_gnuplot_script(script, output, result)
     click.echo(f"wrote {output}: {len(result.rows)} grid points, {result.failures} failed trials")
     if result.failures:
         sys.exit(1)

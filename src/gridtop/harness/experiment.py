@@ -180,10 +180,20 @@ def plan_from_json(path: str | Path) -> ExperimentPlan:
 
 
 def seed_or_env(seed: int | None) -> int:
-    """``seed`` when given, else the GRIDTOP_SEED environment variable, else 0."""
+    """``seed`` when given, else the GRIDTOP_SEED environment variable, else 0.
+    Either must be a non-negative integer."""
     if seed is not None:
+        if seed < 0:
+            raise DomainError(f"--seed must be a non-negative integer, got {seed}")
         return seed
-    return int(os.environ.get("GRIDTOP_SEED", "0"))
+    text = os.environ.get("GRIDTOP_SEED", "0")
+    try:
+        env_seed = int(text)
+    except ValueError:
+        env_seed = -1
+    if env_seed < 0:
+        raise DomainError(f"GRIDTOP_SEED must be a non-negative integer, got {text!r}")
+    return env_seed
 
 
 def resolve_plan_grid(plan: ExperimentPlan) -> tuple[GridGraph, ForestConfig, str]:

@@ -23,11 +23,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ParseError
+from ..errors import GridTopError, ParseError
 from ..grid import LOAD, SUBSTATION, ForestConfig, GridGraph, GridNode, LineEdge, _repeated
 from ..powerflow import VoltageSamples
 
@@ -148,21 +149,68 @@ def write_samples(path: str | Path, samples: VoltageSamples) -> None:
     lines = [",".join(str(nid) for nid in samples.nodes)]
     lines.extend(",".join(map(repr, row)) for row in samples.eps.tolist())
     lines.append("")
-    Path(path).write_text("\n".join(lines), newline="")
+    try:
+        Path(path).write_text("\n".join(lines), newline="")
+    except OSError as exc:
+        raise GridTopError(f"cannot write sample file {path}: {exc.strerror or exc}") from exc
 
 
 def read_samples(source: str | Path) -> VoltageSamples:
-    """Read a voltage-sample CSV back into a batch (deviations only)."""
+    """Read a voltage-sample CSV back into a batch (deviations only).
+
+    A well-formed file is parsed once by ``np.loadtxt``; anything that parse
+    refuses or might read differently goes to ``_parse_samples_checked``,
+    which either accepts it or raises the ParseError that names its line.
+    """
     path = Path(source)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ParseError(f"cannot read sample file: {exc}", str(source)) from exc
+    fast = _parse_samples_plain(text)
+    return fast if fast is not None else _parse_samples_checked(text, str(source))
+
+
+# ASCII controls that ``np.loadtxt`` strips from around a number as
+# whitespace and ``float`` refuses.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_samples_plain(text: str) -> VoltageSamples | None:
+    """The samples of a well-formed file, or None where the checked parser
+    must decide.  Lines are split on "\\n" alone, as ``csv`` splits them:
+    ``str.splitlines`` would also break a line at form feeds and other
+    separators that ``float`` refuses inside a cell.  A header with a quote
+    fails ``int`` here and goes to the checked parser, so the fields split
+    here are the ``csv`` fields."""
+    header, newline, body = text.partition("\n")
+    if not newline or any(c in body for c in _LOADTXT_ONLY_SPACE):
+        return None
+    try:
+        nodes = tuple(int(h) for h in header.split(","))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps = np.loadtxt(body.split("\n"), delimiter=",", ndmin=2, comments=None)
+    except (ValueError, Warning):
+        return None
+    if _repeated(nodes) is not None or eps.shape[0] < 1 or eps.shape[1] != len(nodes) \
+            or not np.isfinite(eps).all():
+        return None
+    return VoltageSamples(nodes=nodes, eps=eps, theta=None)
+
+
+def _parse_samples_checked(text: str, source: str) -> VoltageSamples:
+    """Parse sample-file text cell by cell with ``csv`` and ``float``,
+    raising a ParseError at ``source:line`` for the first fault.
+
+    ``read_samples`` runs this only on text its one-pass parse refused, and
+    the tests use it as the reference that parse must agree with.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
-        raise ParseError("sample file is empty", str(source)) from None
+        raise ParseError("sample file is empty", source) from None
     try:
         nodes = tuple(int(h) for h in header)
     except ValueError:
@@ -182,7 +230,7 @@ def read_samples(source: str | Path) -> VoltageSamples:
             raise ParseError("non-numeric sample value", f"{source}:{lineno}") from None
         linenos.append(lineno)
     if not rows:
-        raise ParseError("sample file has a header but no samples", str(source))
+        raise ParseError("sample file has a header but no samples", source)
     eps = np.array(rows)
     finite = np.isfinite(eps).all(axis=1)
     if not finite.all():

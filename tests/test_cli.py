@@ -266,3 +266,67 @@ def test_model_file_errors_name_their_key(runner, tmp_path, command, model_doc, 
     prefix = "invalid model: " if command == "validate" else "error: "
     errors = [line for line in res.output.splitlines() if line.startswith(prefix)]
     assert len(errors) == 1 and key in errors[0]
+
+
+def _one_error_line(res):
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a clean exit, not an escaped exception
+    errors = [line for line in res.output.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "Traceback" not in res.output
+    return errors[0]
+
+
+@pytest.mark.parametrize("command", ["learn", "moments"])
+@pytest.mark.parametrize("text, where", [
+    ("1,2\n0.1,0.2\n0.3,nan\n", "bad.csv:3: non-finite sample value"),
+    ("1,2\n0.1,0.2\n0.3\n", "bad.csv:3: expected 2 columns, got 1"),
+    ("1,2\n", "bad.csv: sample file has a header but no samples"),
+])
+def test_a_bad_sample_file_is_reported_at_its_line(runner, tmp_path, command, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    args = {
+        "learn": ["learn", "--grid", "bus_13_3", "--samples", str(path)],
+        "moments": ["moments", "--samples", str(path)],
+    }[command]
+    assert _one_error_line(runner.invoke(main, args)).endswith(where)
+
+
+def _seeded_command(command, tmp_path):
+    if command == "experiment":
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"grid": "bus_13_3", "sample_counts": [20], "taus": [0.1], "trials": 1}))
+        return ["experiment", "--plan", str(plan), "-o", str(tmp_path / "out.csv")]
+    return {
+        "gen-grid": ["gen-grid", "--loads", "5", "-o", str(tmp_path / "g.json")],
+        "simulate": ["simulate", "--grid", "bus_13_3", "-m", "10", "-o", str(tmp_path / "s.csv")],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["gen-grid", "simulate"])
+def test_a_negative_seed_is_refused(runner, tmp_path, command):
+    res = runner.invoke(main, _seeded_command(command, tmp_path) + ["--seed", "-1"])
+    assert "--seed must be a non-negative integer" in _one_error_line(res)
+
+
+@pytest.mark.parametrize("command", ["gen-grid", "simulate", "experiment"])
+@pytest.mark.parametrize("value", ["x", "-2"])
+def test_a_bad_env_seed_is_refused(runner, tmp_path, monkeypatch, command, value):
+    monkeypatch.setenv("GRIDTOP_SEED", value)
+    res = runner.invoke(main, _seeded_command(command, tmp_path))
+    assert f"GRIDTOP_SEED must be a non-negative integer, got {value!r}" in _one_error_line(res)
+
+
+@pytest.mark.parametrize("command", ["gen-grid", "simulate", "moments", "learn", "experiment"])
+def test_an_unwritable_output_path_is_named(runner, tmp_path, command):
+    samples = tmp_path / "s.csv"
+    runner.invoke(main, ["simulate", "--grid", "bus_13_3", "-m", "20", "--seed", "1", "-o", str(samples)])
+    missing = tmp_path / "no_such_dir" / "out"
+    args = {
+        "gen-grid": ["gen-grid", "--loads", "5", "-o", str(missing)],
+        "simulate": ["simulate", "--grid", "bus_13_3", "-m", "10", "-o", str(missing)],
+        "moments": ["moments", "--samples", str(samples), "-o", str(missing)],
+        "learn": ["learn", "--grid", "bus_13_3", "--samples", str(samples), "--trace", str(missing)],
+        "experiment": _seeded_command("experiment", tmp_path)[:-1] + [str(missing)],
+    }[command]
+    assert str(missing) in _one_error_line(runner.invoke(main, args))

@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridtop.errors import DomainError, ParseError, StructureError
 from gridtop.fixtures import fixture_path, load_fixture
@@ -25,6 +27,7 @@ from gridtop.harness import (
     write_samples,
 )
 from gridtop.harness.experiment import write_gnuplot_script, write_trial_csv
+from gridtop.harness.gridfile import _parse_samples_checked, _parse_samples_plain
 from gridtop.learner import LearnerConfig, reconstruct
 from gridtop.moments import default_model
 from gridtop.powerflow import VoltageSamples
@@ -356,6 +359,82 @@ def test_read_samples_rejects_a_repeated_header_id(tmp_path):
     path.write_text("1,2,1\n0.1,0.2,0.3\n")
     with pytest.raises(ParseError, match="bad.csv:1: header row lists node id 1 twice"):
         read_samples(path)
+
+
+# Pieces that mutate a well-formed sample file: number syntax, CSV syntax,
+# ASCII and Unicode whitespace (both the kinds that ``float`` and
+# ``np.loadtxt`` strip alike and the ASCII controls only numpy strips),
+# line separators that ``str.splitlines`` would split on, a Unicode digit,
+# non-finite values, blank and whitespace-only lines, and a trailing comma.
+_MUTATIONS = list("0123456789.e+-_,\"#") + [
+    " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000", "\u0663",
+    "nan", "inf", "-inf", "1e400", "\n", "\n\n", "\n \n", "\n\t\n", ",\n",
+]
+
+
+def _read_both_ways(path, text):
+    """read_samples' outcome on ``text``, after checking that it is the
+    checked parser's: the same ParseError, or the same ids and array bytes."""
+    def outcome(parse):
+        try:
+            samples = parse()
+        except ParseError as exc:
+            return "error", str(exc)
+        return "ok", samples.nodes, samples.eps.shape, samples.eps.tobytes()
+
+    path.write_text(text, newline="")
+    fast = outcome(lambda: read_samples(path))
+    assert fast == outcome(lambda: _parse_samples_checked(path.read_text(), str(path)))
+    return fast
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(0, 3), data=st.data())
+def test_read_samples_agrees_with_the_checked_parser(tmp_path_factory, n, m, data):
+    ids = data.draw(st.lists(st.integers(-3, 40), min_size=n, max_size=n, unique=True))
+    cells = st.floats().map(repr)
+    rows = [data.draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(m)]
+    text = "\n".join([",".join(map(str, ids))] + [",".join(row) for row in rows])
+    text += data.draw(st.sampled_from(["\n", "", "\n\n"]))
+    edits = data.draw(st.lists(st.tuples(st.sampled_from(_MUTATIONS), st.booleans()), max_size=3))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    for piece, replace in edits:
+        # Half the edits land next to a comma or line break, where a cell's
+        # leading or trailing whitespace sits; the rest anywhere.
+        cuts = [0, len(text)] + [i + d for i, c in enumerate(text) if c in ",\n" for d in (0, 1)]
+        at = rnd.choice(cuts) if rnd.random() < 0.5 else rnd.randrange(len(text) + 1)
+        text = text[:at] + piece + text[at + replace:]
+    _read_both_ways(tmp_path_factory.mktemp("samples") / "s.csv", text)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("7\n0.5\x0c0.25\n", "s.csv:2: non-numeric sample value"),  # one line to csv, two to splitlines
+    ("1\n0.5\u20280.25\n", "s.csv:2: non-numeric sample value"),
+    ("1,2\n\x1c0.5,0.25\n", "s.csv:2: non-numeric sample value"),  # numpy strips \x1c, float does not
+    ('1,2\n"0.5",0.25\n', (0.5, 0.25)),
+    ('"1",2\n0.5,0.25\n', (0.5, 0.25)),
+    ("1\n1_0\n", (10.0,)),
+    ("1\n\u0663\n", (3.0,)),
+    ("1,2\n0.1,0.2,0.3\n0.4,0.5,0.6\n", "s.csv:2: expected 2 columns, got 3"),
+    ("1,2\n", "s.csv: sample file has a header but no samples"),
+    ("1,2\n0.1,0.2\n\n0.3,1e400\n", "s.csv:4: non-finite sample value"),
+])
+def test_read_samples_falls_back_to_the_checked_parser(tmp_path, text, want):
+    got = _read_both_ways(tmp_path / "s.csv", text)
+    if isinstance(want, str):
+        assert got[0] == "error" and got[1].endswith(want)
+    else:
+        assert got[0] == "ok" and np.frombuffer(got[3]).tolist() == list(want)
+
+
+def test_a_written_sample_file_takes_the_one_pass_parse(tmp_path):
+    grid, forest = load_fixture("bus_13_3")
+    samples = simulate_voltage(forest, default_model(forest), 50, seed=2)
+    path = tmp_path / "samples.csv"
+    write_samples(path, samples)
+    fast = _parse_samples_plain(path.read_text())
+    assert fast is not None and fast.nodes == samples.nodes
+    assert fast.eps.tobytes() == samples.eps.tobytes()
 
 
 # -- experiment driver -----------------------------------------------------------
