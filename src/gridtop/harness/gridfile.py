@@ -193,8 +193,8 @@ def _parse_samples_plain(text: str) -> VoltageSamples | None:
             eps = np.loadtxt(body.split("\n"), delimiter=",", ndmin=2, comments=None)
     except (ValueError, Warning):
         return None
-    if _repeated(nodes) is not None or eps.shape[0] < 1 or eps.shape[1] != len(nodes) \
-            or not np.isfinite(eps).all():
+    if (_repeated(nodes) is not None or eps.shape[0] < 1 or eps.shape[1] != len(nodes)
+            or not np.isfinite(eps).all()):
         return None
     return VoltageSamples(nodes=nodes, eps=eps, theta=None)
 
