@@ -1,9 +1,12 @@
 #!/usr/bin/env python
 """Scaling of the infinite-sample path with the number of loads.
 
-Times three calls on two kinds of forest and fits the exponent k of
+Times five calls on two kinds of forest and fits the exponent k of
 t ~ N^k by least squares on the log-log points of each (call, kind):
 
+* ``forest_build``: ``ForestConfig.from_closed_edges`` on the grid and its
+  closed lines;
+* ``default_model``: the injection model every other call is fed;
 * ``lcpf_response``: the dense response matrices (A, B) of the linear model,
   which the sample solves use;
 * ``analytic_moment_set``: the exact voltage moments of the default model;
@@ -58,11 +61,11 @@ def shuffled_chain(n_loads: int, rng: np.random.Generator) -> GridGraph:
 def forests(kind: str, n: int, rng: np.random.Generator):
     """The grid of one case and a function that builds a fresh forest of it."""
     if kind == "shuffled_chain":
-        grid = shuffled_chain(n, rng)
-        return grid, lambda: ForestConfig.from_closed_edges(grid, range(n))
-    text = feeder_document(rng, n_loads=n, n_subs=4, spine=n // 5, name=f"feeder_{n}")
-    grid = parse_grid(text)[0]
-    return grid, lambda: parse_grid(text)[1]
+        grid, closed = shuffled_chain(n, rng), range(n)
+    else:
+        grid, forest = parse_grid(feeder_document(rng, n_loads=n, n_subs=4, spine=n // 5, name=f"feeder_{n}"))
+        closed = forest.closed_edges
+    return grid, lambda: ForestConfig.from_closed_edges(grid, closed)
 
 
 def best(repeats: int, build, call) -> float:
@@ -92,7 +95,8 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     cases = {}
     for kind in ("shuffled_chain", "feeder"):
-        rows = {"lcpf_response": [], "analytic_moment_set": [], "reconstruct": []}
+        rows = {"forest_build": [], "default_model": [], "lcpf_response": [], "analytic_moment_set": [],
+                "reconstruct": []}
         errors = []
         for n in args.sizes:
             grid, fresh = forests(kind, n, rng)
@@ -106,6 +110,8 @@ def main() -> None:
                 model = default_model(forest)
                 return forest, model, analytic_moment_set(forest, model)
 
+            rows["forest_build"].append(best(args.repeats, lambda: None, lambda _: fresh()))
+            rows["default_model"].append(best(args.repeats, fresh, default_model))
             rows["lcpf_response"].append(best(args.repeats, fresh, lcpf_response))
             rows["analytic_moment_set"].append(best(args.repeats, lambda: (f := fresh(), default_model(f)),
                                                     lambda fm: analytic_moment_set(*fm)))

@@ -31,7 +31,7 @@ from .experiment import (
     write_trial_csv,
 )
 from .generate import generate_random_grid
-from .gridfile import parse_grid, read_samples, write_grid, write_samples
+from .gridfile import _read_text, parse_grid, read_samples, write_grid, write_samples
 
 
 def _load_grid(spec: str):
@@ -43,8 +43,9 @@ def _load_grid(spec: str):
 def _load_model(path: str | None, forest):
     if path is None:
         return model_from_dict({}, forest)
+    text = _read_text(path, "model file")
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", f"{path}:{exc.lineno}:{exc.colno}") from exc
     return model_from_dict(doc, forest)

@@ -32,7 +32,7 @@ from ..moments import InjectionModel, analytic_moment_set, model_from_dict, samp
 # distflow_solve is unused here but kept: perfbench/spans.py wraps it on this module by name.
 from ..powerflow import VoltageSamples, distflow_solve, distflow_solve_many, lcpf_solve_many  # noqa: F401
 from .generate import add_open_lines, generate_random_grid, random_spanning_forest
-from .gridfile import parse_grid
+from .gridfile import _read_text, parse_grid
 from ..fixtures import FIXTURE_NAMES, load_fixture
 
 __all__ = [
@@ -170,12 +170,11 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
 
 
 def plan_from_json(path: str | Path) -> ExperimentPlan:
+    text = _read_text(path, "plan")
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", f"{path}:{exc.lineno}:{exc.colno}") from exc
-    except OSError as exc:
-        raise ParseError(f"cannot read plan: {exc}", str(path)) from exc
     return plan_from_dict(doc)
 
 

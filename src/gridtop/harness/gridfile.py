@@ -57,6 +57,18 @@ def _number(doc: dict, key: str, location: str) -> float:
     return float(val)
 
 
+def _read_text(path: str | Path, noun: str) -> str:
+    """The text of a UTF-8 file; a ParseError naming the file when it
+    cannot be read or is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {noun}: {exc}", str(path)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {noun}: not UTF-8 text ({exc.reason} at byte {exc.start})",
+                         str(path)) from exc
+
+
 def parse_grid(source: str | Path | dict) -> tuple[GridGraph, ForestConfig | None]:
     """Parse and validate a grid file (path, JSON text, or parsed dict).
 
@@ -73,7 +85,7 @@ def parse_grid(source: str | Path | dict) -> tuple[GridGraph, ForestConfig | Non
             path = Path(text)
             if not path.exists():
                 raise ParseError("file not found", label)
-            text = path.read_text()
+            text = _read_text(path, "grid file")
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -162,11 +174,7 @@ def read_samples(source: str | Path) -> VoltageSamples:
     refuses or might read differently goes to ``_parse_samples_checked``,
     which either accepts it or raises the ParseError that names its line.
     """
-    path = Path(source)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read sample file: {exc}", str(source)) from exc
+    text = _read_text(source, "sample file")
     fast = _parse_samples_plain(text)
     return fast if fast is not None else _parse_samples_checked(text, str(source))
 
@@ -199,6 +207,16 @@ def _parse_samples_plain(text: str) -> VoltageSamples | None:
     return VoltageSamples(nodes=nodes, eps=eps, theta=None)
 
 
+def _csv_rows(text: str, source: str):
+    """The ``csv`` rows of ``text``; a ParseError at ``source:line`` where
+    ``csv`` refuses a line."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", f"{source}:{reader.line_num}") from None
+
+
 def _parse_samples_checked(text: str, source: str) -> VoltageSamples:
     """Parse sample-file text cell by cell with ``csv`` and ``float``,
     raising a ParseError at ``source:line`` for the first fault.
@@ -206,7 +224,7 @@ def _parse_samples_checked(text: str, source: str) -> VoltageSamples:
     ``read_samples`` runs this only on text its one-pass parse refused, and
     the tests use it as the reference that parse must agree with.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_rows(text, source)
     try:
         header = next(reader)
     except StopIteration:

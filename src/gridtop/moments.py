@@ -33,7 +33,8 @@ import numpy as np
 from .errors import AssumptionViolation, DomainError, ModelError, ParseError
 # path_sum_matrix is unused here but kept: perfbench/spans.py wraps it on this module by name.
 from .grid import ForestConfig, LineEdge, _is_index, _is_number, _repeated, path_sum_matrix  # noqa: F401
-from .powerflow import InjectionVector, VoltageSamples, _Deferred, _ReadOnFirstAccess, effective_impedance
+from .powerflow import (InjectionVector, VoltageSamples, _build_level_plan, _Deferred, _LevelPlan,
+                        _ReadOnFirstAccess, _root_path_sums, _rows, _subtree_sums, effective_impedance)
 
 __all__ = [
     "InjectionModel",
@@ -341,13 +342,7 @@ def _aligned(forest: ForestConfig, model: InjectionModel) -> InjectionModel:
 # drops are delta = R D p + X D q, eps = D^T delta, and the phases are the same
 # root-path sums of phi = X D p - R D q.  The covariances are zero across the
 # blocks the model's covariance components define, so the sweeps run one
-# block at a time, on arrays as wide as the block.
-#
-# These per-block sweeps and the forest's level plan (``powerflow._level_plan``)
-# are two kernels for one recursion.  The level plan sweeps all N rows of a
-# sample batch per depth level, its columns the samples; the tree-by-tree
-# arrays here have as many columns as the block has loads, so a sweep at full
-# N width would do N / n_k times the work for a tree of n_k loads.
+# block at a time, on the level plan of the block's loads.
 
 _WEIGHTS = {"eps": lambda r, x: (r, x), "theta": lambda r, x: (x, -r)}
 # Moment name -> the (left, right) weights of its drop covariance.
@@ -355,90 +350,45 @@ _MOMENTS = {"sigma_eps": ("eps", "eps"), "sigma_theta": ("theta", "theta"),
             "sigma_theta_eps": ("theta", "eps")}
 
 
-@dataclass(frozen=True)
-class _BlockPlan:
-    """The sweep layout of one block: the loads of the trees that one
-    component of the injection covariance touches, as canonical indices in
-    breadth-first order, so each depth level is a run of rows and the
-    children of a node are consecutive.  ``steps`` has one entry per level
-    below the first, root side first: the level's rows, their parent rows,
-    the first row of each run of siblings (None when no two rows share a
-    parent) and the parent of each run.  Runs of consecutive rows are
-    slices."""
-
-    loads: np.ndarray
-    steps: tuple[tuple, ...]
-
-
-def _run(index: np.ndarray) -> slice | np.ndarray:
-    """An ascending ``index`` without repeats as a slice when its rows are
-    consecutive."""
-    if index[-1] - index[0] == len(index) - 1:
-        return slice(int(index[0]), int(index[-1]) + 1)
-    return index
-
-
-def _block_plans(forest: ForestConfig, model: InjectionModel) -> list[_BlockPlan]:
-    """One plan per block of trees; ``model`` is aligned to the forest."""
+def _block_plans(forest: ForestConfig, model: InjectionModel) -> list[_LevelPlan]:
+    """One level plan per block of trees, over the trees that one component
+    of the injection covariance touches; ``model`` is aligned to the
+    forest."""
     tree = forest.load_tree_index
     touched = np.zeros((forest.n_trees, forest.n_trees), dtype=bool)
     for comp in model.components:
         hit = np.bincount(tree[comp], minlength=forest.n_trees) > 0
         touched |= np.outer(hit, hit)
-    idx = forest.grid.load_index
-    subs = forest.grid.substation_ids
-    plans = []
-    for trees in _components(touched):
-        rows = [nid for k in trees for nid in forest.children[subs[k]]]
-        for nid in rows:  # breadth first: the list grows as it is read
-            rows.extend(forest.children[nid])
-        if not rows:
-            continue
-        row = {nid: i for i, nid in enumerate(rows)}
-        parent = np.array([row.get(forest.parent[nid], -1) for nid in rows], dtype=np.intp)
-        first = np.diff(parent, prepend=-2) != 0  # the first row of each run of siblings
-        depth = np.array([forest.depth[nid] for nid in rows])
-        cuts = [*np.flatnonzero(np.diff(depth)) + 1, len(rows)]
-        steps = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            parents = parent[lo:hi]
-            starts = np.flatnonzero(first[lo:hi])
-            if len(starts) == hi - lo:  # no two rows share a parent
-                owners = _run(parents)
-                steps.append((slice(lo, hi), owners, None, owners))
-            else:
-                steps.append((slice(lo, hi), parents, starts, _run(parents[starts])))
-        plans.append(_BlockPlan(np.array([idx[nid] for nid in rows], dtype=np.intp), tuple(steps)))
-    return plans
+    blocks = _components(touched)
+    block_of = np.empty(forest.n_trees, dtype=np.intp)
+    for k, trees in enumerate(blocks):
+        block_of[trees] = k
+    orders = [[] for _ in blocks]
+    for nid in forest.loads_by_depth:
+        orders[block_of[forest.tree_of[nid]]].append(nid)
+    return [_build_level_plan(forest, order) for order in orders if order]
 
 
-def _sum_subtrees(plan: _BlockPlan, rows: np.ndarray) -> np.ndarray:
-    """D rows: each row becomes the sum over its load's subtree, in place."""
-    for level, _, starts, owners in reversed(plan.steps):
-        rows[owners] += rows[level] if starts is None else np.add.reduceat(rows[level], starts, axis=0)
-    return rows
+def _outside_row(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` with the zero outside row of a level-plan working array."""
+    return np.concatenate([a, np.zeros((1, *a.shape[1:]))])
 
 
-def _sum_root_paths(plan: _BlockPlan, rows: np.ndarray) -> np.ndarray:
-    """D^T rows: each row becomes the sum over its load's root path, in place."""
-    for level, parents, _, _ in plan.steps:
-        rows[level] += rows[parents]
-    return rows
-
-
-def _injection_sums(plan: _BlockPlan, mod: InjectionModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _injection_sums(plan: _LevelPlan, mod: InjectionModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """D W D^T over one block for W = omega_p, omega_q and omega_pq^T: the
     covariances of the injections summed below each pair of lines."""
-    loads = plan.loads
+    loads = plan.canon
     n = len(loads)
     ix = np.ix_(loads, loads)
     mp, mq = mod.mu_p[loads], mod.mu_q[loads]
-    w = np.empty((n, 3 * n))
+    w = np.zeros((n + 1, 3 * n))
     for k, (sigma, left, right) in enumerate(((mod.sigma_p, mp, mp), (mod.sigma_q, mq, mq), (mod.sigma_pq, mp, mq))):
-        np.subtract(sigma[ix], np.outer(left, right), out=w[:, k * n:(k + 1) * n])  # omega, as the model has it
-    w = _sum_subtrees(plan, w)  # D W, side by side
-    w = _sum_subtrees(plan, np.hstack([w[:, k * n:(k + 1) * n].T for k in range(3)]))  # D (D W)^T
-    return w[:, :n], w[:, n:2 * n], w[:, 2 * n:]
+        np.subtract(sigma[ix], np.outer(left, right), out=w[:n, k * n:(k + 1) * n])  # omega, as the model has it
+    _subtree_sums(plan, w)  # D W, side by side
+    dw = np.zeros_like(w)
+    np.concatenate([w[:n, k * n:(k + 1) * n].T for k in range(3)], axis=1, out=dw[:n])
+    _subtree_sums(plan, dw)  # D (D W)^T
+    return dw[:n, :n], dw[:n, n:2 * n], dw[:n, 2 * n:]
 
 
 def _drop_covariance(sums, left, right) -> np.ndarray:
@@ -450,10 +400,10 @@ def _drop_covariance(sums, left, right) -> np.ndarray:
             + np.outer(u1, v2) * gqp.T + np.outer(v1, u2) * gqp)
 
 
-def _path_sums(plan: _BlockPlan, block: np.ndarray) -> np.ndarray:
+def _path_sums(plan: _LevelPlan, block: np.ndarray) -> np.ndarray:
     """D^T block D, leaving ``block`` as it is."""
-    half = _sum_root_paths(plan, block.copy()).T.copy()
-    return _sum_root_paths(plan, half).T
+    half = _root_path_sums(plan, _outside_row(block))[:-1].T
+    return _root_path_sums(plan, _outside_row(half))[:-1].T
 
 
 class LineDrops:
@@ -465,7 +415,7 @@ class LineDrops:
     forming a difference of nearly equal voltage moments.
     """
 
-    def __init__(self, forest: ForestConfig, plans: list[_BlockPlan], covariances: list[np.ndarray],
+    def __init__(self, forest: ForestConfig, plans: list[_LevelPlan], covariances: list[np.ndarray],
                  mean_drop: np.ndarray, variance: np.ndarray, mean: np.ndarray):
         idx = forest.grid.load_index
         n = len(idx)
@@ -478,8 +428,8 @@ class LineDrops:
         block = np.empty(n, dtype=np.intp)
         local = np.empty(n, dtype=np.intp)
         for k, plan in enumerate(plans):
-            block[plan.loads] = k
-            local[plan.loads] = np.arange(len(plan.loads))
+            block[plan.canon] = k
+            local[plan.canon] = np.arange(len(plan.canon))
         self._block, self._local = block.tolist(), local
         self._covariances = covariances
         self._mean_drop = mean_drop
@@ -537,19 +487,20 @@ def _edge_moments(forest: ForestConfig, model: InjectionModel, variant: str,
     n = len(r)
     mean_drop = {kind: np.empty(n) for kind in kinds}
     mean = {kind: np.empty(n) for kind in kinds}
+    mu = np.stack([mod.mu_p, mod.mu_q])
     for plan in plans:
-        loads = plan.loads
-        below = _sum_subtrees(plan, np.stack([mod.mu_p[loads], mod.mu_q[loads]], axis=1))
+        loads = plan.canon
+        below = _subtree_sums(plan, _rows(plan, mu))[:-1]
         for kind, (u, v) in weights.items():
             drop = mean_drop[kind][loads] = u[loads] * below[:, 0] + v[loads] * below[:, 1]
-            mean[kind][loads] = _sum_root_paths(plan, drop.copy())
+            mean[kind][loads] = _root_path_sums(plan, _outside_row(drop))[:-1]
 
     out = {name: np.outer(mean[_MOMENTS[name][0]], mean[_MOMENTS[name][1]]) for name in names}
     covariances, variance = [], np.empty(n)
     for plan in plans:
         sums = _injection_sums(plan, mod)
-        local = {kind: (u[plan.loads], v[plan.loads]) for kind, (u, v) in weights.items()}
-        ix = np.ix_(plan.loads, plan.loads)
+        local = {kind: (u[plan.canon], v[plan.canon]) for kind, (u, v) in weights.items()}
+        ix = np.ix_(plan.canon, plan.canon)
         for name in names:
             left, right = _MOMENTS[name]
             cov = _drop_covariance(sums, local[left], local[right])
@@ -557,7 +508,7 @@ def _edge_moments(forest: ForestConfig, model: InjectionModel, variant: str,
             out[name][ix] += voltage
             if name == "sigma_eps":
                 covariances.append(cov)
-                variance[plan.loads] = voltage.diagonal()
+                variance[plan.canon] = voltage.diagonal()
     drops = None
     if "sigma_eps" in names:
         drops = LineDrops(forest, plans, covariances, mean_drop["eps"], variance, mean["eps"])

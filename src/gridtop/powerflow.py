@@ -19,12 +19,15 @@ at eps = theta = 0.
   voltage magnitudes and line flows only; no phase-recovery rule exists for
   it, so ``theta`` is None on its output.
 
-Every tree sweep runs on one level plan per forest, built on first use and
-kept in ``forest.memo``: working arrays hold one row per load node in
-``loads_by_depth`` order and one column per sample, and a sweep visits one
-depth level at a time.  The Python work is per level, not per node or per
-sample; the arithmetic per node and sample is that of the scalar recursion,
-in the same order, so results do not depend on the batch they are solved in.
+Every tree sweep runs on one layout, the level plan: working arrays hold
+one row per load node, sorted by (depth, id), and one column per sample,
+and a sweep visits one depth level at a time.  The solvers here use one
+plan per forest, built on first use and kept in ``forest.memo``; the
+analytic moments (``moments``) build one per block of trees, over that
+block's loads, with a column per moment entry.  The Python work is per
+level, not per node or per column; the arithmetic per node and sample is
+that of the scalar recursion, in the same order, so results do not depend
+on the batch they are solved in.
 """
 
 from __future__ import annotations
@@ -188,13 +191,13 @@ def _check_batch(forest: ForestConfig, p, q) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _LevelPlan:
-    """Row layout shared by every tree sweep over one forest.
+    """Row layout of every tree sweep over whole trees of one forest.
 
-    A working array has one row per load node, in ``loads_by_depth`` order,
-    one column per sample, and a last *outside* row n.  The outside row is 0
-    in flow arrays, where it pads the child-row matrices, and holds the
-    substation value in voltage arrays, where it is the parent row of every
-    node attached to a substation.
+    A working array has one row per load node, sorted by (depth, id), one
+    column per sample or per moment entry, and a last *outside* row n.  The
+    outside row is 0 in flow arrays, where it pads the child-row matrices,
+    and holds the substation value in voltage arrays, where it is the parent
+    row of every node attached to a substation.
     """
 
     canon: np.ndarray                 # canonical (ascending-id) index of each row's load
@@ -210,30 +213,36 @@ def _column(values) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
+def _build_level_plan(forest: ForestConfig, order) -> _LevelPlan:
+    """The sweep layout over the loads ``order``: whole trees, sorted by
+    (depth, id)."""
+    n = len(order)
+    row = {nid: i for i, nid in enumerate(order)}
+    levels, children, parents = [], [], []
+    for _, level in itertools.groupby(order, key=forest.depth.__getitem__):
+        level = tuple(level)
+        kids = np.full((max(len(forest.children[nid]) for nid in level), len(level)), n, dtype=np.intp)
+        for j, nid in enumerate(level):
+            kids[:len(forest.children[nid]), j] = [row[ch] for ch in forest.children[nid]]
+        start = row[level[0]]
+        levels.append(slice(start, start + len(level)))
+        children.append(kids)
+        parents.append(np.array([row.get(forest.parent[nid], n) for nid in level], dtype=np.intp))
+    lines = [forest.grid.edges[forest.parent_edge[nid]] for nid in order]
+    return _LevelPlan(
+        canon=np.array([forest.grid.load_index[nid] for nid in order], dtype=np.intp),
+        levels=tuple(levels), children=tuple(children), parents=tuple(parents),
+        r=_column([e.r for e in lines]), x=_column([e.x for e in lines]),
+        z2=_column([e.r ** 2 + e.x ** 2 for e in lines]),
+    )
+
+
 def _level_plan(forest: ForestConfig) -> _LevelPlan:
-    """The forest's sweep layout, built on first use and kept in its memo."""
+    """The whole forest's sweep layout, built on first use and kept in its
+    memo."""
     plan = forest.memo.get("level_plan")
     if plan is None:
-        order = forest.loads_by_depth
-        n = len(order)
-        row = {nid: i for i, nid in enumerate(order)}
-        levels, children, parents = [], [], []
-        for _, level in itertools.groupby(order, key=forest.depth.__getitem__):
-            level = tuple(level)
-            kids = np.full((max(len(forest.children[nid]) for nid in level), len(level)), n, dtype=np.intp)
-            for j, nid in enumerate(level):
-                kids[:len(forest.children[nid]), j] = [row[ch] for ch in forest.children[nid]]
-            start = row[level[0]]
-            levels.append(slice(start, start + len(level)))
-            children.append(kids)
-            parents.append(np.array([row.get(forest.parent[nid], n) for nid in level], dtype=np.intp))
-        lines = [forest.grid.edges[forest.parent_edge[nid]] for nid in order]
-        plan = forest.memo["level_plan"] = _LevelPlan(
-            canon=np.array([forest.grid.load_index[nid] for nid in order], dtype=np.intp),
-            levels=tuple(levels), children=tuple(children), parents=tuple(parents),
-            r=_column([e.r for e in lines]), x=_column([e.x for e in lines]),
-            z2=_column([e.r ** 2 + e.x ** 2 for e in lines]),
-        )
+        plan = forest.memo["level_plan"] = _build_level_plan(forest, forest.loads_by_depth)
     return plan
 
 
@@ -260,6 +269,14 @@ def _subtree_sums(plan: _LevelPlan, rows: np.ndarray) -> np.ndarray:
         acc = rows[level]
         for k in kids:
             acc += rows[k]
+    return rows
+
+
+def _root_path_sums(plan: _LevelPlan, rows: np.ndarray) -> np.ndarray:
+    """Replace every row of a working array (outside row 0) by the sum over
+    its node's root path, in place."""
+    for level, par in zip(plan.levels, plan.parents):
+        rows[level] += rows[par]
     return rows
 
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gridtop.errors import ParseError
 from gridtop.fixtures import load_fixture
-from gridtop.harness import read_samples
-from gridtop.harness.cli import main
+from gridtop.harness import parse_grid, plan_from_json, read_samples
+from gridtop.harness.cli import _load_model, main
 from gridtop.learner import LearnerConfig, reconstruct
 from gridtop.moments import default_model
 
@@ -330,3 +331,35 @@ def test_an_unwritable_output_path_is_named(runner, tmp_path, command):
         "experiment": _seeded_command("experiment", tmp_path)[:-1] + [str(missing)],
     }[command]
     assert str(missing) in _one_error_line(runner.invoke(main, args))
+
+
+@pytest.mark.parametrize("command", ["learn", "moments", "experiment", "simulate", "validate"])
+def test_a_file_that_is_not_utf8_is_named(runner, tmp_path, command):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    args = {
+        "learn": ["learn", "--grid", "bus_13_3", "--samples", str(bad)],
+        "moments": ["moments", "--samples", str(bad)],
+        "experiment": ["experiment", "--plan", str(bad), "-o", str(tmp_path / "out.csv")],
+        "simulate": ["simulate", "--grid", str(bad), "-m", "10", "-o", str(tmp_path / "s.csv")],
+        "validate": ["validate", "--grid", "bus_13_3", "--model", str(bad)],
+    }[command]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    prefix = "invalid model: " if command == "validate" else "error: "
+    errors = [line for line in res.output.splitlines() if line.startswith(prefix)]
+    assert len(errors) == 1 and f"{bad}: cannot read" in errors[0] and "not UTF-8" in errors[0]
+
+
+@pytest.mark.parametrize("read, noun", [
+    (lambda path: _load_model(path, load_fixture("bus_13_3")[1]), "model file"),
+    (parse_grid, "grid file"),
+    (read_samples, "sample file"),
+    (plan_from_json, "plan"),
+], ids=["model", "grid", "samples", "plan"])
+def test_a_file_that_cannot_be_read_is_a_parse_error(tmp_path, read, noun):
+    with pytest.raises(ParseError) as err:
+        read(str(tmp_path))  # a directory
+    assert str(err.value).startswith(f"{tmp_path}: cannot read {noun}: ")

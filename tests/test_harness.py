@@ -354,6 +354,17 @@ def test_injection_model_rejects_a_repeated_node_id():
         model.aligned_to(model.nodes + (3,))
 
 
+@pytest.mark.parametrize("text, where", [
+    ("1" * 140_002 + ",2\n0.1,0.2\n", "bad.csv:1"),
+    ("1,2\n0.1,0.2\n0.3," + "4" * 140_000 + "\n", "bad.csv:3"),
+], ids=["header", "body"])
+def test_read_samples_reports_an_over_long_field_at_its_line(tmp_path, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"{where}: malformed CSV: field larger than field limit"):
+        read_samples(path)
+
+
 def test_read_samples_rejects_a_repeated_header_id(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2,1\n0.1,0.2,0.3\n")

@@ -28,7 +28,7 @@ from gridtop.moments import (
 from gridtop.powerflow import VoltageSamples, lcpf_solve_many
 
 from conftest import (chain_grid, empty_substation_grid, make_grid, random_a1_model, random_instance,
-                      shuffled_chain_grid, single_edge_grid)
+                      shuffled_chain_grid, single_edge_grid, star_grid)
 
 
 def _zero_model(nodes):
@@ -482,7 +482,7 @@ def _coupled_trees_model(forest, seed):
         joint[:n, :n], joint[n:, n:], joint[:n, n:])
 
 
-ORACLE_GRIDS = ("multi_tree", "empty_substation", "shuffled_chain")
+ORACLE_GRIDS = ("multi_tree", "empty_substation", "shuffled_chain", "star")
 
 
 def _oracle_case(seed, grid_kind, model_kind):
@@ -490,6 +490,8 @@ def _oracle_case(seed, grid_kind, model_kind):
         grid, forest = empty_substation_grid()
     elif grid_kind == "shuffled_chain":
         grid, forest = shuffled_chain_grid(3 + seed % 30, seed)
+    elif grid_kind == "star":
+        grid, forest = star_grid(5 + seed % 20, seed)
     else:
         grid, forest = _multi_tree_instance(seed)
     if model_kind == "coupled":
