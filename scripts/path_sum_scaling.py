@@ -21,7 +21,9 @@ The forests are chains of N loads whose ids are shuffled along the line
 N^2 / 2 loads), and the benchmark's feeders (``perfbench/feeder.py``: four
 trees, one of them a spine of N / 5 loads).  Each timing is the best of
 ``--repeats`` calls, each on a freshly built forest, so no call reuses what
-an earlier one kept in the forest's memo.  Writes one JSON document.
+an earlier one kept in the forest's memo.  Writes one JSON document, with
+the peak resident set size of the process (the largest case's arrays: the
+three N x N moment matrices are 128 MB each at N = 4000).
 
     PYTHONPATH=src python scripts/path_sum_scaling.py --out BENCH_scaling.json
 """
@@ -30,6 +32,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import sys
 import time
 from pathlib import Path
@@ -70,13 +73,15 @@ def forests(kind: str, n: int, rng: np.random.Generator):
 
 def best(repeats: int, build, call) -> float:
     """Best wall time of ``call(build())`` over ``repeats`` runs; the build
-    is not timed."""
+    is not timed.  One run's input is dropped before the next is built, so
+    the peak memory is that of one run."""
     out = float("inf")
     for _ in range(repeats):
         arg = build()
         started = time.perf_counter()
         call(arg)
         out = min(out, time.perf_counter() - started)
+        del arg
     return out
 
 
@@ -86,7 +91,7 @@ def exponent(sizes, seconds) -> float:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[250, 500, 1000, 2000])
+    ap.add_argument("--sizes", type=int, nargs="+", default=[250, 500, 1000, 2000, 4000])
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", default="BENCH_scaling.json")
@@ -128,6 +133,7 @@ def main() -> None:
         "repeats": args.repeats,
         "seed": args.seed,
         "cases": cases,
+        "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "machine": {"cpus": os.cpu_count(), "processor": platform.machine(),
                     "python": platform.python_version(), "numpy": np.__version__},
     }

@@ -183,6 +183,7 @@ def learn(grid_spec, samples_path, tau, variant, model_path, trace_path, as_json
             "relative_error": result.relative_error,
             "accept_margin": _json_margin(result.accept_margin),
             "reject_margin": _json_margin(result.reject_margin),
+            "parentless_loads": list(result.parentless_loads),
         }))
         return
     click.echo(f"learned {len(edges)} edges:")

@@ -93,6 +93,13 @@ class ReconstructionResult:
         return _replay_trace(self)
 
     @cached_property
+    def parentless_loads(self) -> tuple[int, ...]:
+        """The loads with no learned parent line, in ascending id.  A
+        base-constrained spanning forest leaves none, so a nonempty tuple
+        says the learned forest is incomplete."""
+        return tuple(nid for nid in self.grid.load_ids if nid not in self.parent_map)
+
+    @cached_property
     def accept_margin(self) -> float | None:
         """``tau`` minus the largest accepted deviation; None when no pair
         was accepted."""
@@ -232,7 +239,8 @@ def reconstruct(data: VoltageSamples | MomentSet, model: InjectionModel, grid: G
     ``data`` is either raw voltage-deviation samples (the mean squared
     difference on the left side is then the raw sample average, not
     reassembled from moment matrix entries) or an exact MomentSet for the
-    infinite-sample limit.  Candidate parents are the lines of the designed
+    infinite-sample limit, which must have been computed for
+    ``config.variant``.  Candidate parents are the lines of the designed
     grid, whose parameters the closed form needs: each popped node is tested
     against those of its grid neighbours that are current leaves, in pop
     order, and a leaf without a line to it is skipped untested (the trace
@@ -242,6 +250,9 @@ def reconstruct(data: VoltageSamples | MomentSet, model: InjectionModel, grid: G
     base-constrained forest, with zero deviation, so the left side of a leaf
     and a substation is the leaf's own diagonal moment.
     """
+    if isinstance(data, MomentSet) and data.drops is not None and data.drops.variant != config.variant:
+        raise DomainError(f"the moments were computed for variant {data.drops.variant!r}, "
+                          f"but the learner is configured for variant {config.variant!r}")
     diag, pair_lhs = _pair_statistic(data, grid)
     diag.update(dict.fromkeys(grid.substation_ids, 0.0))
     desc = _DescendantSums(model.aligned_to(grid.load_ids), grid.substation_ids)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -103,10 +103,29 @@ class InjectionModel:
     sigma_q: np.ndarray
     sigma_pq: np.ndarray
     # The connected components of the covariance pattern, as ascending
-    # indices into ``nodes``; found by the PSD check.
+    # indices into ``nodes``, in the order of their first index; found by
+    # the PSD check.
     components: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        self._check_entries()
+        object.__setattr__(self, "components", self._check_psd())
+
+    @classmethod
+    def _built(cls, verdict: Callable[[], tuple[np.ndarray, ...]], **fields) -> "InjectionModel":
+        """A model whose builder decides positive semidefiniteness itself:
+        the entry checks run, then ``verdict``, which raises ModelError or
+        returns the components, in place of ``_check_psd``."""
+        model = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(model, name, value)
+        model._check_entries()
+        object.__setattr__(model, "components", verdict())
+        return model
+
+    def _check_entries(self):
+        """Coerce the arrays to float and reject a repeated node id and
+        mis-shaped, non-finite or asymmetric entries."""
         n = len(self.nodes)
         if (nid := _repeated(self.nodes)) is not None:
             raise ModelError(f"node id {nid} is listed twice")
@@ -127,18 +146,18 @@ class InjectionModel:
             if not (np.array_equal(m, m.T)
                     or np.allclose(m, m.T, rtol=0, atol=1e-12 * max(1.0, np.abs(m).max()))):
                 raise ModelError(f"{name} must be symmetric")
-        self._check_psd()
 
-    def _check_psd(self):
-        """Reject a joint covariance of (p, q) with an eigenvalue below
-        -slack * scale, one connected component of the covariance pattern at
-        a time.
+    def _check_psd(self) -> tuple[np.ndarray, ...]:
+        """The generic positive-semidefiniteness check, which every model
+        but ``default_model``'s takes: reject a joint covariance of (p, q)
+        with an eigenvalue below -slack * scale, one connected component of
+        the covariance pattern at a time, and return the components.
 
         Nodes i and j share a component when any of omega_p, omega_q,
         omega_pq or its transpose is nonzero at (i, j).  In component-major
         order the joint covariance is block diagonal with one block per
-        component, so the blocks together have its eigenvalues; a forest's
-        trees are the components of the default model.
+        component, so the blocks together have its eigenvalues.  ``scale`` is
+        the largest magnitude of an omega entry, and at least 1.
         """
         n = len(self.nodes)
         coupled = np.zeros((n, n), dtype=bool)
@@ -151,7 +170,6 @@ class InjectionModel:
         threshold = _PSD_SLACK * scale
         coupled |= coupled.T
         components = _components(coupled)
-        object.__setattr__(self, "components", tuple(components))
         for comp in components:
             ix = np.ix_(comp, comp)
             mp, mq = self.mu_p[comp], self.mu_q[comp]
@@ -171,6 +189,7 @@ class InjectionModel:
                 pass
             if np.linalg.eigvalsh(joint).min() < -threshold:
                 raise ModelError("joint covariance of (p, q) is not positive semidefinite")
+        return tuple(components)
 
     @property
     def n(self) -> int:
@@ -279,6 +298,13 @@ def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float
     and zero correlation across trees; reactive injections are q_alpha * p
     plus independent noise.  All constants are overridable defaults and
     must be finite.
+
+    Each moment matrix holds three values: on the diagonal, between two
+    loads of one tree and across trees.  They are computed once, as
+    omega + mu mu^T with the bits an N x N evaluation gives, and written
+    directly; the joint covariance is decided positive semidefinite in
+    closed form (``_tree_verdict``), with no factorization.  The entry
+    checks are those of every other model.
     """
     params = {"mu_p": mu_p, "sigma_ratio": sigma_ratio, "rho": rho, "q_alpha": q_alpha,
               "q_noise_ratio": q_noise_ratio}
@@ -288,19 +314,65 @@ def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float
     nodes = forest.grid.load_ids
     n = len(nodes)
     sig = sigma_ratio * abs(mu_p)
-    tree = forest.load_tree_index
-    omega_p = np.zeros((n, n))
-    omega_p[tree[:, None] == tree[None, :]] = rho * sig * sig
-    np.fill_diagonal(omega_p, sig * sig * (1.0 + rho))
-
     mu_q = q_alpha * mu_p
     sig_eta = q_noise_ratio * abs(mu_q)
-    omega_q = q_alpha * q_alpha * omega_p + np.eye(n) * sig_eta * sig_eta
-    omega_pq = q_alpha * omega_p
-    return InjectionModel.from_covariances(
-        nodes=nodes, mu_p=np.full(n, mu_p), mu_q=np.full(n, mu_q),
-        omega_p=omega_p, omega_q=omega_q, omega_pq=omega_pq,
-    )
+    # (diagonal, same tree, across trees) of each omega, then of each sigma;
+    # float() as storing into a float array would.
+    omega_p = (float(sig * sig * (1.0 + rho)), float(rho * sig * sig), 0.0)
+    noise = ((1.0 * sig_eta) * sig_eta, (0.0 * sig_eta) * sig_eta, (0.0 * sig_eta) * sig_eta)
+    omega_q = [q_alpha * q_alpha * w + e for w, e in zip(omega_p, noise)]
+    omega_pq = [q_alpha * w for w in omega_p]
+    mp, mq = float(mu_p), float(mu_q)
+    means = (mp * mp, mq * mq, mp * mq)
+    sigmas = [[w + mean for w in omega] for omega, mean in zip((omega_p, omega_q, omega_pq), means)]
+
+    tree = forest.load_tree_index
+    same_tree = tree[:, None] == tree[None, :]
+
+    def matrix(diagonal, within, across):
+        out = np.where(same_tree, within, across)
+        np.fill_diagonal(out, diagonal)
+        return out
+
+    # The diagonal and same-tree omega entries as _check_psd reads them back: sigma - mu mu^T.
+    diagonal, within = ([sigma[k] - mean for sigma, mean in zip(sigmas, means)] for k in (0, 1))
+    return InjectionModel._built(lambda: _tree_verdict(tree, diagonal, within),
+                                 nodes=nodes, mu_p=np.full(n, mp), mu_q=np.full(n, mq),
+                                 sigma_p=matrix(*sigmas[0]), sigma_q=matrix(*sigmas[1]),
+                                 sigma_pq=matrix(*sigmas[2]))
+
+
+def _tree_verdict(tree: np.ndarray, diagonal: list[float], within: list[float]) -> tuple[np.ndarray, ...]:
+    """``InjectionModel._check_psd`` in closed form, for a model whose
+    omega_p, omega_q and omega_pq hold ``diagonal`` on the diagonal,
+    ``within`` between two loads of one tree and zero across trees;
+    ``tree`` is the tree index of each load.
+
+    On a tree of n_k loads each of the three is (d - w) I + w 11^T.  They
+    share the eigenvector 1, with eigenvalue d + (n_k - 1) w, and its
+    orthogonal complement, with eigenvalue d - w when n_k > 1.  So the joint
+    covariance splits into 2x2 blocks [[a_p, a_pq], [a_pq, a_q]], one per
+    eigenvalue triple a, and its smallest eigenvalue is theirs.  That is
+    held to the same threshold, with the same ModelError; the components
+    returned are those ``_check_psd`` finds: the trees when a ``within``
+    value is nonzero, else one component per load.
+    """
+    if not len(tree):
+        return ()
+    sizes = sorted(set(np.bincount(tree).tolist()) - {0})
+    shared = sizes[-1] > 1  # some tree has two loads, so ``within`` is an entry
+    scale = max(1.0, *map(abs, diagonal), *(map(abs, within) if shared else ()))
+    blocks = [[d + (k - 1) * w for d, w in zip(diagonal, within)] for k in sizes]
+    if shared:
+        blocks.append([d - w for d, w in zip(diagonal, within)])
+    if min(0.5 * (p + q) - math.hypot(0.5 * (p - q), pq) for p, q, pq in blocks) < -_PSD_SLACK * scale:
+        raise ModelError("joint covariance of (p, q) is not positive semidefinite")
+    if not any(within):
+        return tuple(np.arange(len(tree)).reshape(-1, 1))
+    trees: dict[int, list[int]] = {}  # in the order of their first load, as _components finds them
+    for i, k in enumerate(tree.tolist()):
+        trees.setdefault(k, []).append(i)
+    return tuple(np.array(members, dtype=np.intp) for members in trees.values())
 
 
 def sample_injections(model: InjectionModel, m: int, seed) -> InjectionBatch:
@@ -412,11 +484,13 @@ class LineDrops:
     Per block, the covariance Delta of the drops delta_e of its lines; for
     every line, its mean drop m_e; for every load, the variance and mean of
     its deviation.  ``sq_diff`` reads E[(eps_a - eps_b)^2] from them without
-    forming a difference of nearly equal voltage moments.
+    forming a difference of nearly equal voltage moments.  ``variant`` names
+    the linear model whose line impedances weighted the drops.
     """
 
-    def __init__(self, forest: ForestConfig, plans: list[_LevelPlan], covariances: list[np.ndarray],
+    def __init__(self, forest: ForestConfig, variant: str, plans: list[_LevelPlan], covariances: list[np.ndarray],
                  mean_drop: np.ndarray, variance: np.ndarray, mean: np.ndarray):
+        self.variant = variant
         idx = forest.grid.load_index
         n = len(idx)
         # Lists of ints for the path walk; index n is every substation, at
@@ -511,7 +585,7 @@ def _edge_moments(forest: ForestConfig, model: InjectionModel, variant: str,
                 variance[plan.canon] = voltage.diagonal()
     drops = None
     if "sigma_eps" in names:
-        drops = LineDrops(forest, plans, covariances, mean_drop["eps"], variance, mean["eps"])
+        drops = LineDrops(forest, variant, plans, covariances, mean_drop["eps"], variance, mean["eps"])
     return out, drops
 
 

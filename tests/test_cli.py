@@ -79,6 +79,24 @@ def test_learn_json_reports_the_decision_margins(runner, tmp_path):
     assert doc["accept_margin"] > 0.0 and doc["reject_margin"] >= 0.0
 
 
+def test_learn_json_lists_the_parentless_loads(runner, tmp_path):
+    # 200 samples at tau 0.01 leave most of bus_83_11's loads without a
+    # learned parent line; only --json says which.
+    samples = tmp_path / "s.csv"
+    runner.invoke(main, ["simulate", "--grid", "bus_83_11", "-m", "200", "--seed", "3", "-o", str(samples)])
+    args = ["learn", "--grid", "bus_83_11", "--samples", str(samples), "--tau", "0.01"]
+    res = runner.invoke(main, args + ["--json"])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    grid, forest = load_fixture("bus_83_11")
+    want = reconstruct(read_samples(samples), default_model(forest), grid, LearnerConfig(tau=0.01))
+    assert doc["parentless_loads"] == list(want.parentless_loads) == sorted(doc["parentless_loads"])
+    assert len(doc["parentless_loads"]) == grid.n_loads - len(doc["learned_edges"]) > 0
+    assert set(doc["parentless_loads"]).isdisjoint(want.parent_map)
+    text = runner.invoke(main, args)
+    assert text.exit_code == 0 and "parentless" not in text.output
+
+
 def test_learn_json_writes_an_infinite_margin_as_a_string(runner, tmp_path):
     # A zero-variance model makes every closed form zero, so every tested
     # pair is rejected with an infinite deviation.

@@ -98,6 +98,30 @@ def test_exact_recovery_dc_variant():
     assert res.relative_error == 0.0
 
 
+def test_parentless_loads_are_the_loads_without_a_learned_parent():
+    grid, forest = load_fixture("bus_83_11")
+    model = default_model(forest)
+    exact = reconstruct(_analytic(forest, model), model, grid, LearnerConfig(tau=1e-9), truth=forest)
+    assert exact.relative_error == 0.0 and exact.parentless_loads == ()
+    partial = reconstruct(_sampled(forest, model, 200, 3), model, grid, LearnerConfig(tau=0.01))
+    assert partial.parentless_loads == tuple(sorted(set(grid.load_ids) - set(partial.parent_map)))
+    assert len(partial.parentless_loads) == grid.n_loads - len(partial.learned_edges) > 0
+
+
+@pytest.mark.parametrize("computed, configured", [("lc", "dc"), ("dc", "lc")])
+def test_reconstruct_refuses_moments_of_another_variant(computed, configured):
+    # Unrefused, lc moments under a dc learner learn 5 of 83 edges on
+    # bus_83_11 at tau 0.05, with nothing to say the inputs disagree.
+    grid, forest = load_fixture("bus_83_11")
+    model = default_model(forest)
+    mset = _analytic(forest, model, variant=computed)
+    assert mset.drops.variant == computed
+    with pytest.raises(DomainError, match=f"variant '{computed}'.*variant '{configured}'"):
+        reconstruct(mset, model, grid, LearnerConfig(tau=0.05, variant=configured))
+    res = reconstruct(mset, model, grid, LearnerConfig(tau=0.05, variant=computed), truth=forest)
+    assert res.relative_error == 0.0
+
+
 def test_pop_order_non_increasing_and_children_first():
     grid, forest = random_instance(123)[0], random_instance(123)[1]
     model = random_a1_model(forest, 9)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gridtop.errors import AssumptionViolation, DomainError, ModelError, ParseError
 from gridtop.grid import LOAD, SUBSTATION
 from gridtop.moments import (
+    _PSD_SLACK,
     InjectionModel,
     analytic_moment_set,
     analytic_sigma_eps,
@@ -485,15 +486,18 @@ def _coupled_trees_model(forest, seed):
 ORACLE_GRIDS = ("multi_tree", "empty_substation", "shuffled_chain", "star")
 
 
-def _oracle_case(seed, grid_kind, model_kind):
+def _oracle_forest(seed, grid_kind):
     if grid_kind == "empty_substation":
-        grid, forest = empty_substation_grid()
-    elif grid_kind == "shuffled_chain":
-        grid, forest = shuffled_chain_grid(3 + seed % 30, seed)
-    elif grid_kind == "star":
-        grid, forest = star_grid(5 + seed % 20, seed)
-    else:
-        grid, forest = _multi_tree_instance(seed)
+        return empty_substation_grid()[1]
+    if grid_kind == "shuffled_chain":
+        return shuffled_chain_grid(3 + seed % 30, seed)[1]
+    if grid_kind == "star":
+        return star_grid(5 + seed % 20, seed)[1]
+    return _multi_tree_instance(seed)[1]
+
+
+def _oracle_case(seed, grid_kind, model_kind):
+    forest = _oracle_forest(seed, grid_kind)
     if model_kind == "coupled":
         return forest, _coupled_trees_model(forest, seed + 11)
     return forest, random_a1_model(forest, seed + 13)
@@ -696,7 +700,11 @@ def test_model_rejects_non_finite_means():
 # -- vectorised model functions against their loop forms ---------------------------
 
 
-def _default_model_loop(forest, mu_p=-0.005, sigma_ratio=0.2, rho=0.1, q_alpha=0.3, q_noise_ratio=0.2):
+def _default_model_loop(forest, **params):
+    return InjectionModel.from_covariances(**_default_covariances_loop(forest, **params))
+
+
+def _default_covariances_loop(forest, mu_p=-0.005, sigma_ratio=0.2, rho=0.1, q_alpha=0.3, q_noise_ratio=0.2):
     nodes = forest.grid.load_ids
     n = len(nodes)
     sig = sigma_ratio * abs(mu_p)
@@ -711,10 +719,8 @@ def _default_model_loop(forest, mu_p=-0.005, sigma_ratio=0.2, rho=0.1, q_alpha=0
     sig_eta = q_noise_ratio * abs(mu_q)
     omega_q = q_alpha * q_alpha * omega_p + np.eye(n) * sig_eta * sig_eta
     omega_pq = q_alpha * omega_p
-    return InjectionModel.from_covariances(
-        nodes=nodes, mu_p=np.full(n, mu_p), mu_q=np.full(n, mu_q),
-        omega_p=omega_p, omega_q=omega_q, omega_pq=omega_pq,
-    )
+    return dict(nodes=nodes, mu_p=np.full(n, mu_p), mu_q=np.full(n, mu_q),
+                omega_p=omega_p, omega_q=omega_q, omega_pq=omega_pq)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -726,6 +732,140 @@ def test_default_model_equals_loop_oracle(seed):
     assert got.nodes == want.nodes
     for name in ("mu_p", "mu_q", "sigma_p", "sigma_q", "sigma_pq"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+# 1 +- 1e-3 and 1 +- 1e-9 place rho at -1/n_k (1 +- ...); the others reach into the rounding band.
+_FACTORS = tuple(1 + sign * gap for gap in (1e-3, 1e-6, 1e-9, 1e-12) for sign in (-1, 1))
+
+
+@st.composite
+def _default_model_case(draw):
+    """A forest and default-model parameters that put the smallest
+    eigenvalue of the joint covariance near 0 or near the rejection
+    threshold, or switch off one of the model's terms."""
+    forest = _oracle_forest(draw(st.integers(0, 10_000)), draw(st.sampled_from(ORACLE_GRIDS)))
+    sizes = np.bincount(forest.load_tree_index)
+    n_k = int(draw(st.sampled_from(sorted(set(sizes[sizes > 0].tolist())))))
+    params = {
+        "mu_p": draw(st.sampled_from([-0.005, 0.02]) | st.floats(-0.05, 0.05)),
+        "sigma_ratio": draw(st.sampled_from([0.0, 0.2]) | st.floats(0.01, 2.0)),
+        "q_alpha": draw(st.sampled_from([0.3, -0.3, 0.0]) | st.floats(-2.0, 2.0)),
+        "q_noise_ratio": draw(st.sampled_from([0.0, 0.2]) | st.floats(0.0, 1.0)),
+    }
+    kind = draw(st.sampled_from(["eigenvalue_zero", "threshold", "zero", "tiny", "free"]))
+    factor = draw(st.sampled_from(_FACTORS))
+    sig2 = (params["sigma_ratio"] * params["mu_p"]) ** 2
+    if kind == "eigenvalue_zero":  # s^2 (1 + rho n_k) = -s^2 (factor - 1)
+        params["rho"] = -factor / n_k
+    elif kind == "threshold" and sig2 > 0:
+        # With no reactive noise the tree's block along 1 is a [[1, alpha], [alpha, alpha^2]],
+        # with eigenvalues 0 and a (1 + alpha^2): put the second at -threshold * factor.
+        params["q_noise_ratio"] = 0.0
+        a = -_PSD_SLACK * factor / (1.0 + params["q_alpha"] ** 2)
+        params["rho"] = (a / sig2 - 1.0) / n_k
+    elif kind == "tiny":  # rho s^2 may round away next to mu^2
+        params["rho"] = draw(st.sampled_from([1e-12, 1e-16, -1e-18]))
+    elif kind == "zero":
+        params["rho"] = 0.0
+    else:
+        params["rho"] = draw(st.floats(-1.0, 1.0))
+    return forest, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(_default_model_case())
+def test_default_model_verdict_equals_the_generic_check(case):
+    # The closed-form verdict against the generic one (Cholesky, then
+    # eigvalsh) on the same parameters.  Both judge omega as read back from
+    # the model, sigma - mu mu^T.  They may disagree only when the smallest
+    # eigenvalue of that joint matrix lies within BAND of -threshold, where
+    # BAND = (2N)^2 * eps * max|omega entry| (N loads, eps the unit
+    # roundoff) bounds eigvalsh's error on the 2N x 2N matrix and, more
+    # loosely, the closed form's.  Otherwise both accept with the same bytes
+    # and components, or both reject.
+    forest, params = case
+    args = _default_covariances_loop(forest, **params)
+    mp, mq = args["mu_p"], args["mu_q"]
+    omegas = [(args[name] + np.outer(left, right)) - np.outer(left, right)
+              for name, left, right in (("omega_p", mp, mp), ("omega_q", mq, mq), ("omega_pq", mp, mq))]
+    entries = max(float(np.abs(w).max()) for w in omegas)
+    threshold = _PSD_SLACK * max(1.0, entries)
+    joint = np.block([[omegas[0], omegas[2]], [omegas[2].T, omegas[1]]])
+    smallest = np.linalg.eigvalsh(joint).min()
+    band = len(joint) ** 2 * np.finfo(float).eps * entries
+
+    verdicts = []
+    for build in (lambda: _default_model_loop(forest, **params), lambda: default_model(forest, **params)):
+        try:
+            verdicts.append(build())
+        except ModelError as exc:
+            assert "positive semidefinite" in str(exc)
+            verdicts.append(None)
+    want, got = verdicts
+    if abs(smallest + threshold) <= band:
+        return  # within rounding of the threshold: either verdict is right
+    assert (got is None) == (want is None) == (smallest < -threshold)
+    if got is None:
+        return
+    for name in ("mu_p", "mu_q", "sigma_p", "sigma_q", "sigma_pq"):
+        assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name
+    assert len(got.components) == len(want.components)
+    for mine, theirs in zip(got.components, want.components):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=12),
+       st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-1.0, 1.0)),
+       st.tuples(*[st.sampled_from([0.0, 0.5, -0.5]) | st.floats(-1.0, 1.0)] * 3))
+def test_tree_verdict_equals_the_generic_check_on_any_tree_structured_omegas(tree, diagonal, within):
+    # Any omega_p, omega_q, omega_pq that hold one value on the diagonal,
+    # one within a tree and zero across trees, with zero means; the band is
+    # the one stated above.
+    from gridtop.moments import _tree_verdict
+
+    tree = np.array(tree)
+    n = len(tree)
+    same_tree = tree[:, None] == tree[None, :]
+    omegas = []
+    for d, w in zip(diagonal, within):
+        omega = np.where(same_tree, w, 0.0)
+        np.fill_diagonal(omega, d)
+        omegas.append(omega)
+    joint = np.block([[omegas[0], omegas[2]], [omegas[2].T, omegas[1]]])
+    smallest = np.linalg.eigvalsh(joint).min()
+    entries = float(np.abs(joint).max())
+    threshold = _PSD_SLACK * max(1.0, entries)
+    verdicts = []
+    for judge in (lambda: InjectionModel.from_covariances(range(1, n + 1), np.zeros(n), np.zeros(n), *omegas),
+                  lambda: _tree_verdict(tree, diagonal, within)):
+        try:
+            verdicts.append(judge())
+        except ModelError:
+            verdicts.append(None)
+    generic, closed = verdicts
+    if abs(smallest + threshold) <= len(joint) ** 2 * np.finfo(float).eps * entries:
+        return
+    assert (generic is None) == (closed is None) == (smallest < -threshold)
+    if closed is not None:
+        assert [c.tolist() for c in closed] == [c.tolist() for c in generic.components]
+
+
+def test_default_model_components_follow_the_rounded_coupling():
+    # rho s^2 = 1e-22 vanishes next to mu^2 = 2.5e-5, so sigma - mu mu^T is
+    # diagonal and every load is a component of its own, as in the generic
+    # check; rho = 1e-12 keeps the trees coupled.
+    forest = _multi_tree_instance(3)[1]
+    tree = forest.load_tree_index
+    lone = default_model(forest, rho=1e-16)
+    assert [c.tolist() for c in lone.components] == [[i] for i in range(len(tree))]
+    coupled = default_model(forest, rho=1e-12)
+    assert sorted(c.tolist() for c in coupled.components) == sorted(
+        np.flatnonzero(tree == k).tolist() for k in range(forest.n_trees) if (tree == k).any())
 
 
 def _violations_loop(forest, model):
