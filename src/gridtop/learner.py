@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .grid import ForestConfig, GridGraph
+from .grid import ForestConfig, GridGraph, _is_number
 from .moments import InjectionModel, MomentSet, edge_sq_diff
 from .powerflow import VARIANTS, VoltageSamples
 
@@ -46,9 +46,9 @@ class LearnerConfig:
     variant: str = "lc"
 
     def __post_init__(self):
-        if not 0.0 < self.tau < 1.0:
-            raise DomainError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.variant not in VARIANTS:
+        if not (_is_number(self.tau) and 0.0 < self.tau < 1.0):
+            raise DomainError(f"tau must lie in (0, 1), got {self.tau!r}")
+        if not (isinstance(self.variant, str) and self.variant in VARIANTS):
             raise DomainError(f"variant must be one of {list(VARIANTS)}, got {self.variant!r}")
 
 

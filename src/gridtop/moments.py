@@ -9,17 +9,21 @@ reactive power).  Covariances are derived, informational quantities.
 The analytic moments are computed in the forest's edge coordinates.  Index
 each line by its child load: the drop across line e is delta_e = r_e P_e +
 x_e Q_e, with P_e, Q_e the injections summed over e's subtree, and a
-deviation is the sum of the drops on its root path.  So every voltage moment
-is two subtree sweeps of an injection covariance, a weighting by the line
-impedances and two root-path sweeps, one block of trees at a time (the trees
-the model's covariance couples), plus the product of the means; no inverse
-Laplacian or dense response matrix is formed.  For a load a with parent b,
-E[(eps_a - eps_b)^2] is the second moment of the single drop delta_a: a
-double sum of injection moments over the descendant set of a, which is the
-identity the reconstruction algorithm tests edge by edge.  An analytic
-``MomentSet`` keeps the drop moments and answers that statistic from them,
+deviation is the sum of the drops on its root path.  The model's covariance
+couples the trees in blocks, and deviations in two blocks are independent.
+Within a block, two subtree sweeps of the model's sigma blocks, weighted by
+the line impedances, give the drop second moments M = E[delta delta^T], and
+two root-path sweeps of M give the voltage moments; across two blocks a
+moment is the product of the means.  No covariance, inverse Laplacian or
+dense response matrix is formed.  For a load a with parent b,
+E[(eps_a - eps_b)^2] is the second moment of the single drop delta_a, one
+diagonal entry of M: a double sum of injection moments over the descendant
+set of a, which is the identity the reconstruction algorithm tests edge by
+edge.  An analytic ``MomentSet`` keeps M and reads that statistic from it
 without subtracting nearly equal voltage moments, so exact recovery holds at
-any tolerance above rounding.
+any tolerance above rounding.  For every other pair the mean terms cancel in
+the statistic, which keeps about one digit less, on pairs the learner must
+reject.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ import numpy as np
 from .errors import AssumptionViolation, DomainError, ModelError, ParseError
 # path_sum_matrix is unused here but kept: perfbench/spans.py wraps it on this module by name.
 from .grid import ForestConfig, LineEdge, _is_index, _is_number, _repeated, path_sum_matrix  # noqa: F401
-from .powerflow import (InjectionVector, VoltageSamples, _build_level_plan, _Deferred, _LevelPlan,
-                        _ReadOnFirstAccess, _root_path_sums, _rows, _subtree_sums, effective_impedance)
+from .powerflow import (InjectionVector, VoltageSamples, _build_level_plan, _Deferred, _float_array, _impedance,
+                        _LevelPlan, _ReadOnFirstAccess, _root_path_sums, _rows, _subtree_sums, effective_impedance)
 
 __all__ = [
     "InjectionModel",
@@ -87,6 +91,14 @@ def _components(adjacent: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _equals_transpose(m: np.ndarray, tile: int = 256) -> bool:
+    """``np.array_equal(m, m.T)`` for a square m, one pair of tiles at a
+    time, so the transposed tile is read from cache and not across rows."""
+    n = m.shape[0]
+    return all(np.array_equal(m[i:i + tile, j:j + tile], m[j:j + tile, i:i + tile].T)
+               for i in range(0, n, tile) for j in range(i, n, tile))
+
+
 @dataclass(frozen=True)
 class InjectionModel:
     """Means and non-central second moments of nodal power injections.
@@ -130,7 +142,7 @@ class InjectionModel:
         if (nid := _repeated(self.nodes)) is not None:
             raise ModelError(f"node id {nid} is listed twice")
         for name in ("mu_p", "mu_q", "sigma_p", "sigma_q", "sigma_pq"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, _float_array(getattr(self, name), name, ModelError))
         if self.mu_p.shape != (n,) or self.mu_q.shape != (n,):
             raise ModelError(f"mean vectors must have shape ({n},)")
         for name in ("sigma_p", "sigma_q", "sigma_pq"):
@@ -143,7 +155,7 @@ class InjectionModel:
             raise ModelError("mean vectors contain non-finite entries")
         for name in ("sigma_p", "sigma_q"):
             m = getattr(self, name)
-            if not (np.array_equal(m, m.T)
+            if not (_equals_transpose(m)
                     or np.allclose(m, m.T, rtol=0, atol=1e-12 * max(1.0, np.abs(m).max()))):
                 raise ModelError(f"{name} must be symmetric")
 
@@ -277,16 +289,18 @@ class MomentSet:
     def __post_init__(self):
         if (nid := _repeated(self.nodes)) is not None:
             raise DomainError(f"node id {nid} is listed twice")
-        self._check_field("sigma_eps", self.sigma_eps)
+        object.__setattr__(self, "sigma_eps", self._check_field("sigma_eps", self.sigma_eps))
         for name in ("sigma_theta", "sigma_theta_eps"):
             matrix = self.__dict__[name]
             if matrix is not None and not isinstance(matrix, _Deferred):
-                self._check_field(name, matrix)
+                object.__setattr__(self, name, self._check_field(name, matrix))
 
-    def _check_field(self, name: str, matrix):
+    def _check_field(self, name: str, matrix) -> np.ndarray:
+        matrix = _float_array(matrix, name)
         n = len(self.nodes)
-        if np.shape(matrix) != (n, n):
-            raise DomainError(f"{name} must have shape ({n}, {n}) for {n} nodes, got {np.shape(matrix)}")
+        if matrix.shape != (n, n):
+            raise DomainError(f"{name} must have shape ({n}, {n}) for {n} nodes, got {matrix.shape}")
+        return matrix
 
 
 def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float = 0.2,
@@ -381,7 +395,10 @@ def sample_injections(model: InjectionModel, m: int, seed) -> InjectionBatch:
         raise DomainError(f"sample count must be an integer, got {m!r}")
     if m < 1:
         raise DomainError(f"sample count must be at least 1, got {m}")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise DomainError(f"seed must be a non-negative integer or a SeedSequence, got {seed!r}") from None
     mean = np.concatenate([model.mu_p, model.mu_q])
     draws = rng.multivariate_normal(mean, model.joint_covariance, size=m, method="eigh")
     n = model.n
@@ -413,11 +430,12 @@ def _aligned(forest: ForestConfig, model: InjectionModel) -> InjectionModel:
 # With D the subtree indicator (row e marks the loads below line e), the
 # drops are delta = R D p + X D q, eps = D^T delta, and the phases are the same
 # root-path sums of phi = X D p - R D q.  The covariances are zero across the
-# blocks the model's covariance components define, so the sweeps run one
+# blocks the model's covariance components define, so a second moment there
+# is the product of the means, and the sweeps of the second moments run one
 # block at a time, on the level plan of the block's loads.
 
 _WEIGHTS = {"eps": lambda r, x: (r, x), "theta": lambda r, x: (x, -r)}
-# Moment name -> the (left, right) weights of its drop covariance.
+# Moment name -> the (left, right) weights of its drop moments.
 _MOMENTS = {"sigma_eps": ("eps", "eps"), "sigma_theta": ("theta", "theta"),
             "sigma_theta_eps": ("theta", "eps")}
 
@@ -447,24 +465,23 @@ def _outside_row(a: np.ndarray) -> np.ndarray:
 
 
 def _injection_sums(plan: _LevelPlan, mod: InjectionModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """D W D^T over one block for W = omega_p, omega_q and omega_pq^T: the
-    covariances of the injections summed below each pair of lines."""
+    """D S D^T over one block for S = sigma_p, sigma_q and sigma_pq^T: the
+    second moments of the injections summed below each pair of lines."""
     loads = plan.canon
     n = len(loads)
     ix = np.ix_(loads, loads)
-    mp, mq = mod.mu_p[loads], mod.mu_q[loads]
     w = np.zeros((n + 1, 3 * n))
-    for k, (sigma, left, right) in enumerate(((mod.sigma_p, mp, mp), (mod.sigma_q, mq, mq), (mod.sigma_pq, mp, mq))):
-        np.subtract(sigma[ix], np.outer(left, right), out=w[:n, k * n:(k + 1) * n])  # omega, as the model has it
-    _subtree_sums(plan, w)  # D W, side by side
+    for k, sigma in enumerate((mod.sigma_p, mod.sigma_q, mod.sigma_pq)):
+        w[:n, k * n:(k + 1) * n] = sigma[ix]
+    _subtree_sums(plan, w)  # D S, side by side
     dw = np.zeros_like(w)
     np.concatenate([w[:n, k * n:(k + 1) * n].T for k in range(3)], axis=1, out=dw[:n])
-    _subtree_sums(plan, dw)  # D (D W)^T
+    _subtree_sums(plan, dw)  # D (D S)^T
     return dw[:n, :n], dw[:n, n:2 * n], dw[:n, 2 * n:]
 
 
-def _drop_covariance(sums, left, right) -> np.ndarray:
-    """Cov(u1 P + v1 Q, u2 P + v2 Q) over one block's lines, for the
+def _drop_moments(sums, left, right) -> np.ndarray:
+    """E[(u1 P + v1 Q)(u2 P + v2 Q)^T] over one block's lines, for the
     weights left = (u1, v1) and right = (u2, v2)."""
     gp, gq, gqp = sums
     (u1, v1), (u2, v2) = left, right
@@ -481,112 +498,97 @@ def _path_sums(plan: _LevelPlan, block: np.ndarray) -> np.ndarray:
 class LineDrops:
     """The line-drop moments an analytic ``MomentSet`` was computed from.
 
-    Per block, the covariance Delta of the drops delta_e of its lines; for
-    every line, its mean drop m_e; for every load, the variance and mean of
-    its deviation.  ``sq_diff`` reads E[(eps_a - eps_b)^2] from them without
-    forming a difference of nearly equal voltage moments.  ``variant`` names
-    the linear model whose line impedances weighted the drops.
+    Per block of trees, M = E[delta delta^T] over its lines, in the rows of
+    the block's level plan, and the plan's parent rows; across blocks, the
+    set's ``sigma_eps``.  ``sq_diff`` reads E[(eps_a - eps_b)^2] from them:
+    for a tree line one entry of M, to a few ulps; for any other pair a sum
+    in which the mean terms cancel, to about 1e-13 relative on 1000-load
+    feeders.  ``variant`` names the linear model whose line impedances
+    weighted the drops.
     """
 
-    def __init__(self, forest: ForestConfig, variant: str, plans: list[_LevelPlan], covariances: list[np.ndarray],
-                 mean_drop: np.ndarray, variance: np.ndarray, mean: np.ndarray):
+    def __init__(self, variant: str, plans: list[_LevelPlan], moments: list[np.ndarray], sigma_eps: np.ndarray):
         self.variant = variant
-        idx = forest.grid.load_index
-        n = len(idx)
-        # Lists of ints for the path walk; index n is every substation, at
-        # depth 0.  Float values stay in arrays: a list of N new float
-        # objects per set scattered over the heap and raised the peak RSS
-        # of a run of feeder units.
-        self._parent = [idx.get(forest.parent[nid], n) for nid in forest.grid.load_ids] + [n]
-        self._depth = [forest.depth[nid] for nid in forest.grid.load_ids] + [0]
+        n = sigma_eps.shape[0]
         block = np.empty(n, dtype=np.intp)
         local = np.empty(n, dtype=np.intp)
+        # Lists of ints for the path walk: per block, each row's parent row,
+        # with -1 for a substation, which sorts below every load.
+        self._parents = []
         for k, plan in enumerate(plans):
             block[plan.canon] = k
             local[plan.canon] = np.arange(len(plan.canon))
-        self._block, self._local = block.tolist(), local
-        self._covariances = covariances
-        self._mean_drop = mean_drop
-        self._variance, self._mean = variance, mean
+            parent = np.concatenate(plan.parents)
+            parent[parent == len(plan.canon)] = -1
+            self._parents.append(parent.tolist())
+        self._block, self._local = block.tolist(), local.tolist()
+        self._moments = moments
+        self._sigma_eps = sigma_eps
 
     def sq_diff(self, i: int, j: int) -> float:
         """E[(eps_i - eps_j)^2] for two canonical load indices.
 
-        Within a block this is u^T Delta u + (u^T m)^2, where u is +1 on the
-        lines from load i up to the lowest common ancestor and -1 on those
-        from j (on both whole root paths across trees); for a load and its
-        parent it is Delta_ii + m_i^2.  Across blocks the deviations are
-        uncorrelated: var_i + var_j + (E eps_i - E eps_j)^2.
+        Within a block this is u^T M u, where u is +1 on the lines from load
+        i up to the lowest common ancestor and -1 on those from j (on both
+        whole root paths across trees); for a load and its parent it is one
+        diagonal entry of M.  Across blocks the deviations are independent,
+        and it is sigma_ii - 2 sigma_ij + sigma_jj.
         """
-        block = self._block
-        if block[i] != block[j]:
-            shift = self._mean[i] - self._mean[j]
-            return float(self._variance[i] + self._variance[j] + shift * shift)
-        parent, depth = self._parent, self._depth
+        k = self._block[i]
+        if k != self._block[j]:
+            sigma = self._sigma_eps
+            return float(sigma[i, i] - 2.0 * sigma[i, j] + sigma[j, j])
+        # Rows sort by (depth, id), so the larger of two rows is at least as deep.
+        parent = self._parents[k]
         up, down = [], []
-        a, b = i, j
+        a, b = self._local[i], self._local[j]
         while a != b:
-            if depth[a] >= depth[b]:
+            if a > b:
                 up.append(a)
                 a = parent[a]
             else:
                 down.append(b)
                 b = parent[b]
-        cov = self._covariances[block[i]]
+        moments = self._moments[k]
         if len(up) + len(down) == 1:
             line = (up or down)[0]
-            k = self._local[line]
-            shift = self._mean_drop[line]
-            return float(cov[k, k] + shift * shift)
+            return float(moments[line, line])
         lines = np.array(up + down, dtype=np.intp)
         signs = np.repeat([1.0, -1.0], [len(up), len(down)])
-        sub = self._local[lines]
-        shift = signs @ self._mean_drop[lines]
-        return float(signs @ cov[np.ix_(sub, sub)] @ signs + shift * shift)
+        return float(signs @ moments[np.ix_(lines, lines)] @ signs)
 
 
 def _edge_moments(forest: ForestConfig, model: InjectionModel, variant: str,
                   names: tuple[str, ...]) -> tuple[dict[str, np.ndarray], LineDrops | None]:
     """The moment matrices ``names`` of the linear model, in canonical
-    order, and the line drops behind ``sigma_eps`` when it is asked for."""
-    mod = _aligned(forest, model)
-    lines = [effective_impedance(forest.grid.edges[forest.parent_edge[nid]], variant)
-             for nid in forest.grid.load_ids]
-    r = np.array([r for r, _ in lines])
-    x = np.array([x for _, x in lines])
-    kinds = dict.fromkeys(kind for name in names for kind in _MOMENTS[name])
-    weights = {kind: _WEIGHTS[kind](r, x) for kind in kinds}
-    plans = _block_plans(forest, mod)
+    order, and the line drops behind ``sigma_eps`` when it is asked for.
 
-    n = len(r)
-    mean_drop = {kind: np.empty(n) for kind in kinds}
-    mean = {kind: np.empty(n) for kind in kinds}
+    An entry across two blocks is the product of the two means; a block's
+    own entries are the path sums of its drop moments."""
+    mod = _aligned(forest, model)
+    impedance = _impedance(variant)
+    kinds = dict.fromkeys(kind for name in names for kind in _MOMENTS[name])
+    plans = _block_plans(forest, mod)
+    weights = [{kind: _WEIGHTS[kind](*impedance(plan.r[:, 0], plan.x[:, 0])) for kind in kinds} for plan in plans]
+
+    mean = {kind: np.empty(forest.grid.n_loads) for kind in kinds}
     mu = np.stack([mod.mu_p, mod.mu_q])
-    for plan in plans:
-        loads = plan.canon
+    for plan, local in zip(plans, weights):
         below = _subtree_sums(plan, _rows(plan, mu))[:-1]
-        for kind, (u, v) in weights.items():
-            drop = mean_drop[kind][loads] = u[loads] * below[:, 0] + v[loads] * below[:, 1]
-            mean[kind][loads] = _root_path_sums(plan, _outside_row(drop))[:-1]
+        for kind, (u, v) in local.items():
+            mean[kind][plan.canon] = _root_path_sums(plan, _outside_row(u * below[:, 0] + v * below[:, 1]))[:-1]
 
     out = {name: np.outer(mean[_MOMENTS[name][0]], mean[_MOMENTS[name][1]]) for name in names}
-    covariances, variance = [], np.empty(n)
-    for plan in plans:
+    moments = []
+    for plan, local in zip(plans, weights):
         sums = _injection_sums(plan, mod)
-        local = {kind: (u[plan.canon], v[plan.canon]) for kind, (u, v) in weights.items()}
-        ix = np.ix_(plan.canon, plan.canon)
         for name in names:
             left, right = _MOMENTS[name]
-            cov = _drop_covariance(sums, local[left], local[right])
-            voltage = _path_sums(plan, cov)
-            out[name][ix] += voltage
+            block = _drop_moments(sums, local[left], local[right])
+            out[name][np.ix_(plan.canon, plan.canon)] = _path_sums(plan, block)
             if name == "sigma_eps":
-                covariances.append(cov)
-                variance[plan.canon] = voltage.diagonal()
-    drops = None
-    if "sigma_eps" in names:
-        drops = LineDrops(forest, variant, plans, covariances, mean_drop["eps"], variance, mean["eps"])
-    return out, drops
+                moments.append(block)
+    return out, (LineDrops(variant, plans, moments, out["sigma_eps"]) if "sigma_eps" in names else None)
 
 
 def analytic_sigma_eps(forest: ForestConfig, model: InjectionModel, variant: str = "lc") -> np.ndarray:
@@ -629,6 +631,8 @@ def expected_sq_diff(forest: ForestConfig, model: InjectionModel, child: int, pa
     """E[(eps_child - eps_parent)^2] by the direct double sum over the
     child's descendant set (the reference route, independent of the
     path-matrix evaluation of the full moment matrix)."""
+    if child not in forest.grid.load_index:
+        raise DomainError(f"node {child} is not a load of the forest")
     if forest.parent.get(child) != parent:
         raise DomainError(f"node {parent} is not the parent of node {child}")
     mod = _aligned(forest, model)

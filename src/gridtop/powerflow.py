@@ -104,10 +104,19 @@ class _Deferred:
 _NO_DEFAULT = object()
 
 
+def _float_array(value, name: str, error=DomainError) -> np.ndarray:
+    """``value`` as a float array, without a copy when it is one; ``error``
+    naming the field when it cannot be held as floats."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be an array of numbers") from None
+
+
 class _ReadOnFirstAccess:
     """A frozen-dataclass field that may be given as a ``_Deferred``: the
-    array is computed, checked by the owner's ``_check_field(name, value)``
-    and stored when the field is first read."""
+    array is computed, checked and coerced by the owner's
+    ``_check_field(name, value)`` and stored when the field is first read."""
 
     def __init__(self, default=_NO_DEFAULT):
         self.default = default
@@ -122,9 +131,7 @@ class _ReadOnFirstAccess:
             return self.default
         value = obj.__dict__[self.name]
         if isinstance(value, _Deferred):
-            value = value.get(self.name)
-            obj._check_field(self.name, value)
-            obj.__dict__[self.name] = value
+            value = obj.__dict__[self.name] = obj._check_field(self.name, value.get(self.name))
         return value
 
     def __set__(self, obj, value):
@@ -143,17 +150,20 @@ class VoltageSamples:
     def __post_init__(self):
         if (nid := _repeated(self.nodes)) is not None:
             raise DomainError(f"node id {nid} is listed twice")
-        shape = np.shape(self.eps)
-        if len(shape) != 2 or shape[1] != len(self.nodes):
+        eps = _float_array(self.eps, "eps")
+        if eps.ndim != 2 or eps.shape[1] != len(self.nodes):
             raise DomainError(f"eps must have shape (m, {len(self.nodes)}) for {len(self.nodes)} nodes, "
-                              f"got {shape}")
+                              f"got {eps.shape}")
+        object.__setattr__(self, "eps", eps)
         theta = self.__dict__["theta"]
         if theta is not None and not isinstance(theta, _Deferred):
-            self._check_field("theta", theta)
+            object.__setattr__(self, "theta", self._check_field("theta", theta))
 
-    def _check_field(self, name: str, value):
-        if np.shape(value) != np.shape(self.eps):
-            raise DomainError(f"{name} must have the shape of eps {np.shape(self.eps)}, got {np.shape(value)}")
+    def _check_field(self, name: str, value) -> np.ndarray:
+        value = _float_array(value, name)
+        if value.shape != self.eps.shape:
+            raise DomainError(f"{name} must have the shape of eps {self.eps.shape}, got {value.shape}")
+        return value
 
     def __len__(self) -> int:
         return self.eps.shape[0]
@@ -281,39 +291,34 @@ def _root_path_sums(plan: _LevelPlan, rows: np.ndarray) -> np.ndarray:
 
 
 # Each variant of the linear model is the coupled model with its own
-# effective line impedance (r, x); the resistive "dc" limit keeps only the
-# line conductance g, as (1/g, 0).
+# effective line impedance: a map of a line's (r, x), floats or arrays, to
+# the (r, x) with which it enters.  The resistive "dc" limit keeps only the
+# line conductance g, as (1/g, 0), in the operation order of
+# ``LineEdge.conductance``.
 VARIANTS = {
-    "lc": lambda edge: (edge.r, edge.x),
-    "dc": lambda edge: (1.0 / edge.conductance, 0.0),
+    "lc": lambda r, x: (r, x),
+    "dc": lambda r, x: (1.0 / (r / (r * r + x * x)), 0.0 * x),
 }
+
+
+def _impedance(variant: str):
+    """The impedance map of ``variant``; DomainError for an unknown one."""
+    impedance = VARIANTS.get(variant)
+    if impedance is None:
+        raise DomainError(f"unknown variant {variant!r}")
+    return impedance
 
 
 def effective_impedance(edge: LineEdge, variant: str) -> tuple[float, float]:
     """The (r, x) with which ``edge`` enters the linear model ``variant``."""
-    impedance = VARIANTS.get(variant)
-    if impedance is None:
-        raise DomainError(f"unknown variant {variant!r}")
-    return impedance(edge)
-
-
-def _effective_columns(forest: ForestConfig, variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """The (r, x) columns of ``variant``'s effective impedances in sweep-row
-    order, built once per forest and variant."""
-    key = ("effective_columns", variant)
-    columns = forest.memo.get(key)
-    if columns is None:
-        rx = [effective_impedance(forest.grid.edges[forest.parent_edge[nid]], variant)
-              for nid in forest.loads_by_depth]
-        columns = forest.memo[key] = (_column([r for r, _ in rx]), _column([x for _, x in rx]))
-    return columns
+    return _impedance(variant)(edge.r, edge.x)
 
 
 def _sweep(forest: ForestConfig, inj: InjectionVector, variant: str) -> VoltageState:
     """Solve the linear model by two tree sweeps, O(N) total."""
     p, q = _check_batch(forest, inj.p[None], inj.q[None])
     plan = _level_plan(forest)
-    r, x = _effective_columns(forest, variant)
+    r, x = _impedance(variant)(plan.r, plan.x)
     sp = _subtree_sums(plan, _rows(plan, p))
     sq = _subtree_sums(plan, _rows(plan, q))
     eps = np.zeros_like(sp)    # the outside row is the substation's 0

@@ -310,6 +310,71 @@ def test_moment_set_rejects_mis_shaped_matrices():
                   sigma_theta_eps=np.eye(3), source="analytic")
 
 
+def test_voltage_samples_given_as_lists_are_learned_like_arrays():
+    from gridtop.moments import empirical_moments
+
+    grid, forest = load_fixture("bus_13_3")
+    model = default_model(forest)
+    samples = simulate_voltage(forest, model, 200, seed=3)
+    listed = VoltageSamples(nodes=samples.nodes, eps=samples.eps.tolist(), theta=samples.theta.tolist())
+    assert isinstance(listed.eps, np.ndarray) and isinstance(listed.theta, np.ndarray)
+    assert np.array_equal(empirical_moments(listed).sigma_eps, empirical_moments(samples).sigma_eps)
+    config = LearnerConfig(tau=0.05)
+    assert (reconstruct(listed, model, grid, config).learned_edges
+            == reconstruct(samples, model, grid, config).learned_edges)
+
+
+@pytest.mark.parametrize("name, value", [("eps", [[0.0, 1.0], [2.0]]), ("eps", [["a", "b"]]),
+                                         ("theta", [[0.0, "b"]])])
+def test_voltage_samples_reject_entries_they_cannot_hold_as_floats(name, value):
+    fields = {"eps": np.zeros((1, 2)), name: value}
+    with pytest.raises(DomainError, match=f"^{name} must be an array of numbers"):
+        VoltageSamples(nodes=(1, 2), **fields)
+
+
+def test_voltage_samples_coerce_deferred_phases_on_first_read():
+    from gridtop.powerflow import _Deferred
+
+    samples = VoltageSamples(nodes=(1, 2), eps=np.zeros((1, 2)), theta=_Deferred(lambda: {"theta": [[1, 2]]}))
+    assert samples.theta.dtype == float and np.array_equal(samples.theta, [[1.0, 2.0]])
+    bad = VoltageSamples(nodes=(1, 2), eps=np.zeros((1, 2)), theta=_Deferred(lambda: {"theta": [["a", 2]]}))
+    with pytest.raises(DomainError, match="^theta must be an array of numbers"):
+        bad.theta
+
+
+def test_containers_keep_float_arrays_without_a_copy():
+    from gridtop.moments import MomentSet
+
+    eps, theta, sigma = np.zeros((3, 2)), np.ones((3, 2)), np.eye(2)
+    samples = VoltageSamples(nodes=(1, 2), eps=eps, theta=theta)
+    assert samples.eps is eps and samples.theta is theta
+    mset = MomentSet(nodes=(1, 2), sigma_eps=sigma, sigma_theta=sigma, sigma_theta_eps=None, source="empirical")
+    assert mset.sigma_eps is sigma and mset.sigma_theta is sigma
+
+
+def test_moment_set_given_as_lists_is_learned_like_arrays():
+    from gridtop.moments import MomentSet, analytic_moment_set
+
+    grid, forest = load_fixture("bus_13_3")
+    model = default_model(forest)
+    exact = analytic_moment_set(forest, model)
+    plain = MomentSet(nodes=exact.nodes, sigma_eps=exact.sigma_eps, sigma_theta=None, sigma_theta_eps=None,
+                      source="analytic")
+    listed = MomentSet(nodes=exact.nodes, sigma_eps=exact.sigma_eps.tolist(), sigma_theta=None,
+                       sigma_theta_eps=None, source="analytic")
+    config = LearnerConfig(tau=1e-6)
+    assert reconstruct(listed, model, grid, config).trace == reconstruct(plain, model, grid, config).trace
+
+
+@pytest.mark.parametrize("name", ["sigma_eps", "sigma_theta", "sigma_theta_eps"])
+def test_moment_set_rejects_entries_it_cannot_hold_as_floats(name):
+    from gridtop.moments import MomentSet
+
+    fields = {"sigma_eps": np.eye(2), "sigma_theta": None, "sigma_theta_eps": None, name: [["a", "0"], ["0", "1"]]}
+    with pytest.raises(DomainError, match=f"^{name} must be an array of numbers"):
+        MomentSet(nodes=(1, 2), source="analytic", **fields)
+
+
 def _doubled(nodes, matrix, repeat):
     """``nodes`` with ``repeat`` appended once more, and ``matrix`` padded
     with a column (and a row, for a square matrix) of ones to match."""

@@ -45,6 +45,14 @@ def test_config_rejects_bad_tau_and_variant():
         LearnerConfig(variant="ac")
 
 
+@pytest.mark.parametrize("kwargs", [{"tau": "0.1"}, {"tau": None}, {"tau": True}, {"variant": ["lc"]},
+                                    {"variant": None}])
+def test_config_rejects_mistyped_tau_and_variant(kwargs):
+    (name, value), = kwargs.items()
+    with pytest.raises(DomainError, match=f"^{name} must"):
+        LearnerConfig(**kwargs)
+
+
 # -- trivial and frozen examples -------------------------------------------------
 
 

@@ -58,6 +58,51 @@ def test_model_rejects_asymmetric_sigma():
                        sigma_p=bad, sigma_q=np.eye(2), sigma_pq=np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("i, j", [(298, 299), (255, 256), (0, 299), (256, 0)])
+def test_model_symmetry_check_sees_every_tile(i, j):
+    # 300 loads span two 256-wide tiles: the last tile, a pair just off the
+    # diagonal across the tile boundary and both off-diagonal tiles.
+    n = 300
+    bad = np.eye(n)
+    bad[i, j] = 0.5
+    with pytest.raises(ModelError, match="sigma_q must be symmetric"):
+        InjectionModel(nodes=tuple(range(1, n + 1)), mu_p=np.zeros(n), mu_q=np.zeros(n),
+                       sigma_p=np.eye(n), sigma_q=bad, sigma_pq=np.zeros((n, n)))
+    bad[i, j] = 1e-14  # within the rounding slack: still symmetric
+    InjectionModel(nodes=tuple(range(1, n + 1)), mu_p=np.zeros(n), mu_q=np.zeros(n),
+                   sigma_p=bad, sigma_q=np.eye(n), sigma_pq=np.zeros((n, n)))
+
+
+def test_tiled_symmetry_test_equals_array_equal():
+    from gridtop.moments import _equals_transpose
+
+    rng = np.random.default_rng(0)
+    for n in range(1, 11):
+        m = rng.normal(size=(n, n))
+        m = m + m.T
+        assert _equals_transpose(m, tile=3)
+        for i in range(n):
+            for j in range(n):
+                bent = m.copy()
+                bent[i, j] += 1.0
+                assert _equals_transpose(bent, tile=3) == np.array_equal(bent, bent.T)
+
+
+@pytest.mark.parametrize("name, value", [("sigma_p", [[1.0, 0.0], [0.0]]), ("sigma_q", [["a", 0.0], [0.0, 1.0]]),
+                                         ("mu_p", [0.0, [1.0]]), ("mu_q", ["x", "y"])])
+def test_model_rejects_entries_it_cannot_hold_as_floats(name, value):
+    fields = dict(mu_p=np.zeros(2), mu_q=np.zeros(2), sigma_p=np.eye(2), sigma_q=np.eye(2), sigma_pq=np.zeros((2, 2)))
+    fields[name] = value
+    with pytest.raises(ModelError, match=f"^{name} must be an array of numbers"):
+        InjectionModel(nodes=(1, 2), **fields)
+
+
+def test_model_keeps_float_arrays_without_a_copy():
+    fields = dict(mu_p=np.zeros(2), mu_q=np.zeros(2), sigma_p=np.eye(2), sigma_q=np.eye(2), sigma_pq=np.zeros((2, 2)))
+    model = InjectionModel(nodes=(1, 2), **fields)
+    assert all(getattr(model, name) is value for name, value in fields.items())
+
+
 def test_default_model_satisfies_assumption1(fig3):
     grid, forest = fig3
     model = default_model(forest)
@@ -155,6 +200,25 @@ def test_sampling_rejects_bad_count(fig3):
     grid, forest = fig3
     with pytest.raises(DomainError):
         sample_injections(default_model(forest), 0, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", np.float64(2.0), -(2 ** 70)])
+def test_sampling_rejects_a_bad_seed(fig3, seed):
+    from gridtop.harness.experiment import simulate_voltage
+
+    model = default_model(fig3[1])
+    for draw in (lambda: sample_injections(model, 5, seed), lambda: simulate_voltage(fig3[1], model, 5, seed)):
+        with pytest.raises(DomainError, match=f"seed must be .*, got {re.escape(repr(seed))}"):
+            draw()
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint32(7), np.random.SeedSequence((3, 1))])
+def test_sampling_draws_for_valid_seeds_are_unchanged(fig3, seed):
+    model = default_model(fig3[1])
+    mean = np.concatenate([model.mu_p, model.mu_q])
+    want = np.random.default_rng(seed).multivariate_normal(mean, model.joint_covariance, size=20, method="eigh")
+    batch = sample_injections(model, 20, seed)
+    assert np.array_equal(np.hstack([batch.p, batch.q]), want)
 
 
 # -- empirical moments --------------------------------------------------------
@@ -312,6 +376,13 @@ def test_expected_sq_diff_rejects_non_parent(fig3):
     model = default_model(forest)
     with pytest.raises(DomainError, match="not the parent"):
         expected_sq_diff(forest, model, 2, 3)
+
+
+@pytest.mark.parametrize("child", [0, 99])
+def test_expected_sq_diff_rejects_a_child_that_is_not_a_load(fig3, child):
+    grid, forest = fig3
+    with pytest.raises(DomainError, match=f"node {child} is not a load of the forest"):
+        expected_sq_diff(forest, default_model(forest), child, None)
 
 
 @settings(max_examples=25, deadline=None)

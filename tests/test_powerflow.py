@@ -210,6 +210,24 @@ def test_dc_matches_dense_conductance_oracle(seed):
     np.testing.assert_allclose(st_.theta[perm], -hg_inv @ inj.q[perm], atol=1e-10)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_dc_response_is_the_conductance_path_sum_matrix(seed):
+    from gridtop.grid import edge_weights, path_sum_matrix
+
+    grid, forest = random_instance(seed)
+    a, b = lcpf_response(forest, "dc")
+    assert b is None  # every effective reactance is 0
+    assert np.array_equal(a, path_sum_matrix(forest, edge_weights(forest, "g")))
+    wl = weighted_laplacians(forest)
+    perm = [grid.load_index[n] for n in wl.node_order]
+    scale = np.abs(a).max()
+    np.testing.assert_allclose(a[np.ix_(perm, perm)], np.linalg.inv(wl.h_g), rtol=1e-12, atol=1e-13 * scale)
+    inj = _random_injection(grid, seed + 5)
+    state = dc_resistive_solve(forest, inj)
+    np.testing.assert_allclose(state.eps, a @ inj.p, rtol=1e-12, atol=1e-13 * scale * np.abs(inj.p).max())
+    np.testing.assert_allclose(state.theta, -(a @ inj.q), rtol=1e-12, atol=1e-13 * scale * np.abs(inj.q).max())
+
+
 def test_dc_is_the_small_reactance_limit_of_lcpf():
     # With x = eta * r the gap between the two models shrinks like O(eta).
     def gap(eta):
