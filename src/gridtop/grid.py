@@ -26,7 +26,7 @@ pair, in the same order, in O(depth log depth).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -199,6 +199,14 @@ class ForestConfig:
 
     grid: GridGraph
     closed_edges: tuple[int, ...]
+    # Set by ``_derive``, as are ``_load_preorder`` and ``_span``.
+    tree_of: dict[int, int] = field(init=False, compare=False, repr=False)
+    # Parent node of every load node.
+    parent: dict[int, int] = field(init=False, compare=False, repr=False)
+    # Closed-edge index joining every load node to its parent.
+    parent_edge: dict[int, int] = field(init=False, compare=False, repr=False)
+    depth: dict[int, int] = field(init=False, compare=False, repr=False)
+    children: dict[int, tuple[int, ...]] = field(init=False, compare=False, repr=False)
 
     # Equivalence note: a K-tree forest is the same object as the single
     # spanning tree obtained by joining all substations to an artificial
@@ -278,11 +286,11 @@ class ForestConfig:
             # Coverage plus acyclicity already imply this; kept as a guard.
             raise StructureError("closed edge count does not match a base-constrained spanning forest")
 
-        object.__setattr__(self, "_tree_of", tree_of)
-        object.__setattr__(self, "_parent", parent)
-        object.__setattr__(self, "_parent_edge", parent_edge)
-        object.__setattr__(self, "_depth", depth)
-        object.__setattr__(self, "_children", {k: tuple(v) for k, v in children.items()})
+        object.__setattr__(self, "tree_of", tree_of)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "parent_edge", parent_edge)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "children", {k: tuple(v) for k, v in children.items()})
         object.__setattr__(self, "_load_preorder", tuple(preorder))
         object.__setattr__(self, "_span", span)
 
@@ -292,38 +300,16 @@ class ForestConfig:
     def n_trees(self) -> int:
         return self.grid.n_substations
 
-    @property
-    def tree_of(self) -> dict[int, int]:
-        return self._tree_of
-
-    @property
-    def parent(self) -> dict[int, int]:
-        """Parent node of every load node."""
-        return self._parent
-
-    @property
-    def parent_edge(self) -> dict[int, int]:
-        """Closed-edge index joining every load node to its parent."""
-        return self._parent_edge
-
-    @property
-    def depth(self) -> dict[int, int]:
-        return self._depth
-
-    @property
-    def children(self) -> dict[int, tuple[int, ...]]:
-        return self._children
-
     @cached_property
     def load_order(self) -> tuple[int, ...]:
         """Load ids sorted by (tree index, node id): the block ordering used
         by reduced incidence and Laplacian matrices."""
-        return tuple(sorted(self.grid.load_ids, key=lambda n: (self._tree_of[n], n)))
+        return tuple(sorted(self.grid.load_ids, key=lambda n: (self.tree_of[n], n)))
 
     @cached_property
     def load_tree_index(self) -> np.ndarray:
         """Tree index of every load node in canonical (ascending id) order."""
-        out = np.array([self._tree_of[n] for n in self.grid.load_ids], dtype=np.intp)
+        out = np.array([self.tree_of[n] for n in self.grid.load_ids], dtype=np.intp)
         out.flags.writeable = False
         return out
 
@@ -337,7 +323,7 @@ class ForestConfig:
     @cached_property
     def loads_by_depth(self) -> tuple[int, ...]:
         """Load ids ordered root-to-leaf (parents before children)."""
-        return tuple(sorted(self.grid.load_ids, key=lambda n: (self._depth[n], n)))
+        return tuple(sorted(self.grid.load_ids, key=lambda n: (self.depth[n], n)))
 
     def _require_node(self, node: int):
         if node not in self.grid.kind_of:
@@ -349,9 +335,9 @@ class ForestConfig:
         self._require_node(node)
         path = []
         cur = node
-        while cur in self._parent:
-            path.append(self._parent_edge[cur])
-            cur = self._parent[cur]
+        while cur in self.parent:
+            path.append(self.parent_edge[cur])
+            cur = self.parent[cur]
         return tuple(path)
 
     def _contains(self, u: int, v: int) -> bool:
@@ -360,7 +346,7 @@ class ForestConfig:
         position, and lies only in its own subtree."""
         if v == u:
             return True
-        if v not in self._parent:
+        if v not in self.parent:
             return False
         start, stop = self._span[u]
         return start <= self._span[v][0] < stop
@@ -370,10 +356,10 @@ class ForestConfig:
         nodes lie in different trees."""
         self._require_node(a)
         self._require_node(b)
-        if self._tree_of[a] != self._tree_of[b]:
+        if self.tree_of[a] != self.tree_of[b]:
             return None
         while not self._contains(a, b):
-            a = self._parent[a]
+            a = self.parent[a]
         return a
 
     def descendants(self, node: int) -> frozenset[int]:
@@ -625,7 +611,7 @@ def weighted_laplacians(forest: ForestConfig) -> WeightedLaplacians:
     """Assemble H_y = M^T diag(w_y) M for the four weight sources."""
     inc = build_reduced_incidence(forest)
     mats = {}
-    for field, weight in _WEIGHTS.values():
+    for name, weight in _WEIGHTS.values():
         diag = np.array([weight(forest.grid.edges[ei]) for ei in inc.edge_order])
-        mats[field] = inc.matrix.T @ (diag[:, None] * inc.matrix)
+        mats[name] = inc.matrix.T @ (diag[:, None] * inc.matrix)
     return WeightedLaplacians(**mats, node_order=inc.node_order, edge_order=inc.edge_order)

@@ -16,7 +16,6 @@ is fed the exact analytic moment set instead of empirical samples.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import time
@@ -32,7 +31,7 @@ from ..moments import InjectionModel, analytic_moment_set, model_from_dict, samp
 # distflow_solve is unused here but kept: perfbench/spans.py wraps it on this module by name.
 from ..powerflow import VoltageSamples, distflow_solve, distflow_solve_many, lcpf_solve_many  # noqa: F401
 from .generate import add_open_lines, generate_random_grid, random_spanning_forest
-from .gridfile import _read_text, parse_grid
+from .gridfile import _json_document, _read_text, parse_grid
 from ..fixtures import FIXTURE_NAMES, load_fixture
 
 __all__ = [
@@ -170,12 +169,7 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
 
 
 def plan_from_json(path: str | Path) -> ExperimentPlan:
-    text = _read_text(path, "plan")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", f"{path}:{exc.lineno}:{exc.colno}") from exc
-    return plan_from_dict(doc)
+    return plan_from_dict(_json_document(_read_text(path, "plan"), path))
 
 
 def seed_or_env(seed: int | None) -> int:

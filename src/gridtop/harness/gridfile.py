@@ -69,6 +69,15 @@ def _read_text(path: str | Path, noun: str) -> str:
                          str(path)) from exc
 
 
+def _json_document(text: str, where: str):
+    """The JSON document in ``text``; a ParseError at ``where:line:col``
+    when it is not valid JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", f"{where}:{exc.lineno}:{exc.colno}") from exc
+
+
 def parse_grid(source: str | Path | dict) -> tuple[GridGraph, ForestConfig | None]:
     """Parse and validate a grid file (path, JSON text, or parsed dict).
 
@@ -86,10 +95,7 @@ def parse_grid(source: str | Path | dict) -> tuple[GridGraph, ForestConfig | Non
             if not path.exists():
                 raise ParseError("file not found", label)
             text = _read_text(path, "grid file")
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", f"{label or '<string>'}:{exc.lineno}:{exc.colno}") from exc
+        doc = _json_document(text, label or "<string>")
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object", label or "<document>")
 

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
 from .grid import ForestConfig, GridGraph, _is_number
-from .moments import InjectionModel, MomentSet, edge_sq_diff
+from .moments import InjectionModel, MomentSet, _sigma_sq_diff, edge_sq_diff
 from .powerflow import VARIANTS, VoltageSamples
 
 __all__ = [
@@ -164,16 +164,13 @@ class _DescendantSums:
         b = self.members[dst]
         sp_a, sq_a, spq_a = self.sums[src]
         sp_b, sq_b, spq_b = self.sums[dst]
-        if a.size and b.size:
-            ab = (a[:, None], b)  # the np.ix_(a, b) block: same shape, same order
-            ba = (b[:, None], a)
-            sp_b += sp_a + 2.0 * float(self._sp[ab].sum())
-            sq_b += sq_a + 2.0 * float(self._sq[ab].sum())
-            spq_b += spq_a + float(self._spq[ab].sum()) + float(self._spq[ba].sum())
-        else:
-            sp_b += sp_a
-            sq_b += sq_a
-            spq_b += spq_a
+        # The np.ix_(a, b) block, same shape and order; empty, and summing to
+        # 0.0, on the first merge into a substation.
+        ab = (a[:, None], b)
+        ba = (b[:, None], a)
+        sp_b += sp_a + 2.0 * float(self._sp[ab].sum())
+        sq_b += sq_a + 2.0 * float(self._sq[ab].sum())
+        spq_b += spq_a + float(self._spq[ab].sum()) + float(self._spq[ba].sum())
         self.members[dst] = np.concatenate([b, a])
         self.sums[dst] = (sp_b, sq_b, spq_b)
         del self.members[src], self.sums[src]
@@ -205,8 +202,7 @@ def _pair_statistic(data: VoltageSamples | MomentSet, grid: GridGraph) -> tuple[
             def lhs(i: int, j: int) -> float:
                 return sq_diff(order[i], order[j])
         else:
-            def lhs(i: int, j: int) -> float:
-                return float(sigma[i, i] - 2.0 * sigma[i, j] + sigma[j, j])
+            lhs = partial(_sigma_sq_diff, sigma)
 
         return dict(zip(nodes, sigma.diagonal().tolist())), lhs
 

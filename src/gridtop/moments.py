@@ -227,13 +227,13 @@ class InjectionModel:
 
     @classmethod
     def from_covariances(cls, nodes, mu_p, mu_q, omega_p, omega_q, omega_pq) -> "InjectionModel":
-        mu_p = np.asarray(mu_p, dtype=float)
-        mu_q = np.asarray(mu_q, dtype=float)
+        mu_p = _float_array(mu_p, "mu_p", ModelError)
+        mu_q = _float_array(mu_q, "mu_q", ModelError)
         return cls(
             nodes=tuple(nodes), mu_p=mu_p, mu_q=mu_q,
-            sigma_p=np.asarray(omega_p, dtype=float) + np.outer(mu_p, mu_p),
-            sigma_q=np.asarray(omega_q, dtype=float) + np.outer(mu_q, mu_q),
-            sigma_pq=np.asarray(omega_pq, dtype=float) + np.outer(mu_p, mu_q),
+            sigma_p=_float_array(omega_p, "omega_p", ModelError) + np.outer(mu_p, mu_p),
+            sigma_q=_float_array(omega_q, "omega_q", ModelError) + np.outer(mu_q, mu_q),
+            sigma_pq=_float_array(omega_pq, "omega_pq", ModelError) + np.outer(mu_p, mu_q),
         )
 
     def aligned_to(self, nodes: Iterable[int]) -> "InjectionModel":
@@ -421,8 +421,10 @@ def empirical_moments(samples: VoltageSamples) -> MomentSet:
                      sigma_theta_eps=sigma_theta_eps, source="empirical", m=m)
 
 
-def _aligned(forest: ForestConfig, model: InjectionModel) -> InjectionModel:
-    return model.aligned_to(forest.grid.load_ids)
+def _sigma_sq_diff(sigma: np.ndarray, i: int, j: int) -> float:
+    """sigma_ii - 2 sigma_ij + sigma_jj: E[(eps_i - eps_j)^2] read from the
+    second moments ``sigma`` of two deviations."""
+    return float(sigma[i, i] - 2.0 * sigma[i, j] + sigma[j, j])
 
 
 # -- infinite-sample moments in edge coordinates ---------------------------------
@@ -513,14 +515,12 @@ class LineDrops:
         block = np.empty(n, dtype=np.intp)
         local = np.empty(n, dtype=np.intp)
         # Lists of ints for the path walk: per block, each row's parent row,
-        # with -1 for a substation, which sorts below every load.
+        # with the plan's -1 for a substation, which sorts below every load.
         self._parents = []
         for k, plan in enumerate(plans):
             block[plan.canon] = k
             local[plan.canon] = np.arange(len(plan.canon))
-            parent = np.concatenate(plan.parents)
-            parent[parent == len(plan.canon)] = -1
-            self._parents.append(parent.tolist())
+            self._parents.append(np.concatenate(plan.parents).tolist())
         self._block, self._local = block.tolist(), local.tolist()
         self._moments = moments
         self._sigma_eps = sigma_eps
@@ -536,8 +536,7 @@ class LineDrops:
         """
         k = self._block[i]
         if k != self._block[j]:
-            sigma = self._sigma_eps
-            return float(sigma[i, i] - 2.0 * sigma[i, j] + sigma[j, j])
+            return _sigma_sq_diff(self._sigma_eps, i, j)
         # Rows sort by (depth, id), so the larger of two rows is at least as deep.
         parent = self._parents[k]
         up, down = [], []
@@ -565,7 +564,7 @@ def _edge_moments(forest: ForestConfig, model: InjectionModel, variant: str,
 
     An entry across two blocks is the product of the two means; a block's
     own entries are the path sums of its drop moments."""
-    mod = _aligned(forest, model)
+    mod = model.aligned_to(forest.grid.load_ids)
     impedance = _impedance(variant)
     kinds = dict.fromkeys(kind for name in names for kind in _MOMENTS[name])
     plans = _block_plans(forest, mod)
@@ -635,7 +634,7 @@ def expected_sq_diff(forest: ForestConfig, model: InjectionModel, child: int, pa
         raise DomainError(f"node {child} is not a load of the forest")
     if forest.parent.get(child) != parent:
         raise DomainError(f"node {parent} is not the parent of node {child}")
-    mod = _aligned(forest, model)
+    mod = model.aligned_to(forest.grid.load_ids)
     members = forest.descendant_load_indices[child]
     block = np.ix_(members, members)
     sums = (float(m[block].sum()) for m in (mod.sigma_p, mod.sigma_q, mod.sigma_pq))
@@ -646,7 +645,7 @@ def assumption1_violations(forest: ForestConfig, model: InjectionModel) -> list[
     """Same-tree node pairs whose non-central moments are not strictly
     positive, as (node_a, node_b, matrix-name) triples; empty when the
     positivity assumption holds."""
-    mod = _aligned(forest, model)
+    mod = model.aligned_to(forest.grid.load_ids)
     tree = forest.load_tree_index
     pairs = np.triu(tree[:, None] == tree[None, :])
     bad = np.stack([pairs & (mod.sigma_p <= 0), pairs & (mod.sigma_q <= 0),
@@ -704,6 +703,7 @@ def model_to_dict(model: InjectionModel) -> dict:
 
 
 _DEFAULT_MODEL_KEYS = ("mu_p", "sigma_ratio", "rho", "q_alpha", "q_noise_ratio")
+_EXPLICIT_MODEL_KEYS = ("kind", "nodes", "mu_p", "mu_q", "sigma_p", "sigma_q", "sigma_pq", "distribution")
 
 
 def _model_array(doc: dict, key: str, ndim: int, noun: str = "numbers", entry=_is_number):
@@ -725,7 +725,7 @@ def model_from_dict(doc: dict, forest: ForestConfig | None = None) -> InjectionM
     with the parametric constants (requires a forest) or an explicit
     {"kind": "explicit", nodes, means, moment matrices} document.
 
-    A mis-typed value, a missing array or a key a default model does not
+    A mis-typed value, a missing array or a key the model's kind does not
     take raises ParseError naming the key.  Injections are Gaussian; an
     explicit document may say so with ``"distribution": "gaussian"``."""
     if not isinstance(doc, dict):
@@ -743,6 +743,10 @@ def model_from_dict(doc: dict, forest: ForestConfig | None = None) -> InjectionM
             raise DomainError("a forest is required to derive the default model")
         return default_model(forest, **params)
     if kind == "explicit":
+        for key in doc:
+            if key not in _EXPLICIT_MODEL_KEYS:
+                raise ParseError(f"unknown key; an explicit model takes {', '.join(_EXPLICIT_MODEL_KEYS)}",
+                                 f"model.{key}")
         if doc.get("distribution", "gaussian") != "gaussian":
             raise ParseError(f"only 'gaussian' injections can be sampled, got {doc['distribution']!r}",
                              "model.distribution")

@@ -67,8 +67,8 @@ class InjectionVector:
     q: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        q = np.asarray(self.q, dtype=float)
+        p = _float_array(self.p, "p")
+        q = _float_array(self.q, "q")
         if p.ndim != 1 or p.shape != q.shape:
             raise DomainError(f"p and q must be 1-d arrays of equal length, got {p.shape} and {q.shape}")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
@@ -106,11 +106,16 @@ _NO_DEFAULT = object()
 
 def _float_array(value, name: str, error=DomainError) -> np.ndarray:
     """``value`` as a float array, without a copy when it is one; ``error``
-    naming the field when it cannot be held as floats."""
+    naming the field when it cannot be held as floats.  Text is refused in
+    any container, numeric strings included, and so are complex entries."""
     try:
-        return np.asarray(value, dtype=float)
+        array = np.asarray(value)
+        kind = array.dtype.kind
+        if not (kind in "USc" or (kind == "O" and any(isinstance(v, (str, bytes)) for v in array.flat))):
+            return np.asarray(array, dtype=float)
     except (TypeError, ValueError):
-        raise error(f"{name} must be an array of numbers") from None
+        pass
+    raise error(f"{name} must be an array of numbers")
 
 
 class _ReadOnFirstAccess:
@@ -187,8 +192,8 @@ class DistFlowResult:
 
 def _check_batch(forest: ForestConfig, p, q) -> tuple[np.ndarray, np.ndarray]:
     """Sample batches p, q as finite float arrays of shape (m, N)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p = _float_array(p, "p")
+    q = _float_array(q, "q")
     n = forest.grid.n_loads
     if p.ndim != 2 or p.shape != q.shape:
         raise DomainError(f"expected (m, {n}) sample arrays, got {p.shape} and {q.shape}")
@@ -204,10 +209,11 @@ class _LevelPlan:
     """Row layout of every tree sweep over whole trees of one forest.
 
     A working array has one row per load node, sorted by (depth, id), one
-    column per sample or per moment entry, and a last *outside* row n.  The
-    outside row is 0 in flow arrays, where it pads the child-row matrices,
-    and holds the substation value in voltage arrays, where it is the parent
-    row of every node attached to a substation.
+    column per sample or per moment entry, and a last *outside* row, which
+    the plan indexes as -1.  The outside row is 0 in flow arrays, where it
+    pads the child-row matrices, and holds the substation value in voltage
+    arrays, where it is the parent row of every node attached to a
+    substation.
     """
 
     canon: np.ndarray                 # canonical (ascending-id) index of each row's load
@@ -226,18 +232,17 @@ def _column(values) -> np.ndarray:
 def _build_level_plan(forest: ForestConfig, order) -> _LevelPlan:
     """The sweep layout over the loads ``order``: whole trees, sorted by
     (depth, id)."""
-    n = len(order)
     row = {nid: i for i, nid in enumerate(order)}
     levels, children, parents = [], [], []
     for _, level in itertools.groupby(order, key=forest.depth.__getitem__):
         level = tuple(level)
-        kids = np.full((max(len(forest.children[nid]) for nid in level), len(level)), n, dtype=np.intp)
+        kids = np.full((max(len(forest.children[nid]) for nid in level), len(level)), -1, dtype=np.intp)
         for j, nid in enumerate(level):
             kids[:len(forest.children[nid]), j] = [row[ch] for ch in forest.children[nid]]
         start = row[level[0]]
         levels.append(slice(start, start + len(level)))
         children.append(kids)
-        parents.append(np.array([row.get(forest.parent[nid], n) for nid in level], dtype=np.intp))
+        parents.append(np.array([row.get(forest.parent[nid], -1) for nid in level], dtype=np.intp))
     lines = [forest.grid.edges[forest.parent_edge[nid]] for nid in order]
     return _LevelPlan(
         canon=np.array([forest.grid.load_index[nid] for nid in order], dtype=np.intp),
@@ -346,7 +351,7 @@ def lcpf_response(forest: ForestConfig, variant: str = "lc") -> tuple[np.ndarray
     impedances of ``variant``; B is None when every reactance is zero.
 
     Built once per forest and variant and kept, read-only, in the forest's
-    memo, so repeated solves and moment evaluations on one forest share them.
+    memo, so repeated batch solves on one forest share them.
     """
     key = ("lcpf_response", variant)
     response = forest.memo.get(key)

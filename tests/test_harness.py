@@ -325,7 +325,9 @@ def test_voltage_samples_given_as_lists_are_learned_like_arrays():
 
 
 @pytest.mark.parametrize("name, value", [("eps", [[0.0, 1.0], [2.0]]), ("eps", [["a", "b"]]),
-                                         ("theta", [[0.0, "b"]])])
+                                         ("theta", [[0.0, "b"]]), ("eps", [["1", "0"]]),
+                                         ("eps", np.array([["1", "0"]])),
+                                         ("eps", np.array([[1.0, "0"]], dtype=object)), ("theta", [[b"0", b"1"]])])
 def test_voltage_samples_reject_entries_they_cannot_hold_as_floats(name, value):
     fields = {"eps": np.zeros((1, 2)), name: value}
     with pytest.raises(DomainError, match=f"^{name} must be an array of numbers"):
@@ -371,6 +373,17 @@ def test_moment_set_rejects_entries_it_cannot_hold_as_floats(name):
     from gridtop.moments import MomentSet
 
     fields = {"sigma_eps": np.eye(2), "sigma_theta": None, "sigma_theta_eps": None, name: [["a", "0"], ["0", "1"]]}
+    with pytest.raises(DomainError, match=f"^{name} must be an array of numbers"):
+        MomentSet(nodes=(1, 2), source="analytic", **fields)
+
+
+@pytest.mark.parametrize("name", ["sigma_eps", "sigma_theta", "sigma_theta_eps"])
+@pytest.mark.parametrize("text", [[["1", "0"], ["0", "1"]], np.array([["1", "0"], ["0", "1"]]),
+                                  np.array([[1.0, "0"], [0.0, 1.0]], dtype=object)])
+def test_moment_set_refuses_numeric_strings(name, text):
+    from gridtop.moments import MomentSet
+
+    fields = {"sigma_eps": np.eye(2), "sigma_theta": None, "sigma_theta_eps": None, name: text}
     with pytest.raises(DomainError, match=f"^{name} must be an array of numbers"):
         MomentSet(nodes=(1, 2), source="analytic", **fields)
 

@@ -89,12 +89,25 @@ def test_tiled_symmetry_test_equals_array_equal():
 
 
 @pytest.mark.parametrize("name, value", [("sigma_p", [[1.0, 0.0], [0.0]]), ("sigma_q", [["a", 0.0], [0.0, 1.0]]),
-                                         ("mu_p", [0.0, [1.0]]), ("mu_q", ["x", "y"])])
+                                         ("mu_p", [0.0, [1.0]]), ("mu_q", ["x", "y"]),
+                                         ("sigma_pq", [["0", "0"], ["0", "0"]]), ("mu_q", np.array(["0", "0"])),
+                                         ("sigma_p", np.array([[1.0, "0"], [0.0, 1.0]], dtype=object)),
+                                         ("mu_p", [b"0", b"0"])])
 def test_model_rejects_entries_it_cannot_hold_as_floats(name, value):
     fields = dict(mu_p=np.zeros(2), mu_q=np.zeros(2), sigma_p=np.eye(2), sigma_q=np.eye(2), sigma_pq=np.zeros((2, 2)))
     fields[name] = value
     with pytest.raises(ModelError, match=f"^{name} must be an array of numbers"):
         InjectionModel(nodes=(1, 2), **fields)
+
+
+@pytest.mark.parametrize("name, value", [("mu_p", [0.0, [1.0]]), ("mu_q", ["0", "0"]),
+                                         ("omega_p", [[1.0, 0.0], [0.0]]), ("omega_q", [["1", "0"], ["0", "1"]]),
+                                         ("omega_pq", [[0.0, "x"], [0.0, 0.0]])])
+def test_model_from_covariances_names_an_entry_it_cannot_hold(name, value):
+    fields = dict(mu_p=np.zeros(2), mu_q=np.zeros(2), omega_p=np.eye(2), omega_q=np.eye(2), omega_pq=np.zeros((2, 2)))
+    fields[name] = value
+    with pytest.raises(ModelError, match=f"^{name} must be an array of numbers"):
+        InjectionModel.from_covariances((1, 2), **fields)
 
 
 def test_model_keeps_float_arrays_without_a_copy():
@@ -139,6 +152,7 @@ def test_model_round_trips_through_dict(fig3):
     ("sigma_p", [[1.0, "x", 0.0, 0.0, 0.0]] * 5, "model.sigma_p"),
     ("sigma_q", [[1.0, 0.0], [0.0, 1.0, 0.0]], "model.sigma_q"),
     ("distribution", "laplace", "model.distribution"),
+    ("rho", 0.1, "model.rho"),
 ])
 def test_explicit_model_errors_name_their_key(fig3, key, value, location):
     doc = model_to_dict(default_model(fig3[1]))

@@ -211,6 +211,10 @@ def test_batch_solvers_reject_bad_input(fig3):
         (p[:, :4], p[:, :4], "injection dimension 4 does not match 5 load nodes"),
         (np.where(np.eye(3, 5) > 0, np.nan, p), p, "must be finite"),
         (p, np.where(np.eye(3, 5) > 0, np.inf, p), "must be finite"),
+        ([[-0.01] * 5, [-0.01]], p, "p must be an array of numbers"),
+        ([["x"] * 5] * 3, p, "p must be an array of numbers"),
+        (p, [["-0.01"] * 5] * 3, "q must be an array of numbers"),
+        (p.astype(str), p, "p must be an array of numbers"),
     ]
     for bp, bq, message in bad_arrays:
         for solve_many in (distflow_solve_many, lcpf_solve_many):
@@ -227,6 +231,13 @@ def test_batch_solvers_reject_bad_input(fig3):
         with pytest.raises(DomainError) as single:
             distflow_solve(forest, inj, **kwargs)
         assert str(many.value) == str(single.value)
+
+
+@pytest.mark.parametrize("p, q, name", [([[1.0], [2.0, 3.0]], [0.0, 0.0], "p"), (["a"], [0.0], "p"),
+                                        ([0.0], ["1"], "q"), ([0.0], np.array([1j]), "q")])
+def test_injection_vector_names_an_entry_it_cannot_hold(p, q, name):
+    with pytest.raises(DomainError, match=f"^{name} must be an array of numbers"):
+        InjectionVector(p=p, q=q)
 
 
 def test_level_plan_is_built_once_on_first_use():
