@@ -25,6 +25,7 @@ pair, in the same order, in O(depth log depth).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -109,7 +110,7 @@ class GridGraph:
                 raise StructureError(f"edge {i} ({e.u},{e.v}): duplicate undirected edge")
             seen_pairs.add(e.pair)
             for label, val in (("r", e.r), ("x", e.x)):
-                if not (np.isfinite(val) and val > 0):
+                if not (_is_finite(val) and val > 0):
                     raise StructureError(f"edge {i} ({e.u},{e.v}): {label} must be positive and finite, got {val}")
         if self.n_substations < 1:
             raise StructureError("grid has no substation")
@@ -184,6 +185,14 @@ def _is_index(value) -> bool:
 
 def _is_number(value) -> bool:
     return type(value) in (float, int) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def _is_finite(value) -> bool:
+    """A real number, not a bool, that is finite."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -476,7 +485,7 @@ def _weight_of(weights: Mapping[int, float], edge_index: int) -> float:
         w = weights[edge_index]
     except KeyError:
         raise DomainError(f"no weight supplied for closed edge {edge_index}") from None
-    if not (np.isfinite(w) and w > 0):
+    if not (_is_finite(w) and w > 0):
         raise DomainError(f"weight for edge {edge_index} must be positive and finite, got {w}")
     return w
 

@@ -52,9 +52,6 @@ __all__ = [
 CSV_COLUMNS = ("grid", "variant", "m", "tau", "trials", "mean_error", "std_error")
 TRIAL_COLUMNS = ("grid", "variant", "m", "tau", "trial", "error", "note")
 
-DEFAULT_SAMPLE_COUNTS = (200, 800, 3200, 12800)
-DEFAULT_TAUS = (0.4, 0.2, 0.1, 0.05, 0.01)
-
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -90,7 +87,6 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    label: str
     rows: tuple[dict, ...]
     trial_rows: tuple[dict, ...]
     failures: int
@@ -313,7 +309,7 @@ def run_experiment(plan: ExperimentPlan, include_timing: bool = False) -> Experi
             if include_timing:
                 row["seconds"] = elapsed
             rows.append(row)
-    return ExperimentResult(label=label, rows=tuple(rows), trial_rows=tuple(trial_rows), failures=failures)
+    return ExperimentResult(rows=tuple(rows), trial_rows=tuple(trial_rows), failures=failures)
 
 
 def _format_m(m: float) -> str:

@@ -45,16 +45,13 @@ def _require(doc: dict, key: str, types, location: str):
     if key not in doc:
         raise ParseError(f"missing required key {key!r}", location)
     val = doc[key]
-    if not isinstance(val, types):
+    if isinstance(val, bool) or not isinstance(val, types):  # bool is an int subclass; true is not 1
         raise ParseError(f"key {key!r} has wrong type {type(val).__name__}", location)
     return val
 
 
 def _number(doc: dict, key: str, location: str) -> float:
-    val = _require(doc, key, (int, float), location)
-    if isinstance(val, bool):
-        raise ParseError(f"key {key!r} has wrong type bool", location)
-    return float(val)
+    return float(_require(doc, key, (int, float), location))
 
 
 def _read_text(path: str | Path, noun: str) -> str:

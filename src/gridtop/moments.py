@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import AssumptionViolation, DomainError, ModelError, ParseError
 # path_sum_matrix is unused here but kept: perfbench/spans.py wraps it on this module by name.
-from .grid import ForestConfig, LineEdge, _is_index, _is_number, _repeated, path_sum_matrix  # noqa: F401
-from .powerflow import (InjectionVector, VoltageSamples, _build_level_plan, _Deferred, _float_array, _impedance,
+from .grid import ForestConfig, LineEdge, _is_finite, _is_index, _is_number, _repeated, path_sum_matrix  # noqa: F401
+from .powerflow import (VoltageSamples, _build_level_plan, _Deferred, _float_array, _impedance,
                         _LevelPlan, _ReadOnFirstAccess, _root_path_sums, _rows, _subtree_sums, effective_impedance)
 
 __all__ = [
@@ -61,13 +61,6 @@ __all__ = [
 ]
 
 _PSD_SLACK = 1e-10
-
-
-def _finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
 
 
 def _components(adjacent: np.ndarray) -> list[np.ndarray]:
@@ -162,8 +155,9 @@ class InjectionModel:
     def _check_psd(self) -> tuple[np.ndarray, ...]:
         """The generic positive-semidefiniteness check, which every model
         but ``default_model``'s takes: reject a joint covariance of (p, q)
-        with an eigenvalue below -slack * scale, one connected component of
-        the covariance pattern at a time, and return the components.
+        with an eigenvalue (``eigvalsh``) below -slack * scale, one connected
+        component of the covariance pattern at a time, and return the
+        components.
 
         Nodes i and j share a component when any of omega_p, omega_q,
         omega_pq or its transpose is nonzero at (i, j).  In component-major
@@ -188,24 +182,9 @@ class InjectionModel:
             opq = self.sigma_pq[ix] - np.outer(mp, mq)  # the block of omega_pq, and so on
             joint = np.block([[self.sigma_p[ix] - np.outer(mp, mp), opq],
                               [opq.T, self.sigma_q[ix] - np.outer(mq, mq)]])
-            # A Cholesky factorization of J + (threshold / 2) I that succeeds
-            # shows that every eigenvalue of J is above -threshold / 2, up to
-            # Cholesky's backward error of about n * u * scale (u the unit
-            # roundoff), which is far below threshold / 2 and of the size of
-            # eigvalsh's own error.  So it accepts exactly the blocks that
-            # eigvalsh accepts with a margin; eigenvalues decide the rest.
-            try:
-                np.linalg.cholesky(joint + 0.5 * threshold * np.eye(len(joint)))
-                continue
-            except np.linalg.LinAlgError:
-                pass
             if np.linalg.eigvalsh(joint).min() < -threshold:
                 raise ModelError("joint covariance of (p, q) is not positive semidefinite")
         return tuple(components)
-
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
 
     @property
     def omega_p(self) -> np.ndarray:
@@ -227,14 +206,20 @@ class InjectionModel:
 
     @classmethod
     def from_covariances(cls, nodes, mu_p, mu_q, omega_p, omega_q, omega_pq) -> "InjectionModel":
+        nodes = tuple(nodes)
+        n = len(nodes)
         mu_p = _float_array(mu_p, "mu_p", ModelError)
         mu_q = _float_array(mu_q, "mu_q", ModelError)
-        return cls(
-            nodes=tuple(nodes), mu_p=mu_p, mu_q=mu_q,
-            sigma_p=_float_array(omega_p, "omega_p", ModelError) + np.outer(mu_p, mu_p),
-            sigma_q=_float_array(omega_q, "omega_q", ModelError) + np.outer(mu_q, mu_q),
-            sigma_pq=_float_array(omega_pq, "omega_pq", ModelError) + np.outer(mu_p, mu_q),
-        )
+        if mu_p.shape != (n,) or mu_q.shape != (n,):
+            raise ModelError(f"mean vectors must have shape ({n},)")
+        sigmas = []
+        for name, omega, left, right in (("omega_p", omega_p, mu_p, mu_p), ("omega_q", omega_q, mu_q, mu_q),
+                                         ("omega_pq", omega_pq, mu_p, mu_q)):
+            omega = _float_array(omega, name, ModelError)
+            if omega.shape != (n, n):  # an outer product would broadcast it
+                raise ModelError(f"{name} must have shape ({n}, {n}), got {omega.shape}")
+            sigmas.append(omega + np.outer(left, right))
+        return cls(nodes, mu_p, mu_q, *sigmas)
 
     def aligned_to(self, nodes: Iterable[int]) -> "InjectionModel":
         """Reindex the model to another node ordering (same node set)."""
@@ -262,9 +247,6 @@ class InjectionBatch:
 
     def __len__(self) -> int:
         return self.p.shape[0]
-
-    def __getitem__(self, j: int) -> InjectionVector:
-        return InjectionVector(p=self.p[j], q=self.q[j])
 
 
 @dataclass(frozen=True)
@@ -323,7 +305,7 @@ def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float
     params = {"mu_p": mu_p, "sigma_ratio": sigma_ratio, "rho": rho, "q_alpha": q_alpha,
               "q_noise_ratio": q_noise_ratio}
     for name, value in params.items():
-        if not _finite(value):
+        if not _is_finite(value):
             raise DomainError(f"default-model parameter {name} must be finite, got {value}")
     nodes = forest.grid.load_ids
     n = len(nodes)
@@ -401,7 +383,7 @@ def sample_injections(model: InjectionModel, m: int, seed) -> InjectionBatch:
         raise DomainError(f"seed must be a non-negative integer or a SeedSequence, got {seed!r}") from None
     mean = np.concatenate([model.mu_p, model.mu_q])
     draws = rng.multivariate_normal(mean, model.joint_covariance, size=m, method="eigh")
-    n = model.n
+    n = len(model.nodes)
     return InjectionBatch(nodes=model.nodes, p=draws[:, :n], q=draws[:, n:])
 
 
@@ -737,7 +719,7 @@ def model_from_dict(doc: dict, forest: ForestConfig | None = None) -> InjectionM
             if key not in _DEFAULT_MODEL_KEYS:
                 raise ParseError(f"unknown key; a default model takes {', '.join(_DEFAULT_MODEL_KEYS)}",
                                  f"model.{key}")
-            if not (_is_number(value) and _finite(value)):
+            if not _is_finite(value):
                 raise ParseError(f"expected a finite number, got {value!r}", f"model.{key}")
         if forest is None:
             raise DomainError("a forest is required to derive the default model")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InfeasibleStateError
-from .grid import ForestConfig, LineEdge, _repeated, path_sum_matrix
+from .grid import ForestConfig, LineEdge, _is_finite, _is_number, _repeated, path_sum_matrix
 
 __all__ = [
     "VARIANTS",
@@ -344,27 +344,21 @@ def dc_resistive_solve(forest: ForestConfig, inj: InjectionVector) -> VoltageSta
     return _sweep(forest, inj, "dc")
 
 
-def lcpf_response(forest: ForestConfig, variant: str = "lc") -> tuple[np.ndarray, np.ndarray | None]:
+def lcpf_response(forest: ForestConfig) -> tuple[np.ndarray, np.ndarray]:
     """Dense response matrices (A, B) of the linear model in canonical order:
     eps = A p + B q and theta = B p - A q, with A = H_{1/r}^-1 (root-path
-    resistance sums) and B = H_{1/x}^-1 (reactance sums) over the effective
-    impedances of ``variant``; B is None when every reactance is zero.
+    resistance sums) and B = H_{1/x}^-1 (reactance sums).
 
-    Built once per forest and variant and kept, read-only, in the forest's
-    memo, so repeated batch solves on one forest share them.
+    Built once per forest and kept, read-only, in the forest's memo, so
+    repeated batch solves on one forest share them.
     """
-    key = ("lcpf_response", variant)
-    response = forest.memo.get(key)
+    response = forest.memo.get("lcpf_response")
     if response is None:
         edges = forest.grid.edges
-        rx = {ei: effective_impedance(edges[ei], variant) for ei in forest.closed_edges}
-        a = path_sum_matrix(forest, {ei: 1.0 / r for ei, (r, _) in rx.items()})
-        a.flags.writeable = False
-        b = None
-        if any(x for _, x in rx.values()):
-            b = path_sum_matrix(forest, {ei: 1.0 / x for ei, (_, x) in rx.items()})
-            b.flags.writeable = False
-        response = forest.memo[key] = (a, b)
+        a = path_sum_matrix(forest, {ei: 1.0 / edges[ei].r for ei in forest.closed_edges})
+        b = path_sum_matrix(forest, {ei: 1.0 / edges[ei].x for ei in forest.closed_edges})
+        a.flags.writeable = b.flags.writeable = False
+        response = forest.memo["lcpf_response"] = (a, b)
     return response
 
 
@@ -402,9 +396,9 @@ def _distflow(forest: ForestConfig, p, q, v0: float, tol: float, max_iter: int) 
     one is raised.
     """
     p, q = _check_batch(forest, p, q)
-    if not 0 < v0 < math.inf:
+    if not (_is_finite(v0) and v0 > 0):
         raise DomainError(f"root voltage must be positive and finite, got {v0}")
-    if not tol > 0:
+    if not (_is_number(tol) and tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
     if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise DomainError(f"max_iter must be an integer of at least 1, got {max_iter!r}")

@@ -34,6 +34,8 @@ from conftest import (chain_grid, empty_substation_grid, make_grid, random_insta
 def test_grid_rejects_nonpositive_impedance():
     with pytest.raises(StructureError, match="must be positive"):
         make_grid([(0, SUBSTATION), (1, LOAD)], [(0, 1, -0.1, 0.2)])
+    with pytest.raises(StructureError, match="r must be positive and finite, got a"):
+        make_grid([(0, SUBSTATION), (1, LOAD)], [(0, 1, "a", 0.2)])
 
 
 def test_grid_rejects_duplicate_edges():
@@ -276,6 +278,16 @@ def test_laplacian_inverse_entry_requires_weights(fig3):
     grid, forest = fig3
     with pytest.raises(DomainError, match="no weight"):
         laplacian_inverse_entry(forest, {}, 3, 4)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), pytest.param(10 ** 400, id="10**400"),
+                                 True, "a"])
+def test_path_sums_reject_a_weight_that_is_not_positive_and_finite(fig3, bad):
+    grid, forest = fig3
+    weights = {ei: 1.0 for ei in forest.closed_edges}
+    weights[forest.closed_edges[0]] = bad
+    with pytest.raises(DomainError, match=f"weight for edge {forest.closed_edges[0]} must be positive and finite"):
+        path_sum_matrix(forest, weights)
 
 
 def test_laplacian_row_difference_basics(fig3):

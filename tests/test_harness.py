@@ -89,6 +89,15 @@ def test_parse_reports_schema_path(tmp_path):
     del doc2["nodes"][0]["kind"]
     with pytest.raises(ParseError, match=r"nodes\[0\].*kind"):
         parse_grid(doc2)
+    # A JSON boolean is not an integer, though Python's True == 1.
+    doc3 = json.loads(json.dumps(MINIMAL))
+    doc3["nodes"][1]["id"] = True
+    with pytest.raises(ParseError, match=r"nodes\[1\].*'id' has wrong type bool"):
+        parse_grid(doc3)
+    doc4 = json.loads(json.dumps(MINIMAL))
+    doc4["edges"][0].update({"from": True, "to": 0})
+    with pytest.raises(ParseError, match=r"edges\[0\].*'from' has wrong type bool"):
+        parse_grid(doc4)
 
 
 def test_parse_missing_file():

@@ -110,6 +110,21 @@ def test_model_from_covariances_names_an_entry_it_cannot_hold(name, value):
         InjectionModel.from_covariances((1, 2), **fields)
 
 
+@pytest.mark.parametrize("name, value, message", [
+    *((name, value, f"{name} must have shape (3, 3), got {shape}")
+      for name in ("omega_p", "omega_q", "omega_pq")
+      for value, shape in ((0.5, "()"), (np.full(3, 0.5), "(3,)"), (np.eye(2), "(2, 2)"))),
+    ("mu_p", np.zeros(2), "mean vectors must have shape (3,)"),
+    ("mu_q", np.zeros(4), "mean vectors must have shape (3,)"),
+])
+def test_model_from_covariances_refuses_mis_shaped_entries(name, value, message):
+    # Added to an (n, n) outer product, a mis-shaped omega would broadcast.
+    fields = dict(mu_p=np.zeros(3), mu_q=np.zeros(3), omega_p=np.eye(3), omega_q=np.eye(3), omega_pq=np.zeros((3, 3)))
+    fields[name] = value
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        InjectionModel.from_covariances((1, 2, 3), **fields)
+
+
 def test_model_keeps_float_arrays_without_a_copy():
     fields = dict(mu_p=np.zeros(2), mu_q=np.zeros(2), sigma_p=np.eye(2), sigma_q=np.eye(2), sigma_pq=np.zeros((2, 2)))
     model = InjectionModel(nodes=(1, 2), **fields)
@@ -746,11 +761,10 @@ def _joint_with_min_eigenvalue(n, seed, target):
 
 
 @pytest.mark.parametrize("n", [3, 40])
-def test_psd_check_cholesky_verdict_equals_eigenvalue_verdict(monkeypatch, n):
+def test_psd_check_verdict_is_the_eigenvalue_verdict(monkeypatch, n):
     # Blocks whose smallest eigenvalue sits 0.5, 2 and 10 thresholds above
     # and below the rejection threshold -1e-10: the model must accept exactly
-    # those eigvalsh accepts, and ask for eigenvalues only when Cholesky of
-    # the half-threshold shift fails.
+    # those eigvalsh accepts, and eigvalsh decides every block.
     from gridtop import moments
 
     threshold = moments._PSD_SLACK
@@ -770,10 +784,7 @@ def test_psd_check_cholesky_verdict_equals_eigenvalue_verdict(monkeypatch, n):
                 InjectionModel.from_covariances(*args)
         else:
             InjectionModel.from_covariances(*args)
-        if k < 0:
-            assert eig_calls == [2 * n]  # Cholesky failed; eigenvalues decided
-        elif k >= 2:
-            assert eig_calls == []  # Cholesky accepted the block
+        assert eig_calls == [2 * n]
 
 
 def test_model_rejects_non_finite_means():
@@ -864,8 +875,8 @@ def _default_model_case(draw):
 @settings(max_examples=300, deadline=None)
 @given(_default_model_case())
 def test_default_model_verdict_equals_the_generic_check(case):
-    # The closed-form verdict against the generic one (Cholesky, then
-    # eigvalsh) on the same parameters.  Both judge omega as read back from
+    # The closed-form verdict against the generic one (eigvalsh per
+    # component) on the same parameters.  Both judge omega as read back from
     # the model, sigma - mu mu^T.  They may disagree only when the smallest
     # eigenvalue of that joint matrix lies within BAND of -threshold, where
     # BAND = (2N)^2 * eps * max|omega entry| (N loads, eps the unit
@@ -1083,7 +1094,7 @@ def test_default_model_document_rejects_non_finite_parameters(fig3, doc, key):
 
 
 @pytest.mark.parametrize("key", ["mu_p", "sigma_ratio", "rho", "q_alpha", "q_noise_ratio"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400, "x"])
 def test_default_model_rejects_non_finite_parameters(fig3, key, value):
     with pytest.raises(DomainError, match=f"parameter {key} must be finite"):
         default_model(fig3[1], **{key: value})

