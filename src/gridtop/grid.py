@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, ParseError, StructureError
 
 SUBSTATION = "substation"
 LOAD = "load"
@@ -193,6 +194,46 @@ def _is_finite(value) -> bool:
         return _is_number(value) and math.isfinite(value)
     except OverflowError:  # an integer too large for a float
         return False
+
+
+def _list_of(accept=lambda item: True):
+    """A predicate taking a list or tuple whose every item ``accept`` takes."""
+    return lambda value: isinstance(value, (list, tuple)) and all(map(accept, value))
+
+
+# The names the readers give a whole grid file or plan. A key directly
+# inside one is located by its bare name ("nodes", "trials"), a deeper key by
+# its dotted path ("meta.name", "nodes[1].id", "grid.generator.seed").
+_DOCUMENTS = ("document", "plan")
+_REQUIRED = object()
+
+
+def _key_path(path: str, key) -> str:
+    return str(key) if path in _DOCUMENTS else f"{path}.{key}"
+
+
+def _entry(doc: Mapping, key: str, path: str, accept, noun: str, default=_REQUIRED):
+    """``doc[key]`` once ``accept`` takes it, or ``default`` when the key is
+    absent and has one.  ``accept`` is a predicate, or a type the value must
+    be an instance of.  ``path`` locates ``doc``: a missing key raises a
+    ParseError there, and a value ``accept`` refuses one at the key's path
+    that says it expected ``noun``."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ParseError(f"missing required key {key!r}", path)
+        return default
+    value = doc[key]
+    if not (isinstance(value, accept) if isinstance(accept, type) else accept(value)):
+        raise ParseError(f"expected {noun}, got {reprlib.repr(value)}", _key_path(path, key))
+    return value
+
+
+def _known_keys(doc: Mapping, allowed, path: str, what: str) -> None:
+    """Raise a ParseError at the path of the first key of ``doc`` that is not
+    in ``allowed``; ``what`` names the object, as in "a plan"."""
+    for key in doc:
+        if key not in allowed:
+            raise ParseError(f"unknown key; {what} takes {', '.join(allowed)}", _key_path(path, key))
 
 
 @dataclass(frozen=True)

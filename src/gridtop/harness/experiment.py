@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DomainError, GridTopError, ParseError
-from ..grid import ForestConfig, GridGraph, _is_index, _is_number
+from ..grid import ForestConfig, GridGraph, _entry, _is_finite, _is_index, _is_number, _known_keys, _list_of
 from ..learner import LearnerConfig, reconstruct
 from ..moments import InjectionModel, analytic_moment_set, model_from_dict, sample_injections
 # distflow_solve is unused here but kept: perfbench/spans.py wraps it on this module by name.
@@ -92,76 +92,45 @@ class ExperimentResult:
     failures: int
 
 
-def _integer(value) -> int:
-    """A JSON integer; a bool or a float is refused, not converted."""
-    if not _is_index(value):
-        raise TypeError(value)
-    return int(value)
+def _is_seed(value) -> bool:
+    return _is_index(value) and value >= 0
 
 
-def _seed(value) -> int:
-    seed = _integer(value)
-    if seed < 0:
-        raise ValueError(value)
-    return seed
+def _is_seed_or_none(value) -> bool:
+    return value is None or _is_seed(value)
 
 
-def _number(value) -> float:
-    if not _is_number(value):
-        raise TypeError(value)
-    return float(value)
-
-
-def _sample_count(value) -> float:
+def _is_sample_count(value) -> bool:
+    """An integer that a float holds, math.inf, or a word for the
+    infinite-sample limit."""
     if isinstance(value, str):
-        if value.lower() in ("inf", "infinity", "analytic"):
-            return math.inf
-        raise ValueError(value)
-    return math.inf if value == math.inf else float(_integer(value))
-
-
-def _parsed(key: str, noun: str, convert, value):
-    """``convert(value)``; a value it cannot take raises ParseError naming
-    the plan key."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"bad {noun} {value!r}", key) from None
-
-
-def _parsed_list(key: str, noun: str, convert, values) -> tuple:
-    if not isinstance(values, (list, tuple)):
-        raise ParseError(f"expected a list of {noun}s, got {values!r}", key)
-    return tuple(_parsed(key, noun, convert, v) for v in values)
+        return value.lower() in ("inf", "infinity", "analytic")
+    return value == math.inf or (_is_index(value) and _is_finite(value))
 
 
 _PLAN_KEYS = tuple(f.name for f in fields(ExperimentPlan))
-_GENERATOR_COUNTS = ("n_loads", "k_subs", "n_extra_lines", "n_tie_lines")
+_GENERATOR_KEYS = ("n_loads", "k_subs", "n_extra_lines", "n_tie_lines", "seed", "r_range", "x_range", "name")
 
 
 def plan_from_dict(doc: dict) -> ExperimentPlan:
     if not isinstance(doc, dict):
         raise ParseError("a plan must be a JSON object", "plan")
-    for key in doc:
-        if key not in _PLAN_KEYS:
-            raise ParseError(f"unknown key; a plan takes {', '.join(_PLAN_KEYS)}", str(key))
-    try:
-        return ExperimentPlan(
-            grid=doc["grid"],
-            sample_counts=_parsed_list("sample_counts", "sample count", _sample_count, doc["sample_counts"]),
-            taus=_parsed_list("taus", "tau", _number, doc["taus"]),
-            trials=_parsed("trials", "trial count", _integer, doc["trials"]),
-            seed=None if doc.get("seed") is None else _parsed("seed", "seed", _seed, doc["seed"]),
-            model=doc.get("model", {}),
-            forest=doc.get("forest", "declared"),
-            variant=doc.get("variant", "lc"),
-            engine=doc.get("engine", "lc"),
-            augment_open_lines=_parsed("augment_open_lines", "line count", _integer,
-                                       doc.get("augment_open_lines", 0)),
-            name=doc.get("name", ""),
-        )
-    except KeyError as exc:
-        raise ParseError(f"missing required key {exc.args[0]!r}", "plan") from exc
+    _known_keys(doc, _PLAN_KEYS, "plan", "a plan")
+    return ExperimentPlan(
+        grid=_entry(doc, "grid", "plan", object, "a grid"),
+        sample_counts=tuple(math.inf if isinstance(m, str) else float(m)
+                            for m in _entry(doc, "sample_counts", "plan", _list_of(_is_sample_count),
+                                            'a list of integers or "inf"')),
+        taus=tuple(_entry(doc, "taus", "plan", _list_of(_is_number), "a list of numbers")),
+        trials=_entry(doc, "trials", "plan", _is_index, "an integer"),
+        seed=_entry(doc, "seed", "plan", _is_seed_or_none, "a non-negative integer", None),
+        model=doc.get("model", {}),
+        forest=doc.get("forest", "declared"),
+        variant=doc.get("variant", "lc"),
+        engine=doc.get("engine", "lc"),
+        augment_open_lines=_entry(doc, "augment_open_lines", "plan", _is_index, "an integer", 0),
+        name=_entry(doc, "name", "plan", str, "a string", ""),
+    )
 
 
 def plan_from_json(path: str | Path) -> ExperimentPlan:
@@ -196,43 +165,28 @@ def resolve_plan_grid(plan: ExperimentPlan) -> tuple[GridGraph, ForestConfig, st
         else:
             grid, forest = parse_grid(spec)
             label = grid.name or Path(spec).stem
-    elif isinstance(spec, dict) and "path" in spec:
-        grid, forest = parse_grid(spec["path"])
-        label = grid.name or Path(spec["path"]).stem
     elif isinstance(spec, dict) and "generator" in spec:
-        if not isinstance(spec["generator"], dict):
-            raise ParseError(f"expected an object, got {spec['generator']!r}", "grid.generator")
-        params = dict(spec["generator"])
-        for key in _GENERATOR_COUNTS:
-            if key in params:
-                params[key] = _parsed(f"grid.generator.{key}", "count", _integer, params[key])
-        seed = params.get("seed")
-        params["seed"] = master if seed is None else _parsed("grid.generator.seed", "seed", _seed, seed)
-        try:
-            n_loads = params.pop("n_loads")
-            k_subs = params.pop("k_subs")
-            n_extra = params.pop("n_extra_lines")
-        except KeyError as exc:
-            raise ParseError(f"generator spec is missing {exc.args[0]!r}", "grid.generator") from exc
-        for key, val in params.items():
-            if isinstance(val, list):  # JSON has no tuples
-                params[key] = tuple(val)
-        try:
-            grid, forest = generate_random_grid(n_loads, k_subs, n_extra, **params)
-        except TypeError as exc:
-            raise ParseError(f"bad generator option: {exc}", "grid.generator") from exc
+        where = "grid.generator"
+        gen = _entry(spec, "generator", "grid", dict, "an object")
+        _known_keys(gen, _GENERATOR_KEYS, where, "a generator")
+        counts = [_entry(gen, key, where, _is_index, "an integer")
+                  for key in ("n_loads", "k_subs", "n_extra_lines")]
+        seed = _entry(gen, "seed", where, _is_seed_or_none, "a non-negative integer", None)
+        ranges = {key: gen[key] for key in ("r_range", "x_range") if key in gen}
+        grid, forest = generate_random_grid(
+            *counts, n_tie_lines=_entry(gen, "n_tie_lines", where, _is_index, "an integer", 0),
+            seed=master if seed is None else seed, name=_entry(gen, "name", where, str, "a string", ""),
+            **ranges)
         label = grid.name or f"random_{grid.n_loads}_{grid.n_substations}"
     else:
-        raise ParseError("grid must be a fixture name, a path, or a {path}/{generator} object", "grid")
+        raise ParseError("grid must be a fixture name, a path, or a {generator} object", "grid")
 
     if isinstance(plan.forest, dict) and "closed_edges" in plan.forest:
-        closed = plan.forest["closed_edges"]
-        if not isinstance(closed, (list, tuple)):
-            raise ParseError(f"expected a list of edge indices, got {closed!r}", "forest.closed_edges")
+        closed = _entry(plan.forest, "closed_edges", "forest", _list_of(), "a list of edge indices")
         forest = ForestConfig.from_closed_edges(grid, closed)
     elif isinstance(plan.forest, dict) and "random_seed" in plan.forest:
-        forest = random_spanning_forest(grid, _parsed("forest.random_seed", "seed", _seed,
-                                                      plan.forest["random_seed"]))
+        forest = random_spanning_forest(
+            grid, _entry(plan.forest, "random_seed", "forest", _is_seed, "a non-negative integer"))
     elif plan.forest != "declared":
         raise ParseError("forest must be 'declared', {closed_edges: [...]}, or {random_seed: n}", "forest")
     if forest is None:
@@ -316,21 +270,12 @@ def _format_m(m: float) -> str:
     return "inf" if math.isinf(m) else str(int(m))
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_rows(path: str | Path, columns: tuple[str, ...], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_m(row.get(col)) if col == "m" else _format_cell(row.get(col))
-                             for col in columns])
+        writer.writerows([_format_m(row["m"]) if col == "m" else row.get(col) for col in columns]
+                         for row in rows)
 
 
 def write_error_csv(path: str | Path, result: ExperimentResult) -> None:

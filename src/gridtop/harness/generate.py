@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError
-from ..grid import LOAD, SUBSTATION, ForestConfig, GridGraph, GridNode, LineEdge
+from ..grid import LOAD, SUBSTATION, ForestConfig, GridGraph, GridNode, LineEdge, _is_finite
 
 __all__ = ["generate_random_grid", "add_open_lines", "random_spanning_forest"]
 
@@ -47,6 +47,13 @@ def generate_random_grid(n_loads: int, k_subs: int, n_extra_lines: int, *, n_tie
         raise DomainError(f"need n_loads >= k_subs >= 1, got {n_loads} and {k_subs}")
     if n_tie_lines < 0 or n_extra_lines < 0:
         raise DomainError("line counts must be non-negative")
+    for option, bounds in (("r_range", r_range), ("x_range", x_range)):
+        try:
+            low, high = bounds
+        except (TypeError, ValueError):
+            low = high = None
+        if not (_is_finite(low) and _is_finite(high) and 0 < low <= high):
+            raise DomainError(f"{option} must be two finite numbers with 0 < low <= high, got {bounds!r}")
     n_open = n_tie_lines + n_extra_lines
     if k_subs > 1 and n_open < k_subs - 1:
         raise DomainError(

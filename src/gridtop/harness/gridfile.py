@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import GridTopError, ParseError
-from ..grid import LOAD, SUBSTATION, ForestConfig, GridGraph, GridNode, LineEdge, _repeated
+from ..grid import (LOAD, SUBSTATION, ForestConfig, GridGraph, GridNode, LineEdge, _entry, _is_finite,
+                    _is_index, _list_of, _repeated)
 from ..powerflow import VoltageSamples
 
 __all__ = [
@@ -39,19 +40,6 @@ __all__ = [
     "write_samples",
     "read_samples",
 ]
-
-
-def _require(doc: dict, key: str, types, location: str):
-    if key not in doc:
-        raise ParseError(f"missing required key {key!r}", location)
-    val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, types):  # bool is an int subclass; true is not 1
-        raise ParseError(f"key {key!r} has wrong type {type(val).__name__}", location)
-    return val
-
-
-def _number(doc: dict, key: str, location: str) -> float:
-    return float(_require(doc, key, (int, float), location))
 
 
 def _read_text(path: str | Path, noun: str) -> str:
@@ -96,39 +84,33 @@ def parse_grid(source: str | Path | dict) -> tuple[GridGraph, ForestConfig | Non
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object", label or "<document>")
 
-    meta = doc.get("meta", {})
-    name = meta.get("name", "") if isinstance(meta, dict) else ""
+    meta = _entry(doc, "meta", "document", dict, "an object", {})
+    name = _entry(meta, "name", "meta", str, "a string", "")
 
     nodes = []
-    for i, entry in enumerate(_require(doc, "nodes", list, "document")):
+    for i, entry in enumerate(_entry(doc, "nodes", "document", _list_of(), "a list")):
         loc = f"nodes[{i}]"
         if not isinstance(entry, dict):
             raise ParseError("node entry must be an object", loc)
-        nid = _require(entry, "id", int, loc)
-        kind = _require(entry, "kind", str, loc)
-        if kind not in (SUBSTATION, LOAD):
-            raise ParseError(f"kind must be 'substation' or 'load', got {kind!r}", loc)
+        nid = _entry(entry, "id", loc, _is_index, "an integer")
+        kind = _entry(entry, "kind", loc, lambda k: k in (SUBSTATION, LOAD), "'substation' or 'load'")
         nodes.append(GridNode(id=nid, kind=kind))
 
     edges = []
     closed = []
     declares_forest = False
-    for i, entry in enumerate(_require(doc, "edges", list, "document")):
+    for i, entry in enumerate(_entry(doc, "edges", "document", _list_of(), "a list")):
         loc = f"edges[{i}]"
         if not isinstance(entry, dict):
             raise ParseError("edge entry must be an object", loc)
-        u = _require(entry, "from", int, loc)
-        v = _require(entry, "to", int, loc)
-        r = _number(entry, "r", loc)
-        x = _number(entry, "x", loc)
-        switchable = entry.get("switchable", False)
-        if not isinstance(switchable, bool):
-            raise ParseError("key 'switchable' must be a boolean", loc)
+        u = _entry(entry, "from", loc, _is_index, "an integer")
+        v = _entry(entry, "to", loc, _is_index, "an integer")
+        r = float(_entry(entry, "r", loc, _is_finite, "a finite number"))
+        x = float(_entry(entry, "x", loc, _is_finite, "a finite number"))
+        switchable = _entry(entry, "switchable", loc, bool, "a boolean", False)
         if "closed" in entry:
             declares_forest = True
-            if not isinstance(entry["closed"], bool):
-                raise ParseError("key 'closed' must be a boolean", loc)
-            if entry["closed"]:
+            if _entry(entry, "closed", loc, bool, "a boolean"):
                 closed.append(i)
         edges.append(LineEdge(u=u, v=v, r=r, x=x, switchable=switchable))
 

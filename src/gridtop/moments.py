@@ -29,6 +29,7 @@ reject.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -36,7 +37,8 @@ import numpy as np
 
 from .errors import AssumptionViolation, DomainError, ModelError, ParseError
 # path_sum_matrix is unused here but kept: perfbench/spans.py wraps it on this module by name.
-from .grid import ForestConfig, LineEdge, _is_finite, _is_index, _is_number, _repeated, path_sum_matrix  # noqa: F401
+from .grid import (ForestConfig, LineEdge, _entry, _is_finite, _is_index, _is_number, _known_keys,  # noqa: F401
+                   _list_of, _repeated, path_sum_matrix)
 from .powerflow import (VoltageSamples, _build_level_plan, _Deferred, _float_array, _impedance,
                         _LevelPlan, _ReadOnFirstAccess, _root_path_sums, _rows, _subtree_sums, effective_impedance)
 
@@ -132,6 +134,9 @@ class InjectionModel:
         """Coerce the arrays to float and reject a repeated node id and
         mis-shaped, non-finite or asymmetric entries."""
         n = len(self.nodes)
+        for nid in self.nodes:
+            if not _is_index(nid):
+                raise ModelError(f"node id {nid!r} is not an integer (node ids {reprlib.repr(self.nodes)})")
         if (nid := _repeated(self.nodes)) is not None:
             raise ModelError(f"node id {nid} is listed twice")
         for name in ("mu_p", "mu_q", "sigma_p", "sigma_q", "sigma_pq"):
@@ -684,22 +689,14 @@ def model_to_dict(model: InjectionModel) -> dict:
     }
 
 
-_DEFAULT_MODEL_KEYS = ("mu_p", "sigma_ratio", "rho", "q_alpha", "q_noise_ratio")
+_DEFAULT_MODEL_KEYS = ("kind", "mu_p", "sigma_ratio", "rho", "q_alpha", "q_noise_ratio")
 _EXPLICIT_MODEL_KEYS = ("kind", "nodes", "mu_p", "mu_q", "sigma_p", "sigma_q", "sigma_pq", "distribution")
+_is_vector = _list_of(_is_number)
 
 
-def _model_array(doc: dict, key: str, ndim: int, noun: str = "numbers", entry=_is_number):
-    """``doc[key]`` once it is a list of entries (ndim 1) or a list of
-    equal-length lists of entries (ndim 2); else ParseError naming the key."""
-    if key not in doc:
-        raise ParseError(f"missing required key {key!r}", "model")
-    value = doc[key]
-    rows = value if ndim == 2 else [value]
-    if not (isinstance(value, (list, tuple)) and all(isinstance(row, (list, tuple)) for row in rows)
-            and len({len(row) for row in rows}) <= 1 and all(entry(v) for row in rows for v in row)):
-        shape = "a list of equal-length lists" if ndim == 2 else "a list"
-        raise ParseError(f"expected {shape} of {noun}", f"model.{key}")
-    return value
+def _is_matrix(value) -> bool:
+    """A list of equal-length lists of numbers."""
+    return _list_of(_is_vector)(value) and len({len(row) for row in value}) <= 1
 
 
 def model_from_dict(doc: dict, forest: ForestConfig | None = None) -> InjectionModel:
@@ -712,32 +709,23 @@ def model_from_dict(doc: dict, forest: ForestConfig | None = None) -> InjectionM
     explicit document may say so with ``"distribution": "gaussian"``."""
     if not isinstance(doc, dict):
         raise ParseError(f"expected an object, got {doc!r}", "model")
-    kind = doc.get("kind", "default")
+    kind = _entry(doc, "kind", "model", lambda k: k in ("default", "explicit"), "'default' or 'explicit'",
+                  "default")
     if kind == "default":
-        params = {k: v for k, v in doc.items() if k != "kind"}
-        for key, value in params.items():
-            if key not in _DEFAULT_MODEL_KEYS:
-                raise ParseError(f"unknown key; a default model takes {', '.join(_DEFAULT_MODEL_KEYS)}",
-                                 f"model.{key}")
-            if not _is_finite(value):
-                raise ParseError(f"expected a finite number, got {value!r}", f"model.{key}")
+        _known_keys(doc, _DEFAULT_MODEL_KEYS, "model", "a default model")
+        params = {key: _entry(doc, key, "model", _is_finite, "a finite number")
+                  for key in doc if key != "kind"}
         if forest is None:
             raise DomainError("a forest is required to derive the default model")
         return default_model(forest, **params)
-    if kind == "explicit":
-        for key in doc:
-            if key not in _EXPLICIT_MODEL_KEYS:
-                raise ParseError(f"unknown key; an explicit model takes {', '.join(_EXPLICIT_MODEL_KEYS)}",
-                                 f"model.{key}")
-        if doc.get("distribution", "gaussian") != "gaussian":
-            raise ParseError(f"only 'gaussian' injections can be sampled, got {doc['distribution']!r}",
-                             "model.distribution")
-        return InjectionModel(
-            nodes=tuple(_model_array(doc, "nodes", 1, "integer node ids", _is_index)),
-            mu_p=_model_array(doc, "mu_p", 1),
-            mu_q=_model_array(doc, "mu_q", 1),
-            sigma_p=_model_array(doc, "sigma_p", 2),
-            sigma_q=_model_array(doc, "sigma_q", 2),
-            sigma_pq=_model_array(doc, "sigma_pq", 2),
-        )
-    raise ParseError(f"unknown model kind {kind!r}", "model.kind")
+    _known_keys(doc, _EXPLICIT_MODEL_KEYS, "model", "an explicit model")
+    _entry(doc, "distribution", "model", lambda d: d == "gaussian", "'gaussian'", "gaussian")
+    matrix = "a list of equal-length lists of numbers"
+    return InjectionModel(
+        nodes=tuple(_entry(doc, "nodes", "model", _list_of(_is_index), "a list of integer node ids")),
+        mu_p=_entry(doc, "mu_p", "model", _is_vector, "a list of numbers"),
+        mu_q=_entry(doc, "mu_q", "model", _is_vector, "a list of numbers"),
+        sigma_p=_entry(doc, "sigma_p", "model", _is_matrix, matrix),
+        sigma_q=_entry(doc, "sigma_q", "model", _is_matrix, matrix),
+        sigma_pq=_entry(doc, "sigma_pq", "model", _is_matrix, matrix),
+    )

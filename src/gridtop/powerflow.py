@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InfeasibleStateError
-from .grid import ForestConfig, LineEdge, _is_finite, _is_number, _repeated, path_sum_matrix
+from .grid import ForestConfig, LineEdge, _is_finite, _is_index, _is_number, _repeated, path_sum_matrix
 
 __all__ = [
     "VARIANTS",
@@ -400,7 +399,7 @@ def _distflow(forest: ForestConfig, p, q, v0: float, tol: float, max_iter: int) 
         raise DomainError(f"root voltage must be positive and finite, got {v0}")
     if not (_is_number(tol) and tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
-    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+    if not (_is_index(max_iter) and max_iter >= 1):
         raise DomainError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     plan = _level_plan(forest)
     rx = np.stack([plan.r, plan.x])

@@ -42,6 +42,13 @@ def test_gen_grid_infeasible_params_exit_one(runner, tmp_path):
     assert "error" in res.output or "error" in (res.stderr or "")
 
 
+@pytest.mark.parametrize("bounds", [["0.3", "0.1"], ["nan", "0.3"], ["0.05", "inf"]])
+def test_gen_grid_refuses_a_bad_resistance_range(runner, tmp_path, bounds):
+    res = runner.invoke(main, ["gen-grid", "--loads", "5", "--r-min", bounds[0], "--r-max", bounds[1],
+                               "-o", str(tmp_path / "x.json")])
+    assert "r_range" in _one_error_line(res)
+
+
 def test_simulate_moments_learn_pipeline(runner, tmp_path):
     samples = tmp_path / "samples.csv"
     res = runner.invoke(main, ["simulate", "--grid", "bus_13_3", "-m", "2000",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtop.errors import DomainError, ParseError, StructureError
+from gridtop.errors import DomainError, GridTopError, ParseError, StructureError
 from gridtop.fixtures import fixture_path, load_fixture
 from gridtop.harness import (
     add_open_lines,
@@ -92,11 +92,11 @@ def test_parse_reports_schema_path(tmp_path):
     # A JSON boolean is not an integer, though Python's True == 1.
     doc3 = json.loads(json.dumps(MINIMAL))
     doc3["nodes"][1]["id"] = True
-    with pytest.raises(ParseError, match=r"nodes\[1\].*'id' has wrong type bool"):
+    with pytest.raises(ParseError, match=r"^nodes\[1\]\.id: expected an integer, got True$"):
         parse_grid(doc3)
     doc4 = json.loads(json.dumps(MINIMAL))
     doc4["edges"][0].update({"from": True, "to": 0})
-    with pytest.raises(ParseError, match=r"edges\[0\].*'from' has wrong type bool"):
+    with pytest.raises(ParseError, match=r"^edges\[0\]\.from: expected an integer, got True$"):
         parse_grid(doc4)
 
 
@@ -441,6 +441,19 @@ def test_injection_model_rejects_a_repeated_node_id():
         model.aligned_to(model.nodes + (3,))
 
 
+@pytest.mark.parametrize("nodes, shown", [("abc", "node id 'a' is not an integer"),
+                                          ((True, 2, 3), "node id True is not an integer")])
+def test_injection_model_rejects_a_node_id_that_is_not_an_integer(nodes, shown):
+    from gridtop.errors import ModelError
+    from gridtop.moments import InjectionModel
+
+    zeros = np.zeros((3, 3))
+    with pytest.raises(ModelError, match=re.escape(shown)):
+        InjectionModel.from_covariances(nodes, -np.ones(3), -np.ones(3), zeros, zeros, zeros)
+    assert InjectionModel.from_covariances(np.arange(1, 4), -np.ones(3), -np.ones(3),
+                                           zeros, zeros, zeros).nodes == (1, 2, 3)
+
+
 @pytest.mark.parametrize("text, where", [
     ("1" * 140_002 + ",2\n0.1,0.2\n", "bad.csv:1"),
     ("1,2\n0.1,0.2\n0.3," + "4" * 140_000 + "\n", "bad.csv:3"),
@@ -603,6 +616,91 @@ def test_plan_rejects_a_mis_typed_value_naming_its_key(key, value):
 def test_plan_model_and_forest_errors_name_their_key(overrides, location):
     with pytest.raises(ParseError, match=f"^{re.escape(location)}: "):
         run_experiment(_tiny_plan(**overrides))
+
+
+_GENERATOR = {"n_loads": 6, "k_subs": 1, "n_extra_lines": 2}
+
+
+@pytest.mark.parametrize("overrides, location", [
+    ({"name": 5}, "name"),
+    ({"grid": {"generator": dict(_GENERATOR, name=5)}}, "grid.generator.name"),
+    ({"grid": {"generator": dict(_GENERATOR, r_range=[0.1])}}, "r_range"),
+    ({"grid": {"generator": dict(_GENERATOR, x_range=[0.3, 0.1])}}, "x_range"),
+    ({"grid": {"generator": dict(_GENERATOR, seeds=1)}}, "grid.generator.seeds"),
+])
+def test_plan_refuses_a_name_that_is_not_text_and_a_bad_generator_option(overrides, location):
+    with pytest.raises(GridTopError, match=re.escape(location)):
+        run_experiment(_tiny_plan(trials=1, sample_counts=[20], **overrides))
+
+
+@pytest.mark.parametrize("meta, location", [(5, "meta"), ({"name": 5}, "meta.name")])
+def test_grid_meta_must_be_an_object_with_a_text_name(meta, location):
+    with pytest.raises(ParseError, match=f"^{re.escape(location)}: expected "):
+        parse_grid(dict(MINIMAL, meta=meta))
+
+
+# Every slot a document value can sit in, with the document it is run through.
+_SWEEP_PLAN = {"grid": "bus_13_3", "sample_counts": [20], "taus": [0.1], "trials": 1, "seed": 1}
+_SWEEP_GRID = {
+    "meta": {"name": "three"},
+    "nodes": [{"id": 0, "kind": "substation"}, {"id": 1, "kind": "load"}, {"id": 2, "kind": "load"}],
+    "edges": [{"from": 0, "to": 1, "r": 0.1, "x": 0.2, "closed": True},
+              {"from": 1, "to": 2, "r": 0.1, "x": 0.2, "closed": True, "switchable": False}],
+}
+_SWEEP_POOL = [None, True, "x", 1.5, -1, 0, [], {}, [1], [0.1], {"a": 1}, ["x", "y"], [0.3, 0.1]]
+
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with ``value`` at ``path``, a list of keys and indices."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return doc
+
+
+_SWEEP_SLOTS = (
+    [("plan", (key,)) for key in ("grid", "sample_counts", "taus", "trials", "seed", "model", "forest",
+                                  "variant", "engine", "augment_open_lines", "name")]
+    + [("generator", (key,)) for key in ("n_loads", "k_subs", "n_extra_lines", "n_tie_lines", "seed",
+                                         "r_range", "x_range", "name")]
+    + [("forest", (key,)) for key in ("random_seed", "closed_edges")]
+    + [("model", (key,)) for key in ("kind", "mu_p", "sigma_ratio", "rho", "q_alpha", "q_noise_ratio")]
+    + [("grid", (key,)) for key in ("meta", "nodes", "edges")]
+    + [("grid", ("nodes", 1, key)) for key in ("id", "kind")]
+    + [("grid", ("edges", 1, key)) for key in ("from", "to", "r", "x", "closed", "switchable")]
+)
+
+
+@pytest.mark.parametrize("document, path", _SWEEP_SLOTS,
+                         ids=lambda v: v if isinstance(v, str) else ".".join(map(str, v)))
+def test_no_mis_typed_document_value_escapes_as_a_raw_exception(document, path):
+    escaped = []
+    for value in _SWEEP_POOL:
+        try:
+            if document == "grid":
+                parse_grid(_with(_SWEEP_GRID, path, value))
+                continue
+            plan = {
+                "plan": _with(_SWEEP_PLAN, path, value),
+                "generator": dict(_SWEEP_PLAN, grid={"generator": _with(_GENERATOR, path, value)}),
+                "forest": dict(_SWEEP_PLAN, forest=_with({}, path, value)),
+                "model": dict(_SWEEP_PLAN, model=_with({}, path, value)),
+            }[document]
+            run_experiment(plan_from_dict(plan))
+        except GridTopError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - the escapes are what this test collects
+            escaped.append((value, repr(exc)))
+    assert escaped == []
+
+
+def test_an_integer_too_large_for_a_float_is_refused_at_its_key():
+    with pytest.raises(ParseError, match=r"^sample_counts: expected"):
+        _tiny_plan(sample_counts=[10**400])
+    with pytest.raises(ParseError, match=r"^edges\[0\]\.r: expected a finite number"):
+        parse_grid(_with(MINIMAL, ("edges", 0, "r"), 10**400))
 
 
 def test_plan_must_be_an_object():

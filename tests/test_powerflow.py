@@ -342,8 +342,9 @@ def test_distflow_rejects_bad_parameters(single_edge):
         distflow_solve(forest, inj, v0=0.0)
     with pytest.raises(DomainError):
         distflow_solve(forest, inj, tol=-1.0)
-    with pytest.raises(DomainError):
-        distflow_solve(forest, inj, max_iter=0)
+    for max_iter in (0, True, 2.0):  # a bool is not one sweep, nor a float two
+        with pytest.raises(DomainError, match="max_iter"):
+            distflow_solve(forest, inj, max_iter=max_iter)
     with pytest.raises(DomainError, match="root voltage"):
         distflow_solve(forest, inj, v0="1")
     with pytest.raises(DomainError, match="tolerance"):
