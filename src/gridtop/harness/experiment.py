@@ -27,7 +27,7 @@ import numpy as np
 from ..errors import DomainError, GridTopError, ParseError
 from ..grid import ForestConfig, GridGraph, _entry, _is_finite, _is_index, _is_number, _known_keys, _list_of
 from ..learner import LearnerConfig, reconstruct
-from ..moments import InjectionModel, analytic_moment_set, model_from_dict, sample_injections
+from ..moments import InjectionBatch, InjectionModel, _Sampler, analytic_moment_set, model_from_dict, sample_injections
 # distflow_solve is unused here but kept: perfbench/spans.py wraps it on this module by name.
 from ..powerflow import VoltageSamples, distflow_solve, distflow_solve_many, lcpf_solve_many  # noqa: F401
 from .generate import add_open_lines, generate_random_grid, random_spanning_forest
@@ -109,6 +109,7 @@ def _is_sample_count(value) -> bool:
 
 
 _PLAN_KEYS = tuple(f.name for f in fields(ExperimentPlan))
+_FOREST_KEYS = ("closed_edges", "random_seed")
 _GENERATOR_KEYS = ("n_loads", "k_subs", "n_extra_lines", "n_tie_lines", "seed", "r_range", "x_range", "name")
 
 
@@ -166,6 +167,7 @@ def resolve_plan_grid(plan: ExperimentPlan) -> tuple[GridGraph, ForestConfig, st
             grid, forest = parse_grid(spec)
             label = grid.name or Path(spec).stem
     elif isinstance(spec, dict) and "generator" in spec:
+        _known_keys(spec, ("generator",), "grid", "a grid object")
         where = "grid.generator"
         gen = _entry(spec, "generator", "grid", dict, "an object")
         _known_keys(gen, _GENERATOR_KEYS, where, "a generator")
@@ -181,12 +183,16 @@ def resolve_plan_grid(plan: ExperimentPlan) -> tuple[GridGraph, ForestConfig, st
     else:
         raise ParseError("grid must be a fixture name, a path, or a {generator} object", "grid")
 
-    if isinstance(plan.forest, dict) and "closed_edges" in plan.forest:
-        closed = _entry(plan.forest, "closed_edges", "forest", _list_of(), "a list of edge indices")
-        forest = ForestConfig.from_closed_edges(grid, closed)
-    elif isinstance(plan.forest, dict) and "random_seed" in plan.forest:
-        forest = random_spanning_forest(
-            grid, _entry(plan.forest, "random_seed", "forest", _is_seed, "a non-negative integer"))
+    if isinstance(plan.forest, dict):
+        _known_keys(plan.forest, _FOREST_KEYS, "forest", "a forest object")
+        if len(plan.forest) != 1:
+            raise ParseError("a forest object takes exactly one of closed_edges and random_seed", "forest")
+        if "closed_edges" in plan.forest:
+            closed = _entry(plan.forest, "closed_edges", "forest", _list_of(), "a list of edge indices")
+            forest = ForestConfig.from_closed_edges(grid, closed)
+        else:
+            forest = random_spanning_forest(
+                grid, _entry(plan.forest, "random_seed", "forest", _is_seed, "a non-negative integer"))
     elif plan.forest != "declared":
         raise ParseError("forest must be 'declared', {closed_edges: [...]}, or {random_seed: n}", "forest")
     if forest is None:
@@ -198,15 +204,19 @@ def resolve_plan_grid(plan: ExperimentPlan) -> tuple[GridGraph, ForestConfig, st
     return grid, forest, plan.name or label
 
 
-def simulate_voltage(forest: ForestConfig, model: InjectionModel, m: int, seed,
-                     engine: str = "lc") -> VoltageSamples:
-    """Draw m injection samples and solve one power flow per sample."""
-    batch = sample_injections(model, m, seed)
+def _solve(forest: ForestConfig, batch: InjectionBatch, engine: str) -> VoltageSamples:
+    """One power flow per sample of ``batch``, into new arrays."""
     if engine == "lc":
         return lcpf_solve_many(forest, batch.p, batch.q)
     if engine == "distflow":
         return distflow_solve_many(forest, batch.p, batch.q)
     raise DomainError(f"unknown power-flow engine {engine!r}")
+
+
+def simulate_voltage(forest: ForestConfig, model: InjectionModel, m: int, seed,
+                     engine: str = "lc") -> VoltageSamples:
+    """Draw m injection samples and solve one power flow per sample."""
+    return _solve(forest, sample_injections(model, m, seed), engine)
 
 
 def run_experiment(plan: ExperimentPlan, include_timing: bool = False) -> ExperimentResult:
@@ -221,6 +231,10 @@ def run_experiment(plan: ExperimentPlan, include_timing: bool = False) -> Experi
     model = model_from_dict(plan.model, forest)
 
     analytic = None  # the exact moment set, built on the first "inf" trial
+    # One factor of the model's covariance and one pair of sample buffers for
+    # the whole run, built on the first sampled trial.  A trial's draws are
+    # solved into new arrays, so no buffer outlives the trial.
+    sampler = None
     rows = []
     trial_rows = []
     failures = 0
@@ -241,14 +255,17 @@ def run_experiment(plan: ExperimentPlan, include_timing: bool = False) -> Experi
                             analytic = analytic_moment_set(forest, model, variant=plan.variant)
                         data = analytic
                     else:
+                        if sampler is None:
+                            sampler = _Sampler(model, int(max(n for n in plan.sample_counts if not math.isinf(n))))
                         seed = np.random.SeedSequence((master, point_index, trial))
-                        data = simulate_voltage(forest, model, int(m), seed, plan.engine)
+                        data = _solve(forest, sampler.draw(int(m), seed), plan.engine)
                     result = reconstruct(data, model, grid, config, truth=forest)
                     err = result.relative_error
                     errors.append(err)
                 except GridTopError as exc:
                     failures += 1
                     note = str(exc)
+                data = None  # the trial's samples go before the next draw
                 trial_rows.append({
                     "grid": label, "variant": plan.variant, "m": m, "tau": tau,
                     "trial": trial, "error": err, "note": note,

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import GridTopError, ParseError
 from ..grid import (LOAD, SUBSTATION, ForestConfig, GridGraph, GridNode, LineEdge, _entry, _is_finite,
-                    _is_index, _list_of, _repeated)
+                    _is_index, _known_keys, _list_of, _repeated)
 from ..powerflow import VoltageSamples
 
 __all__ = [
@@ -63,6 +63,11 @@ def _json_document(text: str, where: str):
         raise ParseError(f"invalid JSON: {exc.msg}", f"{where}:{exc.lineno}:{exc.colno}") from exc
 
 
+_DOCUMENT_KEYS = ("meta", "nodes", "edges")
+_NODE_KEYS = ("id", "kind")
+_EDGE_KEYS = ("from", "to", "r", "x", "closed", "switchable")
+
+
 def parse_grid(source: str | Path | dict) -> tuple[GridGraph, ForestConfig | None]:
     """Parse and validate a grid file (path, JSON text, or parsed dict).
 
@@ -84,7 +89,9 @@ def parse_grid(source: str | Path | dict) -> tuple[GridGraph, ForestConfig | Non
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object", label or "<document>")
 
+    _known_keys(doc, _DOCUMENT_KEYS, "document", "a grid document")
     meta = _entry(doc, "meta", "document", dict, "an object", {})
+    _known_keys(meta, ("name",), "meta", "meta")
     name = _entry(meta, "name", "meta", str, "a string", "")
 
     nodes = []
@@ -92,6 +99,7 @@ def parse_grid(source: str | Path | dict) -> tuple[GridGraph, ForestConfig | Non
         loc = f"nodes[{i}]"
         if not isinstance(entry, dict):
             raise ParseError("node entry must be an object", loc)
+        _known_keys(entry, _NODE_KEYS, loc, "a node")
         nid = _entry(entry, "id", loc, _is_index, "an integer")
         kind = _entry(entry, "kind", loc, lambda k: k in (SUBSTATION, LOAD), "'substation' or 'load'")
         nodes.append(GridNode(id=nid, kind=kind))
@@ -103,6 +111,7 @@ def parse_grid(source: str | Path | dict) -> tuple[GridGraph, ForestConfig | Non
         loc = f"edges[{i}]"
         if not isinstance(entry, dict):
             raise ParseError("edge entry must be an object", loc)
+        _known_keys(entry, _EDGE_KEYS, loc, "an edge")
         u = _entry(entry, "from", loc, _is_index, "an integer")
         v = _entry(entry, "to", loc, _is_index, "an integer")
         r = float(_entry(entry, "r", loc, _is_finite, "a finite number"))

@@ -39,8 +39,8 @@ from .errors import AssumptionViolation, DomainError, ModelError, ParseError
 # path_sum_matrix is unused here but kept: perfbench/spans.py wraps it on this module by name.
 from .grid import (ForestConfig, LineEdge, _entry, _is_finite, _is_index, _is_number, _known_keys,  # noqa: F401
                    _list_of, _repeated, path_sum_matrix)
-from .powerflow import (VoltageSamples, _build_level_plan, _Deferred, _float_array, _impedance,
-                        _LevelPlan, _ReadOnFirstAccess, _root_path_sums, _rows, _subtree_sums, effective_impedance)
+from .powerflow import (VoltageSamples, _build_level_plan, _float_array, _impedance, _LevelPlan, _root_path_sums,
+                        _rows, _subtree_sums, effective_impedance)
 
 __all__ = [
     "InjectionModel",
@@ -256,38 +256,38 @@ class InjectionBatch:
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Second moments of voltage deviations (and phases when available).
+    """Second moments of voltage deviations, and of phases when the data
+    had them.
 
     ``source`` is "analytic" or "empirical"; ``m`` carries the sample count
     for empirical sets.  Substations carry identically zero deviations and
-    are therefore not part of the matrices.  An analytic set computes its
-    phase moments when one of them is first read, and carries in ``drops``
-    the line-drop moments that answer E[(eps_a - eps_b)^2] exactly.
+    are therefore not part of the matrices.  The phase moments are None on
+    an analytic set and on the moments of a batch without phases
+    (``analytic_sigma_theta`` and ``analytic_sigma_theta_eps`` give them
+    exactly); an analytic set carries in ``drops`` the line-drop moments
+    that answer E[(eps_a - eps_b)^2] exactly.
     """
 
     nodes: tuple[int, ...]
     sigma_eps: np.ndarray
-    sigma_theta: np.ndarray | None = _ReadOnFirstAccess()
-    sigma_theta_eps: np.ndarray | None = _ReadOnFirstAccess()
     source: str
     m: int | None = None
+    sigma_theta: np.ndarray | None = None
+    sigma_theta_eps: np.ndarray | None = None
     drops: LineDrops | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if (nid := _repeated(self.nodes)) is not None:
             raise DomainError(f"node id {nid} is listed twice")
-        object.__setattr__(self, "sigma_eps", self._check_field("sigma_eps", self.sigma_eps))
-        for name in ("sigma_theta", "sigma_theta_eps"):
-            matrix = self.__dict__[name]
-            if matrix is not None and not isinstance(matrix, _Deferred):
-                object.__setattr__(self, name, self._check_field(name, matrix))
-
-    def _check_field(self, name: str, matrix) -> np.ndarray:
-        matrix = _float_array(matrix, name)
         n = len(self.nodes)
-        if matrix.shape != (n, n):
-            raise DomainError(f"{name} must have shape ({n}, {n}) for {n} nodes, got {matrix.shape}")
-        return matrix
+        for name in ("sigma_eps", "sigma_theta", "sigma_theta_eps"):
+            matrix = getattr(self, name)
+            if matrix is None and name != "sigma_eps":
+                continue
+            matrix = _float_array(matrix, name)
+            if matrix.shape != (n, n):
+                raise DomainError(f"{name} must have shape ({n}, {n}) for {n} nodes, got {matrix.shape}")
+            object.__setattr__(self, name, matrix)
 
 
 def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float = 0.2,
@@ -376,20 +376,48 @@ def _tree_verdict(tree: np.ndarray, diagonal: list[float], within: list[float]) 
     return tuple(np.array(members, dtype=np.intp) for members in trees.values())
 
 
+class _Sampler:
+    """Joint Gaussian draws of (p, q) from one model, into buffers reused
+    from draw to draw.
+
+    The covariance is factored once, by ``eigh``, as F = u sqrt(|s|); a draw
+    of m samples is m rows of standard normals x, then x F^T + mean.  These
+    are the steps, and so the bits, of numpy's multivariate normal draw with
+    ``method="eigh"``.  A draw's batch is a view of the sampler's buffer,
+    valid until the next draw.
+    """
+
+    def __init__(self, model: InjectionModel, capacity: int):
+        s, u = np.linalg.eigh(model.joint_covariance)
+        self._factor_t = (u * np.sqrt(np.abs(s))).T
+        self._mean = np.concatenate([model.mu_p, model.mu_q])
+        self._nodes = model.nodes
+        self._draws = np.empty((capacity, self._mean.size))
+        self._mixed = np.empty_like(self._draws)
+
+    def draw(self, m: int, seed) -> InjectionBatch:
+        """m samples from the stream of ``seed``; m is at least 1 and at most
+        the capacity the sampler was built with."""
+        try:
+            rng = np.random.default_rng(seed)
+        except (TypeError, ValueError):
+            raise DomainError(f"seed must be a non-negative integer or a SeedSequence, got {seed!r}") from None
+        draws, mixed = self._draws[:m], self._mixed[:m]
+        rng.standard_normal(out=draws)
+        np.matmul(draws, self._factor_t, out=mixed)
+        mixed += self._mean
+        n = len(self._nodes)
+        return InjectionBatch(nodes=self._nodes, p=mixed[:, :n], q=mixed[:, n:])
+
+
 def sample_injections(model: InjectionModel, m: int, seed) -> InjectionBatch:
-    """Draw m joint Gaussian samples of (p, q); deterministic per seed."""
+    """Draw m joint Gaussian samples of (p, q); deterministic per seed.  The
+    batch owns its arrays."""
     if not _is_index(m):
         raise DomainError(f"sample count must be an integer, got {m!r}")
     if m < 1:
         raise DomainError(f"sample count must be at least 1, got {m}")
-    try:
-        rng = np.random.default_rng(seed)
-    except (TypeError, ValueError):
-        raise DomainError(f"seed must be a non-negative integer or a SeedSequence, got {seed!r}") from None
-    mean = np.concatenate([model.mu_p, model.mu_q])
-    draws = rng.multivariate_normal(mean, model.joint_covariance, size=m, method="eigh")
-    n = len(model.nodes)
-    return InjectionBatch(nodes=model.nodes, p=draws[:, :n], q=draws[:, n:])
+    return _Sampler(model, m).draw(m, seed)
 
 
 def empirical_moments(samples: VoltageSamples) -> MomentSet:
@@ -596,12 +624,9 @@ def analytic_sigma_theta_eps(forest: ForestConfig, model: InjectionModel, varian
 
 def analytic_moment_set(forest: ForestConfig, model: InjectionModel, variant: str = "lc") -> MomentSet:
     """Exact voltage moments of the linear model, with the line drops that
-    answer the learner's pair statistic.  ``sigma_eps`` is computed here;
-    the phase moments are computed together when either is first read."""
+    answer the learner's pair statistic.  The set has no phase moments."""
     values, drops = _edge_moments(forest, model, variant, ("sigma_eps",))
-    phases = _Deferred(lambda: _edge_moments(forest, model, variant, ("sigma_theta", "sigma_theta_eps"))[0])
-    return MomentSet(nodes=forest.grid.load_ids, sigma_eps=values["sigma_eps"], sigma_theta=phases,
-                     sigma_theta_eps=phases, source="analytic", drops=drops)
+    return MomentSet(nodes=forest.grid.load_ids, sigma_eps=values["sigma_eps"], source="analytic", drops=drops)
 
 
 def edge_sq_diff(edge: LineEdge, variant: str, sp: float, sq: float, spq: float) -> float:

@@ -10,6 +10,10 @@ at eps = theta = 0.
   per-edge drops (the sweeps are exactly the lossless DistFlow recursion,
   which on trees coincides with the matrix form eps = H_{1/r}^-1 p +
   H_{1/x}^-1 q, theta = H_{1/x}^-1 p - H_{1/r}^-1 q).
+* ``lcpf_solve_many`` - the same model for a batch of samples, by the dense
+  response matrices of ``lcpf_response``.  It gives eps only: the learner
+  reads voltage magnitudes alone, so a batch carries no phases, and
+  ``lcpf_solve`` gives the phases of one sample.
 * ``dc_resistive_solve`` - the resistance-dominated limit: the same sweeps
   with each line's effective impedance (1/g, 0), so eps = H_g^-1 p and
   theta = -H_g^-1 q.
@@ -86,23 +90,6 @@ class VoltageState:
     theta: np.ndarray | None
 
 
-class _Deferred:
-    """Arrays that one call computes together, on first read."""
-
-    def __init__(self, compute):
-        self._compute = compute
-        self._values = None
-
-    def get(self, name: str) -> np.ndarray:
-        if self._values is None:
-            self._values = self._compute()
-            self._compute = None  # release what the computation held
-        return self._values[name]
-
-
-_NO_DEFAULT = object()
-
-
 def _float_array(value, name: str, error=DomainError) -> np.ndarray:
     """``value`` as a float array, without a copy when it is one; ``error``
     naming the field when it cannot be held as floats.  Text is refused in
@@ -117,39 +104,15 @@ def _float_array(value, name: str, error=DomainError) -> np.ndarray:
     raise error(f"{name} must be an array of numbers")
 
 
-class _ReadOnFirstAccess:
-    """A frozen-dataclass field that may be given as a ``_Deferred``: the
-    array is computed, checked and coerced by the owner's
-    ``_check_field(name, value)`` and stored when the field is first read."""
-
-    def __init__(self, default=_NO_DEFAULT):
-        self.default = default
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            if self.default is _NO_DEFAULT:
-                raise AttributeError(self.name)  # so the dataclass field has no default
-            return self.default
-        value = obj.__dict__[self.name]
-        if isinstance(value, _Deferred):
-            value = obj.__dict__[self.name] = obj._check_field(self.name, value.get(self.name))
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
-
-
 @dataclass(frozen=True)
 class VoltageSamples:
     """A batch of voltage states: row j of ``eps`` (and ``theta``) is sample j.
-    ``theta`` may be computed when it is first read."""
+    The batch solvers give ``eps`` only; ``theta`` is for batches that come
+    with phases."""
 
     nodes: tuple[int, ...]
     eps: np.ndarray
-    theta: np.ndarray | None = _ReadOnFirstAccess(default=None)
+    theta: np.ndarray | None = None
 
     def __post_init__(self):
         if (nid := _repeated(self.nodes)) is not None:
@@ -159,15 +122,11 @@ class VoltageSamples:
             raise DomainError(f"eps must have shape (m, {len(self.nodes)}) for {len(self.nodes)} nodes, "
                               f"got {eps.shape}")
         object.__setattr__(self, "eps", eps)
-        theta = self.__dict__["theta"]
-        if theta is not None and not isinstance(theta, _Deferred):
-            object.__setattr__(self, "theta", self._check_field("theta", theta))
-
-    def _check_field(self, name: str, value) -> np.ndarray:
-        value = _float_array(value, name)
-        if value.shape != self.eps.shape:
-            raise DomainError(f"{name} must have the shape of eps {self.eps.shape}, got {value.shape}")
-        return value
+        if self.theta is not None:
+            theta = _float_array(self.theta, "theta")
+            if theta.shape != eps.shape:
+                raise DomainError(f"theta must have the shape of eps {eps.shape}, got {theta.shape}")
+            object.__setattr__(self, "theta", theta)
 
     def __len__(self) -> int:
         return self.eps.shape[0]
@@ -362,12 +321,14 @@ def lcpf_response(forest: ForestConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lcpf_solve_many(forest: ForestConfig, p: np.ndarray, q: np.ndarray) -> VoltageSamples:
-    """Vectorized linear solves for sample batches of shape (m, N).  The
-    phases are computed when ``theta`` is first read."""
+    """Vectorized linear solves for sample batches of shape (m, N): the
+    voltage deviations eps = pA + qB, in a new array.  For phases, solve
+    one sample with ``lcpf_solve``."""
     p, q = _check_batch(forest, p, q)
     a, b = lcpf_response(forest)
-    phases = _Deferred(lambda: {"theta": p @ b - q @ a})
-    return VoltageSamples(nodes=forest.grid.load_ids, eps=p @ a + q @ b, theta=phases)
+    eps = p @ a
+    eps += q @ b
+    return VoltageSamples(nodes=forest.grid.load_ids, eps=eps)
 
 
 @dataclass(frozen=True)

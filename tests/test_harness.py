@@ -29,7 +29,7 @@ from gridtop.harness import (
 from gridtop.harness.experiment import write_gnuplot_script, write_trial_csv
 from gridtop.harness.gridfile import _parse_samples_checked, _parse_samples_plain
 from gridtop.learner import LearnerConfig, reconstruct
-from gridtop.moments import default_model
+from gridtop.moments import analytic_moment_set, default_model
 from gridtop.powerflow import VoltageSamples
 
 from conftest import chain_grid
@@ -325,7 +325,8 @@ def test_voltage_samples_given_as_lists_are_learned_like_arrays():
     grid, forest = load_fixture("bus_13_3")
     model = default_model(forest)
     samples = simulate_voltage(forest, model, 200, seed=3)
-    listed = VoltageSamples(nodes=samples.nodes, eps=samples.eps.tolist(), theta=samples.theta.tolist())
+    theta = np.cumsum(samples.eps, axis=1)  # any phases of the batch's shape
+    listed = VoltageSamples(nodes=samples.nodes, eps=samples.eps.tolist(), theta=theta.tolist())
     assert isinstance(listed.eps, np.ndarray) and isinstance(listed.theta, np.ndarray)
     assert np.array_equal(empirical_moments(listed).sigma_eps, empirical_moments(samples).sigma_eps)
     config = LearnerConfig(tau=0.05)
@@ -343,14 +344,12 @@ def test_voltage_samples_reject_entries_they_cannot_hold_as_floats(name, value):
         VoltageSamples(nodes=(1, 2), **fields)
 
 
-def test_voltage_samples_coerce_deferred_phases_on_first_read():
-    from gridtop.powerflow import _Deferred
-
-    samples = VoltageSamples(nodes=(1, 2), eps=np.zeros((1, 2)), theta=_Deferred(lambda: {"theta": [[1, 2]]}))
+def test_voltage_samples_coerce_phases_at_construction():
+    samples = VoltageSamples(nodes=(1, 2), eps=np.zeros((1, 2)), theta=[[1, 2]])
     assert samples.theta.dtype == float and np.array_equal(samples.theta, [[1.0, 2.0]])
-    bad = VoltageSamples(nodes=(1, 2), eps=np.zeros((1, 2)), theta=_Deferred(lambda: {"theta": [["a", 2]]}))
+    assert np.array_equal(samples[0].theta, [1.0, 2.0])
     with pytest.raises(DomainError, match="^theta must be an array of numbers"):
-        bad.theta
+        VoltageSamples(nodes=(1, 2), eps=np.zeros((1, 2)), theta=[["a", 2]])
 
 
 def test_containers_keep_float_arrays_without_a_copy():
@@ -670,6 +669,9 @@ _SWEEP_SLOTS = (
     + [("grid", (key,)) for key in ("meta", "nodes", "edges")]
     + [("grid", ("nodes", 1, key)) for key in ("id", "kind")]
     + [("grid", ("edges", 1, key)) for key in ("from", "to", "r", "x", "closed", "switchable")]
+    # keys no reader takes, beside known ones
+    + [("grid", path) for path in (("mta",), ("meta", "nmae"), ("nodes", 1, "knd"), ("edges", 1, "swichable"))]
+    + [("grid object", ("source",)), ("forest pair", ("random_seed",))]
 )
 
 
@@ -687,6 +689,8 @@ def test_no_mis_typed_document_value_escapes_as_a_raw_exception(document, path):
                 "generator": dict(_SWEEP_PLAN, grid={"generator": _with(_GENERATOR, path, value)}),
                 "forest": dict(_SWEEP_PLAN, forest=_with({}, path, value)),
                 "model": dict(_SWEEP_PLAN, model=_with({}, path, value)),
+                "grid object": dict(_SWEEP_PLAN, grid=_with({"generator": _GENERATOR}, path, value)),
+                "forest pair": dict(_SWEEP_PLAN, forest=_with({"closed_edges": [0]}, path, value)),
             }[document]
             run_experiment(plan_from_dict(plan))
         except GridTopError:
@@ -694,6 +698,26 @@ def test_no_mis_typed_document_value_escapes_as_a_raw_exception(document, path):
         except Exception as exc:  # noqa: BLE001 - the escapes are what this test collects
             escaped.append((value, repr(exc)))
     assert escaped == []
+
+
+@pytest.mark.parametrize("path, location", [
+    (("mta",), "mta"), (("meta", "nmae"), "meta.nmae"), (("nodes", 1, "knd"), "nodes[1].knd"),
+    (("edges", 1, "swichable"), "edges[1].swichable"),
+])
+def test_grid_refuses_a_key_it_would_ignore(path, location):
+    with pytest.raises(ParseError, match=f"^{re.escape(location)}: unknown key"):
+        parse_grid(_with(_SWEEP_GRID, path, True))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"forest": {"closed_edges": [0, 1], "random_seed": 7}}, "forest: a forest object takes exactly one"),
+    ({"forest": {}}, "forest: a forest object takes exactly one"),
+    ({"forest": {"random_sede": 7}}, "forest.random_sede: unknown key"),
+    ({"grid": {"generator": _GENERATOR, "seed": 4}}, "grid.seed: unknown key"),
+])
+def test_plan_refuses_a_forest_or_grid_key_it_would_ignore(overrides, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        run_experiment(_tiny_plan(**overrides))
 
 
 def test_an_integer_too_large_for_a_float_is_refused_at_its_key():
@@ -735,6 +759,84 @@ def test_experiment_rows_cover_grid_points_in_order():
     got = [(row["m"], row["tau"]) for row in result.rows]
     assert got == [(50, 0.2), (50, 0.1), (100, 0.2), (100, 0.1)]
     assert all(row["trials"] == 2 for row in result.rows)
+
+
+@pytest.mark.parametrize("engine", ["lc", "distflow"])
+def test_experiment_trials_match_a_trial_by_trial_loop(monkeypatch, engine):
+    """The run's one sampler and its reused buffers give each trial the
+    samples ``simulate_voltage`` gives it alone; a smaller draw follows a
+    larger one in the same buffers."""
+    from gridtop.harness import experiment
+
+    seen = []
+
+    def learn(data, *args, **kwargs):
+        seen.append(data.eps.copy() if isinstance(data, VoltageSamples) else data.sigma_eps)
+        return reconstruct(data, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "reconstruct", learn)
+    plan = _tiny_plan(sample_counts=[200, 20, 200, "inf"] if engine == "lc" else [200, 20, 200],
+                      taus=[0.05, 0.2], engine=engine)
+    result = run_experiment(plan)
+    grid, forest = load_fixture("bus_13_3")
+    model = default_model(forest)
+    want = []
+    for pi, m in enumerate(plan.sample_counts):
+        for ti, tau in enumerate(plan.taus):
+            for trial in range(plan.trials):
+                if math.isinf(m):
+                    data = analytic_moment_set(forest, model)
+                else:
+                    seed = np.random.SeedSequence((plan.seed, pi * len(plan.taus) + ti, trial))
+                    data = simulate_voltage(forest, model, int(m), seed, engine)
+                assert np.array_equal(seen[len(want)], data.sigma_eps if math.isinf(m) else data.eps)
+                error = reconstruct(data, model, grid, LearnerConfig(tau=tau), truth=forest).relative_error
+                want.append({"grid": "bus_13_3", "variant": "lc", "m": m, "tau": tau, "trial": trial,
+                             "error": error, "note": ""})
+    assert list(result.trial_rows) == want
+
+
+@pytest.mark.parametrize("engine, counts", [("lc", [20, 50, "inf"]), ("distflow", [20, 50]), ("lc", ["inf"])])
+def test_experiment_factors_the_covariance_once_per_run(monkeypatch, engine, counts):
+    factored = []
+
+    def eigh(matrix):
+        factored.append(matrix.shape)
+        return real(matrix)
+
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert run_experiment(_tiny_plan(sample_counts=counts, taus=[0.1, 0.2], trials=2, engine=engine)).failures == 0
+    assert factored == ([(26, 26)] if 20 in counts else [])
+
+
+def test_draws_and_solves_share_no_memory_from_call_to_call():
+    from gridtop.moments import sample_injections
+
+    grid, forest = load_fixture("bus_13_3")
+    model = default_model(forest)
+    first, second = (sample_injections(model, 50, seed) for seed in (1, 2))
+    for a in (first.p, first.q):
+        for b in (second.p, second.q):
+            assert not np.shares_memory(a, b)
+    for engine in ("lc", "distflow"):
+        first, second = (simulate_voltage(forest, model, 50, seed, engine) for seed in (1, 2))
+        assert not np.shares_memory(first.eps, second.eps)
+        assert not np.array_equal(first.eps, second.eps)
+
+
+def test_reconstruct_keeps_no_reference_to_its_samples():
+    import gc
+    import weakref
+
+    grid, forest = load_fixture("bus_13_3")
+    model = default_model(forest)
+    samples = simulate_voltage(forest, model, 50, 1)
+    eps = weakref.ref(samples.eps)
+    result = reconstruct(samples, model, grid, LearnerConfig(tau=0.1), truth=forest)
+    del samples
+    gc.collect()
+    assert eps() is None and result.trace
 
 
 def test_experiment_csv_determinism(tmp_path):

@@ -26,7 +26,7 @@ from gridtop.moments import (
     sample_injections,
     verify_moment_ordering,
 )
-from gridtop.powerflow import VoltageSamples, lcpf_solve_many
+from gridtop.powerflow import VoltageSamples, lcpf_response, lcpf_solve_many
 
 from conftest import (chain_grid, empty_substation_grid, make_grid, random_a1_model, random_instance,
                       shuffled_chain_grid, single_edge_grid, star_grid)
@@ -250,6 +250,26 @@ def test_sampling_draws_for_valid_seeds_are_unchanged(fig3, seed):
     assert np.array_equal(np.hstack([batch.p, batch.q]), want)
 
 
+@pytest.mark.parametrize("name", ["bus_13_3", "bus_29_1", "bus_83_11"])
+def test_sampler_draws_have_the_bits_of_the_eigh_multivariate_normal(name):
+    """One factor, reused buffers, draws of every size in turn: each batch
+    equals ``multivariate_normal(method="eigh")`` bit for bit, and so does a
+    fresh ``sample_injections`` batch."""
+    from gridtop.fixtures import load_fixture
+    from gridtop.moments import _Sampler
+
+    forest = load_fixture(name)[1]
+    for model in (default_model(forest), random_a1_model(forest, 3)):
+        mean = np.concatenate([model.mu_p, model.mu_q])
+        sampler = _Sampler(model, 3200)
+        for seed in range(5):
+            for m in (1, 7, 200, 3200):
+                want = np.random.default_rng(seed).multivariate_normal(mean, model.joint_covariance, size=m,
+                                                                       method="eigh")
+                for batch in (sampler.draw(m, seed), sample_injections(model, m, seed)):
+                    assert np.array_equal(np.hstack([batch.p, batch.q]).view(np.int64), want.view(np.int64))
+
+
 # -- empirical moments --------------------------------------------------------
 
 
@@ -378,8 +398,9 @@ def test_monte_carlo_matches_analytic_theta(fig3):
     grid, forest = fig3
     model = default_model(forest, sigma_ratio=0.5)
     batch = sample_injections(model, 60_000, seed=9)
+    a, b = lcpf_response(forest)  # batches carry no phases: theta = pB - qA, formed here
     volt = lcpf_solve_many(forest, batch.p, batch.q)
-    hat = empirical_moments(volt)
+    hat = empirical_moments(VoltageSamples(nodes=volt.nodes, eps=volt.eps, theta=batch.p @ b - batch.q @ a))
     exact = analytic_sigma_theta(forest, model)
     scale = np.max(np.abs(exact))
     assert np.max(np.abs(hat.sigma_theta - exact)) < 0.05 * scale
@@ -558,11 +579,12 @@ def test_per_tree_moments_match_dense_inverse_oracle(seed, variant, kind):
     perm, dense = _dense_moments(forest, model, variant)
     mset = analytic_moment_set(forest, model, variant)
     assert mset.nodes == grid.load_ids
-    singles = (analytic_sigma_eps, analytic_sigma_theta, analytic_sigma_theta_eps)
-    for got, want, single in zip((mset.sigma_eps, mset.sigma_theta, mset.sigma_theta_eps), dense, singles):
+    assert mset.sigma_theta is None and mset.sigma_theta_eps is None
+    assert np.array_equal(analytic_sigma_eps(forest, model, variant), mset.sigma_eps)
+    phases = (analytic_sigma_theta(forest, model, variant), analytic_sigma_theta_eps(forest, model, variant))
+    for got, want in zip((mset.sigma_eps, *phases), dense):
         scale = np.abs(want).max()
         np.testing.assert_allclose(got[np.ix_(perm, perm)], want, rtol=1e-9, atol=1e-12 * scale)
-        assert np.array_equal(single(forest, model, variant), got)
 
 
 def _coupled_trees_model(forest, seed):
@@ -638,6 +660,8 @@ def test_coupled_trees_model_couples_exactly_two_trees():
 
 @pytest.mark.parametrize("variant", ["lc", "dc"])
 def test_analytic_phase_moments_are_computed_on_first_read(monkeypatch, variant):
+    """The phase moments are computed by the call that reads them, never by
+    ``analytic_moment_set``."""
     from gridtop import moments
 
     grid, forest = _multi_tree_instance(5)
@@ -653,23 +677,21 @@ def test_analytic_phase_moments_are_computed_on_first_read(monkeypatch, variant)
     monkeypatch.setattr(moments, "_edge_moments", counting)
     mset = moments.analytic_moment_set(forest, model, variant)
     assert calls == [("sigma_eps",)]
-    assert np.array_equal(mset.sigma_theta_eps, eager["sigma_theta_eps"])
-    assert calls == [("sigma_eps",), ("sigma_theta", "sigma_theta_eps")]
-    for name, matrix in eager.items():
-        assert np.array_equal(getattr(mset, name), matrix)
-        assert getattr(mset, name) is getattr(mset, name)
-    assert len(calls) == 2
+    assert mset.sigma_theta is None and mset.sigma_theta_eps is None
+    assert np.array_equal(mset.sigma_eps, eager["sigma_eps"])
+    assert np.array_equal(moments.analytic_sigma_theta(forest, model, variant), eager["sigma_theta"])
+    assert np.array_equal(moments.analytic_sigma_theta_eps(forest, model, variant), eager["sigma_theta_eps"])
+    assert calls == [("sigma_eps",), ("sigma_theta",), ("sigma_theta_eps",)]
 
 
-def test_deferred_moments_are_shape_checked_on_first_read():
-    from gridtop.moments import MomentSet, _Deferred
+def test_phase_moments_are_coerced_and_shape_checked_at_construction():
+    from gridtop.moments import MomentSet
 
-    phases = _Deferred(lambda: {"sigma_theta": np.eye(2), "sigma_theta_eps": np.eye(3)})
-    mset = MomentSet(nodes=(1, 2), sigma_eps=np.eye(2), sigma_theta=phases, sigma_theta_eps=phases,
-                     source="analytic")
-    assert np.array_equal(mset.sigma_theta, np.eye(2))
+    mset = MomentSet(nodes=(1, 2), sigma_eps=np.eye(2), sigma_theta=[[1, 0], [0, 1]], source="empirical")
+    assert mset.sigma_theta.dtype == float and np.array_equal(mset.sigma_theta, np.eye(2))
+    assert mset.sigma_theta_eps is None
     with pytest.raises(DomainError, match="sigma_theta_eps must have shape"):
-        mset.sigma_theta_eps
+        MomentSet(nodes=(1, 2), sigma_eps=np.eye(2), sigma_theta_eps=np.eye(3), source="analytic")
 
 
 def test_analytic_moments_reject_unknown_variant(fig3):
@@ -1065,7 +1087,8 @@ def test_analytic_moments_build_no_path_sum_matrix(monkeypatch):
     for model in (default_model(forest), _coupled_trees_model(forest, 7)):
         for variant in ("lc", "dc"):
             mset = moments.analytic_moment_set(forest, model, variant)
-            assert mset.sigma_theta.shape == mset.sigma_theta_eps.shape == mset.sigma_eps.shape
+            for phases in (moments.analytic_sigma_theta, moments.analytic_sigma_theta_eps):
+                assert phases(forest, model, variant).shape == mset.sigma_eps.shape
             verify_moment_ordering(forest, default_model(forest), variant)
 
 

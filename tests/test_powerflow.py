@@ -108,7 +108,7 @@ def test_lcpf_response_matches_batch(fig3):
     for j in range(4):
         single = lcpf_solve(forest, InjectionVector(p=p[j], q=q[j]))
         np.testing.assert_allclose(batch.eps[j], single.eps, atol=1e-12)
-        np.testing.assert_allclose(batch.theta[j], single.theta, atol=1e-12)
+    assert batch.theta is None  # a batch carries no phases; lcpf_solve gives one sample's
 
 
 def test_lcpf_response_built_once_per_forest(monkeypatch):
@@ -145,33 +145,42 @@ def test_lcpf_response_built_once_per_forest(monkeypatch):
     assert len(calls) == 4
 
 
-def test_lcpf_phases_are_computed_on_first_read():
+def test_lcpf_batch_gives_eps_alone_with_the_bits_of_the_eager_sum():
     from gridtop.fixtures import load_fixture
     from gridtop.moments import default_model, sample_injections
-    from gridtop.powerflow import _Deferred
 
     grid, forest = load_fixture("bus_13_3")
     batch = sample_injections(default_model(forest), 300, seed=4)
     a, b = lcpf_response(forest)
-    eager = batch.p @ b - batch.q @ a  # the product every call computed before
+    eager = batch.p @ a + batch.q @ b  # the sum every call computed before
     samples = lcpf_solve_many(forest, batch.p, batch.q)
-    assert isinstance(samples.__dict__["theta"], _Deferred)
-    assert np.array_equal(samples.theta.view(np.int64), eager.view(np.int64))
-    assert samples.theta is samples.theta
-    assert np.array_equal(samples[7].theta, eager[7])
+    assert samples.theta is None
+    assert np.array_equal(samples.eps.view(np.int64), eager.view(np.int64))
+    assert not np.shares_memory(samples.eps, batch.p) and not np.shares_memory(samples.eps, batch.q)
 
 
 def test_run_experiment_never_computes_phases(monkeypatch):
-    from gridtop.harness import plan_from_dict, run_experiment
-    from gridtop.powerflow import _Deferred
+    from gridtop import moments
+    from gridtop.harness import experiment, plan_from_dict, run_experiment
 
-    def refuse(self, name):
-        raise AssertionError(f"{name} was computed")
+    solved, asked = [], []
+    real_solve, real_moments = experiment.lcpf_solve_many, moments._edge_moments
 
-    monkeypatch.setattr(_Deferred, "get", refuse)
+    def solve(*args):
+        solved.append(real_solve(*args))
+        return solved[-1]
+
+    def edge_moments(forest, model, variant, names):
+        asked.append(names)
+        return real_moments(forest, model, variant, names)
+
+    monkeypatch.setattr(experiment, "lcpf_solve_many", solve)
+    monkeypatch.setattr(moments, "_edge_moments", edge_moments)
     plan = plan_from_dict({"grid": "bus_13_3", "sample_counts": [50, "inf"], "taus": [0.1], "trials": 2,
                            "seed": 3})
     assert run_experiment(plan).failures == 0
+    assert len(solved) == 2 and all(samples.theta is None for samples in solved)
+    assert asked == [("sigma_eps",)]
 
 
 def test_lcpf_response_dies_with_its_forest():
