@@ -5,10 +5,11 @@ Times three calls on the samples of two bundled fixtures (N = 13 and 83
 load columns) at several sample counts m, and fits the exponent k of
 t ~ m^k by least squares on the log-log points of each (call, N):
 
-* ``write_samples``: one ``repr`` row per snapshot;
-* ``read_samples``: one ``np.loadtxt`` pass over a well-formed file;
+* ``write_samples``: one ``orjson`` dump of the batch, cut into rows,
+  with ``repr`` rewriting the rows whose values orjson lays out otherwise;
+* ``read_samples``: one ``orjson`` array per row of a well-formed file;
 * ``checked``: the cell-by-cell ``csv``/``float`` parser that
-  ``read_samples`` falls back to on a file its one-pass parse refuses,
+  ``read_samples`` falls back to on a file its row-wise parse refuses,
   called directly on the same text (file read included, as in
   ``read_samples``).
 

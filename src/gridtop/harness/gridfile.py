@@ -23,10 +23,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from ..errors import GridTopError, ParseError
 from ..grid import (LOAD, SUBSTATION, ForestConfig, GridGraph, GridNode, LineEdge, _entry, _is_finite,
@@ -149,14 +149,37 @@ def write_grid(path: str | Path, grid: GridGraph, forest: ForestConfig | None = 
     Path(path).write_text(json.dumps(grid_to_dict(grid, forest), indent=2) + "\n")
 
 
+def _rows_for_repr(eps: np.ndarray) -> np.ndarray:
+    """Indices of the rows of finite ``eps`` that orjson writes otherwise
+    than ``repr``: it writes every float's shortest round-trip digits, but
+    lays out a nonzero value with magnitude below 1e-4 or from 1e16 up in
+    its own exponent form (``1e-5`` for ``1e-05``, ``1e16`` for ``1e+16``)."""
+    size = np.abs(eps)
+    return np.flatnonzero((((size < 1e-4) | (size >= 1e16)) & (eps != 0.0)).any(axis=1))
+
+
 def write_samples(path: str | Path, samples: VoltageSamples) -> None:
-    # No field needs CSV quoting: ids are integers and a float's repr holds
-    # no comma, quote or line break.
-    lines = [",".join(str(nid) for nid in samples.nodes)]
-    lines.extend(",".join(map(repr, row)) for row in samples.eps.tolist())
-    lines.append("")
+    """Write a batch as a sample file that ``read_samples`` reads back bit
+    for bit; a GridTopError naming the row and node id of a non-finite value,
+    which no sample file may hold.
+
+    Each value is written as its ``repr``, the digits coming from orjson
+    except in the rows ``_rows_for_repr`` picks.  No field needs CSV quoting,
+    so the bytes are those ``csv.writer`` writes.
+    """
+    eps = np.ascontiguousarray(samples.eps, dtype=np.float64)
+    finite = np.isfinite(eps)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise GridTopError(f"cannot write sample file {path}: non-finite value {float(eps[row, col])!r} "
+                           f"in row {row} at node {samples.nodes[col]}")
+    rows = orjson.dumps(eps, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[") if len(eps) else []
+    for i in _rows_for_repr(eps):
+        rows[i] = ",".join(map(repr, eps[i].tolist())).encode()
+    rows.insert(0, ",".join(str(nid) for nid in samples.nodes).encode())
+    rows.append(b"")
     try:
-        Path(path).write_text("\n".join(lines), newline="")
+        Path(path).write_bytes(b"\n".join(rows))
     except OSError as exc:
         raise GridTopError(f"cannot write sample file {path}: {exc.strerror or exc}") from exc
 
@@ -164,18 +187,22 @@ def write_samples(path: str | Path, samples: VoltageSamples) -> None:
 def read_samples(source: str | Path) -> VoltageSamples:
     """Read a voltage-sample CSV back into a batch (deviations only).
 
-    A well-formed file is parsed once by ``np.loadtxt``; anything that parse
-    refuses or might read differently goes to ``_parse_samples_checked``,
-    which either accepts it or raises the ParseError that names its line.
+    A well-formed file is parsed row by row as JSON arrays by orjson;
+    anything that parse refuses or might read differently goes to
+    ``_parse_samples_checked``, which either accepts it or raises the
+    ParseError that names its line.
     """
     text = _read_text(source, "sample file")
     fast = _parse_samples_plain(text)
     return fast if fast is not None else _parse_samples_checked(text, str(source))
 
 
-# ASCII controls that ``np.loadtxt`` strips from around a number as
-# whitespace and ``float`` refuses.
-_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# Characters that JSON reads and a ``csv`` cell passed to ``float`` does not:
+# the brackets, braces and quote of arrays, objects and strings, the first
+# letters of true, false and null, and a carriage return, which JSON skips as
+# whitespace and ``csv`` ends a line at.  Each also fails ``int`` in a header
+# field except the carriage return, which ``int`` strips.
+_JSON_ONLY = "[]{}\"tfn\r"
 
 
 def _parse_samples_plain(text: str) -> VoltageSamples | None:
@@ -184,19 +211,28 @@ def _parse_samples_plain(text: str) -> VoltageSamples | None:
     ``str.splitlines`` would also break a line at form feeds and other
     separators that ``float`` refuses inside a cell.  A header with a quote
     fails ``int`` here and goes to the checked parser, so the fields split
-    here are the ``csv`` fields."""
-    header, newline, body = text.partition("\n")
-    if not newline or any(c in body for c in _LOADTXT_ONLY_SPACE):
+    here are the ``csv`` fields.  A row is read as the JSON array of its
+    cells, where a JSON number is a ``float`` literal of the same value
+    except the integer ``-0``, which JSON reads as 0: a file holding an
+    exact zero goes to the checked parser."""
+    if any(c in text for c in _JSON_ONLY):
+        return None
+    header, *lines = text.split("\n")
+    while lines and not lines[-1]:
+        lines.pop()
+    if not lines:
         return None
     try:
         nodes = tuple(int(h) for h in header.split(","))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            eps = np.loadtxt(body.split("\n"), delimiter=",", ndmin=2, comments=None)
-    except (ValueError, Warning):
+        eps = np.empty((len(lines), len(nodes)))
+        for i, line in enumerate(lines):
+            row = orjson.loads("[" + line + "]")
+            if len(row) != len(nodes):
+                return None
+            eps[i] = row
+    except ValueError:
         return None
-    if (_repeated(nodes) is not None or eps.shape[0] < 1 or eps.shape[1] != len(nodes)
-            or not np.isfinite(eps).all()):
+    if _repeated(nodes) is not None or not (np.isfinite(eps).all() and eps.all()):
         return None
     return VoltageSamples(nodes=nodes, eps=eps, theta=None)
 

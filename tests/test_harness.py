@@ -220,19 +220,74 @@ def test_sample_csv_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(back.eps, samples.eps)
 
 
-def test_write_samples_writes_what_a_csv_writer_writes(tmp_path):
-    rng = np.random.default_rng(4)
-    special = [-0.0, 5e-324, 1.8e308, -1.8e308, 1e16, math.nan, math.inf, -math.inf]
-    eps = np.vstack([rng.normal(0.0, 0.02, (5, 8)), special])
-    samples = VoltageSamples(nodes=(7, 3, 12, 1, 9, 4, 30, 2), eps=eps, theta=None)
-    path = tmp_path / "samples.csv"
-    write_samples(path, samples)
+def _written_by_csv_writer(samples):
+    """The bytes ``csv.writer`` writes for the ids and the ``repr`` of each
+    value: the reference ``write_samples`` must match."""
     want = io.StringIO()
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow([str(nid) for nid in samples.nodes])
-    for row in eps:
-        writer.writerow([repr(float(v)) for v in row])
-    assert path.read_bytes() == want.getvalue().encode()
+    for row in samples.eps.tolist():
+        writer.writerow([repr(v) for v in row])
+    return want.getvalue().encode()
+
+
+def _written(tmp_path, samples):
+    path = tmp_path / "samples.csv"
+    write_samples(path, samples)
+    return path.read_bytes()
+
+
+def test_write_samples_writes_what_a_csv_writer_writes(tmp_path):
+    rng = np.random.default_rng(4)
+    special = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e16, 0.0, 1e-4, -9.99e-5]
+    eps = np.vstack([rng.normal(0.0, 0.02, (5, 8)), special])
+    samples = VoltageSamples(nodes=(7, 3, 12, 1, 9, 4, 30, 2), eps=eps, theta=None)
+    assert _written(tmp_path, samples) == _written_by_csv_writer(samples)
+
+
+@pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+def test_write_samples_refuses_a_non_finite_value(tmp_path, cell):
+    eps = np.full((7, 8), 0.01)
+    eps[5, 2] = cell
+    samples = VoltageSamples(nodes=(7, 3, 12, 1, 9, 4, 30, 2), eps=eps, theta=None)
+    path = tmp_path / "samples.csv"
+    with pytest.raises(GridTopError, match=re.escape(f"non-finite value {cell!r} in row 5 at node 12")):
+        write_samples(path, samples)
+    assert not path.exists()
+
+
+def _neighbours(value, count):
+    """``value`` and the ``count`` floats either side of it."""
+    below, above = [value], [value]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below + above[1:]
+
+
+def _spread_values(rng, shape):
+    """Values of both signs from 5e-324 to 1e308, exact zeros, and the float
+    neighbours of 1e-4 and 1e16, where ``repr`` changes notation.  Most rows
+    keep their magnitudes within [1e-4, 1e16), the first one always, and the
+    rest span the full range."""
+    wide = rng.random((shape[0], 1)) < 0.2
+    pick = rng.random(shape) < 0.1
+    wide[0] = pick[0] = False
+    magnitudes = 10.0 ** np.where(wide, rng.uniform(-323.5, 308.2, shape), rng.uniform(-4, 16, shape))
+    picked = rng.choice(_neighbours(1e-4, 40) + _neighbours(1e16, 40) + [0.0, 5e-324], shape)
+    values = np.where(pick, picked, magnitudes)
+    return np.where(rng.random(shape) < 0.5, -values, values)
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (300, 1), (400, 7)])
+def test_write_samples_matches_the_csv_writer_on_spread_values(tmp_path, shape):
+    rng = np.random.default_rng(11)
+    eps = _spread_values(rng, shape)
+    for batch in (eps, np.asfortranarray(eps), np.vstack([eps, eps])[::2], eps[:, ::-1]):
+        samples = VoltageSamples(nodes=tuple(range(shape[1])), eps=batch, theta=None)
+        assert _written(tmp_path, samples) == _written_by_csv_writer(samples)
+        back = read_samples(tmp_path / "samples.csv")
+        assert back.eps.tobytes() == np.ascontiguousarray(batch).tobytes()
 
 
 def test_file_pipeline_equals_in_memory_pipeline(tmp_path):
@@ -472,29 +527,38 @@ def test_read_samples_rejects_a_repeated_header_id(tmp_path):
 
 
 # Pieces that mutate a well-formed sample file: number syntax, CSV syntax,
-# ASCII and Unicode whitespace (both the kinds that ``float`` and
-# ``np.loadtxt`` strip alike and the ASCII controls only numpy strips),
-# line separators that ``str.splitlines`` would split on, a Unicode digit,
-# non-finite values, blank and whitespace-only lines, and a trailing comma.
+# ASCII and Unicode whitespace (the kinds that ``float`` and JSON strip alike
+# and those only ``float`` strips), line separators that ``str.splitlines``
+# would split on, a Unicode digit, non-finite values, blank and
+# whitespace-only lines, a trailing comma, JSON syntax that ``float`` refuses
+# (brackets, braces, quotes, literals), carriage returns, which JSON skips and
+# ``csv`` ends a line at, and the integer zeros, as JSON reads -0 as 0.
 _MUTATIONS = list("0123456789.e+-_,\"#") + [
     " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000", "\u0663",
     "nan", "inf", "-inf", "1e400", "\n", "\n\n", "\n \n", "\n\t\n", ",\n",
+    "[", "]", "],[", "{}", '"', "true", "false", "null", "\r", "\r\n", "-0", "0",
 ]
+
+
+def _outcome(parse):
+    try:
+        samples = parse()
+    except ParseError as exc:
+        return "error", str(exc)
+    return "ok", samples.nodes, samples.eps.shape, samples.eps.tobytes()
 
 
 def _read_both_ways(path, text):
     """read_samples' outcome on ``text``, after checking that it is the
-    checked parser's: the same ParseError, or the same ids and array bytes."""
-    def outcome(parse):
-        try:
-            samples = parse()
-        except ParseError as exc:
-            return "error", str(exc)
-        return "ok", samples.nodes, samples.eps.shape, samples.eps.tobytes()
-
+    checked parser's: the same ParseError, or the same ids and array bytes.
+    Reading the file turns "\\r" and "\\r\\n" into "\\n", so the one-pass
+    parse is also checked on ``text`` itself: it accepts only what the
+    checked parser reads the same."""
     path.write_text(text, newline="")
-    fast = outcome(lambda: read_samples(path))
-    assert fast == outcome(lambda: _parse_samples_checked(path.read_text(), str(path)))
+    fast = _outcome(lambda: read_samples(path))
+    assert fast == _outcome(lambda: _parse_samples_checked(path.read_text(), str(path)))
+    if (plain := _parse_samples_plain(text)) is not None:
+        assert _outcome(lambda: plain) == _outcome(lambda: _parse_samples_checked(text, str(path)))
     return fast
 
 
@@ -520,7 +584,7 @@ def test_read_samples_agrees_with_the_checked_parser(tmp_path_factory, n, m, dat
 @pytest.mark.parametrize("text, want", [
     ("7\n0.5\x0c0.25\n", "s.csv:2: non-numeric sample value"),  # one line to csv, two to splitlines
     ("1\n0.5\u20280.25\n", "s.csv:2: non-numeric sample value"),
-    ("1,2\n\x1c0.5,0.25\n", "s.csv:2: non-numeric sample value"),  # numpy strips \x1c, float does not
+    ("1,2\n\x1c0.5,0.25\n", "s.csv:2: non-numeric sample value"),
     ('1,2\n"0.5",0.25\n', (0.5, 0.25)),
     ('"1",2\n0.5,0.25\n', (0.5, 0.25)),
     ("1\n1_0\n", (10.0,)),
@@ -528,13 +592,21 @@ def test_read_samples_agrees_with_the_checked_parser(tmp_path_factory, n, m, dat
     ("1,2\n0.1,0.2,0.3\n0.4,0.5,0.6\n", "s.csv:2: expected 2 columns, got 3"),
     ("1,2\n", "s.csv: sample file has a header but no samples"),
     ("1,2\n0.1,0.2\n\n0.3,1e400\n", "s.csv:4: non-finite sample value"),
+    # A file reads "\r" as "\n"; JSON skips it on the text, where csv ends a line.
+    ("1,2\n1.0,\r2.0\n", "s.csv:2: non-numeric sample value"),
+    ("1,\r2\n0.5,0.25\n", "s.csv:1: header row must hold integer node ids"),
+    ("1\n-0\n", (-0.0,)),  # JSON reads -0 as 0
+    ("1\n1.0],[2.0\n", "s.csv:2: expected 1 columns, got 2"),  # JSON's row separator
+    ("1,2\n1.0],[2.0\n", "s.csv:2: non-numeric sample value"),
+    ("1\ntrue\n", "s.csv:2: non-numeric sample value"),
+    ("1,2\n0.3\n", "s.csv:2: expected 2 columns, got 1"),  # numpy broadcasts a one-cell row
 ])
 def test_read_samples_falls_back_to_the_checked_parser(tmp_path, text, want):
     got = _read_both_ways(tmp_path / "s.csv", text)
     if isinstance(want, str):
         assert got[0] == "error" and got[1].endswith(want)
     else:
-        assert got[0] == "ok" and np.frombuffer(got[3]).tolist() == list(want)
+        assert got[0] == "ok" and got[3] == np.array(want).tobytes()
 
 
 def test_a_written_sample_file_takes_the_one_pass_parse(tmp_path):
