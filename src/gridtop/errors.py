@@ -30,14 +30,6 @@ class ModelError(GridTopError):
     """An injection model is inconsistent (e.g. joint covariance not PSD)."""
 
 
-class AssumptionViolation(GridTopError):
-    """Same-tree second moments are not all strictly positive."""
-
-    def __init__(self, message: str, pairs: tuple = ()):
-        super().__init__(message)
-        self.pairs = tuple(pairs)
-
-
 class ParseError(GridTopError):
     """A grid, model, or plan document could not be parsed or fails its schema."""
 

@@ -4,11 +4,10 @@ The designed network is a connected graph with switches on its lines; the
 operational configuration closes a subset of lines that forms a spanning
 forest in which every tree contains exactly one substation (its root).  The
 moment and learning machinery elsewhere in the package never inverts a
-matrix at runtime: entries of inverse incidence matrices and of inverse
-reduced weighted Laplacians reduce to root-path and descendant-set
-combinatorics on the forest, computed here.  Dense matrices are still
-constructed on demand because tests validate the combinatorial routes
-against plain linear algebra.
+matrix at runtime: the inverse reduced weighted Laplacian reduces to
+root-path sums on the forest, computed here.  The dense incidence and
+Laplacian matrices of the paper are built only by the tests, which check
+these routes against plain linear algebra.
 
 A forest is traversed once, when it is built: one depth-first pass per tree
 validates it and records the load preorder, in which every node's subtree
@@ -19,8 +18,7 @@ is one interval test.
 The dense inverse Laplacian (``path_sum_matrix``) costs O(N^2): entry
 (a, b) is P(lca(a, b)), the root-path sum of the pair's lowest common
 ancestor.  P is computed once for all loads, and each node pair is written
-once, in preorder.  ``laplacian_inverse_entry`` adds up the same P for one
-pair, in the same order, in O(depth log depth).
+once, in preorder.
 """
 
 from __future__ import annotations
@@ -351,12 +349,6 @@ class ForestConfig:
         return self.grid.n_substations
 
     @cached_property
-    def load_order(self) -> tuple[int, ...]:
-        """Load ids sorted by (tree index, node id): the block ordering used
-        by reduced incidence and Laplacian matrices."""
-        return tuple(sorted(self.grid.load_ids, key=lambda n: (self.tree_of[n], n)))
-
-    @cached_property
     def load_tree_index(self) -> np.ndarray:
         """Tree index of every load node in canonical (ascending id) order."""
         out = np.array([self.tree_of[n] for n in self.grid.load_ids], dtype=np.intp)
@@ -375,147 +367,13 @@ class ForestConfig:
         """Load ids ordered root-to-leaf (parents before children)."""
         return tuple(sorted(self.grid.load_ids, key=lambda n: (self.depth[n], n)))
 
-    def _require_node(self, node: int):
-        if node not in self.grid.kind_of:
-            raise DomainError(f"unknown node {node}")
-
-    def root_path_edges(self, node: int) -> tuple[int, ...]:
-        """Closed-edge indices on the path from ``node`` to its slack bus,
-        ordered from the node upward."""
-        self._require_node(node)
-        path = []
-        cur = node
-        while cur in self.parent:
-            path.append(self.parent_edge[cur])
-            cur = self.parent[cur]
-        return tuple(path)
-
-    def _contains(self, u: int, v: int) -> bool:
-        """Whether v lies in the subtree of u (u itself included): one test
-        of v's preorder position against u's run.  A substation has no
-        position, and lies only in its own subtree."""
-        if v == u:
-            return True
-        if v not in self.parent:
-            return False
-        start, stop = self._span[u]
-        return start <= self._span[v][0] < stop
-
-    def lca(self, a: int, b: int) -> int | None:
-        """Deepest common node on the root paths of a and b; None when the
-        nodes lie in different trees."""
-        self._require_node(a)
-        self._require_node(b)
-        if self.tree_of[a] != self.tree_of[b]:
-            return None
-        while not self._contains(a, b):
-            a = self.parent[a]
-        return a
-
-    def descendants(self, node: int) -> frozenset[int]:
-        """All nodes whose root path passes through ``node``, including the
-        node itself; for a substation this is its whole tree."""
-        self._require_node(node)
-        start, stop = self._span[node]
-        return frozenset((node, *self._load_preorder[start:stop]))
-
     @cached_property
     def descendant_load_indices(self) -> dict[int, np.ndarray]:
         """For every load node, the canonical (ascending load id) indices of
-        the loads in its descendant set, itself included."""
+        the loads in its descendant set, itself included.  No runtime path
+        reads it; perfbench/spans.py counts path-sum work with it."""
         canon = np.array([self.grid.load_index[nid] for nid in self._load_preorder], dtype=np.intp)
         return {nid: np.sort(canon[slice(*self._span[nid])]) for nid in self.grid.load_ids}
-
-
-# -- reduced incidence ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReducedIncidence:
-    """Reduced edge-to-node incidence matrix of a forest.
-
-    Rows are closed edges and columns load nodes, both in tree-major order;
-    substation columns are removed, which makes each tree's block square and
-    invertible.  Row i's edge is the parent edge of ``node_order[i]``, so the
-    matrix is block diagonal with one block per tree.
-    """
-
-    matrix: np.ndarray
-    node_order: tuple[int, ...]
-    edge_order: tuple[int, ...]
-    blocks: tuple[tuple[int, int], ...]
-
-    def block(self, k: int) -> np.ndarray:
-        lo, hi = self.blocks[k]
-        return self.matrix[lo:hi, lo:hi]
-
-
-def _edge_child(forest: ForestConfig, edge_index: int) -> int:
-    e = forest.grid.edges[edge_index]
-    if forest.parent_edge.get(e.u) == edge_index:
-        return e.u
-    if forest.parent_edge.get(e.v) == edge_index:
-        return e.v
-    raise DomainError(f"edge {edge_index} ({e.u},{e.v}) is not a closed edge of the forest")
-
-
-def _edge_direction(forest: ForestConfig, edge_index: int,
-                    orientation: Mapping[int, tuple[int, int]] | None) -> tuple[int, int]:
-    e = forest.grid.edges[edge_index]
-    if orientation is not None and edge_index in orientation:
-        tail, head = orientation[edge_index]
-        if {tail, head} != {e.u, e.v}:
-            raise DomainError(f"orientation for edge {edge_index} does not match endpoints ({e.u},{e.v})")
-        return tail, head
-    child = _edge_child(forest, edge_index)
-    return child, (e.v if child == e.u else e.u)
-
-
-def build_reduced_incidence(forest: ForestConfig,
-                            orientation: Mapping[int, tuple[int, int]] | None = None) -> ReducedIncidence:
-    """Build the reduced incidence matrix of a forest.
-
-    Every row is +1 at the edge's tail column and -1 at its head column
-    (entries at substations are dropped).  The default orientation is
-    child -> parent, which makes all inverse entries on a root path +1;
-    ``orientation`` may override the direction of individual edges.
-    """
-    order = forest.load_order
-    col = {nid: i for i, nid in enumerate(order)}
-    n = len(order)
-    m = np.zeros((n, n))
-    edge_order = []
-    for i, nid in enumerate(order):
-        ei = forest.parent_edge[nid]
-        edge_order.append(ei)
-        tail, head = _edge_direction(forest, ei, orientation)
-        if tail in col:
-            m[i, col[tail]] = 1.0
-        if head in col:
-            m[i, col[head]] = -1.0
-
-    # A tree's loads take the same positions in preorder as in tree-major order.
-    trees = (forest._span[root] for root in forest.grid.substation_ids)
-    blocks = tuple((start, stop) for start, stop in trees if stop > start)
-    return ReducedIncidence(matrix=m, node_order=order, edge_order=tuple(edge_order), blocks=blocks)
-
-
-def inverse_incidence_entry(forest: ForestConfig, node: int, edge_index: int,
-                            orientation: Mapping[int, tuple[int, int]] | None = None) -> int:
-    """Entry (node, edge) of the inverse reduced incidence matrix.
-
-    +1 when the edge lies on the node's root path and is oriented along the
-    walk toward the slack bus, -1 when oriented against it, 0 when the edge
-    is off the path or in another tree.
-    """
-    forest._require_node(node)
-    if forest.grid.is_substation(node):
-        raise DomainError(f"node {node} is a substation; the reduced matrix has no such row")
-    child = _edge_child(forest, edge_index)  # also rejects open edges
-    if not forest._contains(child, node):  # the edge is off the node's root path
-        return 0
-    tail, _ = _edge_direction(forest, edge_index, orientation)
-    return 1 if tail == child else -1
 
 
 # -- inverse Laplacian combinatorics ----------------------------------------
@@ -529,45 +387,6 @@ def _weight_of(weights: Mapping[int, float], edge_index: int) -> float:
     if not (_is_finite(w) and w > 0):
         raise DomainError(f"weight for edge {edge_index} must be positive and finite, got {w}")
     return w
-
-
-def laplacian_inverse_entry(forest: ForestConfig, weights: Mapping[int, float], a: int, b: int) -> float:
-    """Entry (a, b) of the inverse reduced weighted Laplacian.
-
-    Zero when a and b lie in different trees; otherwise the sum of 1/weight
-    over the edges shared by both root paths, i.e. the root path of their
-    lowest common ancestor (the meet).  The lines are added in ascending
-    child id, starting from 0.0, as ``_root_path_sums`` adds them, so the
-    value equals the ``path_sum_matrix`` entry bit for bit; never by dense
-    inversion.  Every line on the meet's root path needs a weight.
-    """
-    for node in (a, b):
-        forest._require_node(node)
-        if forest.grid.is_substation(node):
-            raise DomainError(f"node {node} is a substation; inverse Laplacian rows cover load nodes only")
-    meet = forest.lca(a, b)
-    path = []
-    while meet in forest.parent:  # stops at the substation, at once when the meet is one or None
-        path.append(meet)
-        meet = forest.parent[meet]
-    total = 0.0
-    for nid in sorted(path):
-        total += 1.0 / _weight_of(weights, forest.parent_edge[nid])
-    return total
-
-
-def laplacian_row_difference(forest: ForestConfig, weights: Mapping[int, float],
-                             child: int, parent: int, node: int) -> float:
-    """Difference of inverse-Laplacian rows between a node and its parent,
-    evaluated at ``node``: 1/w(child,parent) when node descends from child,
-    else exactly 0."""
-    forest._require_node(node)
-    forest._require_node(child)
-    if forest.parent.get(child) != parent:
-        raise DomainError(f"node {parent} is not the parent of node {child}")
-    if forest._contains(child, node):
-        return 1.0 / _weight_of(weights, forest.parent_edge[child])
-    return 0.0
 
 
 def _root_path_sums(forest: ForestConfig, weights: Mapping[int, float]) -> np.ndarray:
@@ -591,11 +410,10 @@ def path_sum_matrix(forest: ForestConfig, weights: Mapping[int, float]) -> np.nd
 
     Entry (a, b) is P(lca(a, b)), the root-path sum of the pair's lowest
     common ancestor, or 0 when that is a substation or the pair spans two
-    trees; it equals ``laplacian_inverse_entry(forest, weights, a, b)``.
-    The matrix is filled in preorder, where descendant sets are contiguous,
-    writing each pair once: node v writes its own row and column over its
-    descendants, and each child subtree of v against the subtrees of v's
-    earlier children.
+    trees.  The matrix is filled in preorder, where descendant sets are
+    contiguous, writing each pair once: node v writes its own row and column
+    over its descendants, and each child subtree of v against the subtrees
+    of v's earlier children.
     """
     span = forest._span
     sums = _root_path_sums(forest, weights)
@@ -612,56 +430,3 @@ def path_sum_matrix(forest: ForestConfig, weights: Mapping[int, float]) -> np.nd
             out[v + 1:lo, lo:hi] = value
     canon = np.array([span[nid][0] for nid in forest.grid.load_ids], dtype=np.intp)
     return out[np.ix_(canon, canon)]
-
-
-# -- weighted Laplacians -----------------------------------------------------
-
-# Weight tag -> (its WeightedLaplacians field, the weight of a line).
-_WEIGHTS = {
-    "g": ("h_g", lambda e: e.conductance),
-    "beta": ("h_beta", lambda e: e.susceptance),
-    "1/r": ("h_inv_r", lambda e: 1.0 / e.r),
-    "1/x": ("h_inv_x", lambda e: 1.0 / e.x),
-}
-_WEIGHT_TAGS = tuple(_WEIGHTS)
-
-
-def _weight_source(tag: str):
-    try:
-        return _WEIGHTS[tag]
-    except KeyError:
-        raise DomainError(f"unknown weight tag {tag!r}; expected one of {_WEIGHT_TAGS}") from None
-
-
-@dataclass(frozen=True)
-class WeightedLaplacians:
-    """Reduced weighted Laplacians of a forest for the four weight sources
-    used by the power-flow models.  All four share the tree-major node
-    ordering of the reduced incidence matrix and are block diagonal with
-    strictly positive eigenvalues."""
-
-    h_g: np.ndarray
-    h_beta: np.ndarray
-    h_inv_r: np.ndarray
-    h_inv_x: np.ndarray
-    node_order: tuple[int, ...]
-    edge_order: tuple[int, ...]
-
-    def matrix(self, tag: str) -> np.ndarray:
-        return getattr(self, _weight_source(tag)[0])
-
-
-def edge_weights(forest: ForestConfig, tag: str) -> dict[int, float]:
-    """Per-closed-edge weight vector for a weight source tag."""
-    weight = _weight_source(tag)[1]
-    return {ei: weight(forest.grid.edges[ei]) for ei in forest.closed_edges}
-
-
-def weighted_laplacians(forest: ForestConfig) -> WeightedLaplacians:
-    """Assemble H_y = M^T diag(w_y) M for the four weight sources."""
-    inc = build_reduced_incidence(forest)
-    mats = {}
-    for name, weight in _WEIGHTS.values():
-        diag = np.array([weight(forest.grid.edges[ei]) for ei in inc.edge_order])
-        mats[name] = inc.matrix.T @ (diag[:, None] * inc.matrix)
-    return WeightedLaplacians(**mats, node_order=inc.node_order, edge_order=inc.edge_order)

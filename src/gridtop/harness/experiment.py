@@ -79,6 +79,8 @@ class ExperimentPlan:
                 raise DomainError(f"sample counts must be positive integers or inf, got {m}")
         if not self.taus:
             raise DomainError("taus must not be empty")
+        for tau in self.taus:  # the learner's own checks, before any trial runs
+            LearnerConfig(tau=tau, variant=self.variant)
         if self.engine not in ("lc", "distflow"):
             raise DomainError(f"engine must be 'lc' or 'distflow', got {self.engine!r}")
         if self.augment_open_lines < 0:

@@ -213,8 +213,10 @@ def _parse_samples_plain(text: str) -> VoltageSamples | None:
     fails ``int`` here and goes to the checked parser, so the fields split
     here are the ``csv`` fields.  A row is read as the JSON array of its
     cells, where a JSON number is a ``float`` literal of the same value
-    except the integer ``-0``, which JSON reads as 0: a file holding an
-    exact zero goes to the checked parser."""
+    except the integer ``-0``, which JSON reads as 0: a row holding an exact
+    zero is read again with ``float``, which keeps the sign.  JSON has
+    accepted that row, so its cells are number tokens between spaces and
+    tabs, which ``float`` strips."""
     if any(c in text for c in _JSON_ONLY):
         return None
     header, *lines = text.split("\n")
@@ -232,9 +234,11 @@ def _parse_samples_plain(text: str) -> VoltageSamples | None:
             eps[i] = row
     except ValueError:
         return None
-    if _repeated(nodes) is not None or not (np.isfinite(eps).all() and eps.all()):
+    for i in np.flatnonzero((eps == 0.0).any(axis=1)):
+        eps[i] = [float(v) for v in lines[i].split(",")]
+    if _repeated(nodes) is not None or not np.isfinite(eps).all():
         return None
-    return VoltageSamples(nodes=nodes, eps=eps, theta=None)
+    return VoltageSamples(nodes=nodes, eps=eps)
 
 
 def _csv_rows(text: str, source: str):
@@ -283,4 +287,4 @@ def _parse_samples_checked(text: str, source: str) -> VoltageSamples:
     finite = np.isfinite(eps).all(axis=1)
     if not finite.all():
         raise ParseError("non-finite sample value", f"{source}:{linenos[int(np.argmin(finite))]}")
-    return VoltageSamples(nodes=nodes, eps=eps, theta=None)
+    return VoltageSamples(nodes=nodes, eps=eps)

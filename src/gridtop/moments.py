@@ -35,7 +35,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import AssumptionViolation, DomainError, ModelError, ParseError
+from .errors import DomainError, ModelError, ParseError
 # path_sum_matrix is unused here but kept: perfbench/spans.py wraps it on this module by name.
 from .grid import (ForestConfig, LineEdge, _entry, _is_finite, _is_index, _is_number, _known_keys,  # noqa: F401
                    _list_of, _repeated, path_sum_matrix)
@@ -50,14 +50,9 @@ __all__ = [
     "default_model",
     "sample_injections",
     "empirical_moments",
-    "analytic_sigma_eps",
-    "analytic_sigma_theta",
-    "analytic_sigma_theta_eps",
     "analytic_moment_set",
     "edge_sq_diff",
-    "expected_sq_diff",
     "assumption1_violations",
-    "verify_moment_ordering",
     "model_to_dict",
     "model_from_dict",
 ]
@@ -256,38 +251,30 @@ class InjectionBatch:
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Second moments of voltage deviations, and of phases when the data
-    had them.
+    """Second moments of voltage deviations (magnitudes only: the learner
+    reads no phases).
 
     ``source`` is "analytic" or "empirical"; ``m`` carries the sample count
     for empirical sets.  Substations carry identically zero deviations and
-    are therefore not part of the matrices.  The phase moments are None on
-    an analytic set and on the moments of a batch without phases
-    (``analytic_sigma_theta`` and ``analytic_sigma_theta_eps`` give them
-    exactly); an analytic set carries in ``drops`` the line-drop moments
-    that answer E[(eps_a - eps_b)^2] exactly.
+    are therefore not part of the matrix.  An analytic set carries in
+    ``drops`` the line-drop moments that answer E[(eps_a - eps_b)^2]
+    exactly.
     """
 
     nodes: tuple[int, ...]
     sigma_eps: np.ndarray
     source: str
     m: int | None = None
-    sigma_theta: np.ndarray | None = None
-    sigma_theta_eps: np.ndarray | None = None
     drops: LineDrops | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if (nid := _repeated(self.nodes)) is not None:
             raise DomainError(f"node id {nid} is listed twice")
         n = len(self.nodes)
-        for name in ("sigma_eps", "sigma_theta", "sigma_theta_eps"):
-            matrix = getattr(self, name)
-            if matrix is None and name != "sigma_eps":
-                continue
-            matrix = _float_array(matrix, name)
-            if matrix.shape != (n, n):
-                raise DomainError(f"{name} must have shape ({n}, {n}) for {n} nodes, got {matrix.shape}")
-            object.__setattr__(self, name, matrix)
+        sigma = _float_array(self.sigma_eps, "sigma_eps")
+        if sigma.shape != (n, n):
+            raise DomainError(f"sigma_eps must have shape ({n}, {n}) for {n} nodes, got {sigma.shape}")
+        object.__setattr__(self, "sigma_eps", sigma)
 
 
 def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float = 0.2,
@@ -421,19 +408,15 @@ def sample_injections(model: InjectionModel, m: int, seed) -> InjectionBatch:
 
 
 def empirical_moments(samples: VoltageSamples) -> MomentSet:
-    """Non-central sample moments (1/m) sum_j y_a^j y_b^j of a stacked
-    batch, one matrix product per moment matrix."""
+    """Non-central sample moments (1/m) sum_j eps_a^j eps_b^j of a stacked
+    batch, by one matrix product."""
     if not isinstance(samples, VoltageSamples):
         raise DomainError(f"expected a VoltageSamples batch, got {type(samples).__name__}")
     m = len(samples)
     if m < 1:
         raise DomainError("empty sample set")
-    eps, theta = samples.eps, samples.theta
-    sigma_eps = eps.T @ eps / m
-    sigma_theta = None if theta is None else theta.T @ theta / m
-    sigma_theta_eps = None if theta is None else theta.T @ eps / m
-    return MomentSet(nodes=samples.nodes, sigma_eps=sigma_eps, sigma_theta=sigma_theta,
-                     sigma_theta_eps=sigma_theta_eps, source="empirical", m=m)
+    eps = samples.eps
+    return MomentSet(nodes=samples.nodes, sigma_eps=eps.T @ eps / m, source="empirical", m=m)
 
 
 def _sigma_sq_diff(sigma: np.ndarray, i: int, j: int) -> float:
@@ -445,16 +428,11 @@ def _sigma_sq_diff(sigma: np.ndarray, i: int, j: int) -> float:
 # -- infinite-sample moments in edge coordinates ---------------------------------
 #
 # With D the subtree indicator (row e marks the loads below line e), the
-# drops are delta = R D p + X D q, eps = D^T delta, and the phases are the same
-# root-path sums of phi = X D p - R D q.  The covariances are zero across the
-# blocks the model's covariance components define, so a second moment there
-# is the product of the means, and the sweeps of the second moments run one
-# block at a time, on the level plan of the block's loads.
-
-_WEIGHTS = {"eps": lambda r, x: (r, x), "theta": lambda r, x: (x, -r)}
-# Moment name -> the (left, right) weights of its drop moments.
-_MOMENTS = {"sigma_eps": ("eps", "eps"), "sigma_theta": ("theta", "theta"),
-            "sigma_theta_eps": ("theta", "eps")}
+# drops are delta = R D p + X D q and eps = D^T delta.  The covariances are
+# zero across the blocks the model's covariance components define, so a
+# second moment there is the product of the means, and the sweeps of the
+# second moments run one block at a time, on the level plan of the block's
+# loads.
 
 
 def _block_plans(forest: ForestConfig, model: InjectionModel) -> list[_LevelPlan]:
@@ -497,13 +475,10 @@ def _injection_sums(plan: _LevelPlan, mod: InjectionModel) -> tuple[np.ndarray, 
     return dw[:n, :n], dw[:n, n:2 * n], dw[:n, 2 * n:]
 
 
-def _drop_moments(sums, left, right) -> np.ndarray:
-    """E[(u1 P + v1 Q)(u2 P + v2 Q)^T] over one block's lines, for the
-    weights left = (u1, v1) and right = (u2, v2)."""
+def _drop_moments(sums, r, x) -> np.ndarray:
+    """E[delta delta^T] over one block's lines, delta = r P + x Q."""
     gp, gq, gqp = sums
-    (u1, v1), (u2, v2) = left, right
-    return (np.outer(u1, u2) * gp + np.outer(v1, v2) * gq
-            + np.outer(u1, v2) * gqp.T + np.outer(v1, u2) * gqp)
+    return np.outer(r, r) * gp + np.outer(x, x) * gq + np.outer(r, x) * gqp.T + np.outer(x, r) * gqp
 
 
 def _path_sums(plan: _LevelPlan, block: np.ndarray) -> np.ndarray:
@@ -572,61 +547,32 @@ class LineDrops:
         return float(signs @ moments[np.ix_(lines, lines)] @ signs)
 
 
-def _edge_moments(forest: ForestConfig, model: InjectionModel, variant: str,
-                  names: tuple[str, ...]) -> tuple[dict[str, np.ndarray], LineDrops | None]:
-    """The moment matrices ``names`` of the linear model, in canonical
-    order, and the line drops behind ``sigma_eps`` when it is asked for.
+def analytic_moment_set(forest: ForestConfig, model: InjectionModel, variant: str = "lc") -> MomentSet:
+    """Exact voltage moments of the linear model, D^T E[delta delta^T] D for
+    the line drops delta of the variant's effective impedances, with the
+    line drops that answer the learner's pair statistic.
 
     An entry across two blocks is the product of the two means; a block's
     own entries are the path sums of its drop moments."""
     mod = model.aligned_to(forest.grid.load_ids)
     impedance = _impedance(variant)
-    kinds = dict.fromkeys(kind for name in names for kind in _MOMENTS[name])
     plans = _block_plans(forest, mod)
-    weights = [{kind: _WEIGHTS[kind](*impedance(plan.r[:, 0], plan.x[:, 0])) for kind in kinds} for plan in plans]
+    lines = [impedance(plan.r[:, 0], plan.x[:, 0]) for plan in plans]
 
-    mean = {kind: np.empty(forest.grid.n_loads) for kind in kinds}
+    mean = np.empty(forest.grid.n_loads)
     mu = np.stack([mod.mu_p, mod.mu_q])
-    for plan, local in zip(plans, weights):
+    for plan, (r, x) in zip(plans, lines):
         below = _subtree_sums(plan, _rows(plan, mu))[:-1]
-        for kind, (u, v) in local.items():
-            mean[kind][plan.canon] = _root_path_sums(plan, _outside_row(u * below[:, 0] + v * below[:, 1]))[:-1]
+        mean[plan.canon] = _root_path_sums(plan, _outside_row(r * below[:, 0] + x * below[:, 1]))[:-1]
 
-    out = {name: np.outer(mean[_MOMENTS[name][0]], mean[_MOMENTS[name][1]]) for name in names}
+    sigma_eps = np.outer(mean, mean)
     moments = []
-    for plan, local in zip(plans, weights):
-        sums = _injection_sums(plan, mod)
-        for name in names:
-            left, right = _MOMENTS[name]
-            block = _drop_moments(sums, local[left], local[right])
-            out[name][np.ix_(plan.canon, plan.canon)] = _path_sums(plan, block)
-            if name == "sigma_eps":
-                moments.append(block)
-    return out, (LineDrops(variant, plans, moments, out["sigma_eps"]) if "sigma_eps" in names else None)
-
-
-def analytic_sigma_eps(forest: ForestConfig, model: InjectionModel, variant: str = "lc") -> np.ndarray:
-    """Exact second moments of voltage deviations under the linear model:
-    D^T E[delta delta^T] D for the line drops delta of the variant's
-    effective impedances."""
-    return _edge_moments(forest, model, variant, ("sigma_eps",))[0]["sigma_eps"]
-
-
-def analytic_sigma_theta(forest: ForestConfig, model: InjectionModel, variant: str = "lc") -> np.ndarray:
-    """Exact second moments of phase deviations."""
-    return _edge_moments(forest, model, variant, ("sigma_theta",))[0]["sigma_theta"]
-
-
-def analytic_sigma_theta_eps(forest: ForestConfig, model: InjectionModel, variant: str = "lc") -> np.ndarray:
-    """Exact phase/voltage cross moments E[theta eps^T]; not symmetric."""
-    return _edge_moments(forest, model, variant, ("sigma_theta_eps",))[0]["sigma_theta_eps"]
-
-
-def analytic_moment_set(forest: ForestConfig, model: InjectionModel, variant: str = "lc") -> MomentSet:
-    """Exact voltage moments of the linear model, with the line drops that
-    answer the learner's pair statistic.  The set has no phase moments."""
-    values, drops = _edge_moments(forest, model, variant, ("sigma_eps",))
-    return MomentSet(nodes=forest.grid.load_ids, sigma_eps=values["sigma_eps"], source="analytic", drops=drops)
+    for plan, (r, x) in zip(plans, lines):
+        block = _drop_moments(_injection_sums(plan, mod), r, x)
+        sigma_eps[np.ix_(plan.canon, plan.canon)] = _path_sums(plan, block)
+        moments.append(block)
+    return MomentSet(nodes=forest.grid.load_ids, sigma_eps=sigma_eps, source="analytic",
+                     drops=LineDrops(variant, plans, moments, sigma_eps))
 
 
 def edge_sq_diff(edge: LineEdge, variant: str, sp: float, sq: float, spq: float) -> float:
@@ -635,22 +581,6 @@ def edge_sq_diff(edge: LineEdge, variant: str, sp: float, sq: float, spq: float)
     r^2 sp + x^2 sq + 2 r x spq in the variant's effective impedance."""
     r, x = effective_impedance(edge, variant)
     return r * r * sp + x * x * sq + 2.0 * r * x * spq
-
-
-def expected_sq_diff(forest: ForestConfig, model: InjectionModel, child: int, parent: int,
-                     variant: str = "lc") -> float:
-    """E[(eps_child - eps_parent)^2] by the direct double sum over the
-    child's descendant set (the reference route, independent of the
-    path-matrix evaluation of the full moment matrix)."""
-    if child not in forest.grid.load_index:
-        raise DomainError(f"node {child} is not a load of the forest")
-    if forest.parent.get(child) != parent:
-        raise DomainError(f"node {parent} is not the parent of node {child}")
-    mod = model.aligned_to(forest.grid.load_ids)
-    members = forest.descendant_load_indices[child]
-    block = np.ix_(members, members)
-    sums = (float(m[block].sum()) for m in (mod.sigma_p, mod.sigma_q, mod.sigma_pq))
-    return edge_sq_diff(forest.grid.edges[forest.parent_edge[child]], variant, *sums)
 
 
 def assumption1_violations(forest: ForestConfig, model: InjectionModel) -> list[tuple[int, int, str]]:
@@ -665,38 +595,6 @@ def assumption1_violations(forest: ForestConfig, model: InjectionModel) -> list[
     names = ("sigma_p", "sigma_q", "sigma_pq")
     nodes = mod.nodes
     return [(nodes[i], nodes[j], names[k]) for i, j, k in zip(*np.nonzero(bad))]
-
-
-def verify_moment_ordering(forest: ForestConfig, model: InjectionModel,
-                           variant: str = "lc") -> list[tuple[int, int, float, float]]:
-    """Check the descendant ordering of diagonal voltage moments.
-
-    Under the positivity assumption every strict descendant must have a
-    strictly larger diagonal moment than its ancestor (substations sit at
-    zero).  Returns the violating (descendant, ancestor, value_desc,
-    value_anc) tuples; raises AssumptionViolation when the model fails the
-    precondition, which is a different failure from an ordering violation.
-    """
-    bad = assumption1_violations(forest, model)
-    if bad:
-        a, b, name = bad[0]
-        raise AssumptionViolation(
-            f"model violates the positivity assumption: {name}({a},{b}) <= 0 "
-            f"for same-tree pair ({a},{b})", pairs=bad)
-    sigma = analytic_sigma_eps(forest, model, variant)
-    idx = forest.grid.load_index
-    violations = []
-    for nid in forest.grid.load_ids:
-        own = sigma[idx[nid], idx[nid]]
-        anc = forest.parent[nid]
-        while True:
-            anc_val = 0.0 if forest.grid.is_substation(anc) else sigma[idx[anc], idx[anc]]
-            if not own > anc_val:
-                violations.append((nid, anc, float(own), float(anc_val)))
-            if forest.grid.is_substation(anc):
-                break
-            anc = forest.parent[anc]
-    return violations
 
 
 # -- serialization -----------------------------------------------------------

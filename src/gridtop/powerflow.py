@@ -1,6 +1,6 @@
 """Power-flow solvers over an operational forest.
 
-Three engines share one convention: injections are positive for generation
+Two engines share one convention: injections are positive for generation
 and negative for consumption, and the voltage deviation stored per load node
 is eps = v - 1 in per-unit (negative below nominal), with substations pinned
 at eps = theta = 0.
@@ -12,16 +12,13 @@ at eps = theta = 0.
   H_{1/x}^-1 q, theta = H_{1/x}^-1 p - H_{1/r}^-1 q).
 * ``lcpf_solve_many`` - the same model for a batch of samples, by the dense
   response matrices of ``lcpf_response``.  It gives eps only: the learner
-  reads voltage magnitudes alone, so a batch carries no phases, and
+  reads voltage magnitudes alone, so a batch has no phases, and
   ``lcpf_solve`` gives the phases of one sample.
-* ``dc_resistive_solve`` - the resistance-dominated limit: the same sweeps
-  with each line's effective impedance (1/g, 0), so eps = H_g^-1 p and
-  theta = -H_g^-1 q.
 * ``distflow_solve_many`` / ``distflow_solve`` - the exact nonlinear
   recursion with quadratic loss terms, iterated backward/forward to a fixed
   point (Baran & Wu 1989; Shirmohammadi et al. 1988).  It determines
   voltage magnitudes and line flows only; no phase-recovery rule exists for
-  it, so ``theta`` is None on its output.
+  it, so ``distflow_solve`` gives ``theta`` as None.
 
 Every tree sweep runs on one layout, the level plan: working arrays hold
 one row per load node, sorted by (depth, id), and one column per sample,
@@ -53,7 +50,6 @@ __all__ = [
     "VoltageSamples",
     "DistFlowResult",
     "lcpf_solve",
-    "dc_resistive_solve",
     "distflow_solve",
     "distflow_solve_many",
     "lcpf_response",
@@ -106,13 +102,11 @@ def _float_array(value, name: str, error=DomainError) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VoltageSamples:
-    """A batch of voltage states: row j of ``eps`` (and ``theta``) is sample j.
-    The batch solvers give ``eps`` only; ``theta`` is for batches that come
-    with phases."""
+    """A batch of voltage deviations: row j of ``eps`` is sample j.  A batch
+    has no phases."""
 
     nodes: tuple[int, ...]
     eps: np.ndarray
-    theta: np.ndarray | None = None
 
     def __post_init__(self):
         if (nid := _repeated(self.nodes)) is not None:
@@ -122,17 +116,9 @@ class VoltageSamples:
             raise DomainError(f"eps must have shape (m, {len(self.nodes)}) for {len(self.nodes)} nodes, "
                               f"got {eps.shape}")
         object.__setattr__(self, "eps", eps)
-        if self.theta is not None:
-            theta = _float_array(self.theta, "theta")
-            if theta.shape != eps.shape:
-                raise DomainError(f"theta must have the shape of eps {eps.shape}, got {theta.shape}")
-            object.__setattr__(self, "theta", theta)
 
     def __len__(self) -> int:
         return self.eps.shape[0]
-
-    def __getitem__(self, j: int) -> VoltageState:
-        return VoltageState(eps=self.eps[j], theta=None if self.theta is None else self.theta[j])
 
 
 @dataclass(frozen=True)
@@ -257,7 +243,7 @@ def _root_path_sums(plan: _LevelPlan, rows: np.ndarray) -> np.ndarray:
 # effective line impedance: a map of a line's (r, x), floats or arrays, to
 # the (r, x) with which it enters.  The resistive "dc" limit keeps only the
 # line conductance g, as (1/g, 0), in the operation order of
-# ``LineEdge.conductance``.
+# ``LineEdge.conductance``: there eps = H_g^-1 p.
 VARIANTS = {
     "lc": lambda r, x: (r, x),
     "dc": lambda r, x: (1.0 / (r / (r * r + x * x)), 0.0 * x),
@@ -277,11 +263,11 @@ def effective_impedance(edge: LineEdge, variant: str) -> tuple[float, float]:
     return _impedance(variant)(edge.r, edge.x)
 
 
-def _sweep(forest: ForestConfig, inj: InjectionVector, variant: str) -> VoltageState:
-    """Solve the linear model by two tree sweeps, O(N) total."""
+def lcpf_solve(forest: ForestConfig, inj: InjectionVector) -> VoltageState:
+    """Solve the coupled linear model by two tree sweeps, O(N) total."""
     p, q = _check_batch(forest, inj.p[None], inj.q[None])
     plan = _level_plan(forest)
-    r, x = _impedance(variant)(plan.r, plan.x)
+    r, x = plan.r, plan.x
     sp = _subtree_sums(plan, _rows(plan, p))
     sq = _subtree_sums(plan, _rows(plan, q))
     eps = np.zeros_like(sp)    # the outside row is the substation's 0
@@ -290,16 +276,6 @@ def _sweep(forest: ForestConfig, inj: InjectionVector, variant: str) -> VoltageS
         eps[level] = eps[par] + r[level] * sp[level] + x[level] * sq[level]
         theta[level] = theta[par] + x[level] * sp[level] - r[level] * sq[level]
     return VoltageState(eps=_canonical(plan, eps)[0], theta=_canonical(plan, theta)[0])
-
-
-def lcpf_solve(forest: ForestConfig, inj: InjectionVector) -> VoltageState:
-    """Solve the coupled linear model by two tree sweeps, O(N) total."""
-    return _sweep(forest, inj, "lc")
-
-
-def dc_resistive_solve(forest: ForestConfig, inj: InjectionVector) -> VoltageState:
-    """Solve the resistance-dominated limit: eps = H_g^-1 p, theta = -H_g^-1 q."""
-    return _sweep(forest, inj, "dc")
 
 
 def lcpf_response(forest: ForestConfig) -> tuple[np.ndarray, np.ndarray]:

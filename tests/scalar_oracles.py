@@ -11,10 +11,12 @@ and the same errors.
 
 The ancestry oracles (``preorder``, ``descendants``,
 ``descendant_load_indices``, ``lca``, ``inverse_incidence_entry`` and
-``laplacian_row_difference``) are the separate walks ``grid`` made before
-every ancestry question read the preorder runs recorded when a forest is
-built: a preorder rebuilt per call, a stack walk over children, a post-order
-merge, a depth-equalising climb and a root-path membership test.
+``laplacian_row_difference``) are separate walks over the parent and child
+maps: a preorder rebuilt per call, a stack walk over children, a post-order
+merge, a depth-equalising climb and a root-path membership test.  They are
+checked against the preorder runs a forest records when it is built and
+against the dense matrices of ``dense_oracles``, which holds the paper's
+incidence and Laplacian matrices and its moment identities.
 
 ``reconstruct`` is the learner as it was before it chose its pair statistic
 once per call: it decides per tested pair whether the data are samples or
@@ -32,10 +34,12 @@ from typing import NamedTuple
 import numpy as np
 
 from gridtop.errors import ConvergenceError, DomainError, InfeasibleStateError
-from gridtop.grid import _edge_child, _edge_direction, _weight_of
+from gridtop.grid import _weight_of
 from gridtop.learner import LearnerConfig, TraceRecord, relative_error
 from gridtop.moments import MomentSet, edge_sq_diff
 from gridtop.powerflow import DistFlowResult, VoltageState, effective_impedance
+
+from dense_oracles import _edge_child, _edge_direction, root_path_edges
 
 
 def _subtree_sums(forest, values):
@@ -195,7 +199,7 @@ def inverse_incidence_entry(forest, node, edge_index, orientation=None):
     child = _edge_child(forest, edge_index)
     if forest.tree_of[node] != forest.tree_of[child]:
         return 0
-    if edge_index not in forest.root_path_edges(node):
+    if edge_index not in root_path_edges(forest, node):
         return 0
     tail, _ = _edge_direction(forest, edge_index, orientation)
     return 1 if tail == child else -1

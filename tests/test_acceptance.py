@@ -15,21 +15,16 @@ import pytest
 from click.testing import CliRunner
 
 from gridtop.fixtures import FIXTURE_NAMES, load_fixture
-from gridtop.grid import build_reduced_incidence, inverse_incidence_entry, laplacian_inverse_entry
+from gridtop.grid import path_sum_matrix
 from gridtop.harness import generate_random_grid, plan_from_dict, run_experiment
 from gridtop.harness.cli import main as cli_main
 from gridtop.learner import LearnerConfig, reconstruct
-from gridtop.moments import (
-    analytic_moment_set,
-    default_model,
-    expected_sq_diff,
-    analytic_sigma_eps,
-    sample_injections,
-    verify_moment_ordering,
-)
+from gridtop.moments import analytic_moment_set, default_model, sample_injections
 from gridtop.powerflow import InjectionVector, distflow_solve, lcpf_solve, lcpf_solve_many
 
+import scalar_oracles as oracle
 from conftest import chain_grid, random_a1_model
+from dense_oracles import build_reduced_incidence, expected_sq_diff, verify_moment_ordering, weighted_laplacians
 
 
 @pytest.fixture
@@ -139,7 +134,7 @@ def test_criterion_5_squared_difference_identities(report):
         model = random_a1_model(forest, rng.integers(2**32))
         idx = grid.load_index
         for variant in ("lc", "dc"):
-            sigma = analytic_sigma_eps(forest, model, variant=variant)
+            sigma = analytic_moment_set(forest, model, variant=variant).sigma_eps
             for child, parent in forest.parent.items():
                 quad = sigma[idx[child], idx[child]]
                 if not grid.is_substation(parent):
@@ -168,22 +163,21 @@ def test_criterion_6_incidence_and_laplacian_inverse_structure(report):
         for nid in inc.node_order:
             for ei in inc.edge_order:
                 row = inc.edge_order.index(ei)
-                ok = ok and inverse_incidence_entry(forest, nid, ei) == round(float(inv[col[nid], row]))
+                ok = ok and oracle.inverse_incidence_entry(forest, nid, ei) == round(float(inv[col[nid], row]))
         weights = {ei: float(rng.uniform(0.5, 4.0)) for ei in forest.closed_edges}
         diag = np.array([weights[ei] for ei in inc.edge_order])
         dense = np.linalg.inv(inc.matrix.T @ (diag[:, None] * inc.matrix))
         scale = np.abs(dense).max()
+        got = path_sum_matrix(forest, weights)
+        idx = grid.load_index
         for a in grid.load_ids:
             for b in grid.load_ids:
-                got = laplacian_inverse_entry(forest, weights, a, b)
-                worst = max(worst, abs(got - dense[col[a], col[b]]) / scale)
+                worst = max(worst, abs(got[idx[a], idx[b]] - dense[col[a], col[b]]) / scale)
     report(6, "inverse incidence entries in {-1,0,+1}; path sums match dense inversion",
             ok and worst <= 1e-10, f"worst relative entry gap {worst:.2e}")
 
 
 def test_criterion_7_power_flow_model_consistency(report):
-    from gridtop.grid import weighted_laplacians
-
     rng = np.random.default_rng(20250707)
     worst = 0.0
     for _ in range(20):

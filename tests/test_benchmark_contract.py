@@ -14,10 +14,11 @@ from pathlib import Path
 import pytest
 
 from gridtop.fixtures import fixture_path, load_fixture
-from gridtop.grid import edge_weights
 from gridtop.harness import simulate_voltage, write_error_csv, write_samples
 from gridtop.moments import default_model, sample_injections
 from gridtop.powerflow import InjectionVector
+
+from dense_oracles import edge_weights
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -1,4 +1,5 @@
-"""Grid/forest structure, incidence matrices, and inverse-Laplacian combinatorics."""
+"""Grid/forest structure, the dense incidence and Laplacian references, and
+inverse-Laplacian combinatorics."""
 
 import itertools
 
@@ -9,23 +10,13 @@ from hypothesis import strategies as st
 
 from gridtop.errors import DomainError, StructureError
 from gridtop.fixtures import load_fixture
-from gridtop.grid import (
-    LOAD,
-    SUBSTATION,
-    ForestConfig,
-    build_reduced_incidence,
-    edge_weights,
-    inverse_incidence_entry,
-    laplacian_inverse_entry,
-    laplacian_row_difference,
-    path_sum_matrix,
-    weighted_laplacians,
-)
+from gridtop.grid import LOAD, SUBSTATION, ForestConfig, path_sum_matrix
 from gridtop.harness import generate_random_grid
 
 import scalar_oracles as oracle
 from conftest import (chain_grid, empty_substation_grid, make_grid, random_instance, shuffled_chain_grid,
                       star_grid, two_tree_grid)
+from dense_oracles import build_reduced_incidence, edge_weights, load_order, root_path_edges, weighted_laplacians
 
 
 # -- validation ---------------------------------------------------------------
@@ -107,38 +98,47 @@ def test_forest_accepts_numpy_integer_edge_indices():
 # -- descendants and paths ----------------------------------------------------
 
 
+def _descendants(forest, node):
+    """The node and its preorder run: its descendant set as the forest
+    recorded it when it was built (a substation's run is its whole tree)."""
+    start, stop = forest._span[node]
+    return {node, *forest._load_preorder[start:stop]}
+
+
 def test_descendants_of_leaf_is_itself(fig3):
     grid, forest = fig3
-    assert forest.descendants(5) == {5}
-    assert forest.descendants(4) == {4}
+    assert _descendants(forest, 5) == {5}
+    assert _descendants(forest, 4) == {4}
 
 
 def test_descendants_fig3_sets(fig3):
     # b=2 has descendants a=3, c=5, d=4; a=3 has c=5 but not d=4.
     grid, forest = fig3
-    assert forest.descendants(2) == {2, 3, 4, 5}
-    assert forest.descendants(3) == {3, 5}
-    assert 4 not in forest.descendants(3)
+    assert _descendants(forest, 2) == {2, 3, 4, 5}
+    assert _descendants(forest, 3) == {3, 5}
+    assert 4 not in _descendants(forest, 3)
+    idx = grid.load_index
+    assert forest.descendant_load_indices[2].tolist() == sorted(idx[n] for n in (2, 3, 4, 5))
 
 
 def test_descendants_of_substation_is_whole_tree():
     grid, forest = chain_grid(3)
-    assert forest.descendants(0) == {0, 1, 2, 3}
+    assert _descendants(forest, 0) == {0, 1, 2, 3}
 
 
 def test_descendants_nesting_and_sibling_disjointness(fig3):
     grid, forest = fig3
     # 3 is a descendant of 2, so D(3) is contained in D(2).
-    assert forest.descendants(3) <= forest.descendants(2)
+    assert _descendants(forest, 3) <= _descendants(forest, 2)
     # siblings 3 and 4 have disjoint descendant sets
-    assert not (forest.descendants(3) & forest.descendants(4))
+    assert not (_descendants(forest, 3) & _descendants(forest, 4))
 
 
 def test_root_path_edges_chain():
     grid, forest = chain_grid(3)
-    assert forest.root_path_edges(3) == (2, 1, 0)
-    assert forest.root_path_edges(1) == (0,)
-    assert forest.root_path_edges(0) == ()
+    assert root_path_edges(forest, 3) == (2, 1, 0)
+    assert root_path_edges(forest, 1) == (0,)
+    assert root_path_edges(forest, 0) == ()
 
 
 # -- reduced incidence --------------------------------------------------------
@@ -193,10 +193,10 @@ def test_inverse_incidence_entry_fig2_oracle(fig2):
     for nid in inc.node_order:
         for ei in inc.edge_order:
             want = round(float(inv[col[nid], row[ei]]))
-            assert inverse_incidence_entry(forest, nid, ei, orientation) == want
-    assert inverse_incidence_entry(forest, 3, 1, orientation) == -1
-    assert inverse_incidence_entry(forest, 3, 2, orientation) == 1
-    assert inverse_incidence_entry(forest, 2, 1, orientation) == 0
+            assert oracle.inverse_incidence_entry(forest, nid, ei, orientation) == want
+    assert oracle.inverse_incidence_entry(forest, 3, 1, orientation) == -1
+    assert oracle.inverse_incidence_entry(forest, 3, 2, orientation) == 1
+    assert oracle.inverse_incidence_entry(forest, 2, 1, orientation) == 0
 
 
 def test_inverse_incidence_default_orientation_is_nonnegative(fig2):
@@ -208,18 +208,18 @@ def test_inverse_incidence_default_orientation_is_nonnegative(fig2):
 
 def test_inverse_incidence_entry_adjacent_to_root(single_edge):
     grid, forest = single_edge
-    assert inverse_incidence_entry(forest, 1, 0) == 1
+    assert oracle.inverse_incidence_entry(forest, 1, 0) == 1
 
 
 def test_inverse_incidence_entry_across_trees_is_zero():
     grid, forest = two_tree_grid()
-    assert inverse_incidence_entry(forest, 3, 0) == 0
+    assert oracle.inverse_incidence_entry(forest, 3, 0) == 0
 
 
 def test_inverse_incidence_entry_rejects_open_edge():
     grid, forest = two_tree_grid()
     with pytest.raises(DomainError, match="not a closed edge"):
-        inverse_incidence_entry(forest, 2, 2)
+        oracle.inverse_incidence_entry(forest, 2, 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -235,7 +235,7 @@ def test_incidence_blocks_invert_and_match_entrywise(seed):
         row = {ei: i for i, ei in enumerate(inc.edge_order)}
         for nid in inc.node_order:
             for ei in inc.edge_order:
-                assert inverse_incidence_entry(forest, nid, ei) == round(float(inv[col[nid], row[ei]]))
+                assert oracle.inverse_incidence_entry(forest, nid, ei) == round(float(inv[col[nid], row[ei]]))
     for k in range(len(inc.blocks)):
         lo, hi = inc.blocks[k]
         block = inc.block(k)
@@ -245,18 +245,23 @@ def test_incidence_blocks_invert_and_match_entrywise(seed):
 # -- inverse Laplacian entries ------------------------------------------------
 
 
+def _entry(forest, weights, a, b):
+    idx = forest.grid.load_index
+    return path_sum_matrix(forest, weights)[idx[a], idx[b]]
+
+
 def test_laplacian_inverse_entry_fig3_common_path(fig3):
     # Paths of a=3 and d=4 to the slack share edges (b,e) and (e,0).
     grid, forest = fig3
     g = edge_weights(forest, "g")
     expected = 1.0 / g[1] + 1.0 / g[0]
-    assert laplacian_inverse_entry(forest, g, 3, 4) == expected
+    assert _entry(forest, g, 3, 4) == expected
 
 
 def test_laplacian_inverse_entry_across_trees_is_zero():
     grid, forest = two_tree_grid()
     w = edge_weights(forest, "g")
-    assert laplacian_inverse_entry(forest, w, 2, 3) == 0.0
+    assert _entry(forest, w, 2, 3) == 0.0
 
 
 def test_laplacian_inverse_entry_matches_dense_oracle():
@@ -267,17 +272,18 @@ def test_laplacian_inverse_entry_matches_dense_oracle():
     diag = np.array([weights[ei] for ei in inc.edge_order])
     dense = np.linalg.inv(inc.matrix.T @ (diag[:, None] * inc.matrix))
     col = {nid: i for i, nid in enumerate(inc.node_order)}
+    mat = path_sum_matrix(forest, weights)
+    idx = grid.load_index
     for a in grid.load_ids:
         for b in grid.load_ids:
             want = dense[col[a], col[b]]
-            got = laplacian_inverse_entry(forest, weights, a, b)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+            assert mat[idx[a], idx[b]] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_laplacian_inverse_entry_requires_weights(fig3):
     grid, forest = fig3
     with pytest.raises(DomainError, match="no weight"):
-        laplacian_inverse_entry(forest, {}, 3, 4)
+        path_sum_matrix(forest, {})
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), pytest.param(10 ** 400, id="10**400"),
@@ -290,21 +296,29 @@ def test_path_sums_reject_a_weight_that_is_not_positive_and_finite(fig3, bad):
         path_sum_matrix(forest, weights)
 
 
+def _row_difference(forest, mat, child, node):
+    """Row ``child`` minus row parent(child) of the inverse Laplacian ``mat``
+    at ``node``; a substation's row is zero."""
+    idx = forest.grid.load_index
+    parent = forest.parent[child]
+    below = mat[idx[parent], idx[node]] if parent in idx else 0.0
+    return mat[idx[child], idx[node]] - below
+
+
 def test_laplacian_row_difference_basics(fig3):
     grid, forest = fig3
     w = edge_weights(forest, "g")
-    # c = a itself: 1/w of the parent edge
-    assert laplacian_row_difference(forest, w, 3, 2, 3) == pytest.approx(1.0 / w[2])
-    # c outside the descendant set: exactly zero
-    assert laplacian_row_difference(forest, w, 3, 2, 4) == 0.0
-    with pytest.raises(DomainError, match="not the parent"):
-        laplacian_row_difference(forest, w, 2, 3, 4)
+    mat = path_sum_matrix(forest, w)
+    # node = the child itself: 1/w of the parent edge
+    assert _row_difference(forest, mat, 3, 3) == pytest.approx(1.0 / w[2])
+    # node outside the child's descendant set: exactly zero
+    assert _row_difference(forest, mat, 3, 4) == 0.0
 
 
 def test_laplacian_row_difference_across_trees_is_zero():
     grid, forest = two_tree_grid()
     w = edge_weights(forest, "1/r")
-    assert laplacian_row_difference(forest, w, 2, 0, 3) == 0.0
+    assert _row_difference(forest, path_sum_matrix(forest, w), 2, 3) == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -313,20 +327,22 @@ def test_laplacian_row_difference_equals_entry_difference(seed):
     grid, forest = random_instance(seed)
     rng = np.random.default_rng(seed + 1)
     weights = {ei: float(rng.uniform(0.5, 3.0)) for ei in forest.closed_edges}
-    for child, parent in forest.parent.items():
+    mat = path_sum_matrix(forest, weights)
+    for child in forest.parent:
         for c in grid.load_ids:
-            lhs = laplacian_row_difference(forest, weights, child, parent, c)
-            if grid.is_substation(parent):
-                diff = laplacian_inverse_entry(forest, weights, child, c)
-            else:
-                diff = (laplacian_inverse_entry(forest, weights, child, c)
-                        - laplacian_inverse_entry(forest, weights, parent, c))
-            assert lhs == pytest.approx(diff, rel=1e-12, abs=1e-15)
+            want = oracle.laplacian_row_difference(forest, weights, child, c)
+            got = _row_difference(forest, mat, child, c)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+            if want == 0.0:
+                assert got == 0.0  # a node off the child's subtree has the same meet with both rows
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_path_sum_matrix_matches_entry_function(seed):
+    # Entry (a, b) is P(lca(a, b)), which is the diagonal entry of the meet
+    # when it is a load and 0 when it is a substation or the pair spans two
+    # trees, bit for bit.
     grid, forest = random_instance(seed)
     rng = np.random.default_rng(seed + 2)
     weights = {ei: float(rng.uniform(0.5, 3.0)) for ei in forest.closed_edges}
@@ -334,7 +350,9 @@ def test_path_sum_matrix_matches_entry_function(seed):
     idx = grid.load_index
     for a in grid.load_ids:
         for b in grid.load_ids:
-            assert mat[idx[a], idx[b]] == laplacian_inverse_entry(forest, weights, a, b)
+            meet = oracle.lca(forest, a, b)
+            want = mat[idx[meet], idx[meet]] if meet in idx else 0.0
+            assert mat[idx[a], idx[b]] == want
 
 
 PATH_SUM_KINDS = ("bus_13_3", "bus_29_1", "bus_83_11", "random", "random_300_4", "shuffled_chain", "star")
@@ -374,10 +392,9 @@ ANCESTRY_KINDS = PATH_SUM_KINDS + ("empty_substation",)
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**16))
 def test_ancestry_matches_the_walks_it_replaced(kind, seed):
-    # Every ancestry question now reads the preorder runs recorded when the
+    # Every ancestry question reads the preorder runs recorded when the
     # forest is built; each must answer as the separate walk it replaced.
     grid, forest = _path_sum_instance(kind, seed)
-    rng = np.random.default_rng(seed)
     nodes = [n.id for n in grid.nodes]
     loads = list(grid.load_ids)
 
@@ -385,35 +402,13 @@ def test_ancestry_matches_the_walks_it_replaced(kind, seed):
     assert forest._load_preorder == tuple(position)
     assert all(forest._span[nid] == (position[nid], position[nid] + size[nid]) for nid in loads)
     for node in nodes:
-        assert forest.descendants(node) == oracle.descendants(forest, node)
+        assert _descendants(forest, node) == oracle.descendants(forest, node)
     got, want = forest.descendant_load_indices, oracle.descendant_load_indices(forest)
     assert got.keys() == want.keys()
     assert all(np.array_equal(got[nid], want[nid]) for nid in want)
-    tree_sizes = [len(list(run)) for _, run in itertools.groupby(forest.load_order, key=forest.tree_of.get)]
+    tree_sizes = [len(list(run)) for _, run in itertools.groupby(load_order(forest), key=forest.tree_of.get)]
     cuts = np.cumsum([0] + tree_sizes).tolist()
     assert build_reduced_incidence(forest).blocks == tuple(zip(cuts, cuts[1:]))
-
-    for a, b in rng.choice(nodes, size=(200, 2)).tolist():
-        assert forest.lca(a, b) == oracle.lca(forest, a, b)
-    closed = list(forest.closed_edges)
-    edges = grid.edges
-    orientation = {ei: (edges[ei].v, edges[ei].u) if rng.random() < 0.5 else (edges[ei].u, edges[ei].v)
-                   for ei in closed}
-    for node, ei in zip(rng.choice(loads, 200).tolist(), rng.choice(closed, 200).tolist()):
-        for orient in (None, orientation):
-            assert (inverse_incidence_entry(forest, node, ei, orient)
-                    == oracle.inverse_incidence_entry(forest, node, ei, orient))
-    weights = {ei: float(10 ** rng.uniform(-2, 2)) for ei in closed}
-    for child, node in zip(rng.choice(loads, 200).tolist(), rng.choice(nodes, 200).tolist()):
-        assert (laplacian_row_difference(forest, weights, child, forest.parent[child], node)
-                == oracle.laplacian_row_difference(forest, weights, child, node))
-
-    mat = path_sum_matrix(forest, weights)
-    idx = grid.load_index
-    pairs = rng.choice(loads, size=(200, 2)).tolist()
-    entries = np.array([laplacian_inverse_entry(forest, weights, a, b) for a, b in pairs])
-    want = mat[[idx[a] for a, _ in pairs], [idx[b] for _, b in pairs]]
-    assert np.array_equal(entries.view(np.int64), want.view(np.int64))
 
 
 # -- weighted Laplacians ------------------------------------------------------
@@ -443,8 +438,8 @@ def test_laplacian_inverse_is_dense_inverse_of_weighted_laplacian(fig3):
     wl = weighted_laplacians(forest)
     dense = np.linalg.inv(wl.h_g)
     col = {nid: i for i, nid in enumerate(wl.node_order)}
-    g = edge_weights(forest, "g")
+    mat = path_sum_matrix(forest, edge_weights(forest, "g"))
+    idx = grid.load_index
     for a in grid.load_ids:
         for b in grid.load_ids:
-            assert laplacian_inverse_entry(forest, g, a, b) == pytest.approx(
-                dense[col[a], col[b]], rel=1e-10)
+            assert mat[idx[a], idx[b]] == pytest.approx(dense[col[a], col[b]], rel=1e-10)

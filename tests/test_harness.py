@@ -26,6 +26,7 @@ from gridtop.harness import (
     write_grid,
     write_samples,
 )
+from gridtop.harness import gridfile
 from gridtop.harness.experiment import write_gnuplot_script, write_trial_csv
 from gridtop.harness.gridfile import _parse_samples_checked, _parse_samples_plain
 from gridtop.learner import LearnerConfig, reconstruct
@@ -241,7 +242,7 @@ def test_write_samples_writes_what_a_csv_writer_writes(tmp_path):
     rng = np.random.default_rng(4)
     special = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e16, 0.0, 1e-4, -9.99e-5]
     eps = np.vstack([rng.normal(0.0, 0.02, (5, 8)), special])
-    samples = VoltageSamples(nodes=(7, 3, 12, 1, 9, 4, 30, 2), eps=eps, theta=None)
+    samples = VoltageSamples(nodes=(7, 3, 12, 1, 9, 4, 30, 2), eps=eps)
     assert _written(tmp_path, samples) == _written_by_csv_writer(samples)
 
 
@@ -249,7 +250,7 @@ def test_write_samples_writes_what_a_csv_writer_writes(tmp_path):
 def test_write_samples_refuses_a_non_finite_value(tmp_path, cell):
     eps = np.full((7, 8), 0.01)
     eps[5, 2] = cell
-    samples = VoltageSamples(nodes=(7, 3, 12, 1, 9, 4, 30, 2), eps=eps, theta=None)
+    samples = VoltageSamples(nodes=(7, 3, 12, 1, 9, 4, 30, 2), eps=eps)
     path = tmp_path / "samples.csv"
     with pytest.raises(GridTopError, match=re.escape(f"non-finite value {cell!r} in row 5 at node 12")):
         write_samples(path, samples)
@@ -284,7 +285,7 @@ def test_write_samples_matches_the_csv_writer_on_spread_values(tmp_path, shape):
     rng = np.random.default_rng(11)
     eps = _spread_values(rng, shape)
     for batch in (eps, np.asfortranarray(eps), np.vstack([eps, eps])[::2], eps[:, ::-1]):
-        samples = VoltageSamples(nodes=tuple(range(shape[1])), eps=batch, theta=None)
+        samples = VoltageSamples(nodes=tuple(range(shape[1])), eps=batch)
         assert _written(tmp_path, samples) == _written_by_csv_writer(samples)
         back = read_samples(tmp_path / "samples.csv")
         assert back.eps.tobytes() == np.ascontiguousarray(batch).tobytes()
@@ -326,7 +327,7 @@ def test_reconstruct_rejects_non_finite_sample_column():
     eps = samples.eps.copy()
     col = 4
     eps[17, col] = np.nan
-    bad = type(samples)(nodes=samples.nodes, eps=eps, theta=None)
+    bad = type(samples)(nodes=samples.nodes, eps=eps)
     with pytest.raises(DomainError, match=f"node {samples.nodes[col]} "):
         reconstruct(bad, model, grid, LearnerConfig(tau=0.05))
 
@@ -340,7 +341,7 @@ def test_reconstruct_rejects_non_finite_moment_entry():
     sigma = mset.sigma_eps.copy()
     nodes = mset.nodes
     sigma[2, 5] = np.inf
-    bad = MomentSet(nodes=nodes, sigma_eps=sigma, sigma_theta=None, sigma_theta_eps=None, source="analytic")
+    bad = MomentSet(nodes=nodes, sigma_eps=sigma, source="analytic")
     with pytest.raises(DomainError, match=rf"nodes \({nodes[2]}, {nodes[5]}\)"):
         reconstruct(bad, model, grid, LearnerConfig(tau=0.05))
 
@@ -356,10 +357,8 @@ def test_reconstruct_rejects_samples_with_the_wrong_column_count(extra):
         reconstruct(VoltageSamples(nodes=grid.load_ids, eps=cols), model, grid, LearnerConfig(tau=0.05))
 
 
-def test_voltage_samples_reject_mis_shaped_theta():
-    with pytest.raises(DomainError, match="theta"):
-        VoltageSamples(nodes=(1, 2), eps=np.zeros((4, 2)), theta=np.zeros((4, 3)))
-    with pytest.raises(DomainError, match="eps"):
+def test_voltage_samples_reject_mis_shaped_eps():
+    with pytest.raises(DomainError, match=r"eps must have shape \(m, 2\)"):
         VoltageSamples(nodes=(1, 2), eps=np.zeros(2))
 
 
@@ -367,11 +366,7 @@ def test_moment_set_rejects_mis_shaped_matrices():
     from gridtop.moments import MomentSet
 
     with pytest.raises(DomainError, match="sigma_eps"):
-        MomentSet(nodes=(1, 2, 3), sigma_eps=np.eye(2), sigma_theta=None, sigma_theta_eps=None,
-                  source="analytic")
-    with pytest.raises(DomainError, match="sigma_theta_eps"):
-        MomentSet(nodes=(1, 2), sigma_eps=np.eye(2), sigma_theta=np.eye(2),
-                  sigma_theta_eps=np.eye(3), source="analytic")
+        MomentSet(nodes=(1, 2, 3), sigma_eps=np.eye(2), source="analytic")
 
 
 def test_voltage_samples_given_as_lists_are_learned_like_arrays():
@@ -380,9 +375,8 @@ def test_voltage_samples_given_as_lists_are_learned_like_arrays():
     grid, forest = load_fixture("bus_13_3")
     model = default_model(forest)
     samples = simulate_voltage(forest, model, 200, seed=3)
-    theta = np.cumsum(samples.eps, axis=1)  # any phases of the batch's shape
-    listed = VoltageSamples(nodes=samples.nodes, eps=samples.eps.tolist(), theta=theta.tolist())
-    assert isinstance(listed.eps, np.ndarray) and isinstance(listed.theta, np.ndarray)
+    listed = VoltageSamples(nodes=samples.nodes, eps=samples.eps.tolist())
+    assert isinstance(listed.eps, np.ndarray)
     assert np.array_equal(empirical_moments(listed).sigma_eps, empirical_moments(samples).sigma_eps)
     config = LearnerConfig(tau=0.05)
     assert (reconstruct(listed, model, grid, config).learned_edges
@@ -390,31 +384,19 @@ def test_voltage_samples_given_as_lists_are_learned_like_arrays():
 
 
 @pytest.mark.parametrize("name, value", [("eps", [[0.0, 1.0], [2.0]]), ("eps", [["a", "b"]]),
-                                         ("theta", [[0.0, "b"]]), ("eps", [["1", "0"]]),
-                                         ("eps", np.array([["1", "0"]])),
-                                         ("eps", np.array([[1.0, "0"]], dtype=object)), ("theta", [[b"0", b"1"]])])
+                                         ("eps", [["1", "0"]]), ("eps", np.array([["1", "0"]])),
+                                         ("eps", np.array([[1.0, "0"]], dtype=object))])
 def test_voltage_samples_reject_entries_they_cannot_hold_as_floats(name, value):
-    fields = {"eps": np.zeros((1, 2)), name: value}
     with pytest.raises(DomainError, match=f"^{name} must be an array of numbers"):
-        VoltageSamples(nodes=(1, 2), **fields)
-
-
-def test_voltage_samples_coerce_phases_at_construction():
-    samples = VoltageSamples(nodes=(1, 2), eps=np.zeros((1, 2)), theta=[[1, 2]])
-    assert samples.theta.dtype == float and np.array_equal(samples.theta, [[1.0, 2.0]])
-    assert np.array_equal(samples[0].theta, [1.0, 2.0])
-    with pytest.raises(DomainError, match="^theta must be an array of numbers"):
-        VoltageSamples(nodes=(1, 2), eps=np.zeros((1, 2)), theta=[["a", 2]])
+        VoltageSamples(nodes=(1, 2), **{name: value})
 
 
 def test_containers_keep_float_arrays_without_a_copy():
     from gridtop.moments import MomentSet
 
-    eps, theta, sigma = np.zeros((3, 2)), np.ones((3, 2)), np.eye(2)
-    samples = VoltageSamples(nodes=(1, 2), eps=eps, theta=theta)
-    assert samples.eps is eps and samples.theta is theta
-    mset = MomentSet(nodes=(1, 2), sigma_eps=sigma, sigma_theta=sigma, sigma_theta_eps=None, source="empirical")
-    assert mset.sigma_eps is sigma and mset.sigma_theta is sigma
+    eps, sigma = np.zeros((3, 2)), np.eye(2)
+    assert VoltageSamples(nodes=(1, 2), eps=eps).eps is eps
+    assert MomentSet(nodes=(1, 2), sigma_eps=sigma, source="empirical").sigma_eps is sigma
 
 
 def test_moment_set_given_as_lists_is_learned_like_arrays():
@@ -423,32 +405,28 @@ def test_moment_set_given_as_lists_is_learned_like_arrays():
     grid, forest = load_fixture("bus_13_3")
     model = default_model(forest)
     exact = analytic_moment_set(forest, model)
-    plain = MomentSet(nodes=exact.nodes, sigma_eps=exact.sigma_eps, sigma_theta=None, sigma_theta_eps=None,
-                      source="analytic")
-    listed = MomentSet(nodes=exact.nodes, sigma_eps=exact.sigma_eps.tolist(), sigma_theta=None,
-                       sigma_theta_eps=None, source="analytic")
+    plain = MomentSet(nodes=exact.nodes, sigma_eps=exact.sigma_eps, source="analytic")
+    listed = MomentSet(nodes=exact.nodes, sigma_eps=exact.sigma_eps.tolist(), source="analytic")
     config = LearnerConfig(tau=1e-6)
     assert reconstruct(listed, model, grid, config).trace == reconstruct(plain, model, grid, config).trace
 
 
-@pytest.mark.parametrize("name", ["sigma_eps", "sigma_theta", "sigma_theta_eps"])
+@pytest.mark.parametrize("name", ["sigma_eps"])
 def test_moment_set_rejects_entries_it_cannot_hold_as_floats(name):
     from gridtop.moments import MomentSet
 
-    fields = {"sigma_eps": np.eye(2), "sigma_theta": None, "sigma_theta_eps": None, name: [["a", "0"], ["0", "1"]]}
     with pytest.raises(DomainError, match=f"^{name} must be an array of numbers"):
-        MomentSet(nodes=(1, 2), source="analytic", **fields)
+        MomentSet(nodes=(1, 2), source="analytic", **{name: [["a", "0"], ["0", "1"]]})
 
 
-@pytest.mark.parametrize("name", ["sigma_eps", "sigma_theta", "sigma_theta_eps"])
+@pytest.mark.parametrize("name", ["sigma_eps"])
 @pytest.mark.parametrize("text", [[["1", "0"], ["0", "1"]], np.array([["1", "0"], ["0", "1"]]),
                                   np.array([[1.0, "0"], [0.0, 1.0]], dtype=object)])
 def test_moment_set_refuses_numeric_strings(name, text):
     from gridtop.moments import MomentSet
 
-    fields = {"sigma_eps": np.eye(2), "sigma_theta": None, "sigma_theta_eps": None, name: text}
     with pytest.raises(DomainError, match=f"^{name} must be an array of numbers"):
-        MomentSet(nodes=(1, 2), source="analytic", **fields)
+        MomentSet(nodes=(1, 2), source="analytic", **{name: text})
 
 
 def _doubled(nodes, matrix, repeat):
@@ -479,7 +457,7 @@ def test_moment_set_rejects_a_repeated_node_id():
     mset = analytic_moment_set(forest, model)
     nodes, sigma = _doubled(mset.nodes, mset.sigma_eps, 3)
     with pytest.raises(DomainError, match="node id 3 is listed twice"):
-        bad = MomentSet(nodes=nodes, sigma_eps=sigma, sigma_theta=None, sigma_theta_eps=None, source="analytic")
+        bad = MomentSet(nodes=nodes, sigma_eps=sigma, source="analytic")
         reconstruct(bad, model, grid, LearnerConfig(tau=1e-4), truth=forest)
 
 
@@ -540,6 +518,10 @@ _MUTATIONS = list("0123456789.e+-_,\"#") + [
 ]
 
 
+# Exact zeros as a file may spell them; JSON reads the integer -0 as 0.
+_ZEROS = ["0", "-0", "0.0", "-0.0", "0e0"]
+
+
 def _outcome(parse):
     try:
         samples = parse()
@@ -566,7 +548,7 @@ def _read_both_ways(path, text):
 @given(n=st.integers(1, 4), m=st.integers(0, 3), data=st.data())
 def test_read_samples_agrees_with_the_checked_parser(tmp_path_factory, n, m, data):
     ids = data.draw(st.lists(st.integers(-3, 40), min_size=n, max_size=n, unique=True))
-    cells = st.floats().map(repr)
+    cells = st.floats().map(repr) | st.sampled_from(_ZEROS)
     rows = [data.draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(m)]
     text = "\n".join([",".join(map(str, ids))] + [",".join(row) for row in rows])
     text += data.draw(st.sampled_from(["\n", "", "\n\n"]))
@@ -595,7 +577,7 @@ def test_read_samples_agrees_with_the_checked_parser(tmp_path_factory, n, m, dat
     # A file reads "\r" as "\n"; JSON skips it on the text, where csv ends a line.
     ("1,2\n1.0,\r2.0\n", "s.csv:2: non-numeric sample value"),
     ("1,\r2\n0.5,0.25\n", "s.csv:1: header row must hold integer node ids"),
-    ("1\n-0\n", (-0.0,)),  # JSON reads -0 as 0
+    ("1\n-0\n", (-0.0,)),  # JSON reads -0 as 0; the row is read again with float
     ("1\n1.0],[2.0\n", "s.csv:2: expected 1 columns, got 2"),  # JSON's row separator
     ("1,2\n1.0],[2.0\n", "s.csv:2: non-numeric sample value"),
     ("1\ntrue\n", "s.csv:2: non-numeric sample value"),
@@ -607,6 +589,24 @@ def test_read_samples_falls_back_to_the_checked_parser(tmp_path, text, want):
         assert got[0] == "error" and got[1].endswith(want)
     else:
         assert got[0] == "ok" and got[3] == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("zero", _ZEROS + [" -0\t"])
+def test_an_exact_zero_keeps_the_one_pass_parse(tmp_path, monkeypatch, zero):
+    # Only the rows that hold a zero are read again, with float; the file
+    # does not go to the checked parser, and gets its bits and signs.
+    text = f"4,1,9\n0.5,{zero},-0.25\n1e-3,2.5,{zero}\n0.125,0.5,0.75\n"
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    want = _parse_samples_checked(text, str(path))
+
+    def refuse(*args):
+        raise AssertionError("the checked parser ran")
+
+    monkeypatch.setattr(gridfile, "_parse_samples_checked", refuse)
+    got = read_samples(path)
+    assert got.nodes == want.nodes == (4, 1, 9)
+    assert got.eps.tobytes() == want.eps.tobytes()
 
 
 def test_a_written_sample_file_takes_the_one_pass_parse(tmp_path):
@@ -662,6 +662,16 @@ def test_plan_validation():
 ])
 def test_plan_rejects_a_mis_typed_value_naming_its_key(key, value):
     with pytest.raises(ParseError, match=f"^{key}: "):
+        _tiny_plan(**{key: value})
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("taus", [0.05, 2.0], "tau must lie in (0, 1), got 2.0"), ("taus", [0.0], "tau must lie in (0, 1), got 0.0"),
+    ("variant", 7, "variant must be one of ['lc', 'dc'], got 7"), ("variant", "ac", "got 'ac'"),
+])
+def test_plan_refuses_a_tau_or_variant_the_learner_refuses(key, value, message):
+    # Refused when the plan is built, before a grid is read or a trial runs.
+    with pytest.raises(DomainError, match=re.escape(message)):
         _tiny_plan(**{key: value})
 
 
@@ -957,7 +967,6 @@ def test_distflow_engine_simulation_close_to_lc():
     model = default_model(forest)
     lc = simulate_voltage(forest, model, 20, seed=9, engine="lc")
     df = simulate_voltage(forest, model, 20, seed=9, engine="distflow")
-    assert df.theta is None
     # same seed draws the same injections; the engines differ only by losses
     gap = np.max(np.abs(df.eps - lc.eps))
     assert 0 < gap < 1e-3

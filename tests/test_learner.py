@@ -206,8 +206,7 @@ def test_overshoot_of_the_closed_form_is_rejected():
     grid, forest = single_edge_grid()
     model = default_model(forest)
     exact = _analytic(forest, model)
-    inflated = MomentSet(nodes=exact.nodes, sigma_eps=1.5 * exact.sigma_eps,
-                         sigma_theta=None, sigma_theta_eps=None, source="analytic")
+    inflated = MomentSet(nodes=exact.nodes, sigma_eps=1.5 * exact.sigma_eps, source="analytic")
     corrected = reconstruct(inflated, model, grid, LearnerConfig(tau=0.1))
     assert corrected.learned_edges == frozenset()
 
@@ -220,8 +219,7 @@ def test_zero_rhs_with_nonzero_lhs_is_rejected_and_recorded():
                                   mu_p=np.zeros(n), mu_q=np.zeros(n),
                                   sigma_p=np.zeros((n, n)), sigma_q=np.zeros((n, n)),
                                   sigma_pq=np.zeros((n, n)))
-    nonzero = MomentSet(nodes=grid.load_ids, sigma_eps=np.array([[1e-4]]),
-                        sigma_theta=None, sigma_theta_eps=None, source="analytic")
+    nonzero = MomentSet(nodes=grid.load_ids, sigma_eps=np.array([[1e-4]]), source="analytic")
     res = reconstruct(nonzero, zero_model, grid, LearnerConfig(tau=0.5))
     assert res.learned_edges == frozenset()
     rec = [r for r in res.trace if r.leaf == 1 and r.candidate == 0]
@@ -311,8 +309,7 @@ def test_decision_margins_are_none_without_such_a_decision():
     assert exact.accept_margin is not None and exact.reject_margin is None
     grid, forest = single_edge_grid()
     mset = _analytic(forest, model := default_model(forest))
-    inflated = MomentSet(nodes=mset.nodes, sigma_eps=1.5 * mset.sigma_eps,
-                         sigma_theta=None, sigma_theta_eps=None, source="analytic")
+    inflated = MomentSet(nodes=mset.nodes, sigma_eps=1.5 * mset.sigma_eps, source="analytic")
     none_accepted = reconstruct(inflated, model, grid, LearnerConfig(tau=0.1))
     assert none_accepted.accept_margin is None and none_accepted.reject_margin is not None
 
@@ -331,8 +328,7 @@ def test_permuted_sample_columns_are_realigned():
     model = default_model(forest)
     samples = _sampled(forest, model, 4000, seed=3)
     perm = np.array([2, 0, 3, 1])
-    shuffled = type(samples)(nodes=tuple(np.array(samples.nodes)[perm]),
-                             eps=samples.eps[:, perm], theta=None)
+    shuffled = type(samples)(nodes=tuple(np.array(samples.nodes)[perm]), eps=samples.eps[:, perm])
     a = reconstruct(samples, model, grid, LearnerConfig(tau=0.2), truth=forest)
     b = reconstruct(shuffled, model, grid, LearnerConfig(tau=0.2), truth=forest)
     assert a.learned_edges == b.learned_edges
@@ -362,10 +358,10 @@ def _learner_case(kind, seed, m, variant, permute, zero_model):
     nodes = tuple(np.array(grid.load_ids)[perm].tolist())
     if m == math.inf:
         sigma = _analytic(forest, model, variant).sigma_eps[np.ix_(perm, perm)]
-        data = MomentSet(nodes=nodes, sigma_eps=sigma, sigma_theta=None, sigma_theta_eps=None, source="analytic")
+        data = MomentSet(nodes=nodes, sigma_eps=sigma, source="analytic")
     else:
         eps = _sampled(forest, model, m, seed=seed + 2).eps[:, perm]
-        data = VoltageSamples(nodes=nodes, eps=eps, theta=None)
+        data = VoltageSamples(nodes=nodes, eps=eps)
     if zero_model:
         n = grid.n_loads
         model = type(model)(nodes=model.nodes, mu_p=np.zeros(n), mu_q=np.zeros(n), sigma_p=np.zeros((n, n)),

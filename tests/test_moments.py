@@ -8,28 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtop.errors import AssumptionViolation, DomainError, ModelError, ParseError
+from gridtop.errors import DomainError, ModelError, ParseError
 from gridtop.grid import LOAD, SUBSTATION
 from gridtop.moments import (
     _PSD_SLACK,
     InjectionModel,
     analytic_moment_set,
-    analytic_sigma_eps,
-    analytic_sigma_theta,
-    analytic_sigma_theta_eps,
     assumption1_violations,
     default_model,
     empirical_moments,
-    expected_sq_diff,
     model_from_dict,
     model_to_dict,
     sample_injections,
-    verify_moment_ordering,
 )
-from gridtop.powerflow import VoltageSamples, lcpf_response, lcpf_solve_many
+from gridtop.powerflow import InjectionVector, VoltageSamples, lcpf_response, lcpf_solve, lcpf_solve_many
 
 from conftest import (chain_grid, empty_substation_grid, make_grid, random_a1_model, random_instance,
                       shuffled_chain_grid, single_edge_grid, star_grid)
+from dense_oracles import expected_sq_diff, verify_moment_ordering, weighted_laplacians
 
 
 def _zero_model(nodes):
@@ -274,18 +270,16 @@ def test_sampler_draws_have_the_bits_of_the_eigh_multivariate_normal(name):
 
 
 def test_empirical_moments_single_sample_outer_product():
-    samples = VoltageSamples(nodes=(1, 2), eps=np.array([[1.0, 2.0]]), theta=None)
+    samples = VoltageSamples(nodes=(1, 2), eps=np.array([[1.0, 2.0]]))
     mset = empirical_moments(samples)
     np.testing.assert_allclose(mset.sigma_eps, [[1.0, 2.0], [2.0, 4.0]])
     assert mset.m == 1 and mset.source == "empirical"
-    assert mset.sigma_theta is None
 
 
 def test_empirical_moments_zero_samples_zero_matrix():
-    samples = VoltageSamples(nodes=(1, 2), eps=np.zeros((9, 2)), theta=np.zeros((9, 2)))
+    samples = VoltageSamples(nodes=(1, 2), eps=np.zeros((9, 2)))
     mset = empirical_moments(samples)
     assert not mset.sigma_eps.any()
-    assert not mset.sigma_theta.any()
 
 
 def test_empirical_moments_empty_set_rejected():
@@ -296,13 +290,13 @@ def test_empirical_moments_empty_set_rejected():
 def test_empirical_moments_take_only_a_batch():
     samples = VoltageSamples(nodes=(1, 2), eps=np.ones((3, 2)))
     with pytest.raises(DomainError, match="expected a VoltageSamples batch"):
-        empirical_moments(samples[j] for j in range(3))
+        empirical_moments(iter(samples.eps))
 
 
 def test_empirical_moments_converge_to_analytic(fig3):
     grid, forest = fig3
     model = default_model(forest, sigma_ratio=0.5)
-    exact = analytic_sigma_eps(forest, model)
+    exact = analytic_moment_set(forest, model).sigma_eps
 
     def err(m, seed):
         batch = sample_injections(model, m, seed=seed)
@@ -328,16 +322,14 @@ def test_analytic_sigma_eps_two_node_dc_frozen_value():
     )
     model = InjectionModel(nodes=(1, 2), mu_p=np.zeros(2), mu_q=np.zeros(2),
                            sigma_p=np.eye(2), sigma_q=np.zeros((2, 2)), sigma_pq=np.zeros((2, 2)))
-    sigma = analytic_sigma_eps(forest, model, variant="dc")
+    sigma = analytic_moment_set(forest, model, variant="dc").sigma_eps
     np.testing.assert_allclose(sigma, [[5.0, 3.0], [3.0, 2.0]], rtol=1e-8)
 
 
 def test_analytic_sigma_eps_zero_model_is_zero(fig3):
     grid, forest = fig3
     model = _zero_model(grid.load_ids)
-    assert not analytic_sigma_eps(forest, model).any()
-    assert not analytic_sigma_theta(forest, model).any()
-    assert not analytic_sigma_theta_eps(forest, model).any()
+    assert not analytic_moment_set(forest, model).sigma_eps.any()
 
 
 @settings(max_examples=25, deadline=None)
@@ -345,13 +337,11 @@ def test_analytic_sigma_eps_zero_model_is_zero(fig3):
 def test_analytic_dc_matches_dense_oracle(seed):
     grid, forest = random_instance(seed)
     model = random_a1_model(forest, seed + 1)
-    from gridtop.grid import weighted_laplacians
-
     wl = weighted_laplacians(forest)
     perm = [grid.load_index[n] for n in wl.node_order]
     hg_inv = np.linalg.inv(wl.h_g)
     dense = hg_inv @ model.aligned_to(forest.grid.load_ids).sigma_p[np.ix_(perm, perm)] @ hg_inv
-    got = analytic_sigma_eps(forest, model, variant="dc")[np.ix_(perm, perm)]
+    got = analytic_moment_set(forest, model, variant="dc").sigma_eps[np.ix_(perm, perm)]
     np.testing.assert_allclose(got, dense, rtol=1e-9, atol=1e-15)
 
 
@@ -360,8 +350,6 @@ def test_analytic_dc_matches_dense_oracle(seed):
 def test_analytic_lc_matches_dense_oracle(seed):
     grid, forest = random_instance(seed)
     model = random_a1_model(forest, seed + 2).aligned_to(grid.load_ids)
-    from gridtop.grid import weighted_laplacians
-
     wl = weighted_laplacians(forest)
     perm = [grid.load_index[n] for n in wl.node_order]
     a = np.linalg.inv(wl.h_inv_r)
@@ -371,41 +359,40 @@ def test_analytic_lc_matches_dense_oracle(seed):
     spq = model.sigma_pq[np.ix_(perm, perm)]
     cross = a @ spq @ b
     dense = a @ sp @ a + b @ sq @ b + cross + cross.T
-    got = analytic_sigma_eps(forest, model)[np.ix_(perm, perm)]
+    got = analytic_moment_set(forest, model).sigma_eps[np.ix_(perm, perm)]
     np.testing.assert_allclose(got, dense, rtol=1e-9, atol=1e-18)
 
 
 def test_swap_identity_maps_theta_onto_eps():
     # Swapping every edge's r and x while negating the reactive injection
-    # maps the phase-moment formula onto the deviation-moment formula.
-    rng = np.random.default_rng(4)
+    # maps the phases of the linear model onto its deviations.
     for seed in range(5):
         grid, forest = random_instance(seed)
-        model = random_a1_model(forest, seed + 10)
         swapped_edges = [(e.u, e.v, e.x, e.r) for e in grid.edges]
         nodes_spec = [(n.id, n.kind) for n in grid.nodes]
         grid2, forest2 = make_grid(nodes_spec, swapped_edges, closed=list(forest.closed_edges))
-        model_neg_q = InjectionModel(
-            nodes=model.nodes, mu_p=model.mu_p, mu_q=-model.mu_q,
-            sigma_p=model.sigma_p, sigma_q=model.sigma_q, sigma_pq=-model.sigma_pq)
+        rng = np.random.default_rng(seed + 10)
+        p, q = rng.normal(-0.01, 0.003, grid.n_loads), rng.normal(-0.003, 0.001, grid.n_loads)
         np.testing.assert_allclose(
-            analytic_sigma_theta(forest, model),
-            analytic_sigma_eps(forest2, model_neg_q),
+            lcpf_solve(forest, InjectionVector(p=p, q=q)).theta,
+            lcpf_solve(forest2, InjectionVector(p=p, q=-q)).eps,
             rtol=1e-10, atol=1e-18)
 
 
 def test_monte_carlo_matches_analytic_theta(fig3):
+    # The phase moments of the linear model, from the dense inverse
+    # Laplacians, against the phases theta = pB - qA of sampled injections.
     grid, forest = fig3
     model = default_model(forest, sigma_ratio=0.5)
     batch = sample_injections(model, 60_000, seed=9)
-    a, b = lcpf_response(forest)  # batches carry no phases: theta = pB - qA, formed here
-    volt = lcpf_solve_many(forest, batch.p, batch.q)
-    hat = empirical_moments(VoltageSamples(nodes=volt.nodes, eps=volt.eps, theta=batch.p @ b - batch.q @ a))
-    exact = analytic_sigma_theta(forest, model)
-    scale = np.max(np.abs(exact))
-    assert np.max(np.abs(hat.sigma_theta - exact)) < 0.05 * scale
-    exact_te = analytic_sigma_theta_eps(forest, model)
-    assert np.max(np.abs(hat.sigma_theta_eps - exact_te)) < 0.05 * np.max(np.abs(exact_te))
+    a, b = lcpf_response(forest)
+    theta = batch.p @ b - batch.q @ a
+    eps = lcpf_solve_many(forest, batch.p, batch.q).eps
+    perm, (_, exact, exact_te) = _dense_moments(forest, model, "lc")
+    theta, eps = theta[:, perm], eps[:, perm]
+    hat, hat_te = theta.T @ theta / len(theta), theta.T @ eps / len(theta)
+    assert np.max(np.abs(hat - exact)) < 0.05 * np.max(np.abs(exact))
+    assert np.max(np.abs(hat_te - exact_te)) < 0.05 * np.max(np.abs(exact_te))
 
 
 # -- expected squared difference ------------------------------------------------
@@ -444,7 +431,7 @@ def test_expected_sq_diff_equals_quadratic_form(seed):
     model = random_a1_model(forest, seed + 3)
     idx = grid.load_index
     for variant in ("lc", "dc"):
-        sigma = analytic_sigma_eps(forest, model, variant=variant)
+        sigma = analytic_moment_set(forest, model, variant=variant).sigma_eps
         for child, parent in forest.parent.items():
             want = sigma[idx[child], idx[child]]
             if not grid.is_substation(parent):
@@ -480,7 +467,7 @@ def test_cross_tree_moment_block_is_zero_without_cross_coupling():
                            sigma_p=np.eye(2) * 1e-4, sigma_q=np.eye(2) * 1e-5,
                            sigma_pq=np.eye(2) * 2e-5)
     for variant in ("lc", "dc"):
-        sigma = analytic_sigma_eps(forest, model, variant=variant)
+        sigma = analytic_moment_set(forest, model, variant=variant).sigma_eps
         assert sigma[idx[2], idx[3]] == 0.0
         assert sigma[idx[3], idx[2]] == 0.0
         assert sigma[idx[2], idx[2]] > 0.0
@@ -514,9 +501,8 @@ def test_moment_ordering_gates_on_assumption1(fig3):
     model = InjectionModel(nodes=grid.load_ids, mu_p=np.zeros(n), mu_q=np.zeros(n),
                            sigma_p=sigma_p, sigma_q=np.eye(n) * 1e-5,
                            sigma_pq=np.eye(n) * 2e-5)
-    with pytest.raises(AssumptionViolation) as excinfo:
+    with pytest.raises(ValueError, match=r"positivity assumption: sigma_p\(1,2\) <= 0"):
         verify_moment_ordering(forest, model)
-    assert excinfo.value.pairs
 
 
 # -- per-tree evaluation against dense oracles -------------------------------------
@@ -543,10 +529,9 @@ def _cross_tree_model(forest, seed):
 
 
 def _dense_moments(forest, model, variant):
-    """The three moment matrices from dense inverses of the weighted
-    Laplacians, in the Laplacians' tree-major node order."""
-    from gridtop.grid import weighted_laplacians
-
+    """The voltage, phase and phase/voltage moment matrices of the linear
+    model from dense inverses of the weighted Laplacians, in the Laplacians'
+    tree-major node order."""
     wl = weighted_laplacians(forest)
     perm = [forest.grid.load_index[n] for n in wl.node_order]
     mod = model.aligned_to(forest.grid.load_ids)
@@ -579,12 +564,8 @@ def test_per_tree_moments_match_dense_inverse_oracle(seed, variant, kind):
     perm, dense = _dense_moments(forest, model, variant)
     mset = analytic_moment_set(forest, model, variant)
     assert mset.nodes == grid.load_ids
-    assert mset.sigma_theta is None and mset.sigma_theta_eps is None
-    assert np.array_equal(analytic_sigma_eps(forest, model, variant), mset.sigma_eps)
-    phases = (analytic_sigma_theta(forest, model, variant), analytic_sigma_theta_eps(forest, model, variant))
-    for got, want in zip((mset.sigma_eps, *phases), dense):
-        scale = np.abs(want).max()
-        np.testing.assert_allclose(got[np.ix_(perm, perm)], want, rtol=1e-9, atol=1e-12 * scale)
+    want = dense[0]
+    np.testing.assert_allclose(mset.sigma_eps[np.ix_(perm, perm)], want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
 
 
 def _coupled_trees_model(forest, seed):
@@ -627,22 +608,20 @@ def _oracle_case(seed, grid_kind, model_kind):
 
 def _check_against_dense_inverses(seed, grid_kind, model_kind, variant):
     forest, model = _oracle_case(seed, grid_kind, model_kind)
-    perm, dense = _dense_moments(forest, model, variant)
-    singles = (analytic_sigma_eps, analytic_sigma_theta, analytic_sigma_theta_eps)
-    for single, want in zip(singles, dense):
-        got = single(forest, model, variant)[np.ix_(perm, perm)]
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
+    perm, (want, _, _) = _dense_moments(forest, model, variant)
+    got = analytic_moment_set(forest, model, variant).sigma_eps[np.ix_(perm, perm)]
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(ORACLE_GRIDS), st.sampled_from(["a1", "coupled"]))
-def test_analytic_lc_phase_moments_match_dense_oracle(seed, grid_kind, model_kind):
+def test_analytic_lc_moments_match_dense_oracle_on_every_grid_kind(seed, grid_kind, model_kind):
     _check_against_dense_inverses(seed, grid_kind, model_kind, "lc")
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(ORACLE_GRIDS), st.sampled_from(["a1", "coupled"]))
-def test_analytic_dc_phase_moments_match_dense_oracle(seed, grid_kind, model_kind):
+def test_analytic_dc_moments_match_dense_oracle_on_every_grid_kind(seed, grid_kind, model_kind):
     _check_against_dense_inverses(seed, grid_kind, model_kind, "dc")
 
 
@@ -658,46 +637,10 @@ def test_coupled_trees_model_couples_exactly_two_trees():
     assert (model.mu_p != 0).all() and (model.mu_q != 0).all()
 
 
-@pytest.mark.parametrize("variant", ["lc", "dc"])
-def test_analytic_phase_moments_are_computed_on_first_read(monkeypatch, variant):
-    """The phase moments are computed by the call that reads them, never by
-    ``analytic_moment_set``."""
-    from gridtop import moments
-
-    grid, forest = _multi_tree_instance(5)
-    model = random_a1_model(forest, 5)
-    eager, _ = moments._edge_moments(forest, model, variant, ("sigma_eps", "sigma_theta", "sigma_theta_eps"))
-    calls = []
-
-    def counting(*args):
-        calls.append(args[3])
-        return real(*args)
-
-    real = moments._edge_moments
-    monkeypatch.setattr(moments, "_edge_moments", counting)
-    mset = moments.analytic_moment_set(forest, model, variant)
-    assert calls == [("sigma_eps",)]
-    assert mset.sigma_theta is None and mset.sigma_theta_eps is None
-    assert np.array_equal(mset.sigma_eps, eager["sigma_eps"])
-    assert np.array_equal(moments.analytic_sigma_theta(forest, model, variant), eager["sigma_theta"])
-    assert np.array_equal(moments.analytic_sigma_theta_eps(forest, model, variant), eager["sigma_theta_eps"])
-    assert calls == [("sigma_eps",), ("sigma_theta",), ("sigma_theta_eps",)]
-
-
-def test_phase_moments_are_coerced_and_shape_checked_at_construction():
-    from gridtop.moments import MomentSet
-
-    mset = MomentSet(nodes=(1, 2), sigma_eps=np.eye(2), sigma_theta=[[1, 0], [0, 1]], source="empirical")
-    assert mset.sigma_theta.dtype == float and np.array_equal(mset.sigma_theta, np.eye(2))
-    assert mset.sigma_theta_eps is None
-    with pytest.raises(DomainError, match="sigma_theta_eps must have shape"):
-        MomentSet(nodes=(1, 2), sigma_eps=np.eye(2), sigma_theta_eps=np.eye(3), source="analytic")
-
-
 def test_analytic_moments_reject_unknown_variant(fig3):
     grid, forest = fig3
     with pytest.raises(DomainError, match="unknown variant"):
-        analytic_sigma_eps(forest, default_model(forest), variant="ac")
+        analytic_moment_set(forest, default_model(forest), variant="ac")
 
 
 # -- block-wise PSD check ---------------------------------------------------------
@@ -1086,9 +1029,7 @@ def test_analytic_moments_build_no_path_sum_matrix(monkeypatch):
     grid, forest = _multi_tree_instance(7)
     for model in (default_model(forest), _coupled_trees_model(forest, 7)):
         for variant in ("lc", "dc"):
-            mset = moments.analytic_moment_set(forest, model, variant)
-            for phases in (moments.analytic_sigma_theta, moments.analytic_sigma_theta_eps):
-                assert phases(forest, model, variant).shape == mset.sigma_eps.shape
+            moments.analytic_moment_set(forest, model, variant)
             verify_moment_ordering(forest, default_model(forest), variant)
 
 
@@ -1096,11 +1037,9 @@ def test_hand_built_moment_sets_carry_no_pair_statistic(fig3):
     grid, forest = fig3
     mset = analytic_moment_set(forest, default_model(forest))
     assert mset.drops is not None
-    plain = type(mset)(nodes=mset.nodes, sigma_eps=mset.sigma_eps, sigma_theta=None, sigma_theta_eps=None,
-                       source="analytic")
+    plain = type(mset)(nodes=mset.nodes, sigma_eps=mset.sigma_eps, source="analytic")
     assert plain.drops is None
-    assert plain == type(mset)(nodes=mset.nodes, sigma_eps=mset.sigma_eps, sigma_theta=None,
-                               sigma_theta_eps=None, source="analytic", drops=mset.drops)
+    assert plain == type(mset)(nodes=mset.nodes, sigma_eps=mset.sigma_eps, source="analytic", drops=mset.drops)
     assert "drops" not in repr(plain)
 
 

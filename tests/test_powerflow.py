@@ -1,4 +1,6 @@
-"""Linear, DC-resistive, and nonlinear solver behavior."""
+"""Linear, DC-resistive, and nonlinear solver behavior.  The DC-resistive
+model has no solver of its own in the package: it is the linear model's
+"dc" variant, whose one-sample sweep is ``scalar_oracles.scalar_sweep``."""
 
 import numpy as np
 import pytest
@@ -6,17 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtop.errors import ConvergenceError, DomainError
-from gridtop.grid import weighted_laplacians
-from gridtop.powerflow import (
-    InjectionVector,
-    dc_resistive_solve,
-    distflow_solve,
-    lcpf_response,
-    lcpf_solve,
-    lcpf_solve_many,
-)
+from gridtop.powerflow import InjectionVector, distflow_solve, lcpf_response, lcpf_solve, lcpf_solve_many
 
 from conftest import chain_grid, make_grid, random_instance, single_edge_grid, two_tree_grid
+from dense_oracles import edge_weights, weighted_laplacians
+from scalar_oracles import scalar_sweep
 
 
 def _random_injection(grid, seed, scale=0.01):
@@ -108,7 +104,7 @@ def test_lcpf_response_matches_batch(fig3):
     for j in range(4):
         single = lcpf_solve(forest, InjectionVector(p=p[j], q=q[j]))
         np.testing.assert_allclose(batch.eps[j], single.eps, atol=1e-12)
-    assert batch.theta is None  # a batch carries no phases; lcpf_solve gives one sample's
+    assert not hasattr(batch, "theta")  # a batch has no phases; lcpf_solve gives one sample's
 
 
 def test_lcpf_response_built_once_per_forest(monkeypatch):
@@ -131,7 +127,7 @@ def test_lcpf_response_built_once_per_forest(monkeypatch):
         again = lcpf_solve_many(forest, p, 0.3 * p)
     analytic_moment_set(forest, default_model(forest))
     assert len(calls) == 2
-    assert np.array_equal(first.eps, again.eps) and np.array_equal(first.theta, again.theta)
+    assert np.array_equal(first.eps, again.eps)
 
     a, b = lcpf_response(forest)
     assert lcpf_response(forest)[0] is a
@@ -154,33 +150,28 @@ def test_lcpf_batch_gives_eps_alone_with_the_bits_of_the_eager_sum():
     a, b = lcpf_response(forest)
     eager = batch.p @ a + batch.q @ b  # the sum every call computed before
     samples = lcpf_solve_many(forest, batch.p, batch.q)
-    assert samples.theta is None
     assert np.array_equal(samples.eps.view(np.int64), eager.view(np.int64))
     assert not np.shares_memory(samples.eps, batch.p) and not np.shares_memory(samples.eps, batch.q)
 
 
 def test_run_experiment_never_computes_phases(monkeypatch):
-    from gridtop import moments
     from gridtop.harness import experiment, plan_from_dict, run_experiment
 
-    solved, asked = [], []
-    real_solve, real_moments = experiment.lcpf_solve_many, moments._edge_moments
+    made = []
 
-    def solve(*args):
-        solved.append(real_solve(*args))
-        return solved[-1]
+    def keep(real):
+        def call(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+        return call
 
-    def edge_moments(forest, model, variant, names):
-        asked.append(names)
-        return real_moments(forest, model, variant, names)
-
-    monkeypatch.setattr(experiment, "lcpf_solve_many", solve)
-    monkeypatch.setattr(moments, "_edge_moments", edge_moments)
+    for name in ("lcpf_solve_many", "analytic_moment_set"):
+        monkeypatch.setattr(experiment, name, keep(getattr(experiment, name)))
     plan = plan_from_dict({"grid": "bus_13_3", "sample_counts": [50, "inf"], "taus": [0.1], "trials": 2,
                            "seed": 3})
     assert run_experiment(plan).failures == 0
-    assert len(solved) == 2 and all(samples.theta is None for samples in solved)
-    assert asked == [("sigma_eps",)]
+    assert [type(data).__name__ for data in made] == ["VoltageSamples", "VoltageSamples", "MomentSet"]
+    assert not any(hasattr(data, name) for data in made for name in ("theta", "sigma_theta"))
 
 
 def test_lcpf_response_dies_with_its_forest():
@@ -200,9 +191,9 @@ def test_lcpf_response_dies_with_its_forest():
 
 def test_dc_zero_and_single_load():
     grid, forest = single_edge_grid(r=0.25, x=0.25)  # g = r/(r^2+x^2) = 2
-    zero = dc_resistive_solve(forest, InjectionVector(p=[0.0], q=[0.0]))
+    zero = scalar_sweep(forest, InjectionVector(p=[0.0], q=[0.0]), "dc")
     assert zero.eps[0] == 0.0 and zero.theta[0] == 0.0
-    st_ = dc_resistive_solve(forest, InjectionVector(p=[-0.01], q=[0.0]))
+    st_ = scalar_sweep(forest, InjectionVector(p=[-0.01], q=[0.0]), "dc")
     assert st_.eps[0] == pytest.approx(-0.005, rel=1e-12)  # p / g
 
 
@@ -211,7 +202,7 @@ def test_dc_zero_and_single_load():
 def test_dc_matches_dense_conductance_oracle(seed):
     grid, forest = random_instance(seed)
     inj = _random_injection(grid, seed + 3)
-    st_ = dc_resistive_solve(forest, inj)
+    st_ = scalar_sweep(forest, inj, "dc")
     wl = weighted_laplacians(forest)
     perm = [grid.load_index[n] for n in wl.node_order]
     hg_inv = np.linalg.inv(wl.h_g)
@@ -221,7 +212,7 @@ def test_dc_matches_dense_conductance_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_dc_response_is_the_conductance_path_sum_matrix(seed):
-    from gridtop.grid import edge_weights, path_sum_matrix
+    from gridtop.grid import path_sum_matrix
 
     grid, forest = random_instance(seed)
     a = path_sum_matrix(forest, edge_weights(forest, "g"))
@@ -230,7 +221,7 @@ def test_dc_response_is_the_conductance_path_sum_matrix(seed):
     scale = np.abs(a).max()
     np.testing.assert_allclose(a[np.ix_(perm, perm)], np.linalg.inv(wl.h_g), rtol=1e-12, atol=1e-13 * scale)
     inj = _random_injection(grid, seed + 5)
-    state = dc_resistive_solve(forest, inj)
+    state = scalar_sweep(forest, inj, "dc")
     np.testing.assert_allclose(state.eps, a @ inj.p, rtol=1e-12, atol=1e-13 * scale * np.abs(inj.p).max())
     np.testing.assert_allclose(state.theta, -(a @ inj.q), rtol=1e-12, atol=1e-13 * scale * np.abs(inj.q).max())
 
@@ -243,7 +234,7 @@ def test_dc_is_the_small_reactance_limit_of_lcpf():
         grid, forest = make_grid(nodes, edges, closed=list(range(5)))
         inj = _random_injection(grid, 11)
         lc = lcpf_solve(forest, inj)
-        dc = dc_resistive_solve(forest, inj)
+        dc = scalar_sweep(forest, inj, "dc")
         return np.max(np.abs(lc.eps - dc.eps))
 
     g2, g3 = gap(1e-2), gap(1e-3)

@@ -16,7 +16,6 @@ from gridtop.powerflow import (
     InjectionVector,
     VoltageSamples,
     _distflow,
-    dc_resistive_solve,
     distflow_solve,
     distflow_solve_many,
     lcpf_solve,
@@ -70,9 +69,8 @@ def test_linear_sweeps_match_scalar_recursion(kind, seed):
     p, q = _graded_batch(forest, seed, m=2)
     for j in range(2):
         inj = InjectionVector(p=p[j], q=q[j])
-        for solve, variant in ((lcpf_solve, "lc"), (dc_resistive_solve, "dc")):
-            got, want = solve(forest, inj), scalar_sweep(forest, inj, variant)
-            assert np.array_equal(got.eps, want.eps) and np.array_equal(got.theta, want.theta)
+        got, want = lcpf_solve(forest, inj), scalar_sweep(forest, inj, "lc")
+        assert np.array_equal(got.eps, want.eps) and np.array_equal(got.theta, want.theta)
 
 
 # -- DistFlow --------------------------------------------------------------
@@ -90,7 +88,7 @@ def test_batched_distflow_matches_scalar_recursion(kind, seed):
     p, q = _graded_batch(forest, seed)
     batch = _distflow(forest, p, q, 1.0, 1e-10, 100)
     many = distflow_solve_many(forest, p, q)
-    assert many.theta is None and many.nodes == grid.load_ids
+    assert many.nodes == grid.load_ids
     assert len(set(batch.iterations.tolist())) >= 2  # samples stop at different sweeps
     edges = [forest.parent_edge[nid] for nid in grid.load_ids]
     for j in range(len(p)):
