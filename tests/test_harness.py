@@ -385,7 +385,8 @@ def test_voltage_samples_given_as_lists_are_learned_like_arrays():
 
 @pytest.mark.parametrize("name, value", [("eps", [[0.0, 1.0], [2.0]]), ("eps", [["a", "b"]]),
                                          ("eps", [["1", "0"]]), ("eps", np.array([["1", "0"]])),
-                                         ("eps", np.array([[1.0, "0"]], dtype=object))])
+                                         ("eps", np.array([[1.0, "0"]], dtype=object))],
+                         ids=["eps-value0", "eps-value1", "eps-value3", "eps-value4", "eps-value5"])
 def test_voltage_samples_reject_entries_they_cannot_hold_as_floats(name, value):
     with pytest.raises(DomainError, match=f"^{name} must be an array of numbers"):
         VoltageSamples(nodes=(1, 2), **{name: value})
