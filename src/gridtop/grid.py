@@ -72,14 +72,6 @@ class LineEdge:
     def pair(self) -> tuple[int, int]:
         return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
 
-    @property
-    def conductance(self) -> float:
-        return self.r / (self.r * self.r + self.x * self.x)
-
-    @property
-    def susceptance(self) -> float:
-        return self.x / (self.r * self.r + self.x * self.x)
-
 
 @dataclass(frozen=True)
 class GridGraph:
@@ -155,16 +147,6 @@ class GridGraph:
     @property
     def n_substations(self) -> int:
         return len(self.substation_ids)
-
-    @cached_property
-    def kind_of(self) -> dict[int, str]:
-        return {n.id: n.kind for n in self.nodes}
-
-    def is_substation(self, node: int) -> bool:
-        try:
-            return self.kind_of[node] == SUBSTATION
-        except KeyError:
-            raise DomainError(f"unknown node {node}") from None
 
     @cached_property
     def _pair_to_edge(self) -> dict[tuple[int, int], int]:
@@ -330,9 +312,6 @@ class ForestConfig:
         unreached = sorted(n.id for n in grid.nodes if n.id not in tree_of)
         if unreached:
             raise StructureError(f"closed edges do not span the grid (unreached nodes: {unreached})")
-        if len(self.closed_edges) != grid.n_loads:
-            # Coverage plus acyclicity already imply this; kept as a guard.
-            raise StructureError("closed edge count does not match a base-constrained spanning forest")
 
         object.__setattr__(self, "tree_of", tree_of)
         object.__setattr__(self, "parent", parent)

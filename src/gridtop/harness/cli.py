@@ -218,7 +218,7 @@ def experiment(plan_path, output, verbose, timing, gnuplot):
 @main.command()
 @click.option("--grid", "grid_spec", required=True, help="Grid file or bundled fixture name.")
 @click.option("--model", "model_path", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Also check the injection model against the forest.")
+              help="Also check the injection model against the grid and its forest.")
 @click.option("--json", "as_json", is_flag=True)
 def validate(grid_spec, model_path, as_json):
     """Run the structural invariant checks on a grid file (and model)."""
@@ -237,11 +237,13 @@ def validate(grid_spec, model_path, as_json):
         findings.append(f"invalid: {exc}")
 
     warnings = []
-    if ok and model_path is not None and forest is not None:
+    if ok and model_path is not None:
         try:
             model = _load_model(model_path, forest)
-            bad = assumption1_violations(forest, model)
-            if bad:
+            if forest is None:  # the model must still cover the grid's loads
+                model.aligned_to(grid.load_ids)
+                warnings.append("positivity assumption not checked: no operational forest declared")
+            elif bad := assumption1_violations(forest, model):
                 a, b, which = bad[0]
                 warnings.append(
                     f"model violates the positivity assumption: {which}({a},{b}) <= 0 "

@@ -83,6 +83,8 @@ class ExperimentPlan:
             LearnerConfig(tau=tau, variant=self.variant)
         if self.engine not in ("lc", "distflow"):
             raise DomainError(f"engine must be 'lc' or 'distflow', got {self.engine!r}")
+        if self.engine != "lc" and any(map(math.isinf, self.sample_counts)):
+            raise DomainError("the infinite-sample limit is defined for the lc engine only")
         if self.augment_open_lines < 0:
             raise DomainError("augment_open_lines must be non-negative")
 
@@ -217,8 +219,10 @@ def _solve(forest: ForestConfig, batch: InjectionBatch, engine: str) -> VoltageS
 
 def simulate_voltage(forest: ForestConfig, model: InjectionModel, m: int, seed,
                      engine: str = "lc") -> VoltageSamples:
-    """Draw m injection samples and solve one power flow per sample."""
-    return _solve(forest, sample_injections(model, m, seed), engine)
+    """Draw m injection samples and solve one power flow per sample.  The
+    draws are made in the forest's load order, whatever the model's order;
+    a model over other nodes raises DomainError before any draw."""
+    return _solve(forest, sample_injections(model.aligned_to(forest.grid.load_ids), m, seed), engine)
 
 
 def run_experiment(plan: ExperimentPlan, include_timing: bool = False) -> ExperimentResult:
@@ -230,7 +234,7 @@ def run_experiment(plan: ExperimentPlan, include_timing: bool = False) -> Experi
     """
     master = seed_or_env(plan.seed)
     grid, forest, label = resolve_plan_grid(plan)
-    model = model_from_dict(plan.model, forest)
+    model = model_from_dict(plan.model, forest).aligned_to(forest.grid.load_ids)  # the solvers' order
 
     analytic = None  # the exact moment set, built on the first "inf" trial
     # One factor of the model's covariance and one pair of sample buffers for
@@ -251,8 +255,6 @@ def run_experiment(plan: ExperimentPlan, include_timing: bool = False) -> Experi
                 err = None
                 try:
                     if math.isinf(m):
-                        if plan.engine != "lc":
-                            raise DomainError("the infinite-sample limit is defined for the lc engine only")
                         if analytic is None:
                             analytic = analytic_moment_set(forest, model, variant=plan.variant)
                         data = analytic

@@ -254,16 +254,14 @@ class MomentSet:
     """Second moments of voltage deviations (magnitudes only: the learner
     reads no phases).
 
-    ``source`` is "analytic" or "empirical"; ``m`` carries the sample count
-    for empirical sets.  Substations carry identically zero deviations and
-    are therefore not part of the matrix.  An analytic set carries in
-    ``drops`` the line-drop moments that answer E[(eps_a - eps_b)^2]
-    exactly.
+    ``m`` carries the sample count of an empirical set.  Substations carry
+    identically zero deviations and are therefore not part of the matrix.
+    An analytic set carries in ``drops`` the line-drop moments that answer
+    E[(eps_a - eps_b)^2] exactly.
     """
 
     nodes: tuple[int, ...]
     sigma_eps: np.ndarray
-    source: str
     m: int | None = None
     drops: LineDrops | None = field(default=None, compare=False, repr=False)
 
@@ -345,8 +343,6 @@ def _tree_verdict(tree: np.ndarray, diagonal: list[float], within: list[float]) 
     returned are those ``_check_psd`` finds: the trees when a ``within``
     value is nonzero, else one component per load.
     """
-    if not len(tree):
-        return ()
     sizes = sorted(set(np.bincount(tree).tolist()) - {0})
     shared = sizes[-1] > 1  # some tree has two loads, so ``within`` is an entry
     scale = max(1.0, *map(abs, diagonal), *(map(abs, within) if shared else ()))
@@ -416,7 +412,7 @@ def empirical_moments(samples: VoltageSamples) -> MomentSet:
     if m < 1:
         raise DomainError("empty sample set")
     eps = samples.eps
-    return MomentSet(nodes=samples.nodes, sigma_eps=eps.T @ eps / m, source="empirical", m=m)
+    return MomentSet(nodes=samples.nodes, sigma_eps=eps.T @ eps / m, m=m)
 
 
 def _sigma_sq_diff(sigma: np.ndarray, i: int, j: int) -> float:
@@ -571,7 +567,7 @@ def analytic_moment_set(forest: ForestConfig, model: InjectionModel, variant: st
         block = _drop_moments(_injection_sums(plan, mod), r, x)
         sigma_eps[np.ix_(plan.canon, plan.canon)] = _path_sums(plan, block)
         moments.append(block)
-    return MomentSet(nodes=forest.grid.load_ids, sigma_eps=sigma_eps, source="analytic",
+    return MomentSet(nodes=forest.grid.load_ids, sigma_eps=sigma_eps,
                      drops=LineDrops(variant, plans, moments, sigma_eps))
 
 

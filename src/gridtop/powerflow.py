@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InfeasibleStateError
-from .grid import ForestConfig, LineEdge, _is_finite, _is_index, _is_number, _repeated, path_sum_matrix
+from .grid import ForestConfig, LineEdge, _is_index, _is_number, _repeated, path_sum_matrix
 
 __all__ = [
     "VARIANTS",
@@ -242,8 +242,7 @@ def _root_path_sums(plan: _LevelPlan, rows: np.ndarray) -> np.ndarray:
 # Each variant of the linear model is the coupled model with its own
 # effective line impedance: a map of a line's (r, x), floats or arrays, to
 # the (r, x) with which it enters.  The resistive "dc" limit keeps only the
-# line conductance g, as (1/g, 0), in the operation order of
-# ``LineEdge.conductance``: there eps = H_g^-1 p.
+# line admittance's real part g = r / (r^2 + x^2), as (1/g, 0): there eps = H_g^-1 p.
 VARIANTS = {
     "lc": lambda r, x: (r, x),
     "dc": lambda r, x: (1.0 / (r / (r * r + x * x)), 0.0 * x),
@@ -318,22 +317,20 @@ class _DistFlowBatch:
     residual: np.ndarray    # (m,) max(voltage change, flow residual) at that sweep
 
 
-def _distflow(forest: ForestConfig, p, q, v0: float, tol: float, max_iter: int) -> _DistFlowBatch:
+def _distflow(forest: ForestConfig, p, q, tol: float, max_iter: int) -> _DistFlowBatch:
     """Iterate the DistFlow recursion for every sample of a batch at once.
 
     Each sample keeps its own stopping rule: it leaves the batch after the
     sweep in which its own voltage change and flow residual both fall below
     ``tol``, with the values the one-sample iteration stops at.  A sample
     whose squared voltage falls to zero or below fails and leaves the batch
-    after that sweep; until then a placeholder v0^2 stands in for the value,
-    so no square root of a negative number is taken.  A sample whose flows
+    after that sweep; until then the flat value 1 stands in for it, so no
+    square root of a negative number is taken.  A sample whose flows
     or squared voltages are no longer finite after a sweep has diverged and
     fails at that sweep.  When samples fail, the error of the lowest-index
     one is raised.
     """
     p, q = _check_batch(forest, p, q)
-    if not (_is_finite(v0) and v0 > 0):
-        raise DomainError(f"root voltage must be positive and finite, got {v0}")
     if not (_is_number(tol) and tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
     if not (_is_index(max_iter) and max_iter >= 1):
@@ -349,7 +346,7 @@ def _distflow(forest: ForestConfig, p, q, v0: float, tol: float, max_iter: int) 
     # (starting lossless) and the voltage magnitudes.
     work = np.empty((7, n + 1, m))
     work[0], work[1] = _rows(plan, -p), _rows(plan, -q)
-    work[2] = v0 * v0
+    work[2] = 1.0
     work[4], work[5] = _subtree_sums(plan, work[0].copy()), _subtree_sums(plan, work[1].copy())
     work[3] = (work[4] * work[4] + work[5] * work[5]) / work[2]
     work[6] = np.sqrt(work[2])
@@ -393,7 +390,7 @@ def _distflow(forest: ForestConfig, p, q, v0: float, tol: float, max_iter: int) 
                         f"squared voltage at node {forest.loads_by_depth[level.start + i]} fell to "
                         f"{new_vsq[i, j]}; grid is infeasible"))
                 failed |= lost
-                new_vsq[bad] = v0 * v0
+                new_vsq[bad] = 1.0
             vsq[level] = new_vsq
             loss[level] = flow_sq
         root = np.sqrt(vsq)
@@ -428,30 +425,30 @@ def _distflow(forest: ForestConfig, p, q, v0: float, tol: float, max_iter: int) 
                           fq=_canonical(plan, stopped[1]), iterations=iterations, residual=residual_at_stop)
 
 
-def distflow_solve_many(forest: ForestConfig, p: np.ndarray, q: np.ndarray, v0: float = 1.0,
+def distflow_solve_many(forest: ForestConfig, p: np.ndarray, q: np.ndarray,
                         tol: float = 1e-10, max_iter: int = 100) -> VoltageSamples:
     """Solve the nonlinear recursion for sample batches of shape (m, N).
 
     Internally flows and nodal powers use the consumption-positive (load)
-    convention of the recursion; injections are negated on entry.  Starting
-    from a flat profile (v = v0, lossless flows), each pass aggregates flows
-    leaf-to-root with quadratic loss terms evaluated at the sending end,
-    then updates squared voltages root-to-leaf; a sample stops when both its
+    convention of the recursion; injections are negated on entry.  The
+    substations hold v = 1 p.u.  Starting from a flat profile (v = 1,
+    lossless flows), each pass aggregates flows leaf-to-root with quadratic
+    loss terms evaluated at the sending end, then updates squared voltages root-to-leaf; a sample stops when both its
     voltage change and its flow-balance residual fall below ``tol``, and
     fails with ``ConvergenceError`` at the sweep where its flows or voltages
     stop being finite.  Every sample gets exactly the values it gets when
     solved alone; when samples fail, the error of the lowest-index one is
     raised.
     """
-    return VoltageSamples(nodes=forest.grid.load_ids, eps=_distflow(forest, p, q, v0, tol, max_iter).eps)
+    return VoltageSamples(nodes=forest.grid.load_ids, eps=_distflow(forest, p, q, tol, max_iter).eps)
 
 
-def distflow_solve(forest: ForestConfig, inj: InjectionVector, v0: float = 1.0,
+def distflow_solve(forest: ForestConfig, inj: InjectionVector,
                    tol: float = 1e-10, max_iter: int = 100) -> DistFlowResult:
     """Iterate the nonlinear recursion to a fixed point: the one-sample case
     of ``distflow_solve_many``, with its line flows, sweep count and final
     residual."""
-    batch = _distflow(forest, inj.p[None], inj.q[None], v0, tol, max_iter)
+    batch = _distflow(forest, inj.p[None], inj.q[None], tol, max_iter)
     fp, fq = batch.fp[0], batch.fq[0]
     flows = {forest.parent_edge[nid]: (fp[i], fq[i]) for i, nid in enumerate(forest.grid.load_ids)}
     return DistFlowResult(state=VoltageState(eps=batch.eps[0], theta=None), flows=flows,

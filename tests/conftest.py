@@ -11,7 +11,7 @@ import pytest
 
 from gridtop.grid import LOAD, SUBSTATION, ForestConfig, GridGraph, GridNode, LineEdge
 from gridtop.harness import generate_random_grid
-from gridtop.moments import InjectionModel
+from gridtop.moments import InjectionModel, default_model, model_to_dict
 
 
 def make_grid(node_specs, edge_specs, closed=None, name=""):
@@ -149,6 +149,21 @@ def random_a1_model(forest, seed, scale=0.002):
         sigma_q=alpha * alpha * sigma_p + omega_eta,
         sigma_pq=alpha * sigma_p,
     )
+
+
+def scaled_model_doc(forest, order, shift=0):
+    """The forest's default model with each load's injections scaled by a
+    factor of its own, as an explicit model document listing the loads in
+    ``order`` (ids moved by ``shift``): the order matters to a sampler that
+    ignores node ids."""
+    model = default_model(forest)
+    scale = np.linspace(0.5, 2.0, len(model.nodes))
+    cross = np.outer(scale, scale)
+    scaled = InjectionModel(model.nodes, scale * model.mu_p, scale * model.mu_q, cross * model.sigma_p,
+                            cross * model.sigma_q, cross * model.sigma_pq)
+    doc = model_to_dict(scaled.aligned_to(order))
+    doc["nodes"] = [nid + shift for nid in doc["nodes"]]
+    return doc
 
 
 @pytest.fixture

@@ -114,8 +114,8 @@ def build_reduced_incidence(forest, orientation: Mapping[int, tuple[int, int]] |
 
 # Weight tag -> (its WeightedLaplacians field, the weight of a line).
 _WEIGHTS = {
-    "g": ("h_g", lambda e: e.conductance),
-    "beta": ("h_beta", lambda e: e.susceptance),
+    "g": ("h_g", lambda e: e.r / (e.r * e.r + e.x * e.x)),
+    "beta": ("h_beta", lambda e: e.x / (e.r * e.r + e.x * e.x)),
     "1/r": ("h_inv_r", lambda e: 1.0 / e.r),
     "1/x": ("h_inv_x", lambda e: 1.0 / e.x),
 }
@@ -202,10 +202,10 @@ def verify_moment_ordering(forest, model, variant: str = "lc") -> list[tuple[int
         own = sigma[idx[nid], idx[nid]]
         anc = forest.parent[nid]
         while True:
-            anc_val = 0.0 if forest.grid.is_substation(anc) else sigma[idx[anc], idx[anc]]
+            anc_val = 0.0 if anc in forest.grid.substation_ids else sigma[idx[anc], idx[anc]]
             if not own > anc_val:
                 violations.append((nid, anc, float(own), float(anc_val)))
-            if forest.grid.is_substation(anc):
+            if anc in forest.grid.substation_ids:
                 break
             anc = forest.parent[anc]
     return violations

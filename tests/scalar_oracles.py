@@ -63,14 +63,14 @@ def scalar_sweep(forest, inj, variant) -> VoltageState:
     for nid in forest.loads_by_depth:
         par = forest.parent[nid]
         r, x = effective_impedance(forest.grid.edges[forest.parent_edge[nid]], variant)
-        pe = 0.0 if forest.grid.is_substation(par) else eps[idx[par]]
-        pt = 0.0 if forest.grid.is_substation(par) else theta[idx[par]]
+        pe = 0.0 if par in forest.grid.substation_ids else eps[idx[par]]
+        pt = 0.0 if par in forest.grid.substation_ids else theta[idx[par]]
         eps[idx[nid]] = pe + r * sp[nid] + x * sq[nid]
         theta[idx[nid]] = pt + x * sp[nid] - r * sq[nid]
     return VoltageState(eps=eps, theta=theta)
 
 
-def scalar_distflow(forest, inj, v0=1.0, tol=1e-10, max_iter=100) -> DistFlowResult:
+def scalar_distflow(forest, inj, tol=1e-10, max_iter=100) -> DistFlowResult:
     """Solve one sample node by node; raises like the package solver."""
     idx = forest.grid.load_index
     load_p = -inj.p
@@ -78,7 +78,7 @@ def scalar_distflow(forest, inj, v0=1.0, tol=1e-10, max_iter=100) -> DistFlowRes
 
     fp = _subtree_sums(forest, load_p)
     fq = _subtree_sums(forest, load_q)
-    vsq = {n.id: v0 * v0 for n in forest.grid.nodes}
+    vsq = {n.id: 1.0 for n in forest.grid.nodes}
 
     order_up = tuple(reversed(forest.loads_by_depth))  # leaves first
     for iteration in range(1, max_iter + 1):
@@ -342,7 +342,7 @@ def reconstruct(data, model, grid, config=LearnerConfig(), truth=None) -> Oracle
             else:
                 note = "rhs zero with nonzero lhs" if math.isinf(dev) else ""
                 trace.append(TraceRecord(a, b_star, lhs, rhs, dev, False, note))
-        if not grid.is_substation(b_star):
+        if b_star not in grid.substation_ids:
             leaves.append(b_star)
 
     learned = frozenset(learned)

@@ -137,7 +137,7 @@ def test_criterion_5_squared_difference_identities(report):
             sigma = analytic_moment_set(forest, model, variant=variant).sigma_eps
             for child, parent in forest.parent.items():
                 quad = sigma[idx[child], idx[child]]
-                if not grid.is_substation(parent):
+                if parent not in grid.substation_ids:
                     quad += sigma[idx[parent], idx[parent]] - 2 * sigma[idx[child], idx[parent]]
                 direct = expected_sq_diff(forest, model, child, parent, variant=variant)
                 worst = max(worst, abs(direct - quad) / abs(quad))

@@ -13,6 +13,8 @@ from gridtop.harness.cli import _load_model, main
 from gridtop.learner import LearnerConfig, reconstruct
 from gridtop.moments import default_model
 
+from conftest import scaled_model_doc
+
 
 @pytest.fixture
 def runner():
@@ -228,6 +230,55 @@ def test_simulate_rejects_grid_without_forest(runner, tmp_path):
     res = runner.invoke(main, ["simulate", "--grid", str(path), "-m", "10",
                                "-o", str(tmp_path / "s.csv")])
     assert res.exit_code == 1
+
+
+def test_simulate_samples_a_model_in_any_node_order_in_the_forest_order(runner, tmp_path):
+    grid, forest = load_fixture("bus_13_3")
+    shuffled = [int(nid) for nid in np.random.default_rng(5).permutation(grid.load_ids)]
+    written = []
+    for order in (grid.load_ids, shuffled):
+        model_path, out = tmp_path / f"model{len(written)}.json", tmp_path / f"s{len(written)}.csv"
+        model_path.write_text(json.dumps(scaled_model_doc(forest, order)))
+        res = runner.invoke(main, ["simulate", "--grid", "bus_13_3", "-m", "50", "--seed", "3",
+                                   "--model", str(model_path), "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_simulate_refuses_a_model_over_other_ids(runner, tmp_path):
+    grid, forest = load_fixture("bus_13_3")
+    model_path, out = tmp_path / "model.json", tmp_path / "s.csv"
+    model_path.write_text(json.dumps(scaled_model_doc(forest, grid.load_ids, shift=100)))
+    res = runner.invoke(main, ["simulate", "--grid", "bus_13_3", "-m", "10", "--model", str(model_path),
+                               "-o", str(out)])
+    assert "model nodes do not match" in _one_error_line(res)
+    assert not out.exists()
+
+
+_BARE = {  # a grid that declares no operational forest
+    "nodes": [{"id": 0, "kind": "substation"}, {"id": 1, "kind": "load"}, {"id": 2, "kind": "load"}],
+    "edges": [{"from": 0, "to": 1, "r": 0.1, "x": 0.2}, {"from": 1, "to": 2, "r": 0.1, "x": 0.2}],
+}
+_EXPLICIT = {"kind": "explicit", "nodes": [1, 2], "mu_p": [-0.01, -0.01], "mu_q": [0.0, 0.0],
+             "sigma_p": [[2e-4, 1e-4], [1e-4, 2e-4]], "sigma_q": [[0.0, 0.0], [0.0, 0.0]],
+             "sigma_pq": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("model_text, exit_code, line", [
+    ("{not json", 1, "invalid model: "),
+    (json.dumps({"kind": "default"}), 1, "invalid model: a forest is required"),
+    (json.dumps(dict(_EXPLICIT, nodes=[101, 102])), 1, "invalid model: model nodes do not match"),
+    (json.dumps(_EXPLICIT), 0, "warning: positivity assumption not checked"),
+], ids=["invalid-json", "default", "other-ids", "valid"])
+def test_validate_reads_the_model_on_a_grid_without_a_forest(runner, tmp_path, model_text, exit_code, line):
+    grid_path, model_path = tmp_path / "bare.json", tmp_path / "model.json"
+    grid_path.write_text(json.dumps(_BARE))
+    model_path.write_text(model_text)
+    res = runner.invoke(main, ["validate", "--grid", str(grid_path), "--model", str(model_path)])
+    assert res.exit_code == exit_code, res.output
+    assert "no operational forest declared" in res.output
+    assert [text for text in res.output.splitlines() if text.startswith(line)] != []
 
 
 def test_env_seed_fallback(runner, tmp_path, monkeypatch):

@@ -30,10 +30,10 @@ from gridtop.harness import gridfile
 from gridtop.harness.experiment import write_gnuplot_script, write_trial_csv
 from gridtop.harness.gridfile import _parse_samples_checked, _parse_samples_plain
 from gridtop.learner import LearnerConfig, reconstruct
-from gridtop.moments import analytic_moment_set, default_model
+from gridtop.moments import analytic_moment_set, default_model, model_from_dict
 from gridtop.powerflow import VoltageSamples
 
-from conftest import chain_grid
+from conftest import chain_grid, scaled_model_doc
 
 
 # -- grid files -----------------------------------------------------------------
@@ -159,7 +159,7 @@ def test_generator_every_tree_gets_a_load():
     grid, forest = generate_random_grid(11, 4, 8, n_tie_lines=3, seed=1)
     for k in range(forest.n_trees):
         members = [n for n, t in forest.tree_of.items() if t == k]
-        assert any(not grid.is_substation(n) for n in members)
+        assert any(n not in grid.substation_ids for n in members)
 
 
 def test_add_open_lines_preserves_forest_and_ranges():
@@ -341,7 +341,7 @@ def test_reconstruct_rejects_non_finite_moment_entry():
     sigma = mset.sigma_eps.copy()
     nodes = mset.nodes
     sigma[2, 5] = np.inf
-    bad = MomentSet(nodes=nodes, sigma_eps=sigma, source="analytic")
+    bad = MomentSet(nodes=nodes, sigma_eps=sigma)
     with pytest.raises(DomainError, match=rf"nodes \({nodes[2]}, {nodes[5]}\)"):
         reconstruct(bad, model, grid, LearnerConfig(tau=0.05))
 
@@ -366,7 +366,7 @@ def test_moment_set_rejects_mis_shaped_matrices():
     from gridtop.moments import MomentSet
 
     with pytest.raises(DomainError, match="sigma_eps"):
-        MomentSet(nodes=(1, 2, 3), sigma_eps=np.eye(2), source="analytic")
+        MomentSet(nodes=(1, 2, 3), sigma_eps=np.eye(2))
 
 
 def test_voltage_samples_given_as_lists_are_learned_like_arrays():
@@ -397,7 +397,7 @@ def test_containers_keep_float_arrays_without_a_copy():
 
     eps, sigma = np.zeros((3, 2)), np.eye(2)
     assert VoltageSamples(nodes=(1, 2), eps=eps).eps is eps
-    assert MomentSet(nodes=(1, 2), sigma_eps=sigma, source="empirical").sigma_eps is sigma
+    assert MomentSet(nodes=(1, 2), sigma_eps=sigma).sigma_eps is sigma
 
 
 def test_moment_set_given_as_lists_is_learned_like_arrays():
@@ -406,8 +406,8 @@ def test_moment_set_given_as_lists_is_learned_like_arrays():
     grid, forest = load_fixture("bus_13_3")
     model = default_model(forest)
     exact = analytic_moment_set(forest, model)
-    plain = MomentSet(nodes=exact.nodes, sigma_eps=exact.sigma_eps, source="analytic")
-    listed = MomentSet(nodes=exact.nodes, sigma_eps=exact.sigma_eps.tolist(), source="analytic")
+    plain = MomentSet(nodes=exact.nodes, sigma_eps=exact.sigma_eps)
+    listed = MomentSet(nodes=exact.nodes, sigma_eps=exact.sigma_eps.tolist())
     config = LearnerConfig(tau=1e-6)
     assert reconstruct(listed, model, grid, config).trace == reconstruct(plain, model, grid, config).trace
 
@@ -417,7 +417,7 @@ def test_moment_set_rejects_entries_it_cannot_hold_as_floats(name):
     from gridtop.moments import MomentSet
 
     with pytest.raises(DomainError, match=f"^{name} must be an array of numbers"):
-        MomentSet(nodes=(1, 2), source="analytic", **{name: [["a", "0"], ["0", "1"]]})
+        MomentSet(nodes=(1, 2), **{name: [["a", "0"], ["0", "1"]]})
 
 
 @pytest.mark.parametrize("name", ["sigma_eps"])
@@ -427,7 +427,7 @@ def test_moment_set_refuses_numeric_strings(name, text):
     from gridtop.moments import MomentSet
 
     with pytest.raises(DomainError, match=f"^{name} must be an array of numbers"):
-        MomentSet(nodes=(1, 2), source="analytic", **{name: text})
+        MomentSet(nodes=(1, 2), **{name: text})
 
 
 def _doubled(nodes, matrix, repeat):
@@ -458,7 +458,7 @@ def test_moment_set_rejects_a_repeated_node_id():
     mset = analytic_moment_set(forest, model)
     nodes, sigma = _doubled(mset.nodes, mset.sigma_eps, 3)
     with pytest.raises(DomainError, match="node id 3 is listed twice"):
-        bad = MomentSet(nodes=nodes, sigma_eps=sigma, source="analytic")
+        bad = MomentSet(nodes=nodes, sigma_eps=sigma)
         reconstruct(bad, model, grid, LearnerConfig(tau=1e-4), truth=forest)
 
 
@@ -729,7 +729,7 @@ _SWEEP_GRID = {
     "edges": [{"from": 0, "to": 1, "r": 0.1, "x": 0.2, "closed": True},
               {"from": 1, "to": 2, "r": 0.1, "x": 0.2, "closed": True, "switchable": False}],
 }
-_SWEEP_POOL = [None, True, "x", 1.5, -1, 0, [], {}, [1], [0.1], {"a": 1}, ["x", "y"], [0.3, 0.1]]
+_SWEEP_POOL = [None, True, "x", 1.5, -1, 0, [], {}, [1], [0.1], {"a": 1}, ["x", "y"], [0.3, 0.1], ["inf"]]
 
 
 def _with(doc, path, value):
@@ -754,7 +754,7 @@ _SWEEP_SLOTS = (
     + [("grid", ("edges", 1, key)) for key in ("from", "to", "r", "x", "closed", "switchable")]
     # keys no reader takes, beside known ones
     + [("grid", path) for path in (("mta",), ("meta", "nmae"), ("nodes", 1, "knd"), ("edges", 1, "swichable"))]
-    + [("grid object", ("source",)), ("forest pair", ("random_seed",))]
+    + [("grid object", ("source",)), ("forest pair", ("random_seed",)), ("distflow plan", ("sample_counts",))]
 )
 
 
@@ -774,6 +774,7 @@ def test_no_mis_typed_document_value_escapes_as_a_raw_exception(document, path):
                 "model": dict(_SWEEP_PLAN, model=_with({}, path, value)),
                 "grid object": dict(_SWEEP_PLAN, grid=_with({"generator": _GENERATOR}, path, value)),
                 "forest pair": dict(_SWEEP_PLAN, forest=_with({"closed_edges": [0]}, path, value)),
+                "distflow plan": dict(_with(_SWEEP_PLAN, path, value), engine="distflow"),
             }[document]
             run_experiment(plan_from_dict(plan))
         except GridTopError:
@@ -974,10 +975,34 @@ def test_distflow_engine_simulation_close_to_lc():
 
 
 def test_analytic_sentinel_requires_lc_engine():
-    plan = _tiny_plan(sample_counts=["inf"], trials=1, engine="distflow")
-    result = run_experiment(plan)
-    assert result.failures == plan.trials
-    assert math.isnan(result.rows[0]["mean_error"])
+    # Refused when the plan is built, not once per "inf" trial.
+    with pytest.raises(DomainError, match="the infinite-sample limit is defined for the lc engine only"):
+        _tiny_plan(sample_counts=[50, "inf"], trials=1, engine="distflow")
+
+
+def _order_plan(model_doc):
+    return _tiny_plan(sample_counts=[1000, "inf"], taus=[0.05], trials=2, model=model_doc)
+
+
+def test_an_experiment_reads_a_model_in_any_node_order_in_the_forest_order(tmp_path):
+    grid, forest = load_fixture("bus_13_3")
+    shuffled = [int(nid) for nid in np.random.default_rng(5).permutation(grid.load_ids)]
+    written = []
+    for order in (grid.load_ids, shuffled):
+        result = run_experiment(_order_plan(scaled_model_doc(forest, order)))
+        assert result.failures == 0
+        write_error_csv(path := tmp_path / f"{len(written)}.csv", result)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_a_model_over_other_ids_is_refused_before_any_draw():
+    grid, forest = load_fixture("bus_13_3")
+    doc = scaled_model_doc(forest, grid.load_ids, shift=100)
+    with pytest.raises(DomainError, match="model nodes do not match"):
+        simulate_voltage(forest, model_from_dict(doc), 10, seed=1)
+    with pytest.raises(DomainError, match="model nodes do not match"):
+        run_experiment(_order_plan(doc))
 
 
 def test_experiment_seed_falls_back_to_env(monkeypatch, tmp_path):

@@ -136,13 +136,13 @@ def test_pop_order_non_increasing_and_children_first():
     mset = _analytic(forest, model)
     res = reconstruct(mset, model, grid, LearnerConfig(tau=1e-9))
     idx = grid.load_index
-    moments = [0.0 if grid.is_substation(nid) else float(mset.sigma_eps[idx[nid], idx[nid]])
+    moments = [0.0 if nid in grid.substation_ids else float(mset.sigma_eps[idx[nid], idx[nid]])
                for nid in res.pop_order]
     assert all(a >= b - 1e-18 for a, b in zip(moments, moments[1:]))
     seen = set()
     for nid in res.pop_order:
         # every strict descendant must already have popped
-        if not grid.is_substation(nid):
+        if nid not in grid.substation_ids:
             for child in forest.children.get(nid, ()):
                 assert child in seen
         seen.add(nid)
@@ -206,7 +206,7 @@ def test_overshoot_of_the_closed_form_is_rejected():
     grid, forest = single_edge_grid()
     model = default_model(forest)
     exact = _analytic(forest, model)
-    inflated = MomentSet(nodes=exact.nodes, sigma_eps=1.5 * exact.sigma_eps, source="analytic")
+    inflated = MomentSet(nodes=exact.nodes, sigma_eps=1.5 * exact.sigma_eps)
     corrected = reconstruct(inflated, model, grid, LearnerConfig(tau=0.1))
     assert corrected.learned_edges == frozenset()
 
@@ -219,7 +219,7 @@ def test_zero_rhs_with_nonzero_lhs_is_rejected_and_recorded():
                                   mu_p=np.zeros(n), mu_q=np.zeros(n),
                                   sigma_p=np.zeros((n, n)), sigma_q=np.zeros((n, n)),
                                   sigma_pq=np.zeros((n, n)))
-    nonzero = MomentSet(nodes=grid.load_ids, sigma_eps=np.array([[1e-4]]), source="analytic")
+    nonzero = MomentSet(nodes=grid.load_ids, sigma_eps=np.array([[1e-4]]))
     res = reconstruct(nonzero, zero_model, grid, LearnerConfig(tau=0.5))
     assert res.learned_edges == frozenset()
     rec = [r for r in res.trace if r.leaf == 1 and r.candidate == 0]
@@ -309,7 +309,7 @@ def test_decision_margins_are_none_without_such_a_decision():
     assert exact.accept_margin is not None and exact.reject_margin is None
     grid, forest = single_edge_grid()
     mset = _analytic(forest, model := default_model(forest))
-    inflated = MomentSet(nodes=mset.nodes, sigma_eps=1.5 * mset.sigma_eps, source="analytic")
+    inflated = MomentSet(nodes=mset.nodes, sigma_eps=1.5 * mset.sigma_eps)
     none_accepted = reconstruct(inflated, model, grid, LearnerConfig(tau=0.1))
     assert none_accepted.accept_margin is None and none_accepted.reject_margin is not None
 
@@ -358,7 +358,7 @@ def _learner_case(kind, seed, m, variant, permute, zero_model):
     nodes = tuple(np.array(grid.load_ids)[perm].tolist())
     if m == math.inf:
         sigma = _analytic(forest, model, variant).sigma_eps[np.ix_(perm, perm)]
-        data = MomentSet(nodes=nodes, sigma_eps=sigma, source="analytic")
+        data = MomentSet(nodes=nodes, sigma_eps=sigma)
     else:
         eps = _sampled(forest, model, m, seed=seed + 2).eps[:, perm]
         data = VoltageSamples(nodes=nodes, eps=eps)
@@ -421,7 +421,7 @@ def test_reconstruct_invariants(kind, seed, m, variant, tau, permute, zero_model
     for k, b_star in enumerate(res.pop_order):
         tested = [rec.leaf for rec in res.trace if rec.candidate == b_star]
         expected = [a for a in res.pop_order[:k]
-                    if not grid.is_substation(a) and adopted_at.get(a, math.inf) >= k]
+                    if a not in grid.substation_ids and adopted_at.get(a, math.inf) >= k]
         assert tested == expected
 
 
@@ -465,7 +465,7 @@ def test_analytic_sets_answer_the_pair_statistic_themselves():
     res = reconstruct(mset, model, grid, LearnerConfig(tau=1e-12), truth=forest)
     assert res.relative_error == 0.0
     for rec in res.decisions:
-        if grid.is_substation(rec.candidate):
+        if rec.candidate in grid.substation_ids:
             assert rec.lhs == mset.sigma_eps[idx[rec.leaf], idx[rec.leaf]]
         else:
             assert rec.lhs == mset.drops.sq_diff(idx[rec.leaf], idx[rec.candidate])

@@ -273,7 +273,7 @@ def test_empirical_moments_single_sample_outer_product():
     samples = VoltageSamples(nodes=(1, 2), eps=np.array([[1.0, 2.0]]))
     mset = empirical_moments(samples)
     np.testing.assert_allclose(mset.sigma_eps, [[1.0, 2.0], [2.0, 4.0]])
-    assert mset.m == 1 and mset.source == "empirical"
+    assert mset.m == 1
 
 
 def test_empirical_moments_zero_samples_zero_matrix():
@@ -434,7 +434,7 @@ def test_expected_sq_diff_equals_quadratic_form(seed):
         sigma = analytic_moment_set(forest, model, variant=variant).sigma_eps
         for child, parent in forest.parent.items():
             want = sigma[idx[child], idx[child]]
-            if not grid.is_substation(parent):
+            if parent not in grid.substation_ids:
                 want += sigma[idx[parent], idx[parent]] - 2 * sigma[idx[child], idx[parent]]
             got = expected_sq_diff(forest, model, child, parent, variant=variant)
             assert got == pytest.approx(want, rel=1e-10)
@@ -1037,9 +1037,9 @@ def test_hand_built_moment_sets_carry_no_pair_statistic(fig3):
     grid, forest = fig3
     mset = analytic_moment_set(forest, default_model(forest))
     assert mset.drops is not None
-    plain = type(mset)(nodes=mset.nodes, sigma_eps=mset.sigma_eps, source="analytic")
+    plain = type(mset)(nodes=mset.nodes, sigma_eps=mset.sigma_eps)
     assert plain.drops is None
-    assert plain == type(mset)(nodes=mset.nodes, sigma_eps=mset.sigma_eps, source="analytic", drops=mset.drops)
+    assert plain == type(mset)(nodes=mset.nodes, sigma_eps=mset.sigma_eps, drops=mset.drops)
     assert "drops" not in repr(plain)
 
 

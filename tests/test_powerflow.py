@@ -247,17 +247,17 @@ def test_dc_is_the_small_reactance_limit_of_lcpf():
 
 def test_distflow_no_load_flat_profile(fig3):
     grid, forest = fig3
-    res = distflow_solve(forest, InjectionVector(p=np.zeros(5), q=np.zeros(5)), v0=1.0)
+    res = distflow_solve(forest, InjectionVector(p=np.zeros(5), q=np.zeros(5)))
     np.testing.assert_allclose(res.state.eps, 0.0, atol=1e-14)
     assert all(f == (0.0, 0.0) for f in res.flows.values())
     assert res.state.theta is None
 
 
 def test_distflow_single_load_fixed_point():
-    # Scalar oracle: with one edge the recursion collapses to the pair
-    # f <- L + r (f^2 + h^2) / v0^2,  h <- x (f^2 + h^2) / v0^2
-    # (the reactive flow carries the reactive line loss) plus the voltage
-    # update.
+    # Scalar oracle: with one edge, and the substation at v = 1, the
+    # recursion collapses to the pair f <- L + r (f^2 + h^2),
+    # h <- x (f^2 + h^2) (the reactive flow carries the reactive line loss)
+    # plus the voltage update.
     r = x = 0.5
     load = 0.01  # consumption-positive magnitude of p = -0.01
     grid, forest = single_edge_grid(r=r, x=x)
@@ -339,14 +339,10 @@ def test_distflow_rejects_bad_parameters(single_edge):
     grid, forest = single_edge
     inj = InjectionVector(p=[-0.01], q=[0.0])
     with pytest.raises(DomainError):
-        distflow_solve(forest, inj, v0=0.0)
-    with pytest.raises(DomainError):
         distflow_solve(forest, inj, tol=-1.0)
     for max_iter in (0, True, 2.0):  # a bool is not one sweep, nor a float two
         with pytest.raises(DomainError, match="max_iter"):
             distflow_solve(forest, inj, max_iter=max_iter)
-    with pytest.raises(DomainError, match="root voltage"):
-        distflow_solve(forest, inj, v0="1")
     with pytest.raises(DomainError, match="tolerance"):
         distflow_solve(forest, inj, tol="1")
 

@@ -86,7 +86,7 @@ def test_linear_sweeps_match_scalar_recursion(kind, seed):
 def test_batched_distflow_matches_scalar_recursion(kind, seed):
     grid, forest = _grid(kind, seed)
     p, q = _graded_batch(forest, seed)
-    batch = _distflow(forest, p, q, 1.0, 1e-10, 100)
+    batch = _distflow(forest, p, q, 1e-10, 100)
     many = distflow_solve_many(forest, p, q)
     assert many.nodes == grid.load_ids
     assert len(set(batch.iterations.tolist())) >= 2  # samples stop at different sweeps
@@ -222,8 +222,7 @@ def test_batch_solvers_reject_bad_input(fig3):
         distflow_solve(forest, InjectionVector(p=p[0, :4], q=p[0, :4]))
 
     inj = InjectionVector(p=p[0], q=p[0])
-    for kwargs in ({"v0": 0.0}, {"v0": -1.0}, {"v0": np.nan}, {"v0": np.inf}, {"tol": 0.0},
-                   {"tol": np.nan}, {"max_iter": 0}, {"max_iter": 2.5}):
+    for kwargs in ({"tol": 0.0}, {"tol": np.nan}, {"max_iter": 0}, {"max_iter": 2.5}):
         with pytest.raises(DomainError) as many:
             distflow_solve_many(forest, p, p, **kwargs)
         with pytest.raises(DomainError) as single:
