@@ -10,19 +10,22 @@ Laplacian matrices of the paper are built only by the tests, which check
 these routes against plain linear algebra.
 
 A forest is traversed once, when it is built: one depth-first pass per tree
-validates it and records the load preorder, in which every node's subtree
-(its descendant set) is one run of consecutive positions.  Every ancestry
-question reads those runs: descendant sets are slices, and "v lies below u"
-is one interval test.
+validates it and records the parent relation, depths and children.  Every
+tree sweep of the package runs on one layout derived from those, the level
+plan: working arrays hold one row per load node, sorted by (depth, id), and
+a sweep visits one depth level at a time.  Two kernels run on it: subtree
+sums, leaves to root, and root-path sums, root to leaves.
 
-The dense inverse Laplacian (``path_sum_matrix``) costs O(N^2): entry
-(a, b) is P(lca(a, b)), the root-path sum of the pair's lowest common
-ancestor.  P is computed once for all loads, and each node pair is written
-once, in preorder.
+The dense inverse Laplacian (``path_sum_matrix``) is D^T diag(1/w) D, with D
+the subtree indicator: entry (a, b) sums 1/w over the lines on the root path
+that a and b share.  Two root-path sweeps give it in O(N^2); each entry adds
+its shared path root first, so its bits do not depend on how the nodes are
+numbered.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import reprlib
@@ -223,13 +226,13 @@ class ForestConfig:
     ``closed_edges`` are indices into ``grid.edges``; they must form a
     spanning forest with exactly one substation per tree.  Trees are indexed
     by the ascending order of their substation ids.  The parent relation,
-    depths, and the preorder runs that give descendant sets are derived once
-    and cached; instances are immutable and safe to share across threads.
+    depths and children are derived once and cached; instances are
+    immutable and safe to share across threads.
     """
 
     grid: GridGraph
     closed_edges: tuple[int, ...]
-    # Set by ``_derive``, as are ``_load_preorder`` and ``_span``.
+    # Set by ``_derive``.
     tree_of: dict[int, int] = field(init=False, compare=False, repr=False)
     # Parent node of every load node.
     parent: dict[int, int] = field(init=False, compare=False, repr=False)
@@ -265,9 +268,8 @@ class ForestConfig:
     def _derive(self):
         """The forest's one traversal: a depth-first pass per tree, trees in
         substation-index order and neighbours by ascending id.  It validates
-        the forest and records the parent relation, the load preorder, and
-        each node's subtree as the run [start, stop) of preorder positions
-        (a substation's run is its whole tree)."""
+        the forest and records the parent relation, depths and children (by
+        ascending id)."""
         grid = self.grid
         adj: dict[int, list[tuple[int, int]]] = {n.id: [] for n in grid.nodes}
         for ei in self.closed_edges:
@@ -283,14 +285,12 @@ class ForestConfig:
         parent_edge: dict[int, int] = {}
         depth: dict[int, int] = {}
         children: dict[int, list[int]] = {n.id: [] for n in grid.nodes}
-        preorder: list[int] = []
-        span: dict[int, tuple[int, int]] = {}
         for k, root in enumerate(grid.substation_ids):
             tree_of[root] = k
             depth[root] = 0
-            stack = [(root, len(preorder), iter(adj[root]))]  # (node, its start, neighbours left)
+            stack = [(root, iter(adj[root]))]  # (node, neighbours left)
             while stack:
-                cur, start, todo = stack[-1]
+                cur, todo = stack[-1]
                 for nb, ei in todo:
                     if nb == parent.get(cur):
                         continue
@@ -303,12 +303,10 @@ class ForestConfig:
                     parent_edge[nb] = ei
                     depth[nb] = depth[cur] + 1
                     children[cur].append(nb)
-                    stack.append((nb, len(preorder), iter(adj[nb])))
-                    preorder.append(nb)
+                    stack.append((nb, iter(adj[nb])))
                     break
                 else:
                     stack.pop()
-                    span[cur] = (start, len(preorder))
         unreached = sorted(n.id for n in grid.nodes if n.id not in tree_of)
         if unreached:
             raise StructureError(f"closed edges do not span the grid (unreached nodes: {unreached})")
@@ -318,8 +316,6 @@ class ForestConfig:
         object.__setattr__(self, "parent_edge", parent_edge)
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "children", {k: tuple(v) for k, v in children.items()})
-        object.__setattr__(self, "_load_preorder", tuple(preorder))
-        object.__setattr__(self, "_span", span)
 
     # -- structure lookups --------------------------------------------------
 
@@ -349,10 +345,120 @@ class ForestConfig:
     @cached_property
     def descendant_load_indices(self) -> dict[int, np.ndarray]:
         """For every load node, the canonical (ascending load id) indices of
-        the loads in its descendant set, itself included.  No runtime path
-        reads it; perfbench/spans.py counts path-sum work with it."""
-        canon = np.array([self.grid.load_index[nid] for nid in self._load_preorder], dtype=np.intp)
-        return {nid: np.sort(canon[slice(*self._span[nid])]) for nid in self.grid.load_ids}
+        the loads in its descendant set, itself included, merged leaves
+        first.  No runtime path reads it; perfbench/spans.py counts path-sum
+        work with it."""
+        idx = self.grid.load_index
+        out: dict[int, np.ndarray] = {}
+        for nid in reversed(self.loads_by_depth):
+            members = [np.array([idx[nid]], dtype=np.intp), *(out[ch] for ch in self.children[nid])]
+            out[nid] = np.sort(np.concatenate(members))
+        return out
+
+
+# -- the level plan -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _LevelPlan:
+    """Row layout of every tree sweep over whole trees of one forest.
+
+    A working array has one row per load node, sorted by (depth, id), one
+    column per sample, moment entry or load, and a last *outside* row, which
+    the plan indexes as -1.  The outside row is 0 in flow arrays, where it
+    pads the child-row matrices, and holds the substation value in voltage
+    arrays, where it is the parent row of every node attached to a
+    substation.
+    """
+
+    canon: np.ndarray                 # canonical (ascending-id) index of each row's load
+    levels: tuple[slice, ...]         # the rows of each depth level, substation side first
+    children: tuple[np.ndarray, ...]  # per level: (max_children, width) child rows, by ascending id
+    parents: tuple[np.ndarray, ...]   # per level: the parent row of each node
+    r: np.ndarray                     # line resistance of each row, an (n, 1) column
+    x: np.ndarray                     # line reactance
+    z2: np.ndarray                    # r^2 + x^2
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=float).reshape(-1, 1)
+
+
+def _build_level_plan(forest: ForestConfig, order) -> _LevelPlan:
+    """The sweep layout over the loads ``order``: whole trees, sorted by
+    (depth, id)."""
+    row = {nid: i for i, nid in enumerate(order)}
+    levels, children, parents = [], [], []
+    for _, level in itertools.groupby(order, key=forest.depth.__getitem__):
+        level = tuple(level)
+        kids = np.full((max(len(forest.children[nid]) for nid in level), len(level)), -1, dtype=np.intp)
+        for j, nid in enumerate(level):
+            kids[:len(forest.children[nid]), j] = [row[ch] for ch in forest.children[nid]]
+        start = row[level[0]]
+        levels.append(slice(start, start + len(level)))
+        children.append(kids)
+        parents.append(np.array([row.get(forest.parent[nid], -1) for nid in level], dtype=np.intp))
+    lines = [forest.grid.edges[forest.parent_edge[nid]] for nid in order]
+    return _LevelPlan(
+        canon=np.array([forest.grid.load_index[nid] for nid in order], dtype=np.intp),
+        levels=tuple(levels), children=tuple(children), parents=tuple(parents),
+        r=_column([e.r for e in lines]), x=_column([e.x for e in lines]),
+        z2=_column([e.r ** 2 + e.x ** 2 for e in lines]),
+    )
+
+
+def _level_plan(forest: ForestConfig) -> _LevelPlan:
+    """The whole forest's sweep layout, built on first use and kept in its
+    memo."""
+    plan = forest.memo.get("level_plan")
+    if plan is None:
+        plan = forest.memo["level_plan"] = _build_level_plan(forest, forest.loads_by_depth)
+    return plan
+
+
+def _rows(plan: _LevelPlan, batch: np.ndarray) -> np.ndarray:
+    """A canonical (m, N) batch as a working array, outside row 0."""
+    out = np.zeros((plan.canon.size + 1, batch.shape[0]))
+    out[:-1] = batch.T[plan.canon]
+    return out
+
+
+def _canonical(plan: _LevelPlan, rows: np.ndarray) -> np.ndarray:
+    """A working array as a canonical (m, N) batch."""
+    out = np.empty((rows.shape[1], plan.canon.size))
+    out[:, plan.canon] = rows[:-1].T
+    return out
+
+
+def _outside_row(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` with the zero outside row of a level-plan working array."""
+    return np.concatenate([a, np.zeros((1, *a.shape[1:]))])
+
+
+def _subtree_sums(plan: _LevelPlan, rows: np.ndarray) -> np.ndarray:
+    """Replace every row of a working array (outside row 0) by the sum over
+    its node's subtree, in place.  Children are added one at a time in
+    ascending id order; a node with fewer children adds the outside row's
+    exact 0.0 instead."""
+    for level, kids in zip(reversed(plan.levels), reversed(plan.children)):
+        acc = rows[level]
+        for k in kids:
+            acc += rows[k]
+    return rows
+
+
+def _root_path_sums(plan: _LevelPlan, rows: np.ndarray) -> np.ndarray:
+    """Replace every row of a working array (outside row 0) by the sum over
+    its node's root path, in place, root first."""
+    for level, par in zip(plan.levels, plan.parents):
+        rows[level] += rows[par]
+    return rows
+
+
+def _path_sums(plan: _LevelPlan, block: np.ndarray) -> np.ndarray:
+    """D^T block D over the plan's rows, leaving ``block`` as it is."""
+    half = _root_path_sums(plan, _outside_row(block))[:-1].T
+    return _root_path_sums(plan, _outside_row(half))[:-1].T
 
 
 # -- inverse Laplacian combinatorics ----------------------------------------
@@ -368,44 +474,19 @@ def _weight_of(weights: Mapping[int, float], edge_index: int) -> float:
     return w
 
 
-def _root_path_sums(forest: ForestConfig, weights: Mapping[int, float]) -> np.ndarray:
-    """P(v), the sum of 1/weight over the root path of every load v, indexed
-    by the preorder position of v.
-
-    Each edge adds its 1/weight to its child's whole subtree, edges taken in
-    ascending child id.  That fixes the order of every sequential sum, and
-    with it the last bits of every entry; a root-to-leaf prefix sum would add
-    in depth order instead, which differs wherever ids are not depth-ordered.
-    """
-    sums = np.zeros(len(forest._load_preorder))
-    for nid in forest.grid.load_ids:
-        sums[slice(*forest._span[nid])] += 1.0 / _weight_of(weights, forest.parent_edge[nid])
-    return sums
-
-
 def path_sum_matrix(forest: ForestConfig, weights: Mapping[int, float]) -> np.ndarray:
     """Dense inverse reduced Laplacian over the canonical (ascending load id)
     index space, in O(N^2).
 
-    Entry (a, b) is P(lca(a, b)), the root-path sum of the pair's lowest
-    common ancestor, or 0 when that is a substation or the pair spans two
-    trees.  The matrix is filled in preorder, where descendant sets are
-    contiguous, writing each pair once: node v writes its own row and column
-    over its descendants, and each child subtree of v against the subtrees
-    of v's earlier children.
+    Entry (a, b) is the sum of 1/weight over the lines on the root path that
+    a and b share, or 0 when they share none (their paths meet at a
+    substation, or they lie in two trees).  It is D^T diag(1/w) D by two
+    root-path sweeps on the level plan, so every entry adds its shared path
+    root first.
     """
-    span = forest._span
-    sums = _root_path_sums(forest, weights)
-    n = len(sums)
-    out = np.zeros((n, n))
-    for v, nid in enumerate(forest._load_preorder):
-        value = sums[v]
-        stop = span[nid][1]
-        out[v, v:stop] = value
-        out[v + 1:stop, v] = value
-        for ch in forest.children[nid]:
-            lo, hi = span[ch]
-            out[lo:hi, v + 1:lo] = value
-            out[v + 1:lo, lo:hi] = value
-    canon = np.array([span[nid][0] for nid in forest.grid.load_ids], dtype=np.intp)
-    return out[np.ix_(canon, canon)]
+    plan = _level_plan(forest)
+    sums = _path_sums(plan, np.diag([1.0 / _weight_of(weights, forest.parent_edge[nid])
+                                     for nid in forest.loads_by_depth]))
+    out = np.empty_like(sums)
+    out[np.ix_(plan.canon, plan.canon)] = sums
+    return out

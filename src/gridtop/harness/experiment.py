@@ -70,12 +70,17 @@ class ExperimentPlan:
     name: str = ""
 
     def __post_init__(self):
+        # A plan built in Python is held to the types plan_from_dict reads.
+        if not _is_index(self.trials):
+            raise DomainError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise DomainError(f"trials must be at least 1, got {self.trials}")
+        if not _is_seed_or_none(self.seed):
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.sample_counts:
             raise DomainError("sample_counts must not be empty")
         for m in self.sample_counts:
-            if not (math.isinf(m) or (float(m).is_integer() and m >= 1)):
+            if not (m == math.inf or (_is_finite(m) and float(m).is_integer() and m >= 1)):
                 raise DomainError(f"sample counts must be positive integers or inf, got {m}")
         if not self.taus:
             raise DomainError("taus must not be empty")
@@ -85,6 +90,8 @@ class ExperimentPlan:
             raise DomainError(f"engine must be 'lc' or 'distflow', got {self.engine!r}")
         if self.engine != "lc" and any(map(math.isinf, self.sample_counts)):
             raise DomainError("the infinite-sample limit is defined for the lc engine only")
+        if not _is_index(self.augment_open_lines):
+            raise DomainError(f"augment_open_lines must be an integer, got {self.augment_open_lines!r}")
         if self.augment_open_lines < 0:
             raise DomainError("augment_open_lines must be non-negative")
 

@@ -37,10 +37,10 @@ import numpy as np
 
 from .errors import DomainError, ModelError, ParseError
 # path_sum_matrix is unused here but kept: perfbench/spans.py wraps it on this module by name.
-from .grid import (ForestConfig, LineEdge, _entry, _is_finite, _is_index, _is_number, _known_keys,  # noqa: F401
-                   _list_of, _repeated, path_sum_matrix)
-from .powerflow import (VoltageSamples, _build_level_plan, _float_array, _impedance, _LevelPlan, _root_path_sums,
-                        _rows, _subtree_sums, effective_impedance)
+from .grid import (ForestConfig, LineEdge, _build_level_plan, _entry, _is_finite, _is_index,  # noqa: F401
+                   _is_number, _known_keys, _LevelPlan, _list_of, _outside_row, _path_sums, _repeated,
+                   _root_path_sums, _rows, _subtree_sums, path_sum_matrix)
+from .powerflow import VoltageSamples, _float_array, _impedance, effective_impedance
 
 __all__ = [
     "InjectionModel",
@@ -227,7 +227,9 @@ class InjectionModel:
         if nodes == self.nodes:
             return self
         if set(nodes) != set(self.nodes):
-            raise DomainError("model nodes do not match the requested node set")
+            missing, extra = sorted(set(nodes) - set(self.nodes)), sorted(set(self.nodes) - set(nodes))
+            found = [f"{what} {reprlib.repr(ids)}" for what, ids in (("missing", missing), ("extra", extra)) if ids]
+            raise DomainError(f"model nodes do not match the requested node set: {', '.join(found)}")
         pos = {nid: i for i, nid in enumerate(self.nodes)}
         perm = np.array([pos[nid] for nid in nodes], dtype=np.intp)
         return InjectionModel(
@@ -450,11 +452,6 @@ def _block_plans(forest: ForestConfig, model: InjectionModel) -> list[_LevelPlan
     return [_build_level_plan(forest, order) for order in orders if order]
 
 
-def _outside_row(a: np.ndarray) -> np.ndarray:
-    """A copy of ``a`` with the zero outside row of a level-plan working array."""
-    return np.concatenate([a, np.zeros((1, *a.shape[1:]))])
-
-
 def _injection_sums(plan: _LevelPlan, mod: InjectionModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """D S D^T over one block for S = sigma_p, sigma_q and sigma_pq^T: the
     second moments of the injections summed below each pair of lines."""
@@ -475,12 +472,6 @@ def _drop_moments(sums, r, x) -> np.ndarray:
     """E[delta delta^T] over one block's lines, delta = r P + x Q."""
     gp, gq, gqp = sums
     return np.outer(r, r) * gp + np.outer(x, x) * gq + np.outer(r, x) * gqp.T + np.outer(x, r) * gqp
-
-
-def _path_sums(plan: _LevelPlan, block: np.ndarray) -> np.ndarray:
-    """D^T block D, leaving ``block`` as it is."""
-    half = _root_path_sums(plan, _outside_row(block))[:-1].T
-    return _root_path_sums(plan, _outside_row(half))[:-1].T
 
 
 class LineDrops:

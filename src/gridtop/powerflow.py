@@ -20,27 +20,28 @@ at eps = theta = 0.
   voltage magnitudes and line flows only; no phase-recovery rule exists for
   it, so ``distflow_solve`` gives ``theta`` as None.
 
-Every tree sweep runs on one layout, the level plan: working arrays hold
+Every tree sweep runs on the level plan of ``grid``: working arrays hold
 one row per load node, sorted by (depth, id), and one column per sample,
 and a sweep visits one depth level at a time.  The solvers here use one
 plan per forest, built on first use and kept in ``forest.memo``; the
 analytic moments (``moments``) build one per block of trees, over that
-block's loads, with a column per moment entry.  The Python work is per
-level, not per node or per column; the arithmetic per node and sample is
-that of the scalar recursion, in the same order, so results do not depend
-on the batch they are solved in.
+block's loads, with a column per moment entry, and ``path_sum_matrix``
+sweeps the whole forest's plan with a column per load.  The Python work is
+per level, not per node or per column; the arithmetic per node and sample
+is that of the scalar recursion, in the same order, so results do not
+depend on the batch they are solved in.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InfeasibleStateError
-from .grid import ForestConfig, LineEdge, _is_index, _is_number, _repeated, path_sum_matrix
+from .grid import (ForestConfig, LineEdge, _canonical, _is_index, _is_number, _level_plan, _repeated, _rows,
+                   _subtree_sums, path_sum_matrix)
 
 __all__ = [
     "VARIANTS",
@@ -146,97 +147,6 @@ def _check_batch(forest: ForestConfig, p, q) -> tuple[np.ndarray, np.ndarray]:
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise DomainError("injections must be finite")
     return p, q
-
-
-@dataclass(frozen=True)
-class _LevelPlan:
-    """Row layout of every tree sweep over whole trees of one forest.
-
-    A working array has one row per load node, sorted by (depth, id), one
-    column per sample or per moment entry, and a last *outside* row, which
-    the plan indexes as -1.  The outside row is 0 in flow arrays, where it
-    pads the child-row matrices, and holds the substation value in voltage
-    arrays, where it is the parent row of every node attached to a
-    substation.
-    """
-
-    canon: np.ndarray                 # canonical (ascending-id) index of each row's load
-    levels: tuple[slice, ...]         # the rows of each depth level, substation side first
-    children: tuple[np.ndarray, ...]  # per level: (max_children, width) child rows, by ascending id
-    parents: tuple[np.ndarray, ...]   # per level: the parent row of each node
-    r: np.ndarray                     # line resistance of each row, an (n, 1) column
-    x: np.ndarray                     # line reactance
-    z2: np.ndarray                    # r^2 + x^2
-
-
-def _column(values) -> np.ndarray:
-    return np.array(values, dtype=float).reshape(-1, 1)
-
-
-def _build_level_plan(forest: ForestConfig, order) -> _LevelPlan:
-    """The sweep layout over the loads ``order``: whole trees, sorted by
-    (depth, id)."""
-    row = {nid: i for i, nid in enumerate(order)}
-    levels, children, parents = [], [], []
-    for _, level in itertools.groupby(order, key=forest.depth.__getitem__):
-        level = tuple(level)
-        kids = np.full((max(len(forest.children[nid]) for nid in level), len(level)), -1, dtype=np.intp)
-        for j, nid in enumerate(level):
-            kids[:len(forest.children[nid]), j] = [row[ch] for ch in forest.children[nid]]
-        start = row[level[0]]
-        levels.append(slice(start, start + len(level)))
-        children.append(kids)
-        parents.append(np.array([row.get(forest.parent[nid], -1) for nid in level], dtype=np.intp))
-    lines = [forest.grid.edges[forest.parent_edge[nid]] for nid in order]
-    return _LevelPlan(
-        canon=np.array([forest.grid.load_index[nid] for nid in order], dtype=np.intp),
-        levels=tuple(levels), children=tuple(children), parents=tuple(parents),
-        r=_column([e.r for e in lines]), x=_column([e.x for e in lines]),
-        z2=_column([e.r ** 2 + e.x ** 2 for e in lines]),
-    )
-
-
-def _level_plan(forest: ForestConfig) -> _LevelPlan:
-    """The whole forest's sweep layout, built on first use and kept in its
-    memo."""
-    plan = forest.memo.get("level_plan")
-    if plan is None:
-        plan = forest.memo["level_plan"] = _build_level_plan(forest, forest.loads_by_depth)
-    return plan
-
-
-def _rows(plan: _LevelPlan, batch: np.ndarray) -> np.ndarray:
-    """A canonical (m, N) batch as a working array, outside row 0."""
-    out = np.zeros((plan.canon.size + 1, batch.shape[0]))
-    out[:-1] = batch.T[plan.canon]
-    return out
-
-
-def _canonical(plan: _LevelPlan, rows: np.ndarray) -> np.ndarray:
-    """A working array as a canonical (m, N) batch."""
-    out = np.empty((rows.shape[1], plan.canon.size))
-    out[:, plan.canon] = rows[:-1].T
-    return out
-
-
-def _subtree_sums(plan: _LevelPlan, rows: np.ndarray) -> np.ndarray:
-    """Replace every row of a working array (outside row 0) by the sum over
-    its node's subtree, in place.  Children are added one at a time in
-    ascending id order; a node with fewer children adds the outside row's
-    exact 0.0 instead."""
-    for level, kids in zip(reversed(plan.levels), reversed(plan.children)):
-        acc = rows[level]
-        for k in kids:
-            acc += rows[k]
-    return rows
-
-
-def _root_path_sums(plan: _LevelPlan, rows: np.ndarray) -> np.ndarray:
-    """Replace every row of a working array (outside row 0) by the sum over
-    its node's root path, in place."""
-    for level, par in zip(plan.levels, plan.parents):
-        rows[level] += rows[par]
-    return rows
 
 
 # Each variant of the linear model is the coupled model with its own

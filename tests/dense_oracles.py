@@ -104,9 +104,9 @@ def build_reduced_incidence(forest, orientation: Mapping[int, tuple[int, int]] |
         if head in col:
             m[i, col[head]] = -1.0
 
-    # A tree's loads take the same positions in preorder as in tree-major order.
-    trees = (forest._span[root] for root in forest.grid.substation_ids)
-    blocks = tuple((start, stop) for start, stop in trees if stop > start)
+    # In tree-major order each tree's loads follow those of the trees before it.
+    cuts = np.cumsum([0, *np.bincount(forest.load_tree_index, minlength=forest.n_trees)]).tolist()
+    blocks = tuple((start, stop) for start, stop in zip(cuts, cuts[1:]) if stop > start)
     return ReducedIncidence(matrix=m, node_order=order, edge_order=tuple(edge_order), blocks=blocks)
 
 

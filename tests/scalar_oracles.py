@@ -2,19 +2,18 @@
 
 ``scalar_sweep`` and ``scalar_distflow`` are the per-node, per-sample tree
 recursions that ``powerflow`` ran before its sweeps were batched over
-samples and depth levels; ``block_path_sums`` is the block accumulation
-that ``grid.path_sum_matrix`` ran before it filled each node pair once by
-its lowest common ancestor.  They are kept here, out of the package, as the
-oracles the fast paths must match bit for bit: same visiting order,
-children summed one at a time in ascending id order, the same stopping rule
+samples and depth levels; ``block_path_sums`` is an earlier
+``grid.path_sum_matrix``, a block accumulation over descendant sets.  They
+are kept here, out of the package, as the oracles the fast paths must match
+bit for bit: same visiting order, children summed one at a time in
+ascending id order, root paths summed root first, the same stopping rule
 and the same errors.
 
-The ancestry oracles (``preorder``, ``descendants``,
-``descendant_load_indices``, ``lca``, ``inverse_incidence_entry`` and
-``laplacian_row_difference``) are separate walks over the parent and child
-maps: a preorder rebuilt per call, a stack walk over children, a post-order
-merge, a depth-equalising climb and a root-path membership test.  They are
-checked against the preorder runs a forest records when it is built and
+The ancestry oracles (``descendants``, ``descendant_load_indices``,
+``lca``, ``inverse_incidence_entry`` and ``laplacian_row_difference``) are
+separate walks over the parent and child maps: a stack walk over children,
+a post-order merge, a depth-equalising climb and a root-path membership
+test.  They are checked against the descendant sets a forest records and
 against the dense matrices of ``dense_oracles``, which holds the paper's
 incidence and Laplacian matrices and its moment identities.
 
@@ -126,32 +125,16 @@ def scalar_distflow(forest, inj, tol=1e-10, max_iter=100) -> DistFlowResult:
 
 def block_path_sums(forest, weights) -> np.ndarray:
     """The inverse reduced Laplacian in canonical order by block
-    accumulation, O(sum of |desc|^2): each load, in ascending id order, adds
-    1/weight of its parent edge to the block of node pairs that both descend
-    through it."""
+    accumulation, O(sum of |desc|^2): each load, root first (in (depth, id)
+    order), adds 1/weight of its parent edge to the block of node pairs that
+    both descend through it."""
     n = forest.grid.n_loads
     out = np.zeros((n, n))
     desc = descendant_load_indices(forest)
-    for nid in forest.grid.load_ids:
+    for nid in forest.loads_by_depth:
         members = desc[nid]
         out[np.ix_(members, members)] += 1.0 / _weight_of(weights, forest.parent_edge[nid])
     return out
-
-
-def preorder(forest):
-    """Depth-first preorder of the loads (trees in index order, children by
-    ascending id): each load's position and subtree size."""
-    position = {}
-    for root in forest.grid.substation_ids:
-        stack = list(reversed(forest.children[root]))
-        while stack:
-            nid = stack.pop()
-            position[nid] = len(position)
-            stack.extend(reversed(forest.children[nid]))
-    size = {}
-    for nid in reversed(position):
-        size[nid] = 1 + sum(size[ch] for ch in forest.children[nid])
-    return position, size
 
 
 def descendants(forest, node):

@@ -1,0 +1,24 @@
+"""Smoke test of the bench scripts that write the ``BENCH_*.json`` files:
+each runs on two small sizes, once, and must write a document with its
+cases.  No timing is asserted."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script, sizes", [("path_sum_scaling.py", ["20", "40"]),
+                                           ("sample_io_scaling.py", ["10", "20"])])
+def test_bench_script_runs_on_small_sizes(tmp_path, script, sizes):
+    out = tmp_path / "bench.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--sizes", *sizes, "--repeats", "1",
+                           "--out", str(out)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert "cases" in json.loads(out.read_text())

@@ -99,10 +99,12 @@ def test_forest_accepts_numpy_integer_edge_indices():
 
 
 def _descendants(forest, node):
-    """The node and its preorder run: its descendant set as the forest
-    recorded it when it was built (a substation's run is its whole tree)."""
-    start, stop = forest._span[node]
-    return {node, *forest._load_preorder[start:stop]}
+    """The node and its descendant set as the forest records it: a load's
+    ``descendant_load_indices``, and a substation's children's (its whole
+    tree)."""
+    loads = forest.grid.load_ids
+    tops = [node] if node in forest.grid.load_index else forest.children[node]
+    return {node, *(loads[i] for top in tops for i in forest.descendant_load_indices[top])}
 
 
 def test_descendants_of_leaf_is_itself(fig3):
@@ -385,6 +387,23 @@ def test_path_sum_matrix_matches_block_accumulation(kind, seed):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_path_sums_do_not_depend_on_how_the_loads_are_numbered(seed):
+    # Relabelling a shuffled chain's loads so that ids ascend with depth
+    # permutes the matrix, bit for bit: every entry adds its shared root
+    # path in the same order under either numbering.
+    grid, forest = shuffled_chain_grid(60, seed)
+    rng = np.random.default_rng(seed)
+    weights = {ei: float(10 ** rng.uniform(-2, 2)) for ei in forest.closed_edges}
+    label = {n.id: forest.depth[n.id] for n in grid.nodes}
+    _, relabelled = make_grid([(label[n.id], n.kind) for n in grid.nodes],
+                              [(label[e.u], label[e.v], e.r, e.x) for e in grid.edges], closed=forest.closed_edges)
+    perm = [relabelled.grid.load_index[label[nid]] for nid in grid.load_ids]
+    got = path_sum_matrix(relabelled, weights)[np.ix_(perm, perm)]
+    assert np.array_equal(got.view(np.int64), path_sum_matrix(forest, weights).view(np.int64))
+
+
 ANCESTRY_KINDS = PATH_SUM_KINDS + ("empty_substation",)
 
 
@@ -392,15 +411,11 @@ ANCESTRY_KINDS = PATH_SUM_KINDS + ("empty_substation",)
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**16))
 def test_ancestry_matches_the_walks_it_replaced(kind, seed):
-    # Every ancestry question reads the preorder runs recorded when the
-    # forest is built; each must answer as the separate walk it replaced.
+    # Every ancestry question the forest answers must answer as the separate
+    # walk it replaced.
     grid, forest = _path_sum_instance(kind, seed)
     nodes = [n.id for n in grid.nodes]
-    loads = list(grid.load_ids)
 
-    position, size = oracle.preorder(forest)
-    assert forest._load_preorder == tuple(position)
-    assert all(forest._span[nid] == (position[nid], position[nid] + size[nid]) for nid in loads)
     for node in nodes:
         assert _descendants(forest, node) == oracle.descendants(forest, node)
     got, want = forest.descendant_load_indices, oracle.descendant_load_indices(forest)

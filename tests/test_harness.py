@@ -27,7 +27,7 @@ from gridtop.harness import (
     write_samples,
 )
 from gridtop.harness import gridfile
-from gridtop.harness.experiment import write_gnuplot_script, write_trial_csv
+from gridtop.harness.experiment import ExperimentPlan, write_gnuplot_script, write_trial_csv
 from gridtop.harness.gridfile import _parse_samples_checked, _parse_samples_plain
 from gridtop.learner import LearnerConfig, reconstruct
 from gridtop.moments import analytic_moment_set, default_model, model_from_dict
@@ -1003,6 +1003,32 @@ def test_a_model_over_other_ids_is_refused_before_any_draw():
         simulate_voltage(forest, model_from_dict(doc), 10, seed=1)
     with pytest.raises(DomainError, match="model nodes do not match"):
         run_experiment(_order_plan(doc))
+
+
+def test_a_model_over_other_ids_is_refused_naming_them():
+    grid, forest = load_fixture("bus_13_3")
+    model = model_from_dict(scaled_model_doc(forest, grid.load_ids, shift=100))
+    with pytest.raises(DomainError, match=r"model nodes do not match the requested node set: "
+                                          r"missing \[3, 4, .*\], extra \[103, 104, "):
+        model.aligned_to(grid.load_ids)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("sample_counts", (-math.inf,), "sample counts must be positive integers or inf, got -inf"),
+    ("sample_counts", (True,), "sample counts must be positive integers or inf, got True"),
+    ("sample_counts", ("100",), "sample counts must be positive integers or inf, got 100"),
+    ("trials", 1.5, "trials must be an integer, got 1.5"),
+    ("trials", True, "trials must be an integer, got True"),
+    ("augment_open_lines", 1.5, "augment_open_lines must be an integer, got 1.5"),
+    ("augment_open_lines", True, "augment_open_lines must be an integer, got True"),
+    ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+    ("seed", True, "seed must be a non-negative integer, got True"),
+])
+def test_a_plan_built_in_python_is_held_to_the_plan_file_rules(key, value, message):
+    fields = {"grid": "bus_13_3", "sample_counts": (100.0,), "taus": (0.1,), "trials": 1, "seed": 1}
+    ExperimentPlan(**fields)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        ExperimentPlan(**dict(fields, **{key: value}))
 
 
 def test_experiment_seed_falls_back_to_env(monkeypatch, tmp_path):
