@@ -144,9 +144,12 @@ class _DescendantSums:
 
     Merging set A into set B adds the A-B cross blocks of each moment matrix
     exactly once, so the total merge work over a full reconstruction is
-    O(N^2) for dense moment matrices and each tested pair costs O(1)."""
+    O(N^2) for dense moment matrices and each tested pair costs O(1).  Only
+    loads are tracked: only a load becomes a leaf, so no rhs reads a
+    substation's sums, and a merge into a substation only retires the
+    source set."""
 
-    def __init__(self, model: InjectionModel, substations: tuple[int, ...]):
+    def __init__(self, model: InjectionModel):
         self._sp = model.sigma_p
         self._sq = model.sigma_q
         self._spq = model.sigma_pq
@@ -155,17 +158,15 @@ class _DescendantSums:
         # Member index arrays in merge order; one-element views to start.
         self.members: dict[int, np.ndarray] = {nid: rows[i:i + 1] for i, nid in enumerate(model.nodes)}
         self.sums: dict[int, tuple[float, float, float]] = dict(zip(model.nodes, diagonals))
-        for sub in substations:  # substations carry no injection moments
-            self.members[sub] = rows[:0]
-            self.sums[sub] = (0.0, 0.0, 0.0)
 
     def merge(self, src: int, dst: int):
-        a = self.members[src]
+        a = self.members.pop(src)
+        sp_a, sq_a, spq_a = self.sums.pop(src)
+        if dst not in self.members:  # a substation
+            return
         b = self.members[dst]
-        sp_a, sq_a, spq_a = self.sums[src]
         sp_b, sq_b, spq_b = self.sums[dst]
-        # The np.ix_(a, b) block, same shape and order; empty, and summing to
-        # 0.0, on the first merge into a substation.
+        # The np.ix_(a, b) block, same shape and order.
         ab = (a[:, None], b)
         ba = (b[:, None], a)
         sp_b += sp_a + 2.0 * float(self._sp[ab].sum())
@@ -173,7 +174,6 @@ class _DescendantSums:
         spq_b += spq_a + float(self._spq[ab].sum()) + float(self._spq[ba].sum())
         self.members[dst] = np.concatenate([b, a])
         self.sums[dst] = (sp_b, sq_b, spq_b)
-        del self.members[src], self.sums[src]
 
 
 def _pair_statistic(data: VoltageSamples | MomentSet, grid: GridGraph) -> tuple[dict[int, float], Callable]:
@@ -209,8 +209,10 @@ def _pair_statistic(data: VoltageSamples | MomentSet, grid: GridGraph) -> tuple[
     # One (N, m) copy with each node's samples in a contiguous row; a row's
     # mean has the bits of the per-column mean over the (m, N) samples.
     et = np.ascontiguousarray(data.eps.T if perm is None else data.eps.T[perm])
-    # A non-finite cell makes its node's mean square non-finite.
-    diag = dict(zip(nodes, np.mean(et * et, axis=1).tolist()))
+    # A non-finite cell, or one whose square overflows, makes its node's mean
+    # square non-finite, which is refused below without a numpy warning first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = dict(zip(nodes, np.mean(et * et, axis=1).tolist()))
     for nid, value in diag.items():
         if not math.isfinite(value):
             raise DomainError(f"samples of node {nid} have a non-finite mean square ({value})")
@@ -251,7 +253,7 @@ def reconstruct(data: VoltageSamples | MomentSet, model: InjectionModel, grid: G
                           f"but the learner is configured for variant {config.variant!r}")
     diag, pair_lhs = _pair_statistic(data, grid)
     diag.update(dict.fromkeys(grid.substation_ids, 0.0))
-    desc = _DescendantSums(model.aligned_to(grid.load_ids), grid.substation_ids)
+    desc = _DescendantSums(model.aligned_to(grid.load_ids))
     idx = grid.load_index
 
     pop_order = sorted(diag, key=lambda nid: (-diag[nid], nid))

@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from itertools import compress
+from typing import Iterable
 
 import numpy as np
 
@@ -114,15 +115,15 @@ class InjectionModel:
         object.__setattr__(self, "components", self._check_psd())
 
     @classmethod
-    def _built(cls, verdict: Callable[[], tuple[np.ndarray, ...]], **fields) -> "InjectionModel":
-        """A model whose builder decides positive semidefiniteness itself:
-        the entry checks run, then ``verdict``, which raises ModelError or
-        returns the components, in place of ``_check_psd``."""
+    def _built(cls, components: tuple[np.ndarray, ...], **fields) -> "InjectionModel":
+        """A model whose builder has settled every check itself, so neither
+        ``_check_entries`` nor ``_check_psd`` runs: the node ids are distinct
+        ints, the arrays are float, of the right shapes, finite and
+        symmetric, and ``components`` is the verdict ``_check_psd`` gives."""
         model = object.__new__(cls)
         for name, value in fields.items():
             object.__setattr__(model, name, value)
-        model._check_entries()
-        object.__setattr__(model, "components", verdict())
+        object.__setattr__(model, "components", components)
         return model
 
     def _check_entries(self):
@@ -290,9 +291,14 @@ def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float
     Each moment matrix holds three values: on the diagonal, between two
     loads of one tree and across trees.  They are computed once, as
     omega + mu mu^T with the bits an N x N evaluation gives, and written
-    directly; the joint covariance is decided positive semidefinite in
-    closed form (``_tree_verdict``), with no factorization.  The entry
-    checks are those of every other model.
+    directly.  The checks every other model takes are settled from those
+    values, with the same ModelError texts: the entries are finite when the
+    values that occur are (the diagonal always; the same-tree value when a
+    tree has two loads; the across value when two trees have loads), tested
+    in ``_check_entries``' order; each matrix is symmetric, as one value is
+    written over a symmetric pattern; the node ids are the grid's, so they
+    are distinct ints.  The joint covariance is decided positive
+    semidefinite in closed form (``_tree_verdict``), with no factorization.
     """
     params = {"mu_p": mu_p, "sigma_ratio": sigma_ratio, "rho": rho, "q_alpha": q_alpha,
               "q_noise_ratio": q_noise_ratio}
@@ -315,6 +321,17 @@ def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float
     sigmas = [[w + mean for w in omega] for omega, mean in zip((omega_p, omega_q, omega_pq), means)]
 
     tree = forest.load_tree_index
+    per_tree = np.bincount(tree)
+    occurs = (True, bool((per_tree > 1).any()), int(np.count_nonzero(per_tree)) > 1)
+    for name, values in zip(("sigma_p", "sigma_q", "sigma_pq"), sigmas):
+        if not all(map(math.isfinite, compress(values, occurs))):
+            raise ModelError(f"{name} contains non-finite entries")
+    if not (math.isfinite(mp) and math.isfinite(mq)):
+        raise ModelError("mean vectors contain non-finite entries")
+    # The diagonal and same-tree omega entries as _check_psd reads them back: sigma - mu mu^T.
+    diagonal, within = ([sigma[k] - mean for sigma, mean in zip(sigmas, means)] for k in (0, 1))
+    components = _tree_verdict(tree, diagonal, within)
+
     same_tree = tree[:, None] == tree[None, :]
 
     def matrix(diagonal, within, across):
@@ -322,10 +339,7 @@ def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float
         np.fill_diagonal(out, diagonal)
         return out
 
-    # The diagonal and same-tree omega entries as _check_psd reads them back: sigma - mu mu^T.
-    diagonal, within = ([sigma[k] - mean for sigma, mean in zip(sigmas, means)] for k in (0, 1))
-    return InjectionModel._built(lambda: _tree_verdict(tree, diagonal, within),
-                                 nodes=nodes, mu_p=np.full(n, mp), mu_q=np.full(n, mq),
+    return InjectionModel._built(components, nodes=nodes, mu_p=np.full(n, mp), mu_q=np.full(n, mq),
                                  sigma_p=matrix(*sigmas[0]), sigma_q=matrix(*sigmas[1]),
                                  sigma_pq=matrix(*sigmas[2]))
 
@@ -348,7 +362,9 @@ def _tree_verdict(tree: np.ndarray, diagonal: list[float], within: list[float]) 
     sizes = sorted(set(np.bincount(tree).tolist()) - {0})
     shared = sizes[-1] > 1  # some tree has two loads, so ``within`` is an entry
     scale = max(1.0, *map(abs, diagonal), *(map(abs, within) if shared else ()))
-    blocks = [[d + (k - 1) * w for d, w in zip(diagonal, within)] for k in sizes]
+    # A one-load tree's triple is the diagonal: a ``within`` that is no entry
+    # may be infinite, and 0 * inf would make it nan.
+    blocks = [diagonal if k == 1 else [d + (k - 1) * w for d, w in zip(diagonal, within)] for k in sizes]
     if shared:
         blocks.append([d - w for d, w in zip(diagonal, within)])
     if min(0.5 * (p + q) - math.hypot(0.5 * (p - q), pq) for p, q, pq in blocks) < -_PSD_SLACK * scale:
@@ -454,13 +470,20 @@ def _block_plans(forest: ForestConfig, model: InjectionModel) -> list[_LevelPlan
 
 def _injection_sums(plan: _LevelPlan, mod: InjectionModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """D S D^T over one block for S = sigma_p, sigma_q and sigma_pq^T: the
-    second moments of the injections summed below each pair of lines."""
+    second moments of the injections summed below each pair of lines.
+
+    Each block of S is gathered by one flat ``take`` over the row-major
+    positions of its entries, which reads the values ``S[np.ix_(loads,
+    loads)]`` reads, with one index array for all three matrices."""
     loads = plan.canon
     n = len(loads)
-    ix = np.ix_(loads, loads)
     w = np.zeros((n + 1, 3 * n))
+    # Allocated after w and freed before dw: this order keeps the peak
+    # resident set of the 2-D gather.
+    flat = np.add.outer(loads * len(mod.nodes), loads)
     for k, sigma in enumerate((mod.sigma_p, mod.sigma_q, mod.sigma_pq)):
-        w[:n, k * n:(k + 1) * n] = sigma[ix]
+        w[:n, k * n:(k + 1) * n] = sigma.take(flat)
+    del flat
     _subtree_sums(plan, w)  # D S, side by side
     dw = np.zeros_like(w)
     np.concatenate([w[:n, k * n:(k + 1) * n].T for k in range(3)], axis=1, out=dw[:n])

@@ -227,6 +227,9 @@ class _DistFlowBatch:
     residual: np.ndarray    # (m,) max(voltage change, flow residual) at that sweep
 
 
+# Overflowing flows and voltages are the divergence each sweep tests for and
+# refuses, so numpy is not to announce them first.
+@np.errstate(over="ignore", invalid="ignore")
 def _distflow(forest: ForestConfig, p, q, tol: float, max_iter: int) -> _DistFlowBatch:
     """Iterate the DistFlow recursion for every sample of a batch at once.
 

@@ -369,6 +369,15 @@ def test_a_bad_sample_file_is_reported_at_its_line(runner, tmp_path, command, te
     assert _one_error_line(runner.invoke(main, args)).endswith(where)
 
 
+def test_learn_refuses_overflowing_samples_without_a_numpy_warning(runner, tmp_path):
+    # No np.errstate here: the squares of 1e200 overflow, and a RuntimeWarning
+    # would escape as an error before the DomainError.
+    path = tmp_path / "big.csv"
+    path.write_text(",".join(map(str, range(3, 16))) + "\n" + (",".join(["1e200"] * 13) + "\n") * 3)
+    res = runner.invoke(main, ["learn", "--grid", "bus_13_3", "--samples", str(path)])
+    assert _one_error_line(res) == "error: samples of node 3 have a non-finite mean square (inf)"
+
+
 def _seeded_command(command, tmp_path):
     if command == "experiment":
         plan = tmp_path / "plan.json"

@@ -14,7 +14,7 @@ from gridtop import learner
 from gridtop.errors import DomainError
 from gridtop.fixtures import load_fixture
 from gridtop.grid import LOAD, SUBSTATION
-from gridtop.harness import parse_grid, plan_from_dict, resolve_plan_grid, run_experiment
+from gridtop.harness import generate_random_grid, parse_grid, plan_from_dict, resolve_plan_grid, run_experiment
 from gridtop.learner import LearnerConfig, reconstruct, relative_error
 from gridtop.moments import MomentSet, analytic_moment_set, default_model, sample_injections
 from gridtop.powerflow import VoltageSamples, lcpf_solve_many
@@ -154,6 +154,40 @@ def test_substations_pop_last_with_id_tiebreak():
     res = reconstruct(_analytic(forest, model), model, grid, LearnerConfig(tau=1e-9))
     k = grid.n_substations
     assert tuple(res.pop_order[-k:]) == grid.substation_ids
+
+
+def _relabelled(grid, forest, seed):
+    """The same grid and forest with every node id replaced, and the nodes
+    and lines in shuffled orders; returns the id map and the new forest."""
+    rng = np.random.default_rng(seed)
+    label = dict(zip((n.id for n in grid.nodes), (1000 + rng.permutation(len(grid.nodes))).tolist()))
+    nodes = [grid.nodes[i] for i in rng.permutation(len(grid.nodes))]
+    order = rng.permutation(len(grid.edges)).tolist()
+    lines = [grid.edges[ei] for ei in order]
+    closed = set(forest.closed_edges)
+    _, relabelled = make_grid([(label[n.id], n.kind) for n in nodes],
+                              [(label[e.u], label[e.v], e.r, e.x, e.switchable) for e in lines],
+                              closed=[k for k, ei in enumerate(order) if ei in closed])
+    return label, relabelled
+
+
+@pytest.mark.parametrize("kind", ["bus_13_3", "bus_29_1", "bus_83_11", "random_300_4"])
+@pytest.mark.parametrize("seed", range(3))
+def test_relabelled_nodes_and_reordered_lines_relabel_the_learned_forest(kind, seed):
+    # In the infinite-sample limit the learned forest depends on the grid,
+    # not on how its nodes are numbered or its lines listed.
+    grid, forest = generate_random_grid(300, 4, 40, seed=20251018) if kind == "random_300_4" else load_fixture(kind)
+    label, relabelled = _relabelled(grid, forest, seed)
+
+    def learn(f, tau):
+        model = default_model(f)
+        return reconstruct(_analytic(f, model), model, f.grid, LearnerConfig(tau=tau), truth=f)
+
+    for tau in (1e-9, 0.05):
+        want, got = learn(forest, tau), learn(relabelled, tau)
+        assert want.relative_error == got.relative_error == 0.0
+        assert got.parent_map == {label[a]: label[b] for a, b in want.parent_map.items()}
+        assert got.learned_edges == frozenset(tuple(sorted((label[a], label[b]))) for a, b in want.learned_edges)
 
 
 # -- noisy behavior ----------------------------------------------------------------

@@ -799,6 +799,52 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
+def _single_load_trees():
+    """Three substations with one load each, joined by two open lines."""
+    return make_grid([(0, SUBSTATION), (1, SUBSTATION), (2, SUBSTATION), (3, LOAD), (4, LOAD), (5, LOAD)],
+                     [(0, 3, 0.2, 0.1), (1, 4, 0.3, 0.2), (2, 5, 0.1, 0.3), (3, 4, 0.2, 0.2, True),
+                      (4, 5, 0.2, 0.2, True)], closed=[0, 1, 2])
+
+
+_SHAPES = {"one_tree": lambda: chain_grid(6, seed=1), "several_trees": lambda: _multi_tree_instance(2),
+           "single_load_trees": _single_load_trees, "one_load": single_edge_grid}
+
+# Finite parameters whose products overflow.  With sigma = 1.34e154 (sigma_ratio
+# 2.68e156), sigma^2 is finite, and at rho = -1.01 the same-tree value is
+# -inf while the diagonal is finite; at rho = -1 + 1e-9 every value is finite
+# and some are within a factor of two of the largest float.
+_OVERFLOWING = [
+    {"mu_p": 1e200}, {"mu_p": -1e200}, {"sigma_ratio": 1e200}, {"q_alpha": 1e200}, {"q_alpha": -1e200, "rho": 0.5},
+    {"rho": -1.0 + 1e-9}, {"rho": -1.01, "sigma_ratio": 2.68e156}, {"rho": -1.0 + 1e-9, "sigma_ratio": 2.68e156},
+    {"mu_p": 1e154, "rho": -1.0 + 1e-6}, {"mu_p": -1e200, "rho": -1.0 + 1e-12, "q_alpha": 1e200},
+]
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("params", _OVERFLOWING, ids=lambda params: "-".join(f"{k}={v:g}" for k, v in params.items()))
+def test_default_model_entry_checks_equal_the_generic_ones(shape, params):
+    # default_model settles the entry checks from the three values it writes;
+    # the generic constructor checks the N x N arrays.  On the same arrays
+    # both raise the same ModelError text or accept with the same bits.
+    forest = _SHAPES[shape]()[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # the loop oracle's N x N products overflow
+        try:
+            want = _default_model_loop(forest, **params)
+        except ModelError as exc:
+            want = str(exc)
+    try:
+        got = default_model(forest, **params)
+    except ModelError as exc:
+        got = str(exc)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    for name in ("mu_p", "mu_q", "sigma_p", "sigma_q", "sigma_pq"):
+        assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name
+    assert len(got.components) == len(want.components)
+    assert all(np.array_equal(mine, theirs) for mine, theirs in zip(got.components, want.components))
+
+
 # 1 +- 1e-3 and 1 +- 1e-9 place rho at -1/n_k (1 +- ...); the others reach into the rounding band.
 _FACTORS = tuple(1 + sign * gap for gap in (1e-3, 1e-6, 1e-9, 1e-12) for sign in (-1, 1))
 

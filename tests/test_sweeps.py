@@ -106,7 +106,8 @@ def _first_failure(forest, p, q, **kwargs):
     """The error the one-sample-at-a-time loop meets first, or None."""
     for j in range(len(p)):
         try:
-            scalar_distflow(forest, InjectionVector(p=p[j], q=q[j]), **kwargs)
+            with np.errstate(over="ignore", invalid="ignore"):  # the scalar loop lets numpy warn of overflow
+                scalar_distflow(forest, InjectionVector(p=p[j], q=q[j]), **kwargs)
         except (InfeasibleStateError, ConvergenceError) as exc:
             return exc
     return None
@@ -159,24 +160,34 @@ def test_diverging_sample_fails_at_the_sweep_it_diverges():
     converges = [-1e-5, -2e-5, -1e-5]
     diverges = [-0.5, -0.01, 0.0]
     slow = [-0.4, -0.01, 0.0]  # converges, but only after more than 20 sweeps
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ConvergenceError) as caught:
-            distflow_solve(forest, InjectionVector(p=diverges, q=diverges))
-        assert str(caught.value) == "sweep 13 diverged: flows or voltages are no longer finite"
-        assert (caught.value.residual, caught.value.iterations) == (np.inf, 13)
-        assert isinstance(_first_failure(forest, np.array([slow]), np.array([slow]), max_iter=20), ConvergenceError)
-        _assert_batch_raises_first_failure(
-            forest, ((converges, diverges), (diverges, converges, slow), (converges, slow, diverges)), max_iter=20)
+    with pytest.raises(ConvergenceError) as caught:
+        distflow_solve(forest, InjectionVector(p=diverges, q=diverges))
+    assert str(caught.value) == "sweep 13 diverged: flows or voltages are no longer finite"
+    assert (caught.value.residual, caught.value.iterations) == (np.inf, 13)
+    assert isinstance(_first_failure(forest, np.array([slow]), np.array([slow]), max_iter=20), ConvergenceError)
+    _assert_batch_raises_first_failure(
+        forest, ((converges, diverges), (diverges, converges, slow), (converges, slow, diverges)), max_iter=20)
+
+
+def test_a_diverging_plan_writes_its_trial_notes_without_a_numpy_warning():
+    # No np.errstate here: pytest turns a RuntimeWarning into an error, so a
+    # warning that numpy announces before the refusal fails this test.
+    plan = experiment.plan_from_dict({"grid": "bus_13_3", "model": {"mu_p": -0.6}, "engine": "distflow",
+                                      "sample_counts": [50], "taus": [0.05], "trials": 3, "seed": 1})
+    rows = experiment.run_experiment(plan).trial_rows
+    assert [row["note"] for row in rows] == [f"sweep {k} diverged: flows or voltages are no longer finite"
+                                             for k in (10, 10, 9)]
 
 
 def test_experiment_trial_notes_unchanged(monkeypatch):
     # Heavy loads on bus_13_3: some trials diverge (overflowing flows, which
-    # numpy reports as warnings here and in the one-sample loop alike), some
-    # stop short of the tolerance, some succeed.  A diverging sample fails
-    # its trial with the solver's error; no non-finite voltages reach the
+    # only the one-sample loop lets numpy report as warnings), some stop
+    # short of the tolerance, some succeed.  A diverging sample fails its
+    # trial with the solver's error; no non-finite voltages reach the
     # learner.
     def one_at_a_time(forest, p, q):
-        eps = [scalar_distflow(forest, InjectionVector(p=p[j], q=q[j])).state.eps for j in range(len(p))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            eps = [scalar_distflow(forest, InjectionVector(p=p[j], q=q[j])).state.eps for j in range(len(p))]
         return VoltageSamples(nodes=forest.grid.load_ids, eps=np.array(eps))
 
     notes = {}
@@ -184,11 +195,10 @@ def test_experiment_trial_notes_unchanged(monkeypatch):
         plan = experiment.plan_from_dict({"grid": "bus_13_3", "engine": "distflow", "sample_counts": [3, 20],
                                           "taus": [0.1], "trials": 4, "seed": 7,
                                           "model": {"mu_p": -0.08, "sigma_ratio": sigma_ratio}})
-        with np.errstate(over="ignore", invalid="ignore"):
-            batched = experiment.run_experiment(plan)
-            with monkeypatch.context() as patch:
-                patch.setattr(experiment, "distflow_solve_many", one_at_a_time)
-                scalar = experiment.run_experiment(plan)
+        batched = experiment.run_experiment(plan)
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "distflow_solve_many", one_at_a_time)
+            scalar = experiment.run_experiment(plan)
         assert batched.trial_rows == scalar.trial_rows
         assert any(row["error"] is not None for row in batched.trial_rows)
         notes[sigma_ratio] = [row["note"] for row in batched.trial_rows]
