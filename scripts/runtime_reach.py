@@ -13,7 +13,9 @@ records the lines of ``src/gridtop`` it sees execute:
 * the golden plans (``tests/golden/plans.json``) and the study plans
   (``scripts/*.json``), each at 2 trials, through ``run_experiment``;
 * two units of each benchmark workload of ``perfbench/workloads.py``, at
-  full size, with its check.
+  full size, each run as the benchmark's traced mode runs it, inside
+  ``perfbench/spans.py``'s ``Tracer().unit``, so the lines its counters
+  reach count too; then its check.
 
 The executable lines of a function are those its compiled code maps
 instructions to (``co_lines``), its lambdas and comprehensions included.
@@ -40,6 +42,7 @@ from click.testing import CliRunner  # noqa: E402
 from gridtop.harness import cli, plan_from_dict, plan_from_json, run_experiment  # noqa: E402
 from gridtop.fixtures import fixture_path, load_fixture  # noqa: E402
 from gridtop.moments import default_model, model_to_dict  # noqa: E402
+from spans import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 _FUNCTION = 0x1  # CO_OPTIMIZED: a function, lambda or comprehension; not a module or class body
@@ -135,13 +138,16 @@ def run_everything(tmp: Path):
     for path in sorted((ROOT / "scripts").glob("*.json")):
         run_experiment(dataclasses.replace(plan_from_json(path), trials=2))
 
+    tracer = Tracer()
     for name, cls in WORKLOADS.items():
         workdir = tmp / name
         workdir.mkdir()
         workload = cls(1, False, workdir)
         for unit in range(2):
             inputs = workload.inputs(unit)
-            problem = workload.check(unit, inputs, workload.run(inputs))
+            with tracer.unit(unit):
+                output = workload.run(inputs)
+            problem = workload.check(unit, inputs, output)
             if problem:
                 raise SystemExit(f"{name} unit {unit}: {problem}")
 

@@ -19,13 +19,10 @@ from .grid import (
 )
 from .powerflow import (
     DistFlowResult,
-    InjectionVector,
     VoltageSamples,
-    VoltageState,
     distflow_solve,
     distflow_solve_many,
     lcpf_response,
-    lcpf_solve,
     lcpf_solve_many,
 )
 from .moments import (

@@ -246,7 +246,8 @@ def reconstruct(data: VoltageSamples | MomentSet, model: InjectionModel, grid: G
     descendant sums, so no test of one popped node depends on another.
     Substations are never attached as children: they are roots of the
     base-constrained forest, with zero deviation, so the left side of a leaf
-    and a substation is the leaf's own diagonal moment.
+    and a substation is the leaf's own diagonal moment.  A tested pair whose
+    lhs or rhs is not finite is refused with a DomainError naming both nodes.
     """
     if isinstance(data, MomentSet) and data.drops is not None and data.drops.variant != config.variant:
         raise DomainError(f"the moments were computed for variant {data.drops.variant!r}, "
@@ -267,24 +268,29 @@ def reconstruct(data: VoltageSamples | MomentSet, model: InjectionModel, grid: G
     parent_map: dict[int, int] = {}
     decisions: list[TraceRecord] = []
 
-    for b_star in pop_order:
-        j = idx.get(b_star)  # None for a substation
-        for _, a, edge_index in sorted(earlier[b_star]):
-            if a not in leaves:
-                continue
-            lhs = diag[a] if j is None else pair_lhs(idx[a], j)
-            rhs = edge_sq_diff(grid.edges[edge_index], config.variant, *desc.sums[a])
-            dev = _deviation(lhs, rhs)
-            if dev < config.tau:
-                parent_map[a] = b_star
-                desc.merge(a, b_star)
-                leaves.remove(a)
-                decisions.append(TraceRecord(a, b_star, lhs, rhs, dev, True))
-            else:
-                note = "rhs zero with nonzero lhs" if math.isinf(dev) else ""
-                decisions.append(TraceRecord(a, b_star, lhs, rhs, dev, False, note))
-        if j is not None:
-            leaves.add(b_star)
+    # An overflowing pair statistic is refused below, so numpy is not to announce it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b_star in pop_order:
+            j = idx.get(b_star)  # None for a substation
+            for _, a, edge_index in sorted(earlier[b_star]):
+                if a not in leaves:
+                    continue
+                lhs = diag[a] if j is None else pair_lhs(idx[a], j)
+                rhs = edge_sq_diff(grid.edges[edge_index], config.variant, *desc.sums[a])
+                dev = _deviation(lhs, rhs)
+                if dev < config.tau:
+                    parent_map[a] = b_star
+                    desc.merge(a, b_star)
+                    leaves.remove(a)
+                    decisions.append(TraceRecord(a, b_star, lhs, rhs, dev, True))
+                else:  # a non-finite lhs or rhs is never accepted
+                    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+                        raise DomainError(f"the pair statistic of nodes ({a}, {b_star}) is not finite "
+                                          f"(lhs {lhs}, rhs {rhs})")
+                    note = "rhs zero with nonzero lhs" if rhs == 0.0 else ""
+                    decisions.append(TraceRecord(a, b_star, lhs, rhs, dev, False, note))
+            if j is not None:
+                leaves.add(b_star)
 
     learned = frozenset((a, b) if a <= b else (b, a) for a, b in parent_map.items())
     return ReconstructionResult(learned, parent_map, tuple(decisions), tuple(pop_order), config.tau, grid,

@@ -205,23 +205,6 @@ class InjectionModel:
         bot = np.hstack([self.omega_pq.T, self.omega_q])
         return np.vstack([top, bot])
 
-    @classmethod
-    def from_covariances(cls, nodes, mu_p, mu_q, omega_p, omega_q, omega_pq) -> "InjectionModel":
-        nodes = tuple(nodes)
-        n = len(nodes)
-        mu_p = _float_array(mu_p, "mu_p", ModelError)
-        mu_q = _float_array(mu_q, "mu_q", ModelError)
-        if mu_p.shape != (n,) or mu_q.shape != (n,):
-            raise ModelError(f"mean vectors must have shape ({n},)")
-        sigmas = []
-        for name, omega, left, right in (("omega_p", omega_p, mu_p, mu_p), ("omega_q", omega_q, mu_q, mu_q),
-                                         ("omega_pq", omega_pq, mu_p, mu_q)):
-            omega = _float_array(omega, name, ModelError)
-            if omega.shape != (n, n):  # an outer product would broadcast it
-                raise ModelError(f"{name} must have shape ({n}, {n}), got {omega.shape}")
-            sigmas.append(omega + np.outer(left, right))
-        return cls(nodes, mu_p, mu_q, *sigmas)
-
     def aligned_to(self, nodes: Iterable[int]) -> "InjectionModel":
         """Reindex the model to another node ordering (same node set)."""
         nodes = tuple(nodes)
@@ -305,19 +288,19 @@ def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float
     for name, value in params.items():
         if not _is_finite(value):
             raise DomainError(f"default-model parameter {name} must be finite, got {value}")
+    # As Python floats: numpy scalars would announce an overflow the entry checks refuse.
+    mu_p, sigma_ratio, rho, q_alpha, q_noise_ratio = map(float, params.values())
     nodes = forest.grid.load_ids
     n = len(nodes)
     sig = sigma_ratio * abs(mu_p)
     mu_q = q_alpha * mu_p
     sig_eta = q_noise_ratio * abs(mu_q)
-    # (diagonal, same tree, across trees) of each omega, then of each sigma;
-    # float() as storing into a float array would.
-    omega_p = (float(sig * sig * (1.0 + rho)), float(rho * sig * sig), 0.0)
+    # (diagonal, same tree, across trees) of each omega, then of each sigma.
+    omega_p = (sig * sig * (1.0 + rho), rho * sig * sig, 0.0)
     noise = ((1.0 * sig_eta) * sig_eta, (0.0 * sig_eta) * sig_eta, (0.0 * sig_eta) * sig_eta)
     omega_q = [q_alpha * q_alpha * w + e for w, e in zip(omega_p, noise)]
     omega_pq = [q_alpha * w for w in omega_p]
-    mp, mq = float(mu_p), float(mu_q)
-    means = (mp * mp, mq * mq, mp * mq)
+    means = (mu_p * mu_p, mu_q * mu_q, mu_p * mu_q)
     sigmas = [[w + mean for w in omega] for omega, mean in zip((omega_p, omega_q, omega_pq), means)]
 
     tree = forest.load_tree_index
@@ -326,7 +309,7 @@ def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float
     for name, values in zip(("sigma_p", "sigma_q", "sigma_pq"), sigmas):
         if not all(map(math.isfinite, compress(values, occurs))):
             raise ModelError(f"{name} contains non-finite entries")
-    if not (math.isfinite(mp) and math.isfinite(mq)):
+    if not (math.isfinite(mu_p) and math.isfinite(mu_q)):
         raise ModelError("mean vectors contain non-finite entries")
     # The diagonal and same-tree omega entries as _check_psd reads them back: sigma - mu mu^T.
     diagonal, within = ([sigma[k] - mean for sigma, mean in zip(sigmas, means)] for k in (0, 1))
@@ -339,7 +322,7 @@ def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float
         np.fill_diagonal(out, diagonal)
         return out
 
-    return InjectionModel._built(components, nodes=nodes, mu_p=np.full(n, mp), mu_q=np.full(n, mq),
+    return InjectionModel._built(components, nodes=nodes, mu_p=np.full(n, mu_p), mu_q=np.full(n, mu_q),
                                  sigma_p=matrix(*sigmas[0]), sigma_q=matrix(*sigmas[1]),
                                  sigma_pq=matrix(*sigmas[2]))
 

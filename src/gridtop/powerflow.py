@@ -3,22 +3,17 @@
 Two engines share one convention: injections are positive for generation
 and negative for consumption, and the voltage deviation stored per load node
 is eps = v - 1 in per-unit (negative below nominal), with substations pinned
-at eps = theta = 0.
+at eps = 0.  Both give voltage magnitudes only: the learner reads no
+phases, so no solver here forms one.
 
-* ``lcpf_solve`` - the coupled linear model, solved in O(N) per tree by a
-  leaf-to-root flow aggregation followed by a root-to-leaf accumulation of
-  per-edge drops (the sweeps are exactly the lossless DistFlow recursion,
-  which on trees coincides with the matrix form eps = H_{1/r}^-1 p +
-  H_{1/x}^-1 q, theta = H_{1/x}^-1 p - H_{1/r}^-1 q).
-* ``lcpf_solve_many`` - the same model for a batch of samples, by the dense
-  response matrices of ``lcpf_response``.  It gives eps only: the learner
-  reads voltage magnitudes alone, so a batch has no phases, and
-  ``lcpf_solve`` gives the phases of one sample.
+* ``lcpf_solve_many`` - the coupled linear model for a batch of samples,
+  eps = H_{1/r}^-1 p + H_{1/x}^-1 q, by the dense response matrices of
+  ``lcpf_response``.
 * ``distflow_solve_many`` / ``distflow_solve`` - the exact nonlinear
   recursion with quadratic loss terms, iterated backward/forward to a fixed
   point (Baran & Wu 1989; Shirmohammadi et al. 1988).  It determines
-  voltage magnitudes and line flows only; no phase-recovery rule exists for
-  it, so ``distflow_solve`` gives ``theta`` as None.
+  voltage magnitudes and line flows; ``distflow_solve``, the one-sample
+  case, returns the flows too.
 
 Every tree sweep runs on the level plan of ``grid``: working arrays hold
 one row per load node, sorted by (depth, id), and one column per sample,
@@ -46,45 +41,13 @@ from .grid import (ForestConfig, LineEdge, _canonical, _is_index, _is_number, _l
 __all__ = [
     "VARIANTS",
     "effective_impedance",
-    "InjectionVector",
-    "VoltageState",
     "VoltageSamples",
     "DistFlowResult",
-    "lcpf_solve",
     "distflow_solve",
     "distflow_solve_many",
     "lcpf_response",
     "lcpf_solve_many",
 ]
-
-
-@dataclass(frozen=True)
-class InjectionVector:
-    """Active/reactive injections per load node, canonical ascending-id
-    order, per-unit; consumption is negative."""
-
-    p: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        p = _float_array(self.p, "p")
-        q = _float_array(self.q, "q")
-        if p.ndim != 1 or p.shape != q.shape:
-            raise DomainError(f"p and q must be 1-d arrays of equal length, got {p.shape} and {q.shape}")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-            raise DomainError("injections must be finite")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-
-@dataclass(frozen=True)
-class VoltageState:
-    """Voltage deviations eps = v - 1 (and phases, when the engine produces
-    them) per load node in canonical order; substation values are 0 by
-    construction and not stored."""
-
-    eps: np.ndarray
-    theta: np.ndarray | None
 
 
 def _float_array(value, name: str, error=DomainError) -> np.ndarray:
@@ -124,12 +87,13 @@ class VoltageSamples:
 
 @dataclass(frozen=True)
 class DistFlowResult:
-    """Converged nonlinear solution.  ``flows`` maps each closed-edge index
-    to its sending-end (active, reactive) flow in the consumption-positive
-    convention: positive values flow from parent toward child, serving
-    downstream load."""
+    """Converged nonlinear solution of one sample.  ``eps`` holds the
+    voltage deviations per load node, canonical order.  ``flows`` maps each
+    closed-edge index to its sending-end (active, reactive) flow in the
+    consumption-positive convention: positive values flow from parent
+    toward child, serving downstream load."""
 
-    state: VoltageState
+    eps: np.ndarray
     flows: dict[int, tuple[float, float]]
     iterations: int
     max_residual: float
@@ -172,25 +136,10 @@ def effective_impedance(edge: LineEdge, variant: str) -> tuple[float, float]:
     return _impedance(variant)(edge.r, edge.x)
 
 
-def lcpf_solve(forest: ForestConfig, inj: InjectionVector) -> VoltageState:
-    """Solve the coupled linear model by two tree sweeps, O(N) total."""
-    p, q = _check_batch(forest, inj.p[None], inj.q[None])
-    plan = _level_plan(forest)
-    r, x = plan.r, plan.x
-    sp = _subtree_sums(plan, _rows(plan, p))
-    sq = _subtree_sums(plan, _rows(plan, q))
-    eps = np.zeros_like(sp)    # the outside row is the substation's 0
-    theta = np.zeros_like(sp)
-    for level, par in zip(plan.levels, plan.parents):
-        eps[level] = eps[par] + r[level] * sp[level] + x[level] * sq[level]
-        theta[level] = theta[par] + x[level] * sp[level] - r[level] * sq[level]
-    return VoltageState(eps=_canonical(plan, eps)[0], theta=_canonical(plan, theta)[0])
-
-
 def lcpf_response(forest: ForestConfig) -> tuple[np.ndarray, np.ndarray]:
     """Dense response matrices (A, B) of the linear model in canonical order:
-    eps = A p + B q and theta = B p - A q, with A = H_{1/r}^-1 (root-path
-    resistance sums) and B = H_{1/x}^-1 (reactance sums).
+    eps = A p + B q, with A = H_{1/r}^-1 (root-path resistance sums) and
+    B = H_{1/x}^-1 (reactance sums).
 
     Built once per forest and kept, read-only, in the forest's memo, so
     repeated batch solves on one forest share them.
@@ -207,8 +156,7 @@ def lcpf_response(forest: ForestConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def lcpf_solve_many(forest: ForestConfig, p: np.ndarray, q: np.ndarray) -> VoltageSamples:
     """Vectorized linear solves for sample batches of shape (m, N): the
-    voltage deviations eps = pA + qB, in a new array.  For phases, solve
-    one sample with ``lcpf_solve``."""
+    voltage deviations eps = pA + qB, in a new array."""
     p, q = _check_batch(forest, p, q)
     a, b = lcpf_response(forest)
     eps = p @ a
@@ -356,13 +304,16 @@ def distflow_solve_many(forest: ForestConfig, p: np.ndarray, q: np.ndarray,
     return VoltageSamples(nodes=forest.grid.load_ids, eps=_distflow(forest, p, q, tol, max_iter).eps)
 
 
-def distflow_solve(forest: ForestConfig, inj: InjectionVector,
+def distflow_solve(forest: ForestConfig, p: np.ndarray, q: np.ndarray,
                    tol: float = 1e-10, max_iter: int = 100) -> DistFlowResult:
     """Iterate the nonlinear recursion to a fixed point: the one-sample case
-    of ``distflow_solve_many``, with its line flows, sweep count and final
-    residual."""
-    batch = _distflow(forest, inj.p[None], inj.q[None], tol, max_iter)
+    of ``distflow_solve_many`` for 1-d ``p`` and ``q``, with its line flows,
+    sweep count and final residual."""
+    p, q = _float_array(p, "p"), _float_array(q, "q")
+    if p.ndim != 1 or q.ndim != 1:
+        raise DomainError(f"expected 1-d arrays of one sample, got {p.shape} and {q.shape}")
+    batch = _distflow(forest, p[None], q[None], tol, max_iter)
     fp, fq = batch.fp[0], batch.fq[0]
     flows = {forest.parent_edge[nid]: (fp[i], fq[i]) for i, nid in enumerate(forest.grid.load_ids)}
-    return DistFlowResult(state=VoltageState(eps=batch.eps[0], theta=None), flows=flows,
-                          iterations=int(batch.iterations[0]), max_residual=batch.residual[0])
+    return DistFlowResult(eps=batch.eps[0], flows=flows, iterations=int(batch.iterations[0]),
+                          max_residual=batch.residual[0])

@@ -151,6 +151,14 @@ def random_a1_model(forest, seed, scale=0.002):
     )
 
 
+def model_from_covariances(nodes, mu_p, mu_q, omega_p, omega_q, omega_pq):
+    """The InjectionModel of means mu and covariances omega: each
+    non-central moment is sigma = omega + mu mu^T."""
+    mu_p, mu_q = np.asarray(mu_p, dtype=float), np.asarray(mu_q, dtype=float)
+    return InjectionModel(tuple(nodes), mu_p, mu_q, omega_p + np.outer(mu_p, mu_p),
+                          omega_q + np.outer(mu_q, mu_q), omega_pq + np.outer(mu_p, mu_q))
+
+
 def scaled_model_doc(forest, order, shift=0):
     """The forest's default model with each load's injections scaled by a
     factor of its own, as an explicit model document listing the loads in

@@ -7,7 +7,9 @@ samples and depth levels; ``block_path_sums`` is an earlier
 are kept here, out of the package, as the oracles the fast paths must match
 bit for bit: same visiting order, children summed one at a time in
 ascending id order, root paths summed root first, the same stopping rule
-and the same errors.
+and the same errors.  ``scalar_sweep`` has no sweep left in the package to
+match: the tests hold ``lcpf_solve_many``'s dense solve to it within
+rounding, and read phases from it, since the package forms none.
 
 The ancestry oracles (``descendants``, ``descendant_load_indices``,
 ``lca``, ``inverse_incidence_entry`` and ``laplacian_row_difference``) are
@@ -36,7 +38,7 @@ from gridtop.errors import ConvergenceError, DomainError, InfeasibleStateError
 from gridtop.grid import _weight_of
 from gridtop.learner import LearnerConfig, TraceRecord, relative_error
 from gridtop.moments import MomentSet, edge_sq_diff
-from gridtop.powerflow import DistFlowResult, VoltageState, effective_impedance
+from gridtop.powerflow import DistFlowResult, effective_impedance
 
 from dense_oracles import _edge_child, _edge_direction, root_path_edges
 
@@ -52,11 +54,12 @@ def _subtree_sums(forest, values):
     return sums
 
 
-def scalar_sweep(forest, inj, variant) -> VoltageState:
-    """The linear model ``variant`` by two node-by-node sweeps."""
+def scalar_sweep(forest, p, q, variant) -> tuple[np.ndarray, np.ndarray]:
+    """The linear model ``variant`` for one sample by two node-by-node
+    sweeps: the voltage deviations eps and the phases theta, canonical order."""
     idx = forest.grid.load_index
-    sp = _subtree_sums(forest, inj.p)
-    sq = _subtree_sums(forest, inj.q)
+    sp = _subtree_sums(forest, p)
+    sq = _subtree_sums(forest, q)
     eps = np.zeros(forest.grid.n_loads)
     theta = np.zeros(forest.grid.n_loads)
     for nid in forest.loads_by_depth:
@@ -66,14 +69,14 @@ def scalar_sweep(forest, inj, variant) -> VoltageState:
         pt = 0.0 if par in forest.grid.substation_ids else theta[idx[par]]
         eps[idx[nid]] = pe + r * sp[nid] + x * sq[nid]
         theta[idx[nid]] = pt + x * sp[nid] - r * sq[nid]
-    return VoltageState(eps=eps, theta=theta)
+    return eps, theta
 
 
-def scalar_distflow(forest, inj, tol=1e-10, max_iter=100) -> DistFlowResult:
+def scalar_distflow(forest, p, q, tol=1e-10, max_iter=100) -> DistFlowResult:
     """Solve one sample node by node; raises like the package solver."""
     idx = forest.grid.load_index
-    load_p = -inj.p
-    load_q = -inj.q
+    load_p = -np.asarray(p, dtype=float)
+    load_q = -np.asarray(q, dtype=float)
 
     fp = _subtree_sums(forest, load_p)
     fq = _subtree_sums(forest, load_q)
@@ -114,8 +117,7 @@ def scalar_distflow(forest, inj, tol=1e-10, max_iter=100) -> DistFlowResult:
         if dv < tol and residual < tol:
             eps = np.array([math.sqrt(vsq[nid]) - 1.0 for nid in forest.grid.load_ids])
             flows = {forest.parent_edge[nid]: (fp[nid], fq[nid]) for nid in forest.grid.load_ids}
-            return DistFlowResult(state=VoltageState(eps=eps, theta=None), flows=flows,
-                                  iterations=iteration, max_residual=max(dv, residual))
+            return DistFlowResult(eps=eps, flows=flows, iterations=iteration, max_residual=max(dv, residual))
 
     raise ConvergenceError(
         f"sweep did not converge within {max_iter} iterations (residual {max(dv, residual):.3e})",
@@ -303,30 +305,34 @@ def reconstruct(data, model, grid, config=LearnerConfig(), truth=None) -> Oracle
     parent_map = {}
     trace = []
 
-    for b_star in pop_order:
-        for a in list(leaves):
-            edge_index = grid.edge_between(a, b_star)
-            if edge_index is None:
-                trace.append(TraceRecord(a, b_star, None, None, None, False, "no line in grid"))
-                continue
-            lhs = lhs_of(a, b_star)
-            rhs = edge_sq_diff(grid.edges[edge_index], config.variant, *desc.sums[a])
-            if rhs == 0.0:
-                dev = 0.0 if lhs == 0.0 else math.inf
-            else:
-                dev = abs(1.0 - lhs / rhs)
-            if dev < config.tau:
-                pair = (a, b_star) if a <= b_star else (b_star, a)
-                learned.add(pair)
-                parent_map[a] = b_star
-                desc.merge(a, b_star)
-                leaves.remove(a)
-                trace.append(TraceRecord(a, b_star, lhs, rhs, dev, True))
-            else:
-                note = "rhs zero with nonzero lhs" if math.isinf(dev) else ""
-                trace.append(TraceRecord(a, b_star, lhs, rhs, dev, False, note))
-        if b_star not in grid.substation_ids:
-            leaves.append(b_star)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing statistic is refused below
+        for b_star in pop_order:
+            for a in list(leaves):
+                edge_index = grid.edge_between(a, b_star)
+                if edge_index is None:
+                    trace.append(TraceRecord(a, b_star, None, None, None, False, "no line in grid"))
+                    continue
+                lhs = lhs_of(a, b_star)
+                rhs = edge_sq_diff(grid.edges[edge_index], config.variant, *desc.sums[a])
+                if rhs == 0.0:
+                    dev = 0.0 if lhs == 0.0 else math.inf
+                else:
+                    dev = abs(1.0 - lhs / rhs)
+                if dev < config.tau:
+                    pair = (a, b_star) if a <= b_star else (b_star, a)
+                    learned.add(pair)
+                    parent_map[a] = b_star
+                    desc.merge(a, b_star)
+                    leaves.remove(a)
+                    trace.append(TraceRecord(a, b_star, lhs, rhs, dev, True))
+                else:
+                    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+                        raise DomainError(f"the pair statistic of nodes ({a}, {b_star}) is not finite "
+                                          f"(lhs {lhs}, rhs {rhs})")
+                    note = "rhs zero with nonzero lhs" if rhs == 0.0 else ""
+                    trace.append(TraceRecord(a, b_star, lhs, rhs, dev, False, note))
+            if b_star not in grid.substation_ids:
+                leaves.append(b_star)
 
     learned = frozenset(learned)
     return OracleResult(learned, parent_map, tuple(trace), tuple(pop_order),

