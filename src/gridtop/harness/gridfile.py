@@ -158,28 +158,42 @@ def _rows_for_repr(eps: np.ndarray) -> np.ndarray:
     return np.flatnonzero((((size < 1e-4) | (size >= 1e16)) & (eps != 0.0)).any(axis=1))
 
 
+# Rows per write in ``write_samples`` and bytes per read in
+# ``_parse_samples_plain``: a sample file crosses memory one block of its text
+# at a time, next to the array, never as a whole.
+_WRITE_ROWS = 256
+_READ_BYTES = 1 << 19
+
+
 def write_samples(path: str | Path, samples: VoltageSamples) -> None:
     """Write a batch as a sample file that ``read_samples`` reads back bit
-    for bit; a GridTopError naming the row and node id of a non-finite value,
-    which no sample file may hold.
+    for bit; a GridTopError naming the path, before the file is opened, for
+    an empty batch or a non-finite value (with its row and node id), which
+    no sample file may hold.
 
-    Each value is written as its ``repr``, the digits coming from orjson
-    except in the rows ``_rows_for_repr`` picks.  No field needs CSV quoting,
-    so the bytes are those ``csv.writer`` writes.
+    Each value is written as its ``repr``, the digits coming from one orjson
+    dump per row except in the rows ``_rows_for_repr`` picks.  No field needs
+    CSV quoting, so the bytes are those ``csv.writer`` writes.  The rows are
+    written ``_WRITE_ROWS`` at a time.
     """
     eps = np.ascontiguousarray(samples.eps, dtype=np.float64)
+    if eps.size == 0:
+        raise GridTopError(f"cannot write sample file {path}: the batch is empty (eps has shape {eps.shape})")
     finite = np.isfinite(eps)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise GridTopError(f"cannot write sample file {path}: non-finite value {float(eps[row, col])!r} "
                            f"in row {row} at node {samples.nodes[col]}")
-    rows = orjson.dumps(eps, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[") if len(eps) else []
-    for i in _rows_for_repr(eps):
-        rows[i] = ",".join(map(repr, eps[i].tolist())).encode()
-    rows.insert(0, ",".join(str(nid) for nid in samples.nodes).encode())
-    rows.append(b"")
     try:
-        Path(path).write_bytes(b"\n".join(rows))
+        with open(path, "wb") as out:
+            out.write(",".join(str(nid) for nid in samples.nodes).encode() + b"\n")
+            for start in range(0, len(eps), _WRITE_ROWS):
+                block = eps[start:start + _WRITE_ROWS]
+                rows = [orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] for row in block]
+                for i in _rows_for_repr(block):
+                    rows[i] = ",".join(map(repr, block[i].tolist())).encode()
+                rows.append(b"")
+                out.write(b"\n".join(rows))
     except OSError as exc:
         raise GridTopError(f"cannot write sample file {path}: {exc.strerror or exc}") from exc
 
@@ -187,56 +201,114 @@ def write_samples(path: str | Path, samples: VoltageSamples) -> None:
 def read_samples(source: str | Path) -> VoltageSamples:
     """Read a voltage-sample CSV back into a batch (deviations only).
 
-    A well-formed file is parsed row by row as JSON arrays by orjson;
-    anything that parse refuses or might read differently goes to
-    ``_parse_samples_checked``, which either accepts it or raises the
-    ParseError that names its line.
+    A well-formed file is parsed one block at a time, row by row as JSON
+    arrays by orjson; a file that parse refuses or might read differently,
+    or cannot read at all, goes whole to ``_parse_samples_checked``, which
+    either accepts it or raises the ParseError that names its line.
     """
-    text = _read_text(source, "sample file")
-    fast = _parse_samples_plain(text)
-    return fast if fast is not None else _parse_samples_checked(text, str(source))
+    if not Path(source).is_file():
+        # A pipe cannot be read twice, so its text is read whole.
+        text = _read_text(source, "sample file")
+        fast = _parse_samples_plain(io.BytesIO(text.encode()))
+        return fast if fast is not None else _parse_samples_checked(text, str(source))
+    try:
+        with open(source, "rb") as raw:
+            fast = _parse_samples_plain(raw)
+    except OSError:
+        fast = None
+    if fast is not None:
+        return fast
+    return _parse_samples_checked(_read_text(source, "sample file"), str(source))
 
 
 # Characters that JSON reads and a ``csv`` cell passed to ``float`` does not:
-# the brackets, braces and quote of arrays, objects and strings, the first
-# letters of true, false and null, and a carriage return, which JSON skips as
-# whitespace and ``csv`` ends a line at.  Each also fails ``int`` in a header
-# field except the carriage return, which ``int`` strips.
-_JSON_ONLY = "[]{}\"tfn\r"
+# the brackets, braces and quote of arrays, objects and strings and the first
+# letters of true, false and null.  Each also fails ``int`` in a header field.
+# No UTF-8 sequence of another character holds their bytes.
+_JSON_ONLY = tuple(c.encode() for c in "[]{}\"tfn")
 
 
-def _parse_samples_plain(text: str) -> VoltageSamples | None:
-    """The samples of a well-formed file, or None where the checked parser
-    must decide.  Lines are split on "\\n" alone, as ``csv`` splits them:
-    ``str.splitlines`` would also break a line at form feeds and other
-    separators that ``float`` refuses inside a cell.  A header with a quote
-    fails ``int`` here and goes to the checked parser, so the fields split
-    here are the ``csv`` fields.  A row is read as the JSON array of its
-    cells, where a JSON number is a ``float`` literal of the same value
-    except the integer ``-0``, which JSON reads as 0: a row holding an exact
-    zero is read again with ``float``, which keeps the sign.  JSON has
-    accepted that row, so its cells are number tokens between spaces and
-    tabs, which ``float`` strips."""
-    if any(c in text for c in _JSON_ONLY):
+def _chunks(raw):
+    """The bytes of a binary stream, ``_READ_BYTES`` at a time, with each
+    "\\r\\n" and each other "\\r" read as "\\n", as a text read with
+    universal newlines reads them.  A chunk that ends in "\\r" takes the
+    next byte too, so that no "\\r\\n" is cut in two."""
+    while chunk := raw.read(_READ_BYTES):
+        while chunk.endswith(b"\r") and (more := raw.read(1)):
+            chunk += more
+        if b"\r" in chunk:
+            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        yield chunk
+
+
+def _line_blocks(raw):
+    """The lines of a binary stream split on "\\n" alone, as ``csv``
+    splits them, one list per chunk: ``splitlines`` would also break a line
+    at form feeds and other separators that ``float`` refuses inside a
+    cell.  A line that runs over a chunk edge comes whole in a later list;
+    the last list holds what follows the last "\\n"."""
+    tail = b""
+    for chunk in _chunks(raw):
+        lines = chunk.split(b"\n")
+        lines[0] = tail + lines[0]
+        tail = lines.pop()
+        yield lines
+    yield [tail]
+
+
+def _parse_samples_plain(raw) -> VoltageSamples | None:
+    """The samples of a well-formed file, read from a seekable binary stream
+    in two passes, or None where the checked parser must decide.  The first
+    pass counts the rows, so that the array is allocated once at its size;
+    the second fills it one chunk of lines at a time.  A header that is not
+    UTF-8 or holds a quote fails ``int`` here and goes to the checked
+    parser, so the fields split here are the ``csv`` fields.  A row is read
+    as the JSON array of its cells, where a JSON number is a ``float``
+    literal of the same value except the integer ``-0``, which JSON reads as
+    0: a row holding an exact zero is read again with ``float``, which keeps
+    the sign.  JSON has accepted that row, so its cells are number tokens
+    between spaces and tabs, which ``float`` strips."""
+    breaks = blank_tail = 0
+    for chunk in _chunks(raw):
+        if any(c in chunk for c in _JSON_ONLY):
+            return None
+        breaks += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+        body = chunk.rstrip(b"\n")
+        blank_tail = blank_tail + len(chunk) if not body else len(chunk) - len(body)
+    # Every line break but those of the trailing blank lines ends the
+    # header or a row: the rows are the lines after each such break.
+    m = breaks - blank_tail
+    if m <= 0:
         return None
-    header, *lines = text.split("\n")
-    while lines and not lines[-1]:
-        lines.pop()
-    if not lines:
-        return None
+    raw.seek(0)
+    nodes = None
+    filled = 0
     try:
-        nodes = tuple(int(h) for h in header.split(","))
-        eps = np.empty((len(lines), len(nodes)))
-        for i, line in enumerate(lines):
-            row = orjson.loads("[" + line + "]")
-            if len(row) != len(nodes):
+        for lines in _line_blocks(raw):
+            if nodes is None:
+                if not lines:
+                    continue
+                nodes = tuple(int(h) for h in lines[0].decode().split(","))
+                if _repeated(nodes) is not None:
+                    return None
+                eps = np.empty((m, len(nodes)))
+                del lines[0]
+            del lines[m - filled:]
+            rows = eps[filled:filled + len(lines)]
+            for i, line in enumerate(lines):
+                row = orjson.loads(b"[" + line + b"]")
+                if len(row) != len(nodes):
+                    return None
+                rows[i] = row
+            for i in np.flatnonzero((rows == 0.0).any(axis=1)):
+                rows[i] = [float(v) for v in lines[i].split(b",")]
+            if not np.isfinite(rows).all():
                 return None
-            eps[i] = row
-    except ValueError:
+            filled += len(lines)
+    except ValueError:  # refused by orjson or int, or a header that is not UTF-8
         return None
-    for i in np.flatnonzero((eps == 0.0).any(axis=1)):
-        eps[i] = [float(v) for v in lines[i].split(",")]
-    if _repeated(nodes) is not None or not np.isfinite(eps).all():
+    # A file that shrank between the passes leaves rows unfilled.
+    if filled != m:
         return None
     return VoltageSamples(nodes=nodes, eps=eps)
 

@@ -1,6 +1,7 @@
 """Smoke test of the bench scripts that write the ``BENCH_*.json`` files:
 each runs on two small sizes, once, and must write a document with its
-cases.  No timing is asserted."""
+cases, and the sample I/O script a traced memory peak per call and size.
+No timing is asserted."""
 
 import json
 import os
@@ -21,4 +22,8 @@ def test_bench_script_runs_on_small_sizes(tmp_path, script, sizes):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--sizes", *sizes, "--repeats", "1",
                            "--out", str(out)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-4000:]
-    assert "cases" in json.loads(out.read_text())
+    cases = json.loads(out.read_text())["cases"]
+    if script == "sample_io_scaling.py":
+        for case in cases.values():
+            assert case["peak_mib"].keys() == case["seconds"].keys()
+            assert all(len(peaks) == len(sizes) and min(peaks) > 0 for peaks in case["peak_mib"].values())

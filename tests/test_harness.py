@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +260,21 @@ def test_write_samples_refuses_a_non_finite_value(tmp_path, cell):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("shape", [(0, 8), (3, 0)])
+def test_write_samples_refuses_an_empty_batch(tmp_path, shape):
+    # A header-only file is one read_samples refuses; the refusal comes
+    # before the file is opened, so no file is made and none is truncated.
+    samples = VoltageSamples(nodes=(7, 3, 12, 1, 9, 4, 30, 2)[:shape[1]], eps=np.zeros(shape))
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("1,2\n0.1,0.2\n")
+    for path in (new, old):
+        with pytest.raises(GridTopError, match=re.escape(f"cannot write sample file {path}: the batch is empty "
+                                                         f"(eps has shape {shape})")):
+            write_samples(path, samples)
+    assert not new.exists()
+    assert old.read_text() == "1,2\n0.1,0.2\n"
+
+
 def _neighbours(value, count):
     """``value`` and the ``count`` floats either side of it."""
     below, above = [value], [value]
@@ -289,6 +307,56 @@ def test_write_samples_matches_the_csv_writer_on_spread_values(tmp_path, shape):
         assert _written(tmp_path, samples) == _written_by_csv_writer(samples)
         back = read_samples(tmp_path / "samples.csv")
         assert back.eps.tobytes() == np.ascontiguousarray(batch).tobytes()
+
+
+@pytest.mark.parametrize("rows, size", [(1, 3), (2, 5), (3, 64)])
+def test_sample_files_hold_across_block_edges(tmp_path, monkeypatch, rows, size):
+    # The round trip and the csv.writer bytes, with files written a few rows
+    # and read a few bytes at a time, so that exact zeros, repr-written rows
+    # and every other kind of row fall on either side of a block edge.
+    monkeypatch.setattr(gridfile, "_WRITE_ROWS", rows)
+    monkeypatch.setattr(gridfile, "_READ_BYTES", size)
+    test_sample_csv_round_trip_is_exact(tmp_path)
+    test_write_samples_writes_what_a_csv_writer_writes(tmp_path)
+    for shape in [(1, 9), (300, 1), (400, 7)]:
+        test_write_samples_matches_the_csv_writer_on_spread_values(tmp_path, shape)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_file_io_holds_one_block_of_text_at_a_time(tmp_path):
+    # 3200 samples of 83 loads: a 2.0 MiB array and a 5.6 MiB file.  Each
+    # call may hold the array and a block of text, not the file's text.
+    grid, forest = load_fixture("bus_83_11")
+    samples = simulate_voltage(forest, default_model(forest), 3200, seed=1)
+    path = tmp_path / "samples.csv"
+    assert _traced_peak(lambda: write_samples(path, samples)) <= 2 * 2**20
+    assert _traced_peak(lambda: read_samples(path)) <= 2.2 * samples.eps.nbytes + 2**20
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("text, want", [("1,2\r\n0.5,-0\r\n", (0.5, -0.0)),
+                                        ("1,2\n0.5\n", "expected 2 columns, got 1")])
+def test_read_samples_reads_a_pipe_once(tmp_path, text, want):
+    # A pipe cannot be read twice: read_samples must not open it again for
+    # its second pass or for the checked parser, where it would wait forever.
+    path = tmp_path / "samples.pipe"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,), kwargs={"newline": ""}, daemon=True)
+    writer.start()
+    got = []
+    reader = threading.Thread(target=lambda: got.append(_outcome(lambda: read_samples(path))), daemon=True)
+    reader.start()
+    reader.join(timeout=30)
+    assert got, "read_samples did not return"
+    _read_as(got[0], want)
 
 
 def test_file_pipeline_equals_in_memory_pipeline(tmp_path):
@@ -532,20 +600,21 @@ def _outcome(parse):
 def _read_both_ways(path, text):
     """read_samples' outcome on ``text``, after checking that it is the
     checked parser's: the same ParseError, or the same ids and array bytes.
-    Reading the file turns "\\r" and "\\r\\n" into "\\n", so the one-pass
-    parse is also checked on ``text`` itself: it accepts only what the
-    checked parser reads the same."""
+    The one-pass parse is also run on the bytes of ``text`` in memory: it
+    accepts only what the checked parser reads the same from the file, where
+    "\\r" and "\\r\\n" read as "\\n"."""
     path.write_text(text, newline="")
     fast = _outcome(lambda: read_samples(path))
-    assert fast == _outcome(lambda: _parse_samples_checked(path.read_text(), str(path)))
-    if (plain := _parse_samples_plain(text)) is not None:
-        assert _outcome(lambda: plain) == _outcome(lambda: _parse_samples_checked(text, str(path)))
+    checked = _outcome(lambda: _parse_samples_checked(path.read_text(), str(path)))
+    assert fast == checked
+    if (plain := _parse_samples_plain(io.BytesIO(text.encode()))) is not None:
+        assert _outcome(lambda: plain) == checked
     return fast
 
 
-@settings(max_examples=300, deadline=None)
-@given(n=st.integers(1, 4), m=st.integers(0, 3), data=st.data())
-def test_read_samples_agrees_with_the_checked_parser(tmp_path_factory, n, m, data):
+def _mutated_sample_text(n, m, data):
+    """A sample file of n columns and m rows of ``repr`` cells and spelt
+    zeros, with up to three mutations."""
     ids = data.draw(st.lists(st.integers(-3, 40), min_size=n, max_size=n, unique=True))
     cells = st.floats().map(repr) | st.sampled_from(_ZEROS)
     rows = [data.draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(m)]
@@ -559,10 +628,24 @@ def test_read_samples_agrees_with_the_checked_parser(tmp_path_factory, n, m, dat
         cuts = [0, len(text)] + [i + d for i, c in enumerate(text) if c in ",\n" for d in (0, 1)]
         at = rnd.choice(cuts) if rnd.random() < 0.5 else rnd.randrange(len(text) + 1)
         text = text[:at] + piece + text[at + replace:]
-    _read_both_ways(tmp_path_factory.mktemp("samples") / "s.csv", text)
+    return text
 
 
-@pytest.mark.parametrize("text, want", [
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(0, 3), data=st.data())
+def test_read_samples_agrees_with_the_checked_parser(tmp_path_factory, n, m, data):
+    _read_both_ways(tmp_path_factory.mktemp("samples") / "s.csv", _mutated_sample_text(n, m, data))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(0, 3), size=st.integers(1, 48), data=st.data())
+def test_read_samples_agrees_with_the_checked_parser_across_block_edges(tmp_path_factory, n, m, size, data):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gridfile, "_READ_BYTES", size)
+        _read_both_ways(tmp_path_factory.mktemp("samples") / "s.csv", _mutated_sample_text(n, m, data))
+
+
+_FALLBACK_CASES = [
     ("7\n0.5\x0c0.25\n", "s.csv:2: non-numeric sample value"),  # one line to csv, two to splitlines
     ("1\n0.5\u20280.25\n", "s.csv:2: non-numeric sample value"),
     ("1,2\n\x1c0.5,0.25\n", "s.csv:2: non-numeric sample value"),
@@ -581,13 +664,69 @@ def test_read_samples_agrees_with_the_checked_parser(tmp_path_factory, n, m, dat
     ("1,2\n1.0],[2.0\n", "s.csv:2: non-numeric sample value"),
     ("1\ntrue\n", "s.csv:2: non-numeric sample value"),
     ("1,2\n0.3\n", "s.csv:2: expected 2 columns, got 1"),  # numpy broadcasts a one-cell row
-])
-def test_read_samples_falls_back_to_the_checked_parser(tmp_path, text, want):
-    got = _read_both_ways(tmp_path / "s.csv", text)
+]
+
+
+def _read_as(got, want):
     if isinstance(want, str):
         assert got[0] == "error" and got[1].endswith(want)
     else:
         assert got[0] == "ok" and got[3] == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("text, want", _FALLBACK_CASES)
+def test_read_samples_falls_back_to_the_checked_parser(tmp_path, text, want):
+    _read_as(_read_both_ways(tmp_path / "s.csv", text), want)
+
+
+@pytest.mark.parametrize("text, want", _FALLBACK_CASES)
+def test_read_samples_falls_back_alike_at_every_block_size(tmp_path, monkeypatch, text, want):
+    for size in range(1, len(text.encode()) + 2):
+        monkeypatch.setattr(gridfile, "_READ_BYTES", size)
+        _read_as(_read_both_ways(tmp_path / "s.csv", text), want)
+
+
+# One row of each kind that a block edge may cut: (the row's bytes, whether
+# the one-pass parse keeps the file, the error it ends in or None).
+_EDGE_ROWS = {
+    "exact zero": (b"-0,0.0", True, None),
+    "repr row": (b"3e-05,-1.5e-07", True, None),
+    "blank line": (b"", False, None),
+    "ragged row": (b"0.5", False, "s.csv:{line}: expected 2 columns, got 1"),
+    "json-only": (b"0.5,true", False, "s.csv:{line}: non-numeric sample value"),
+    "invalid utf-8": (b"0.5,\xff0.25", False, "s.csv: cannot read sample file: not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("kind", _EDGE_ROWS)
+@pytest.mark.parametrize("at", [0, 2, 4])
+@pytest.mark.parametrize("breaks", [1, 0, 3], ids=["newline", "none", "blank-lines"])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_read_samples_keeps_its_verdict_at_every_block_size(tmp_path, monkeypatch, kind, at, breaks, newline):
+    # A row of each kind at the first, a middle or the last row, lines
+    # ending in "\n" or "\r\n", the file ending in one, no or three line
+    # breaks, read at every block size up to one past the file: the outcome
+    # is the checked parser's on the whole file, and the one-pass parse
+    # keeps the file exactly when it always did.
+    line, kept, error = _EDGE_ROWS[kind]
+    rows = [b"0.125,-0.5", b"2.5e-3,1e-2", b"-0.75,0.0625", b"1.5,-2.25"]
+    kept = kept or (not line and at == len(rows))  # a blank last line is a trailing one
+    data = newline.join([b"4,9"] + rows[:at] + [line] + rows[at:]) + newline * breaks
+    path = tmp_path / "s.csv"
+    path.write_bytes(data)
+    try:
+        want = _outcome(lambda: _parse_samples_checked(gridfile._read_text(path, "sample file"), str(path)))
+    except ParseError as exc:
+        want = ("error", str(exc))
+    if error is None:
+        assert want[0] == "ok"
+    else:
+        assert want[0] == "error" and error.format(line=at + 2) in want[1]
+    for size in range(1, len(data) + 2):
+        monkeypatch.setattr(gridfile, "_READ_BYTES", size)
+        assert _outcome(lambda: read_samples(path)) == want
+        with open(path, "rb") as raw:
+            assert (_parse_samples_plain(raw) is not None) == kept
 
 
 @pytest.mark.parametrize("zero", _ZEROS + [" -0\t"])
@@ -613,7 +752,8 @@ def test_a_written_sample_file_takes_the_one_pass_parse(tmp_path):
     samples = simulate_voltage(forest, default_model(forest), 50, seed=2)
     path = tmp_path / "samples.csv"
     write_samples(path, samples)
-    fast = _parse_samples_plain(path.read_text())
+    with open(path, "rb") as raw:
+        fast = _parse_samples_plain(raw)
     assert fast is not None and fast.nodes == samples.nodes
     assert fast.eps.tobytes() == samples.eps.tobytes()
 
