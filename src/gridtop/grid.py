@@ -106,6 +106,9 @@ class GridGraph:
             for label, val in (("r", e.r), ("x", e.x)):
                 if not (_is_finite(val) and val > 0):
                     raise StructureError(f"edge {i} ({e.u},{e.v}): {label} must be positive and finite, got {val}")
+            if not 0.0 < e.r * e.r + e.x * e.x < math.inf:  # dc divides by it; the level plan squares r and x
+                raise StructureError(f"edge {i} ({e.u},{e.v}): r^2 + x^2 must be positive and finite as a float, "
+                                     f"got r {e.r}, x {e.x}")
         if self.n_substations < 1:
             raise StructureError("grid has no substation")
         if self.n_loads < 1:

@@ -52,21 +52,28 @@ def _json_margin(value: float | None):
     return value if value is None or math.isfinite(value) else repr(value)
 
 
-def _fail(message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
-
-
 @contextmanager
 def _writing(path):
-    """End the command with one error line naming ``path`` when writing it fails."""
+    """A GridTopError naming ``path`` when writing it fails."""
     try:
         yield
     except OSError as exc:
-        _fail(f"cannot write {path}: {exc.strerror or exc}")
+        raise GridTopError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group: a GridTopError from any command ends the run
+    with one error line on stderr and exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except GridTopError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Commands)
 def main():
     """Simulate linearized power flow on radial grids and learn the
     operational forest topology from voltage data."""
@@ -86,15 +93,12 @@ def main():
 @click.option("-o", "--output", type=click.Path(dir_okay=False), required=True)
 def gen_grid(loads, subs, ties, extra, r_min, r_max, x_min, x_max, seed, name, output):
     """Generate a random grid with its operational forest declared."""
-    try:
-        grid, forest = generate_random_grid(
-            loads, subs, extra, n_tie_lines=ties,
-            r_range=(r_min, r_max), x_range=(x_min, x_max),
-            seed=seed_or_env(seed), name=name)
-        with _writing(output):
-            write_grid(output, grid, forest)
-    except GridTopError as exc:
-        _fail(str(exc))
+    grid, forest = generate_random_grid(
+        loads, subs, extra, n_tie_lines=ties,
+        r_range=(r_min, r_max), x_range=(x_min, x_max),
+        seed=seed_or_env(seed), name=name)
+    with _writing(output):
+        write_grid(output, grid, forest)
     click.echo(f"wrote {output}: {grid.n_loads} loads, {grid.n_substations} substations, "
                f"{len(grid.edges)} lines")
 
@@ -109,15 +113,12 @@ def gen_grid(loads, subs, ties, extra, r_min, r_max, x_min, x_max, seed, name, o
 @click.option("-o", "--output", type=click.Path(dir_okay=False), required=True)
 def simulate(grid_spec, samples, model_path, engine, seed, output):
     """Sample injections, solve power flows, write a voltage-sample CSV."""
-    try:
-        grid, forest = _load_grid(grid_spec)
-        if forest is None:
-            _fail("the grid declares no operational forest (no closed edges)")
-        model = _load_model(model_path, forest)
-        batch = simulate_voltage(forest, model, samples, seed_or_env(seed), engine)
-        write_samples(output, batch)
-    except GridTopError as exc:
-        _fail(str(exc))
+    grid, forest = _load_grid(grid_spec)
+    if forest is None:
+        raise GridTopError("the grid declares no operational forest (no closed edges)")
+    model = _load_model(model_path, forest)
+    batch = simulate_voltage(forest, model, samples, seed_or_env(seed), engine)
+    write_samples(output, batch)
     click.echo(f"wrote {output}: {samples} samples x {len(batch.nodes)} nodes")
 
 
@@ -127,11 +128,7 @@ def simulate(grid_spec, samples, model_path, engine, seed, output):
               help="Write JSON here instead of stdout.")
 def moments(samples_path, output):
     """Empirical second moments of a voltage-sample file."""
-    try:
-        batch = read_samples(samples_path)
-        mset = empirical_moments(batch)
-    except GridTopError as exc:
-        _fail(str(exc))
+    mset = empirical_moments(read_samples(samples_path))
     doc = {
         "nodes": list(mset.nodes),
         "m": mset.m,
@@ -158,14 +155,11 @@ def moments(samples_path, output):
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 def learn(grid_spec, samples_path, tau, variant, model_path, trace_path, as_json):
     """Reconstruct the operational forest from voltage samples."""
-    try:
-        grid, truth = _load_grid(grid_spec)
-        model = _load_model(model_path, truth)
-        batch = read_samples(samples_path)
-        config = LearnerConfig(tau=tau, variant=variant)
-        result = reconstruct(batch, model, grid, config, truth=truth)
-    except GridTopError as exc:
-        _fail(str(exc))
+    grid, truth = _load_grid(grid_spec)
+    model = _load_model(model_path, truth)
+    batch = read_samples(samples_path)
+    config = LearnerConfig(tau=tau, variant=variant)
+    result = reconstruct(batch, model, grid, config, truth=truth)
     if trace_path:
         with _writing(trace_path), open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -197,11 +191,8 @@ def learn(grid_spec, samples_path, tau, variant, model_path, trace_path, as_json
 @click.option("--gnuplot", is_flag=True, help="Write a companion gnuplot script next to the CSV.")
 def experiment(plan_path, output, verbose, timing, gnuplot):
     """Run a full error-versus-samples/tolerance experiment plan."""
-    try:
-        plan = plan_from_json(plan_path)
-        result = run_experiment(plan, include_timing=timing)
-    except GridTopError as exc:
-        _fail(str(exc))
+    plan = plan_from_json(plan_path)
+    result = run_experiment(plan, include_timing=timing)
     with _writing(output):
         write_error_csv(output, result)
     if verbose:

@@ -64,8 +64,11 @@ def generate_random_grid(n_loads: int, k_subs: int, n_extra_lines: int, *, n_tie
         raise DomainError("more lines requested than distinct node pairs exist")
 
     rng = np.random.default_rng(seed)
-    subs = list(range(k_subs))
-    loads = list(range(k_subs, k_subs + n_loads))
+    try:
+        subs = list(range(k_subs))
+        loads = list(range(k_subs, k_subs + n_loads))
+    except (OverflowError, MemoryError):
+        raise DomainError(f"cannot hold a grid of {n_loads} loads and {k_subs} substations") from None
 
     nodes = tuple(GridNode(id=i, kind=SUBSTATION) for i in subs) + tuple(GridNode(id=i, kind=LOAD) for i in loads)
     edges: list[LineEdge] = []

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import ForestConfig, GridGraph, _is_number
-from .moments import InjectionModel, MomentSet, _sigma_sq_diff, edge_sq_diff
+from .moments import InjectionModel, MomentSet, _refuse_non_finite_moment, _sigma_sq_diff
 from .powerflow import VARIANTS, VoltageSamples
 
 __all__ = [
@@ -190,10 +190,7 @@ def _pair_statistic(data: VoltageSamples | MomentSet, grid: GridGraph) -> tuple[
 
     if isinstance(data, MomentSet):
         sigma = data.sigma_eps if perm is None else data.sigma_eps[np.ix_(perm, perm)]
-        finite = np.isfinite(sigma)
-        if not finite.all():
-            i, j = np.argwhere(~finite)[0]
-            raise DomainError(f"moment entry of nodes ({nodes[i]}, {nodes[j]}) is not finite")
+        _refuse_non_finite_moment(sigma, nodes)
 
         if data.drops is not None:  # exact: no difference of nearly equal moments
             sq_diff = data.drops.sq_diff
@@ -259,11 +256,13 @@ def reconstruct(data: VoltageSamples | MomentSet, model: InjectionModel, grid: G
 
     pop_order = sorted(diag, key=lambda nid: (-diag[nid], nid))
     rank = {nid: k for k, nid in enumerate(pop_order)}
-    # Per node, its lines to nodes popped before it, as (rank, node, line): sorted, in pop order.
-    earlier: dict[int, list[tuple[int, int, int]]] = {nid: [] for nid in pop_order}
-    for edge_index, edge in enumerate(grid.edges):
+    impedance = VARIANTS[config.variant]
+    # Per node, its lines to nodes popped before it, as (rank, node, r, x) in the
+    # variant's effective impedance: sorted, in pop order.
+    earlier: dict[int, list[tuple[int, int, float, float]]] = {nid: [] for nid in pop_order}
+    for edge in grid.edges:
         a, b = (edge.u, edge.v) if rank[edge.u] < rank[edge.v] else (edge.v, edge.u)
-        earlier[b].append((rank[a], a, edge_index))
+        earlier[b].append((rank[a], a, *impedance(edge.r, edge.x)))
     leaves: set[int] = set()
     parent_map: dict[int, int] = {}
     decisions: list[TraceRecord] = []
@@ -272,11 +271,12 @@ def reconstruct(data: VoltageSamples | MomentSet, model: InjectionModel, grid: G
     with np.errstate(over="ignore", invalid="ignore"):
         for b_star in pop_order:
             j = idx.get(b_star)  # None for a substation
-            for _, a, edge_index in sorted(earlier[b_star]):
+            for _, a, r, x in sorted(earlier[b_star]):
                 if a not in leaves:
                     continue
                 lhs = diag[a] if j is None else pair_lhs(idx[a], j)
-                rhs = edge_sq_diff(grid.edges[edge_index], config.variant, *desc.sums[a])
+                sp, sq, spq = desc.sums[a]  # over a's descendant set
+                rhs = r * r * sp + x * x * sq + 2.0 * r * x * spq
                 dev = _deviation(lhs, rhs)
                 if dev < config.tau:
                     parent_map[a] = b_star

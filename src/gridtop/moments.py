@@ -38,10 +38,10 @@ import numpy as np
 
 from .errors import DomainError, ModelError, ParseError
 # path_sum_matrix is unused here but kept: perfbench/spans.py wraps it on this module by name.
-from .grid import (ForestConfig, LineEdge, _build_level_plan, _entry, _is_finite, _is_index,  # noqa: F401
+from .grid import (ForestConfig, _build_level_plan, _entry, _is_finite, _is_index,  # noqa: F401
                    _is_number, _known_keys, _LevelPlan, _list_of, _outside_row, _path_sums, _repeated,
                    _root_path_sums, _rows, _subtree_sums, path_sum_matrix)
-from .powerflow import VoltageSamples, _float_array, _impedance, effective_impedance
+from .powerflow import VoltageSamples, _float_array, _impedance
 
 __all__ = [
     "InjectionModel",
@@ -52,7 +52,6 @@ __all__ = [
     "sample_injections",
     "empirical_moments",
     "analytic_moment_set",
-    "edge_sq_diff",
     "assumption1_violations",
     "model_to_dict",
     "model_from_dict",
@@ -170,7 +169,10 @@ class InjectionModel:
         coupled = np.zeros((n, n), dtype=bool)
         scale = 1.0
         for name in ("omega_p", "omega_q", "omega_pq"):  # one N x N matrix at a time
-            omega = getattr(self, name)
+            with np.errstate(over="ignore"):  # means too large for the moments are refused below
+                omega = getattr(self, name)
+            if not np.all(np.isfinite(omega)):
+                raise ModelError(f"{name}, the covariance from the moments and means, contains non-finite entries")
             coupled |= omega != 0
             scale = max(scale, float(omega.max(initial=0.0)), -float(omega.min(initial=0.0)))
         del omega
@@ -376,8 +378,11 @@ class _Sampler:
         self._factor_t = (u * np.sqrt(np.abs(s))).T
         self._mean = np.concatenate([model.mu_p, model.mu_q])
         self._nodes = model.nodes
-        self._draws = np.empty((capacity, self._mean.size))
-        self._mixed = np.empty_like(self._draws)
+        try:
+            self._draws = np.empty((capacity, self._mean.size))
+            self._mixed = np.empty_like(self._draws)
+        except (ValueError, MemoryError) as exc:
+            raise DomainError(f"cannot hold {capacity} samples of {self._mean.size} injections: {exc}") from None
 
     def draw(self, m: int, seed) -> InjectionBatch:
         """m samples from the stream of ``seed``; m is at least 1 and at most
@@ -406,14 +411,27 @@ def sample_injections(model: InjectionModel, m: int, seed) -> InjectionBatch:
 
 def empirical_moments(samples: VoltageSamples) -> MomentSet:
     """Non-central sample moments (1/m) sum_j eps_a^j eps_b^j of a stacked
-    batch, by one matrix product."""
+    batch, by one matrix product; a DomainError naming the first pair of
+    nodes whose moment overflows."""
     if not isinstance(samples, VoltageSamples):
         raise DomainError(f"expected a VoltageSamples batch, got {type(samples).__name__}")
     m = len(samples)
     if m < 1:
         raise DomainError("empty sample set")
     eps = samples.eps
-    return MomentSet(nodes=samples.nodes, sigma_eps=eps.T @ eps / m, m=m)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product is refused below
+        sigma = eps.T @ eps / m
+    _refuse_non_finite_moment(sigma, samples.nodes)
+    return MomentSet(nodes=samples.nodes, sigma_eps=sigma, m=m)
+
+
+def _refuse_non_finite_moment(sigma: np.ndarray, nodes) -> None:
+    """A DomainError naming the first pair of ``nodes`` whose entry of the
+    moment matrix ``sigma`` is not finite."""
+    finite = np.isfinite(sigma)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise DomainError(f"moment entry of nodes ({nodes[i]}, {nodes[j]}) is not finite")
 
 
 def _sigma_sq_diff(sigma: np.ndarray, i: int, j: int) -> float:
@@ -566,14 +584,6 @@ def analytic_moment_set(forest: ForestConfig, model: InjectionModel, variant: st
         moments.append(block)
     return MomentSet(nodes=forest.grid.load_ids, sigma_eps=sigma_eps,
                      drops=LineDrops(variant, plans, moments, sigma_eps))
-
-
-def edge_sq_diff(edge: LineEdge, variant: str, sp: float, sq: float, spq: float) -> float:
-    """E[(eps_child - eps_parent)^2] across ``edge`` given the sums sp, sq,
-    spq of sigma_p, sigma_q, sigma_pq over the child's descendant set:
-    r^2 sp + x^2 sq + 2 r x spq in the variant's effective impedance."""
-    r, x = effective_impedance(edge, variant)
-    return r * r * sp + x * x * sq + 2.0 * r * x * spq
 
 
 def assumption1_violations(forest: ForestConfig, model: InjectionModel) -> list[tuple[int, int, str]]:

@@ -35,12 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InfeasibleStateError
-from .grid import (ForestConfig, LineEdge, _canonical, _is_index, _is_number, _level_plan, _repeated, _rows,
+from .grid import (ForestConfig, _canonical, _is_index, _is_number, _level_plan, _repeated, _rows,
                    _subtree_sums, path_sum_matrix)
 
 __all__ = [
     "VARIANTS",
-    "effective_impedance",
     "VoltageSamples",
     "DistFlowResult",
     "distflow_solve",
@@ -59,6 +58,8 @@ def _float_array(value, name: str, error=DomainError) -> np.ndarray:
         kind = array.dtype.kind
         if not (kind in "USc" or (kind == "O" and any(isinstance(v, (str, bytes)) for v in array.flat))):
             return np.asarray(array, dtype=float)
+    except OverflowError:
+        raise error(f"{name} holds a number too large for a float") from None
     except (TypeError, ValueError):
         pass
     raise error(f"{name} must be an array of numbers")
@@ -129,11 +130,6 @@ def _impedance(variant: str):
     if impedance is None:
         raise DomainError(f"unknown variant {variant!r}")
     return impedance
-
-
-def effective_impedance(edge: LineEdge, variant: str) -> tuple[float, float]:
-    """The (r, x) with which ``edge`` enters the linear model ``variant``."""
-    return _impedance(variant)(edge.r, edge.x)
 
 
 def lcpf_response(forest: ForestConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from gridtop.errors import DomainError
-from gridtop.moments import analytic_moment_set, assumption1_violations, edge_sq_diff
+from gridtop.moments import analytic_moment_set, assumption1_violations
 
 
 def load_order(forest) -> tuple[int, ...]:
@@ -166,6 +166,25 @@ def weighted_laplacians(forest) -> WeightedLaplacians:
 # -- moment identities -------------------------------------------------------
 
 
+# The variants of the linear model, stated apart from ``powerflow.VARIANTS``:
+# the (r, x) with which a line of impedance (r, x) enters.
+VARIANT_IMPEDANCE = {
+    "lc": lambda r, x: (r, x),
+    "dc": lambda r, x: (1.0 / (r / (r * r + x * x)), 0.0 * x),
+}
+
+
+def line_impedance(edge, variant: str) -> tuple[float, float]:
+    return VARIANT_IMPEDANCE[variant](edge.r, edge.x)
+
+
+def closed_form_sq_diff(edge, variant: str, sp: float, sq: float, spq: float) -> float:
+    """E[(eps_child - eps_parent)^2] across ``edge`` from the sums sp, sq,
+    spq of sigma_p, sigma_q, sigma_pq over the child's descendant set."""
+    r, x = line_impedance(edge, variant)
+    return r * r * sp + x * x * sq + 2.0 * r * x * spq
+
+
 def expected_sq_diff(forest, model, child: int, parent: int, variant: str = "lc") -> float:
     """E[(eps_child - eps_parent)^2] by the direct double sum over the
     child's descendant set (the reference route, independent of the
@@ -178,7 +197,7 @@ def expected_sq_diff(forest, model, child: int, parent: int, variant: str = "lc"
     members = forest.descendant_load_indices[child]
     block = np.ix_(members, members)
     sums = (float(m[block].sum()) for m in (mod.sigma_p, mod.sigma_q, mod.sigma_pq))
-    return edge_sq_diff(forest.grid.edges[forest.parent_edge[child]], variant, *sums)
+    return closed_form_sq_diff(forest.grid.edges[forest.parent_edge[child]], variant, *sums)
 
 
 def verify_moment_ordering(forest, model, variant: str = "lc") -> list[tuple[int, int, float, float]]:

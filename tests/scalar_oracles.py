@@ -37,10 +37,10 @@ import numpy as np
 from gridtop.errors import ConvergenceError, DomainError, InfeasibleStateError
 from gridtop.grid import _weight_of
 from gridtop.learner import LearnerConfig, TraceRecord, relative_error
-from gridtop.moments import MomentSet, edge_sq_diff
-from gridtop.powerflow import DistFlowResult, effective_impedance
+from gridtop.moments import MomentSet
+from gridtop.powerflow import DistFlowResult
 
-from dense_oracles import _edge_child, _edge_direction, root_path_edges
+from dense_oracles import _edge_child, _edge_direction, closed_form_sq_diff, line_impedance, root_path_edges
 
 
 def _subtree_sums(forest, values):
@@ -64,7 +64,7 @@ def scalar_sweep(forest, p, q, variant) -> tuple[np.ndarray, np.ndarray]:
     theta = np.zeros(forest.grid.n_loads)
     for nid in forest.loads_by_depth:
         par = forest.parent[nid]
-        r, x = effective_impedance(forest.grid.edges[forest.parent_edge[nid]], variant)
+        r, x = line_impedance(forest.grid.edges[forest.parent_edge[nid]], variant)
         pe = 0.0 if par in forest.grid.substation_ids else eps[idx[par]]
         pt = 0.0 if par in forest.grid.substation_ids else theta[idx[par]]
         eps[idx[nid]] = pe + r * sp[nid] + x * sq[nid]
@@ -313,7 +313,7 @@ def reconstruct(data, model, grid, config=LearnerConfig(), truth=None) -> Oracle
                     trace.append(TraceRecord(a, b_star, None, None, None, False, "no line in grid"))
                     continue
                 lhs = lhs_of(a, b_star)
-                rhs = edge_sq_diff(grid.edges[edge_index], config.variant, *desc.sums[a])
+                rhs = closed_form_sq_diff(grid.edges[edge_index], config.variant, *desc.sums[a])
                 if rhs == 0.0:
                     dev = 0.0 if lhs == 0.0 else math.inf
                 else:
@@ -359,7 +359,7 @@ def dense_drop_moments(forest, model, variant="lc") -> np.ndarray:
     canonical order: eps = D^T delta, so E[(eps_a - eps_b)^2] is u^T Delta u
     with u = D[:, a] - D[:, b]."""
     mod = model.aligned_to(forest.grid.load_ids)
-    rx = [effective_impedance(forest.grid.edges[forest.parent_edge[nid]], variant) for nid in forest.grid.load_ids]
+    rx = [line_impedance(forest.grid.edges[forest.parent_edge[nid]], variant) for nid in forest.grid.load_ids]
     r = np.array([v for v, _ in rx])
     x = np.array([v for _, v in rx])
     d = subtree_indicator(forest)

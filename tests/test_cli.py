@@ -345,6 +345,14 @@ def test_model_file_errors_name_their_key(runner, tmp_path, command, model_doc, 
     assert len(errors) == 1 and key in errors[0]
 
 
+def test_moments_refuses_a_moment_that_overflows(runner, tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("1,2\n1e200,1e200\n1e200,2e200\n")  # finite, so the file is read
+    res = runner.invoke(main, ["moments", "--samples", str(path)])
+    assert _one_error_line(res) == "error: moment entry of nodes (1, 1) is not finite"
+    assert res.stdout == ""
+
+
 def _one_error_line(res):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)  # a clean exit, not an escaped exception

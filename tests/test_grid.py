@@ -29,6 +29,12 @@ def test_grid_rejects_nonpositive_impedance():
         make_grid([(0, SUBSTATION), (1, LOAD)], [(0, 1, "a", 0.2)])
 
 
+@pytest.mark.parametrize("r, x", [(1e200, 0.2), (0.2, 1.5e154), (1e-200, 1e-200)])
+def test_grid_rejects_an_impedance_whose_square_is_not_a_positive_float(r, x):
+    with pytest.raises(StructureError, match=r"^edge 0 \(0,1\): r\^2 \+ x\^2 must be positive and finite"):
+        make_grid([(0, SUBSTATION), (1, LOAD)], [(0, 1, r, x)])
+
+
 def test_grid_rejects_duplicate_edges():
     with pytest.raises(StructureError, match="duplicate"):
         make_grid([(0, SUBSTATION), (1, LOAD)], [(0, 1, 0.1, 0.2), (1, 0, 0.3, 0.1)])

@@ -158,6 +158,12 @@ def test_generator_rejects_infeasible_parameters():
         generate_random_grid(2, 1, 50)  # more lines than node pairs
 
 
+@pytest.mark.parametrize("n_loads", [2 ** 63, 10 ** 400])
+def test_generator_refuses_more_loads_than_it_can_hold(n_loads):
+    with pytest.raises(DomainError, match=f"^cannot hold a grid of {n_loads} loads and 1 substations$"):
+        generate_random_grid(n_loads, 1, 0)
+
+
 def test_generator_every_tree_gets_a_load():
     grid, forest = generate_random_grid(11, 4, 8, n_tie_lines=3, seed=1)
     for k in range(forest.n_trees):

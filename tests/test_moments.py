@@ -277,6 +277,12 @@ def test_empirical_moments_empty_set_rejected():
         empirical_moments(VoltageSamples(nodes=(1, 2), eps=np.zeros((0, 2))))
 
 
+def test_empirical_moments_refuse_a_moment_that_overflows():
+    samples = VoltageSamples(nodes=(1, 2), eps=np.array([[1e200, 1e200], [1e200, 2e200]]))
+    with pytest.raises(DomainError, match=r"^moment entry of nodes \(1, 1\) is not finite$"):
+        empirical_moments(samples)  # under the suite's error::RuntimeWarning filter: no overflow warning first
+
+
 def test_empirical_moments_take_only_a_batch():
     samples = VoltageSamples(nodes=(1, 2), eps=np.ones((3, 2)))
     with pytest.raises(DomainError, match="expected a VoltageSamples batch"):
@@ -744,6 +750,21 @@ def test_model_rejects_non_finite_means():
     with pytest.raises(ModelError, match="mean vectors"):
         InjectionModel(nodes=(1, 2), mu_p=np.array([np.nan, 0.0]), mu_q=np.zeros(2),
                        sigma_p=np.eye(2), sigma_q=np.eye(2), sigma_pq=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("mu_p, message", [
+    ([1e200, 0.0], "^omega_p, the covariance from the moments and means, contains non-finite entries$"),
+    ([10 ** 400, 0.0], "^mu_p holds a number too large for a float$"),
+])
+def test_model_refuses_means_too_large_for_its_covariance(mu_p, message):
+    with pytest.raises(ModelError, match=message):  # under the suite's error::RuntimeWarning filter
+        InjectionModel(nodes=(1, 2), mu_p=mu_p, mu_q=[0.0, 0.0], sigma_p=np.eye(2), sigma_q=np.eye(2),
+                       sigma_pq=np.zeros((2, 2)))
+
+
+def test_sampling_refuses_a_count_it_cannot_hold(fig3):
+    with pytest.raises(DomainError, match="^cannot hold 9223372036854775808 samples of 10 injections: "):
+        sample_injections(default_model(fig3[1]), 2 ** 63, seed=1)
 
 
 # -- vectorised model functions against their loop forms ---------------------------
