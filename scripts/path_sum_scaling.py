@@ -21,9 +21,12 @@ The forests are chains of N loads whose ids are shuffled along the line
 N^2 / 2 loads), and the benchmark's feeders (``perfbench/feeder.py``: four
 trees, one of them a spine of N / 5 loads).  Each timing is the best of
 ``--repeats`` calls, each on a freshly built forest, so no call reuses what
-an earlier one kept in the forest's memo.  Writes one JSON document, with
-the peak resident set size of the process (the largest case's arrays: the
-three N x N moment matrices are 128 MB each at N = 4000).
+an earlier one kept in the forest's memo.  After the timed calls each call
+runs once more under ``tracemalloc``, which slows it, on an input built
+before tracing starts, and ``peak_mib`` records the peak of the memory it
+traced, its result included.  Writes one JSON document, with the peak
+resident set size of the process (the largest case's arrays: the dense
+response matrices of ``lcpf_response`` are 128 MB each at N = 4000).
 
     PYTHONPATH=src python scripts/path_sum_scaling.py --out BENCH_scaling.json
 """
@@ -35,6 +38,7 @@ import platform
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +89,18 @@ def best(repeats: int, build, call) -> float:
     return out
 
 
+def traced_peak(build, call) -> float:
+    """The peak of traced memory, in MiB, of one untimed ``call(build())``;
+    the build is not traced."""
+    arg = build()
+    tracemalloc.start()
+    try:
+        call(arg)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def exponent(sizes, seconds) -> float:
     return round(float(np.polyfit(np.log(sizes), np.log(seconds), 1)[0]), 3)
 
@@ -102,6 +118,7 @@ def main() -> None:
     for kind in ("shuffled_chain", "feeder"):
         rows = {"forest_build": [], "default_model": [], "lcpf_response": [], "analytic_moment_set": [],
                 "reconstruct": []}
+        peaks = {name: [] for name in rows}
         errors = []
         for n in args.sizes:
             grid, fresh = forests(kind, n, rng)
@@ -115,17 +132,23 @@ def main() -> None:
                 model = default_model(forest)
                 return forest, model, analytic_moment_set(forest, model)
 
-            rows["forest_build"].append(best(args.repeats, lambda: None, lambda _: fresh()))
-            rows["default_model"].append(best(args.repeats, fresh, default_model))
-            rows["lcpf_response"].append(best(args.repeats, fresh, lcpf_response))
-            rows["analytic_moment_set"].append(best(args.repeats, lambda: (f := fresh(), default_model(f)),
-                                                    lambda fm: analytic_moment_set(*fm)))
-            rows["reconstruct"].append(best(args.repeats, prepare, learned))
+            calls = {  # name: (untimed build of the input, timed call)
+                "forest_build": (lambda: None, lambda _: fresh()),
+                "default_model": (fresh, default_model),
+                "lcpf_response": (fresh, lcpf_response),
+                "analytic_moment_set": (lambda: (f := fresh(), default_model(f)), lambda fm: analytic_moment_set(*fm)),
+                "reconstruct": (prepare, learned),
+            }
+            for name, (build, call) in calls.items():
+                rows[name].append(best(args.repeats, build, call))
+            for name, (build, call) in calls.items():
+                peaks[name].append(round(traced_peak(build, call), 3))
             prepared = prepare()
             errors.append([learned(prepared, tau).relative_error for tau in TAUS])
         cases[kind] = {
             "seconds": {name: [round(s, 6) for s in seconds] for name, seconds in rows.items()},
             "exponent": {name: exponent(args.sizes, seconds) for name, seconds in rows.items()},
+            "peak_mib": peaks,
             "relative_error": {f"tau_{tau:g}": [e[k] for e in errors] for k, tau in enumerate(TAUS)},
         }
     doc = {

@@ -180,6 +180,9 @@ def learn(grid_spec, samples_path, tau, variant, model_path, trace_path, as_json
         click.echo(f"  {u} -- {v}")
     if result.relative_error is not None:
         click.echo(f"relative error vs declared forest: {result.relative_error}")
+    if result.parentless_loads:
+        click.echo(f"warning: {len(result.parentless_loads)} of {grid.n_loads} loads have no learned parent",
+                   err=True)
 
 
 @main.command()

@@ -49,6 +49,8 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
+# Each trial keeps a row until the run ends, so the count is bounded.
+MAX_TRIALS = 1_000_000
 CSV_COLUMNS = ("grid", "variant", "m", "tau", "trials", "mean_error", "std_error")
 TRIAL_COLUMNS = ("grid", "variant", "m", "tau", "trial", "error", "note")
 
@@ -75,6 +77,8 @@ class ExperimentPlan:
             raise DomainError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise DomainError(f"trials must be at least 1, got {self.trials}")
+        if self.trials > MAX_TRIALS:
+            raise DomainError(f"trials must be at most {MAX_TRIALS:,}, got {self.trials}")
         if not _is_seed_or_none(self.seed):
             raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.sample_counts:
@@ -245,9 +249,11 @@ def run_experiment(plan: ExperimentPlan, include_timing: bool = False) -> Experi
 
     analytic = None  # the exact moment set, built on the first "inf" trial
     # One factor of the model's covariance and one pair of sample buffers for
-    # the whole run, built on the first sampled trial.  A trial's draws are
-    # solved into new arrays, so no buffer outlives the trial.
-    sampler = None
+    # the whole run, built before any trial, so that a sample count the
+    # buffers cannot hold ends the run and fails no trial.  A trial's draws
+    # are solved into new arrays, so no buffer outlives the trial.
+    finite = [int(n) for n in plan.sample_counts if not math.isinf(n)]
+    sampler = _Sampler(model, max(finite)) if finite else None
     rows = []
     trial_rows = []
     failures = 0
@@ -266,8 +272,6 @@ def run_experiment(plan: ExperimentPlan, include_timing: bool = False) -> Experi
                             analytic = analytic_moment_set(forest, model, variant=plan.variant)
                         data = analytic
                     else:
-                        if sampler is None:
-                            sampler = _Sampler(model, int(max(n for n in plan.sample_counts if not math.isinf(n))))
                         seed = np.random.SeedSequence((master, point_index, trial))
                         data = _solve(forest, sampler.draw(int(m), seed), plan.engine)
                     result = reconstruct(data, model, grid, config, truth=forest)

@@ -147,32 +147,50 @@ class _DescendantSums:
     O(N^2) for dense moment matrices and each tested pair costs O(1).  Only
     loads are tracked: only a load becomes a leaf, so no rhs reads a
     substation's sums, and a merge into a substation only retires the
-    source set."""
+    source set.
+
+    A set is kept as (group, members): its members in merge order, as
+    indices into the block of the model's storage group that holds them, so
+    a merge gathers from that block directly.  A set across groups, which
+    only a false accept makes, has group None and model indices, and its
+    merges read through ``InjectionModel.block``."""
 
     def __init__(self, model: InjectionModel):
-        self._sp = model.sigma_p
-        self._sq = model.sigma_q
-        self._spq = model.sigma_pq
-        diagonals = zip(self._sp.diagonal().tolist(), self._sq.diagonal().tolist(), self._spq.diagonal().tolist())
-        rows = np.arange(len(model.nodes), dtype=np.intp)
-        # Member index arrays in merge order; one-element views to start.
-        self.members: dict[int, np.ndarray] = {nid: rows[i:i + 1] for i, nid in enumerate(model.nodes)}
-        self.sums: dict[int, tuple[float, float, float]] = dict(zip(model.nodes, diagonals))
+        self._model = model
+        diagonals = np.empty((3, len(model.nodes)))
+        rows = np.concatenate(model.groups)
+        for k in range(3):
+            diagonals[k, rows] = np.concatenate([blocks[k].diagonal() for blocks in model.group_sigmas])
+        group, local = model.group_of.tolist(), model.index_in_group
+        # One-element views to start.
+        self.members: dict[int, tuple[int | None, np.ndarray]] = {
+            nid: (group[i], local[i:i + 1]) for i, nid in enumerate(model.nodes)}
+        self.sums: dict[int, tuple[float, float, float]] = dict(zip(model.nodes, zip(*diagonals.tolist())))
 
     def merge(self, src: int, dst: int):
-        a = self.members.pop(src)
+        ga, a = self.members.pop(src)
         sp_a, sq_a, spq_a = self.sums.pop(src)
         if dst not in self.members:  # a substation
             return
-        b = self.members[dst]
+        gb, b = self.members[dst]
+        if ga is not None and ga == gb:
+            sp, sq, spq = self._model.group_sigmas[ga]
+            # The np.ix_(a, b) block, same shape and order.
+            ab = (a[:, None], b)
+            ba = (b[:, None], a)
+            parts = sp[ab].sum(), sq[ab].sum(), spq[ab].sum(), spq[ba].sum()
+        else:
+            model = self._model
+            a, b = (rows if g is None else model.groups[g][rows] for g, rows in ((ga, a), (gb, b)))
+            ga = None
+            parts = (model.block(0, a, b).sum(), model.block(1, a, b).sum(), model.block(2, a, b).sum(),
+                     model.block(2, b, a).sum())
+        p_ab, q_ab, pq_ab, pq_ba = map(float, parts)
         sp_b, sq_b, spq_b = self.sums[dst]
-        # The np.ix_(a, b) block, same shape and order.
-        ab = (a[:, None], b)
-        ba = (b[:, None], a)
-        sp_b += sp_a + 2.0 * float(self._sp[ab].sum())
-        sq_b += sq_a + 2.0 * float(self._sq[ab].sum())
-        spq_b += spq_a + float(self._spq[ab].sum()) + float(self._spq[ba].sum())
-        self.members[dst] = np.concatenate([b, a])
+        sp_b += sp_a + 2.0 * p_ab
+        sq_b += sq_a + 2.0 * q_ab
+        spq_b += spq_a + pq_ab + pq_ba
+        self.members[dst] = (ga, np.concatenate([b, a]))
         self.sums[dst] = (sp_b, sq_b, spq_b)
 
 
@@ -189,19 +207,26 @@ def _pair_statistic(data: VoltageSamples | MomentSet, grid: GridGraph) -> tuple[
         perm = None
 
     if isinstance(data, MomentSet):
-        sigma = data.sigma_eps if perm is None else data.sigma_eps[np.ix_(perm, perm)]
-        _refuse_non_finite_moment(sigma, nodes)
+        drops = data.drops
+        # An analytic set settles finiteness from its blocks and means, and
+        # builds its sigma_eps only to name the first pair that is not.
+        if drops is None or not drops.finite:
+            with np.errstate(over="ignore"):  # a mean product that overflows is refused below
+                sigma = data.sigma_eps if perm is None else data.sigma_eps[np.ix_(perm, perm)]
+            _refuse_non_finite_moment(sigma, nodes)
 
-        if data.drops is not None:  # exact: no difference of nearly equal moments
-            sq_diff = data.drops.sq_diff
+        if drops is not None:  # exact: no difference of nearly equal moments
+            sq_diff = drops.sq_diff
             order = range(len(nodes)) if perm is None else perm.tolist()
+            diagonal = drops.diagonal if perm is None else drops.diagonal[perm]
 
             def lhs(i: int, j: int) -> float:
                 return sq_diff(order[i], order[j])
         else:
+            diagonal = sigma.diagonal()
             lhs = partial(_sigma_sq_diff, sigma)
 
-        return dict(zip(nodes, sigma.diagonal().tolist())), lhs
+        return dict(zip(nodes, diagonal.tolist())), lhs
 
     # One (N, m) copy with each node's samples in a contiguous row; a row's
     # mean has the bits of the per-column mean over the (m, N) samples.

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable
 
@@ -89,105 +89,95 @@ def _equals_transpose(m: np.ndarray, tile: int = 256) -> bool:
                for i in range(0, n, tile) for j in range(i, n, tile))
 
 
-@dataclass(frozen=True)
 class InjectionModel:
     """Means and non-central second moments of nodal power injections.
 
     ``nodes`` fixes the row/column meaning of all matrices; sigma_p, sigma_q
     are symmetric, sigma_pq is E[p q^T] (generally not symmetric), and the
     joint covariance of (p, q) must be positive semidefinite.
+
+    The model is stored as its means and one (sigma_p, sigma_q, sigma_pq)
+    block per storage group: a set of loads, chosen so that every entry
+    between two groups has the bits of fl(mu_i mu_j).  ``block`` reads any
+    entries from them; the dense ``sigma_*``, ``omega_*`` and
+    ``joint_covariance`` are rebuilt, as new arrays, on each read.
     """
 
-    nodes: tuple[int, ...]
-    mu_p: np.ndarray
-    mu_q: np.ndarray
-    sigma_p: np.ndarray
-    sigma_q: np.ndarray
-    sigma_pq: np.ndarray
-    # The connected components of the covariance pattern, as ascending
-    # indices into ``nodes``, in the order of their first index; found by
-    # the PSD check.
-    components: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        self._check_entries()
-        object.__setattr__(self, "components", self._check_psd())
+    def __init__(self, nodes, mu_p, mu_q, sigma_p, sigma_q, sigma_pq):
+        mu_p, mu_q, *sigmas = _checked_entries(nodes, mu_p, mu_q, sigma_p, sigma_q, sigma_pq)
+        components, groups = _check_psd(mu_p, mu_q, sigmas)
+        self._store(nodes, mu_p, mu_q, components, groups,
+                    tuple(tuple(sigma[np.ix_(g, g)] for sigma in sigmas) for g in groups))
 
     @classmethod
-    def _built(cls, components: tuple[np.ndarray, ...], **fields) -> "InjectionModel":
+    def _built(cls, nodes, mu_p, mu_q, components, groups, group_sigmas) -> "InjectionModel":
         """A model whose builder has settled every check itself, so neither
-        ``_check_entries`` nor ``_check_psd`` runs: the node ids are distinct
-        ints, the arrays are float, of the right shapes, finite and
-        symmetric, and ``components`` is the verdict ``_check_psd`` gives."""
+        ``_checked_entries`` nor ``_check_psd`` runs: the node ids are
+        distinct ints, the arrays are float, of the right shapes, finite and
+        symmetric, ``components`` is the verdict ``_check_psd`` gives and
+        ``groups`` are valid storage groups."""
         model = object.__new__(cls)
-        for name, value in fields.items():
-            object.__setattr__(model, name, value)
-        object.__setattr__(model, "components", components)
+        model._store(nodes, mu_p, mu_q, components, groups, group_sigmas)
         return model
 
-    def _check_entries(self):
-        """Coerce the arrays to float and reject a repeated node id and
-        mis-shaped, non-finite or asymmetric entries."""
-        n = len(self.nodes)
-        for nid in self.nodes:
-            if not _is_index(nid):
-                raise ModelError(f"node id {nid!r} is not an integer (node ids {reprlib.repr(self.nodes)})")
-        if (nid := _repeated(self.nodes)) is not None:
-            raise ModelError(f"node id {nid} is listed twice")
-        for name in ("mu_p", "mu_q", "sigma_p", "sigma_q", "sigma_pq"):
-            object.__setattr__(self, name, _float_array(getattr(self, name), name, ModelError))
-        if self.mu_p.shape != (n,) or self.mu_q.shape != (n,):
-            raise ModelError(f"mean vectors must have shape ({n},)")
-        for name in ("sigma_p", "sigma_q", "sigma_pq"):
-            m = getattr(self, name)
-            if m.shape != (n, n):
-                raise ModelError(f"{name} must have shape ({n}, {n}), got {m.shape}")
-            if not np.all(np.isfinite(m)):
-                raise ModelError(f"{name} contains non-finite entries")
-        if not (np.all(np.isfinite(self.mu_p)) and np.all(np.isfinite(self.mu_q))):
-            raise ModelError("mean vectors contain non-finite entries")
-        for name in ("sigma_p", "sigma_q"):
-            m = getattr(self, name)
-            if not (_equals_transpose(m)
-                    or np.allclose(m, m.T, rtol=0, atol=1e-12 * max(1.0, np.abs(m).max()))):
-                raise ModelError(f"{name} must be symmetric")
+    def _store(self, nodes, mu_p, mu_q, components, groups, group_sigmas):
+        self.nodes = nodes
+        self.mu_p, self.mu_q = mu_p, mu_q
+        # The connected components of the covariance pattern, as ascending
+        # indices into ``nodes``, in the order of their first index; found by
+        # the PSD check.
+        self.components: tuple[np.ndarray, ...] = components
+        # The storage groups, as ascending indices into ``nodes``, and per
+        # group its (sigma_p, sigma_q, sigma_pq) block over those indices.
+        self.groups: tuple[np.ndarray, ...] = groups
+        self.group_sigmas: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = group_sigmas
+        # Per load, its storage group and its index in that group's blocks.
+        self.group_of = np.empty(len(nodes), dtype=np.intp)
+        self.index_in_group = np.empty(len(nodes), dtype=np.intp)
+        for g, members in enumerate(groups):
+            self.group_of[members] = g
+            self.index_in_group[members] = np.arange(len(members))
 
-    def _check_psd(self) -> tuple[np.ndarray, ...]:
-        """The generic positive-semidefiniteness check, which every model
-        but ``default_model``'s takes: reject a joint covariance of (p, q)
-        with an eigenvalue (``eigvalsh``) below -slack * scale, one connected
-        component of the covariance pattern at a time, and return the
-        components.
+    def block(self, k: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The bits of ``sigma[np.ix_(rows, cols)]`` for sigma = sigma_p,
+        sigma_q, sigma_pq (k = 0, 1, 2), as a new array; ``rows`` and
+        ``cols`` are index arrays into ``nodes``."""
+        gr, gc = self.group_of[rows], self.group_of[cols]
+        lr, lc = self.index_in_group[rows], self.index_in_group[cols]
+        if gr.size and gc.size and (gr == gr[0]).all() and (gc == gr[0]).all():  # within one group
+            blk = self.group_sigmas[gr[0]][k]
+            # One flat take over the row-major positions: the values of
+            # blk[np.ix_(lr, lc)], gathered faster.
+            return blk.take(np.add.outer(lr * blk.shape[1], lc))
+        out = self._mean_products(k, rows, cols)
+        for g in set(gr.tolist()).intersection(gc.tolist()):  # groups hold disjoint entries, in any order
+            ri, ci = np.flatnonzero(gr == g), np.flatnonzero(gc == g)
+            out[ri[:, None], ci] = self.group_sigmas[g][k][lr[ri][:, None], lc[ci]]
+        return out
 
-        Nodes i and j share a component when any of omega_p, omega_q,
-        omega_pq or its transpose is nonzero at (i, j).  In component-major
-        order the joint covariance is block diagonal with one block per
-        component, so the blocks together have its eigenvalues.  ``scale`` is
-        the largest magnitude of an omega entry, and at least 1.
-        """
-        n = len(self.nodes)
-        coupled = np.zeros((n, n), dtype=bool)
-        scale = 1.0
-        for name in ("omega_p", "omega_q", "omega_pq"):  # one N x N matrix at a time
-            with np.errstate(over="ignore"):  # means too large for the moments are refused below
-                omega = getattr(self, name)
-            if not np.all(np.isfinite(omega)):
-                raise ModelError(f"{name}, the covariance from the moments and means, contains non-finite entries")
-            coupled |= omega != 0
-            scale = max(scale, float(omega.max(initial=0.0)), -float(omega.min(initial=0.0)))
-        del omega
-        threshold = _PSD_SLACK * scale
-        coupled |= coupled.T
-        components = _components(coupled)
-        for comp in components:
-            ix = np.ix_(comp, comp)
-            mp, mq = self.mu_p[comp], self.mu_q[comp]
-            opq = self.sigma_pq[ix] - np.outer(mp, mq)  # the block of omega_pq, and so on
-            joint = np.block([[self.sigma_p[ix] - np.outer(mp, mp), opq],
-                              [opq.T, self.sigma_q[ix] - np.outer(mq, mq)]])
-            if np.linalg.eigvalsh(joint).min() < -threshold:
-                raise ModelError("joint covariance of (p, q) is not positive semidefinite")
-        return tuple(components)
+    def _mean_products(self, k: int, rows, cols) -> np.ndarray:
+        left, right = ((self.mu_p, self.mu_q)[side] for side in _MEAN_PAIRS[k])
+        return np.outer(left[rows], right[cols])
+
+    def _dense(self, k: int) -> np.ndarray:
+        """``block`` over every row and column, one group block at a time."""
+        every = slice(None)
+        out = self._mean_products(k, every, every)
+        for members, blocks in zip(self.groups, self.group_sigmas):
+            out[members[:, None], members] = blocks[k]
+        return out
+
+    @property
+    def sigma_p(self) -> np.ndarray:
+        return self._dense(0)
+
+    @property
+    def sigma_q(self) -> np.ndarray:
+        return self._dense(1)
+
+    @property
+    def sigma_pq(self) -> np.ndarray:
+        return self._dense(2)
 
     @property
     def omega_p(self) -> np.ndarray:
@@ -203,8 +193,9 @@ class InjectionModel:
 
     @property
     def joint_covariance(self) -> np.ndarray:
-        top = np.hstack([self.omega_p, self.omega_pq])
-        bot = np.hstack([self.omega_pq.T, self.omega_q])
+        omega_pq = self.omega_pq
+        top = np.hstack([self.omega_p, omega_pq])
+        bot = np.hstack([omega_pq.T, self.omega_q])
         return np.vstack([top, bot])
 
     def aligned_to(self, nodes: Iterable[int]) -> "InjectionModel":
@@ -218,11 +209,91 @@ class InjectionModel:
             raise DomainError(f"model nodes do not match the requested node set: {', '.join(found)}")
         pos = {nid: i for i, nid in enumerate(self.nodes)}
         perm = np.array([pos[nid] for nid in nodes], dtype=np.intp)
-        return InjectionModel(
-            nodes=nodes, mu_p=self.mu_p[perm], mu_q=self.mu_q[perm],
-            sigma_p=self.sigma_p[np.ix_(perm, perm)], sigma_q=self.sigma_q[np.ix_(perm, perm)],
-            sigma_pq=self.sigma_pq[np.ix_(perm, perm)],
-        )
+        return InjectionModel(nodes, self.mu_p[perm], self.mu_q[perm],
+                              *(self.block(k, perm, perm) for k in range(3)))
+
+
+# The means (0 for mu_p, 1 for mu_q) whose outer product each of sigma_p,
+# sigma_q and sigma_pq is between two storage groups.
+_MEAN_PAIRS = ((0, 0), (1, 1), (0, 1))
+_SIGMA_NAMES = ("sigma_p", "sigma_q", "sigma_pq")
+
+
+def _checked_entries(nodes, *arrays) -> list[np.ndarray]:
+    """mu_p, mu_q, sigma_p, sigma_q and sigma_pq as float arrays; a
+    ModelError for a repeated node id and mis-shaped, non-finite or
+    asymmetric entries."""
+    n = len(nodes)
+    for nid in nodes:
+        if not _is_index(nid):
+            raise ModelError(f"node id {nid!r} is not an integer (node ids {reprlib.repr(nodes)})")
+    if (nid := _repeated(nodes)) is not None:
+        raise ModelError(f"node id {nid} is listed twice")
+    names = ("mu_p", "mu_q") + _SIGMA_NAMES
+    mu_p, mu_q, *sigmas = arrays = [_float_array(value, name, ModelError) for value, name in zip(arrays, names)]
+    if mu_p.shape != (n,) or mu_q.shape != (n,):
+        raise ModelError(f"mean vectors must have shape ({n},)")
+    for name, m in zip(_SIGMA_NAMES, sigmas):
+        if m.shape != (n, n):
+            raise ModelError(f"{name} must have shape ({n}, {n}), got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ModelError(f"{name} contains non-finite entries")
+    if not (np.all(np.isfinite(mu_p)) and np.all(np.isfinite(mu_q))):
+        raise ModelError("mean vectors contain non-finite entries")
+    for name, m in zip(_SIGMA_NAMES[:2], sigmas):
+        if not (_equals_transpose(m) or np.allclose(m, m.T, rtol=0, atol=1e-12 * max(1.0, np.abs(m).max()))):
+            raise ModelError(f"{name} must be symmetric")
+    return arrays
+
+
+def _check_psd(mu_p: np.ndarray, mu_q: np.ndarray, sigmas) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The generic positive-semidefiniteness check, which every model but
+    ``default_model``'s takes: reject a joint covariance of (p, q) with an
+    eigenvalue (``eigvalsh``) below -slack * scale, one connected component
+    of the covariance pattern at a time, and return the components and the
+    storage groups.
+
+    Nodes i and j share a component when any of omega_p, omega_q, omega_pq
+    or its transpose is nonzero at (i, j).  In component-major order the
+    joint covariance is block diagonal with one block per component, so the
+    blocks together have its eigenvalues.  ``scale`` is the largest
+    magnitude of an omega entry, and at least 1.
+
+    Nodes i and j share a storage group when one of the sigmas or its
+    transpose differs at (i, j) in bits from the product of the means.  That
+    pattern holds the covariance pattern, since sigma - mu mu^T is zero only
+    where the two are equal, and differs from it only where the two are
+    zeros of opposite sign; so each component lies in one storage group.
+    """
+    n = len(mu_p)
+    coupled = np.zeros((n, n), dtype=bool)
+    stored = np.zeros((n, n), dtype=bool)
+    scale = 1.0
+    mus = (mu_p, mu_q)
+    for name, sigma, (left, right) in zip(("omega_p", "omega_q", "omega_pq"), sigmas, _MEAN_PAIRS):
+        with np.errstate(over="ignore"):  # means too large for the moments are refused below
+            means = np.outer(mus[left], mus[right])
+            omega = sigma - means
+        if not np.all(np.isfinite(omega)):
+            raise ModelError(f"{name}, the covariance from the moments and means, contains non-finite entries")
+        coupled |= omega != 0
+        stored |= sigma.view(np.int64) != means.view(np.int64)
+        scale = max(scale, float(omega.max(initial=0.0)), -float(omega.min(initial=0.0)))
+    del omega, means
+    threshold = _PSD_SLACK * scale
+    coupled |= coupled.T
+    components = _components(coupled)
+    sigma_p, sigma_q, sigma_pq = sigmas
+    for comp in components:
+        ix = np.ix_(comp, comp)
+        mp, mq = mu_p[comp], mu_q[comp]
+        opq = sigma_pq[ix] - np.outer(mp, mq)  # the block of omega_pq, and so on
+        joint = np.block([[sigma_p[ix] - np.outer(mp, mp), opq],
+                          [opq.T, sigma_q[ix] - np.outer(mq, mq)]])
+        if np.linalg.eigvalsh(joint).min() < -threshold:
+            raise ModelError("joint covariance of (p, q) is not positive semidefinite")
+    stored |= stored.T
+    return tuple(components), tuple(_components(stored))
 
 
 @dataclass(frozen=True)
@@ -237,30 +308,42 @@ class InjectionBatch:
         return self.p.shape[0]
 
 
-@dataclass(frozen=True)
 class MomentSet:
     """Second moments of voltage deviations (magnitudes only: the learner
     reads no phases).
 
     ``m`` carries the sample count of an empirical set.  Substations carry
     identically zero deviations and are therefore not part of the matrix.
-    An analytic set carries in ``drops`` the line-drop moments that answer
-    E[(eps_a - eps_b)^2] exactly.
+    An analytic set carries in ``drops`` the line-drop and voltage moments
+    it was computed from, which answer E[(eps_a - eps_b)^2] exactly; it is
+    built without ``sigma_eps``, which they give on first read.
     """
 
-    nodes: tuple[int, ...]
-    sigma_eps: np.ndarray
-    m: int | None = None
-    drops: LineDrops | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if (nid := _repeated(self.nodes)) is not None:
+    def __init__(self, nodes: tuple[int, ...], sigma_eps: np.ndarray | None = None, m: int | None = None,
+                 drops: LineDrops | None = None):
+        if (nid := _repeated(nodes)) is not None:
             raise DomainError(f"node id {nid} is listed twice")
-        n = len(self.nodes)
-        sigma = _float_array(self.sigma_eps, "sigma_eps")
-        if sigma.shape != (n, n):
-            raise DomainError(f"sigma_eps must have shape ({n}, {n}) for {n} nodes, got {sigma.shape}")
-        object.__setattr__(self, "sigma_eps", sigma)
+        if sigma_eps is not None or drops is None:
+            n = len(nodes)
+            sigma_eps = _float_array(sigma_eps, "sigma_eps")
+            if sigma_eps.shape != (n, n):
+                raise DomainError(f"sigma_eps must have shape ({n}, {n}) for {n} nodes, got {sigma_eps.shape}")
+        self.nodes, self.m, self.drops = nodes, m, drops
+        self._sigma_eps = sigma_eps
+
+    @property
+    def sigma_eps(self) -> np.ndarray:
+        if self._sigma_eps is None:
+            self._sigma_eps = self.drops.sigma_eps()
+        return self._sigma_eps
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.nodes, self.sigma_eps, self.m) == (other.nodes, other.sigma_eps, other.m)
+
+    def __repr__(self) -> str:
+        return f"MomentSet(nodes={self.nodes!r}, m={self.m!r})"
 
 
 def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float = 0.2,
@@ -275,15 +358,19 @@ def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float
 
     Each moment matrix holds three values: on the diagonal, between two
     loads of one tree and across trees.  They are computed once, as
-    omega + mu mu^T with the bits an N x N evaluation gives, and written
-    directly.  The checks every other model takes are settled from those
-    values, with the same ModelError texts: the entries are finite when the
-    values that occur are (the diagonal always; the same-tree value when a
-    tree has two loads; the across value when two trees have loads), tested
-    in ``_check_entries``' order; each matrix is symmetric, as one value is
-    written over a symmetric pattern; the node ids are the grid's, so they
-    are distinct ints.  The joint covariance is decided positive
-    semidefinite in closed form (``_tree_verdict``), with no factorization.
+    omega + mu mu^T with the bits an N x N evaluation gives.  The trees are
+    the storage groups, and each tree's blocks are written directly.  An
+    across value is the mean product plus a zero (for sigma_pq one with
+    q_alpha's sign, as is the product's), so it has the product's bits, and
+    the model stores none.  The checks every other model takes are settled
+    from those values, with the same ModelError texts: the entries are
+    finite when the values that occur are (the diagonal always; the
+    same-tree value when a tree has two loads; the across value when two
+    trees have loads), tested in ``_checked_entries``' order; each matrix
+    is symmetric, as one value is written over a symmetric pattern; the node
+    ids are the grid's, so they are distinct ints.  The joint covariance is
+    decided positive semidefinite in closed form (``_tree_verdict``), with
+    no factorization.
     """
     params = {"mu_p": mu_p, "sigma_ratio": sigma_ratio, "rho": rho, "q_alpha": q_alpha,
               "q_noise_ratio": q_noise_ratio}
@@ -317,20 +404,28 @@ def default_model(forest: ForestConfig, mu_p: float = -0.005, sigma_ratio: float
     diagonal, within = ([sigma[k] - mean for sigma, mean in zip(sigmas, means)] for k in (0, 1))
     components = _tree_verdict(tree, diagonal, within)
 
-    same_tree = tree[:, None] == tree[None, :]
-
-    def matrix(diagonal, within, across):
-        out = np.where(same_tree, within, across)
-        np.fill_diagonal(out, diagonal)
+    def block(size, diagonal, within):
+        out = np.empty((size, size))
+        out.fill(within)
+        out.reshape(-1)[::size + 1] = diagonal
         return out
 
-    return InjectionModel._built(components, nodes=nodes, mu_p=np.full(n, mu_p), mu_q=np.full(n, mu_q),
-                                 sigma_p=matrix(*sigmas[0]), sigma_q=matrix(*sigmas[1]),
-                                 sigma_pq=matrix(*sigmas[2]))
+    groups = _trees(tree)
+    return InjectionModel._built(nodes, np.full(n, mu_p), np.full(n, mu_q), components, groups,
+                                 tuple(tuple(block(len(g), *sigma[:2]) for sigma in sigmas) for g in groups))
+
+
+def _trees(tree: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The loads of each tree, as ascending indices, in the order of their
+    first load, as ``_components`` finds them; ``tree`` is the tree index
+    of each load."""
+    order = np.argsort(tree, kind="stable")
+    trees = np.split(order, np.flatnonzero(np.diff(tree[order])) + 1)
+    return tuple(sorted(trees, key=lambda members: members[0]))
 
 
 def _tree_verdict(tree: np.ndarray, diagonal: list[float], within: list[float]) -> tuple[np.ndarray, ...]:
-    """``InjectionModel._check_psd`` in closed form, for a model whose
+    """``_check_psd`` in closed form, for a model whose
     omega_p, omega_q and omega_pq hold ``diagonal`` on the diagonal,
     ``within`` between two loads of one tree and zero across trees;
     ``tree`` is the tree index of each load.
@@ -356,10 +451,7 @@ def _tree_verdict(tree: np.ndarray, diagonal: list[float], within: list[float]) 
         raise ModelError("joint covariance of (p, q) is not positive semidefinite")
     if not any(within):
         return tuple(np.arange(len(tree)).reshape(-1, 1))
-    trees: dict[int, list[int]] = {}  # in the order of their first load, as _components finds them
-    for i, k in enumerate(tree.tolist()):
-        trees.setdefault(k, []).append(i)
-    return tuple(np.array(members, dtype=np.intp) for members in trees.values())
+    return _trees(tree)
 
 
 class _Sampler:
@@ -471,20 +563,12 @@ def _block_plans(forest: ForestConfig, model: InjectionModel) -> list[_LevelPlan
 
 def _injection_sums(plan: _LevelPlan, mod: InjectionModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """D S D^T over one block for S = sigma_p, sigma_q and sigma_pq^T: the
-    second moments of the injections summed below each pair of lines.
-
-    Each block of S is gathered by one flat ``take`` over the row-major
-    positions of its entries, which reads the values ``S[np.ix_(loads,
-    loads)]`` reads, with one index array for all three matrices."""
+    second moments of the injections summed below each pair of lines."""
     loads = plan.canon
     n = len(loads)
     w = np.zeros((n + 1, 3 * n))
-    # Allocated after w and freed before dw: this order keeps the peak
-    # resident set of the 2-D gather.
-    flat = np.add.outer(loads * len(mod.nodes), loads)
-    for k, sigma in enumerate((mod.sigma_p, mod.sigma_q, mod.sigma_pq)):
-        w[:n, k * n:(k + 1) * n] = sigma.take(flat)
-    del flat
+    for k in range(3):
+        w[:n, k * n:(k + 1) * n] = mod.block(k, loads, loads)
     _subtree_sums(plan, w)  # D S, side by side
     dw = np.zeros_like(w)
     np.concatenate([w[:n, k * n:(k + 1) * n].T for k in range(3)], axis=1, out=dw[:n])
@@ -499,32 +583,55 @@ def _drop_moments(sums, r, x) -> np.ndarray:
 
 
 class LineDrops:
-    """The line-drop moments an analytic ``MomentSet`` was computed from.
+    """The line-drop and voltage moments of an analytic ``MomentSet``.
 
-    Per block of trees, M = E[delta delta^T] over its lines, in the rows of
-    the block's level plan, and the plan's parent rows; across blocks, the
-    set's ``sigma_eps``.  ``sq_diff`` reads E[(eps_a - eps_b)^2] from them:
+    Per block of trees: M = E[delta delta^T] over its lines and the voltage
+    moments, in the rows of the block's level plan, and the plan's parent
+    rows; for every load its mean deviation.  A voltage moment across two
+    blocks is the product of the two means, so ``sigma_eps`` is rebuilt from
+    these alone (np.outer of the means, with the blocks scattered in), and
+    only when it is read.  ``sq_diff`` reads E[(eps_a - eps_b)^2] from them:
     for a tree line one entry of M, to a few ulps; for any other pair a sum
     in which the mean terms cancel, to about 1e-13 relative on 1000-load
     feeders.  ``variant`` names the linear model whose line impedances
     weighted the drops.
     """
 
-    def __init__(self, variant: str, plans: list[_LevelPlan], moments: list[np.ndarray], sigma_eps: np.ndarray):
+    def __init__(self, variant: str, plans: list[_LevelPlan], moments: list[np.ndarray],
+                 voltage: list[np.ndarray], mean: np.ndarray):
         self.variant = variant
-        n = sigma_eps.shape[0]
+        n = len(mean)
         block = np.empty(n, dtype=np.intp)
         local = np.empty(n, dtype=np.intp)
+        self.diagonal = np.empty(n)  # of sigma_eps, in canonical load order
         # Lists of ints for the path walk: per block, each row's parent row,
         # with the plan's -1 for a substation, which sorts below every load.
         self._parents = []
-        for k, plan in enumerate(plans):
+        self._loads = [plan.canon for plan in plans]
+        for k, (plan, v) in enumerate(zip(plans, voltage)):
             block[plan.canon] = k
             local[plan.canon] = np.arange(len(plan.canon))
+            self.diagonal[plan.canon] = v.diagonal()
             self._parents.append(np.concatenate(plan.parents).tolist())
         self._block, self._local = block.tolist(), local.tolist()
-        self._moments = moments
-        self._sigma_eps = sigma_eps
+        self._moments, self._voltage, self._mean = moments, voltage, mean
+        self._diagonals, self._means = self.diagonal.tolist(), mean.tolist()
+
+    def sigma_eps(self) -> np.ndarray:
+        """The voltage moments of every pair of loads, as a new N x N array."""
+        out = np.outer(self._mean, self._mean)
+        for loads, v in zip(self._loads, self._voltage):
+            out[np.ix_(loads, loads)] = v
+        return out
+
+    @property
+    def finite(self) -> bool:
+        """Whether every entry of ``sigma_eps`` is finite: each block's are
+        (a NaN or infinity reaches its min or max), and no product of two
+        means overflows."""
+        top = float(np.abs(self._mean).max(initial=0.0))
+        extremes = [float(extreme(v)) for v in self._voltage for extreme in (np.min, np.max)]
+        return math.isfinite(top * top) and all(map(math.isfinite, extremes))
 
     def sq_diff(self, i: int, j: int) -> float:
         """E[(eps_i - eps_j)^2] for two canonical load indices.
@@ -537,7 +644,7 @@ class LineDrops:
         """
         k = self._block[i]
         if k != self._block[j]:
-            return _sigma_sq_diff(self._sigma_eps, i, j)
+            return self._diagonals[i] - 2.0 * (self._means[i] * self._means[j]) + self._diagonals[j]
         # Rows sort by (depth, id), so the larger of two rows is at least as deep.
         parent = self._parents[k]
         up, down = [], []
@@ -576,28 +683,25 @@ def analytic_moment_set(forest: ForestConfig, model: InjectionModel, variant: st
         below = _subtree_sums(plan, _rows(plan, mu))[:-1]
         mean[plan.canon] = _root_path_sums(plan, _outside_row(r * below[:, 0] + x * below[:, 1]))[:-1]
 
-    sigma_eps = np.outer(mean, mean)
-    moments = []
-    for plan, (r, x) in zip(plans, lines):
-        block = _drop_moments(_injection_sums(plan, mod), r, x)
-        sigma_eps[np.ix_(plan.canon, plan.canon)] = _path_sums(plan, block)
-        moments.append(block)
-    return MomentSet(nodes=forest.grid.load_ids, sigma_eps=sigma_eps,
-                     drops=LineDrops(variant, plans, moments, sigma_eps))
+    moments = [_drop_moments(_injection_sums(plan, mod), r, x) for plan, (r, x) in zip(plans, lines)]
+    voltage = [_path_sums(plan, block) for plan, block in zip(plans, moments)]
+    return MomentSet(nodes=forest.grid.load_ids, drops=LineDrops(variant, plans, moments, voltage, mean))
 
 
 def assumption1_violations(forest: ForestConfig, model: InjectionModel) -> list[tuple[int, int, str]]:
     """Same-tree node pairs whose non-central moments are not strictly
-    positive, as (node_a, node_b, matrix-name) triples; empty when the
-    positivity assumption holds."""
+    positive, as (node_a, node_b, matrix-name) triples, in row-major order
+    of (a, b) and then of the matrices; empty when the positivity
+    assumption holds.  The model's blocks are read one tree at a time."""
     mod = model.aligned_to(forest.grid.load_ids)
-    tree = forest.load_tree_index
-    pairs = np.triu(tree[:, None] == tree[None, :])
-    bad = np.stack([pairs & (mod.sigma_p <= 0), pairs & (mod.sigma_q <= 0),
-                    pairs & ((mod.sigma_pq <= 0) | (mod.sigma_pq.T <= 0))], axis=-1)
-    names = ("sigma_p", "sigma_q", "sigma_pq")
+    found = []
+    for loads in _trees(forest.load_tree_index):
+        sp, sq, spq = (mod.block(k, loads, loads) for k in range(3))
+        bad = np.stack([sp <= 0, sq <= 0, (spq <= 0) | (spq.T <= 0)], axis=-1)
+        bad &= np.triu(np.ones((len(loads), len(loads)), dtype=bool))[:, :, None]
+        found += [(loads[i], loads[j], k) for i, j, k in zip(*np.nonzero(bad))]
     nodes = mod.nodes
-    return [(nodes[i], nodes[j], names[k]) for i, j, k in zip(*np.nonzero(bad))]
+    return [(nodes[i], nodes[j], _SIGMA_NAMES[k]) for i, j, k in sorted(found)]
 
 
 # -- serialization -----------------------------------------------------------

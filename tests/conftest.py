@@ -151,12 +151,18 @@ def random_a1_model(forest, seed, scale=0.002):
     )
 
 
-def model_from_covariances(nodes, mu_p, mu_q, omega_p, omega_q, omega_pq):
-    """The InjectionModel of means mu and covariances omega: each
-    non-central moment is sigma = omega + mu mu^T."""
+def covariance_moments(nodes, mu_p, mu_q, omega_p, omega_q, omega_pq) -> tuple:
+    """The InjectionModel arguments (nodes, mu_p, mu_q, sigma_p, sigma_q,
+    sigma_pq) of means mu and covariances omega: each non-central moment
+    is sigma = omega + mu mu^T."""
     mu_p, mu_q = np.asarray(mu_p, dtype=float), np.asarray(mu_q, dtype=float)
-    return InjectionModel(tuple(nodes), mu_p, mu_q, omega_p + np.outer(mu_p, mu_p),
-                          omega_q + np.outer(mu_q, mu_q), omega_pq + np.outer(mu_p, mu_q))
+    return (tuple(nodes), mu_p, mu_q, omega_p + np.outer(mu_p, mu_p), omega_q + np.outer(mu_q, mu_q),
+            omega_pq + np.outer(mu_p, mu_q))
+
+
+def model_from_covariances(nodes, mu_p, mu_q, omega_p, omega_q, omega_pq):
+    """The InjectionModel of means mu and covariances omega."""
+    return InjectionModel(*covariance_moments(nodes, mu_p, mu_q, omega_p, omega_q, omega_pq))
 
 
 def scaled_model_doc(forest, order, shift=0):

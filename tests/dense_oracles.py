@@ -200,6 +200,38 @@ def expected_sq_diff(forest, model, child: int, parent: int, variant: str = "lc"
     return closed_form_sq_diff(forest.grid.edges[forest.parent_edge[child]], variant, *sums)
 
 
+class DenseDescendantSums:
+    """The learner's descendant-set sums, gathered from the model's dense
+    sigma matrices: the reference for ``learner._DescendantSums``, which
+    gathers from the blocks of the model's storage groups.  Each merge sums
+    the np.ix_(a, b) blocks in the same order, so the sums have the same
+    bits."""
+
+    def __init__(self, model):
+        self._sp = model.sigma_p
+        self._sq = model.sigma_q
+        self._spq = model.sigma_pq
+        diagonals = zip(self._sp.diagonal().tolist(), self._sq.diagonal().tolist(), self._spq.diagonal().tolist())
+        rows = np.arange(len(model.nodes), dtype=np.intp)
+        self.members = {nid: rows[i:i + 1] for i, nid in enumerate(model.nodes)}
+        self.sums = dict(zip(model.nodes, diagonals))
+
+    def merge(self, src, dst):
+        a = self.members.pop(src)
+        sp_a, sq_a, spq_a = self.sums.pop(src)
+        if dst not in self.members:  # a substation
+            return
+        b = self.members[dst]
+        sp_b, sq_b, spq_b = self.sums[dst]
+        ab = (a[:, None], b)
+        ba = (b[:, None], a)
+        sp_b += sp_a + 2.0 * float(self._sp[ab].sum())
+        sq_b += sq_a + 2.0 * float(self._sq[ab].sum())
+        spq_b += spq_a + float(self._spq[ab].sum()) + float(self._spq[ba].sum())
+        self.members[dst] = np.concatenate([b, a])
+        self.sums[dst] = (sp_b, sq_b, spq_b)
+
+
 def verify_moment_ordering(forest, model, variant: str = "lc") -> list[tuple[int, int, float, float]]:
     """Check the descendant ordering of diagonal voltage moments.
 

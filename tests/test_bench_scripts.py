@@ -1,7 +1,6 @@
 """Smoke test of the bench scripts that write the ``BENCH_*.json`` files:
 the scaling scripts each run on two small sizes, once, and must write a
-document with its cases, and the sample I/O script a traced memory peak per
-call and size; the trial memory script runs its DistFlow case for one round
+document with its cases, with a traced memory peak per call and size; the trial memory script runs its DistFlow case for one round
 and must write that case's medians.  No timing is asserted."""
 
 import json
@@ -28,10 +27,9 @@ def test_bench_script_runs_on_small_sizes(tmp_path, script, sizes):
     out = tmp_path / "bench.json"
     _run(script, ["--sizes", *sizes, "--repeats", "1", "--out", str(out)], tmp_path)
     cases = json.loads(out.read_text())["cases"]
-    if script == "sample_io_scaling.py":
-        for case in cases.values():
-            assert case["peak_mib"].keys() == case["seconds"].keys()
-            assert all(len(peaks) == len(sizes) and min(peaks) > 0 for peaks in case["peak_mib"].values())
+    for case in cases.values():
+        assert case["peak_mib"].keys() == case["seconds"].keys()
+        assert all(len(peaks) == len(sizes) and min(peaks) > 0 for peaks in case["peak_mib"].values())
 
 
 def test_trial_memory_script_runs_one_round(tmp_path):

@@ -106,6 +106,38 @@ def test_learn_json_lists_the_parentless_loads(runner, tmp_path):
     assert text.exit_code == 0 and "parentless" not in text.output
 
 
+def test_learn_text_warns_of_parentless_loads_on_stderr(runner, tmp_path):
+    # 30 samples leave most of bus_83_11's loads without a learned parent.
+    # Text mode says how many on stderr, and stdout keeps its lines; --json
+    # writes nothing to stderr.
+    samples = tmp_path / "s.csv"
+    runner.invoke(main, ["simulate", "--grid", "bus_83_11", "-m", "30", "--seed", "1", "-o", str(samples)])
+    args = ["learn", "--grid", "bus_83_11", "--samples", str(samples)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    grid, forest = load_fixture("bus_83_11")
+    want = reconstruct(read_samples(samples), default_model(forest), grid, LearnerConfig(), truth=forest)
+    assert len(want.parentless_loads) > grid.n_loads // 2
+    edges = sorted(want.learned_edges)
+    assert res.stdout == "".join([f"learned {len(edges)} edges:\n", *(f"  {u} -- {v}\n" for u, v in edges),
+                                  f"relative error vs declared forest: {want.relative_error}\n"])
+    assert res.stderr == f"warning: {len(want.parentless_loads)} of 83 loads have no learned parent\n"
+    res = runner.invoke(main, args + ["--json"])
+    assert res.exit_code == 0 and res.stderr == ""
+    json.loads(res.stdout)
+
+
+def test_experiment_refuses_a_sample_count_it_cannot_hold_before_any_trial(runner, tmp_path):
+    # The sampler is built before the trial loop, so a count its buffers
+    # cannot hold ends the run with one error line, fails no trial and
+    # writes no CSV.
+    path, out = tmp_path / "plan.json", tmp_path / "out.csv"
+    path.write_text(json.dumps({"grid": "bus_13_3", "sample_counts": [2**63], "taus": [0.05], "trials": 3}))
+    res = runner.invoke(main, ["experiment", "--plan", str(path), "-o", str(out)])
+    assert "cannot hold 9223372036854775808 samples" in _one_error_line(res)
+    assert res.stdout == "" and not out.exists()
+
+
 def test_learn_json_writes_an_infinite_margin_as_a_string(runner, tmp_path):
     # A zero-variance model makes every closed form zero, so every tested
     # pair is rejected with an infinite deviation.

@@ -1163,6 +1163,8 @@ def test_a_model_over_other_ids_is_refused_naming_them():
     ("sample_counts", ("100",), "sample counts must be positive integers or inf, got 100"),
     ("trials", 1.5, "trials must be an integer, got 1.5"),
     ("trials", True, "trials must be an integer, got True"),
+    ("trials", 10**6 + 1, "trials must be at most 1,000,000, got 1000001"),
+    ("trials", 2**63, f"trials must be at most 1,000,000, got {2**63}"),
     ("augment_open_lines", 1.5, "augment_open_lines must be an integer, got 1.5"),
     ("augment_open_lines", True, "augment_open_lines must be an integer, got True"),
     ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),

@@ -20,8 +20,8 @@ from gridtop.learner import LearnerConfig, reconstruct, relative_error
 from gridtop.moments import InjectionModel, MomentSet, analytic_moment_set, default_model, sample_injections
 from gridtop.powerflow import VoltageSamples, lcpf_solve_many
 
-from conftest import (chain_grid, make_grid, random_a1_model, random_instance, shuffled_chain_grid, single_edge_grid,
-                      star_grid)
+from conftest import (chain_grid, make_grid, model_from_covariances, random_a1_model, random_instance,
+                      shuffled_chain_grid, single_edge_grid, star_grid)
 from scalar_oracles import reconstruct as oracle_reconstruct
 
 
@@ -532,3 +532,88 @@ def test_analytic_sets_answer_the_pair_statistic_themselves():
             assert rec.lhs == mset.sigma_eps[idx[rec.leaf], idx[rec.leaf]]
         else:
             assert rec.lhs == mset.drops.sq_diff(idx[rec.leaf], idx[rec.candidate])
+
+
+# -- merges from storage-group blocks -------------------------------------------------
+
+
+def _trace_bits(result):
+    return [(r.leaf, r.candidate, _bits(r.lhs), _bits(r.rhs), _bits(r.deviation), r.accepted, r.note)
+            for r in result.trace]
+
+
+def _tree_blocks_model(forest, seed):
+    """An explicit model with a random joint covariance on each tree, none
+    across trees, and independent random means: its trees are its storage
+    groups, its entries across trees vary and its sigma_pq is asymmetric."""
+    rng = np.random.default_rng(seed)
+    tree = forest.load_tree_index
+    n = len(tree)
+    joint = np.zeros((2 * n, 2 * n))
+    for k in np.unique(tree):
+        members = np.flatnonzero(tree == k)
+        both = np.concatenate([members, n + members])
+        f = rng.normal(size=(len(both), len(both))) * 1e-3
+        joint[np.ix_(both, both)] = f @ f.T
+    return model_from_covariances(forest.grid.load_ids, -rng.uniform(0.002, 0.01, n), -rng.uniform(0.001, 0.004, n),
+                                  joint[:n, :n], joint[n:, n:], joint[:n, n:])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("source", ["analytic", "samples"])
+@pytest.mark.parametrize("kind", ["default", "tree_blocks"])
+def test_merges_across_storage_groups_match_the_dense_descendant_sums(monkeypatch, seed, source, kind):
+    # A large tau on a grid with open lines between its trees makes the
+    # learner accept lines across trees, so descendant sets span the model's
+    # storage groups, its trees, and merge through InjectionModel.block.
+    # The trace keeps the bits of sums gathered from the dense matrices.
+    from dense_oracles import DenseDescendantSums
+
+    grid, forest = generate_random_grid(40, 3, 40, seed=seed)
+    model = default_model(forest, sigma_ratio=0.8) if kind == "default" else _tree_blocks_model(forest, seed)
+    assert len(model.groups) == 3
+    if source == "analytic":
+        data = analytic_moment_set(forest, model)
+    else:
+        batch = sample_injections(model, 20, seed)
+        data = lcpf_solve_many(forest, batch.p, batch.q)
+    config = LearnerConfig(tau=0.9)
+    got = reconstruct(data, model, grid, config)
+    loads = grid.load_index
+    assert any(b in loads and forest.tree_of[a] != forest.tree_of[b] for a, b in got.parent_map.items())
+    monkeypatch.setattr(learner, "_DescendantSums", DenseDescendantSums)
+    want = reconstruct(data, model, grid, config)
+    assert _trace_bits(got) == _trace_bits(want)
+
+
+@pytest.mark.parametrize("fixture, mu_p, pair", [("bus_13_3", -5e153, (4, 4)), ("bus_13_3", -1e154, (3, 7)),
+                                                 ("bus_83_11", -5e153, (11, 27))])
+def test_an_analytic_set_refuses_a_non_finite_moment_naming_the_first_pair(fixture, mu_p, pair):
+    # The means are finite, but the drop moments overflow.  The analytic set
+    # settles finiteness from its blocks and builds sigma_eps only to name
+    # the first pair, in row-major order, that a dense matrix names; the
+    # refusal comes without a numpy warning.
+    grid, forest = load_fixture(fixture)
+    model = default_model(forest, mu_p=mu_p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mset = analytic_moment_set(forest, model)
+    message = f"^moment entry of nodes \\({pair[0]}, {pair[1]}\\) is not finite$"
+    with pytest.raises(DomainError, match=message):
+        reconstruct(mset, model, grid)
+    with pytest.raises(DomainError, match=message):
+        reconstruct(MomentSet(nodes=mset.nodes, sigma_eps=mset.sigma_eps), model, grid)
+
+
+def test_the_infinite_sample_path_builds_no_dense_moment_matrix(monkeypatch):
+    from gridtop.moments import LineDrops, assumption1_violations
+
+    def refuse(*args):
+        raise AssertionError("a dense N x N moment matrix was built")
+
+    monkeypatch.setattr(InjectionModel, "_dense", refuse)
+    monkeypatch.setattr(LineDrops, "sigma_eps", refuse)
+    grid, forest = generate_random_grid(60, 4, 10, seed=5)
+    model = default_model(forest)
+    assert assumption1_violations(forest, model) == []
+    result = reconstruct(analytic_moment_set(forest, model), model, grid, LearnerConfig(tau=1e-6), truth=forest)
+    assert result.relative_error == 0.0

@@ -23,8 +23,8 @@ from gridtop.moments import (
 )
 from gridtop.powerflow import VoltageSamples, lcpf_response, lcpf_solve_many
 
-from conftest import (chain_grid, empty_substation_grid, make_grid, model_from_covariances, random_a1_model,
-                      random_instance, shuffled_chain_grid, single_edge_grid, star_grid)
+from conftest import (chain_grid, covariance_moments, empty_substation_grid, make_grid, model_from_covariances,
+                      random_a1_model, random_instance, shuffled_chain_grid, single_edge_grid, star_grid)
 from dense_oracles import expected_sq_diff, verify_moment_ordering, weighted_laplacians
 from scalar_oracles import scalar_sweep
 
@@ -114,7 +114,12 @@ def test_model_refuses_mis_shaped_entries(name, value, message):
 def test_model_keeps_float_arrays_without_a_copy():
     fields = dict(mu_p=np.zeros(2), mu_q=np.zeros(2), sigma_p=np.eye(2), sigma_q=np.eye(2), sigma_pq=np.zeros((2, 2)))
     model = InjectionModel(nodes=(1, 2), **fields)
-    assert all(getattr(model, name) is value for name, value in fields.items())
+    assert model.mu_p is fields["mu_p"] and model.mu_q is fields["mu_q"]
+    # The moments are kept as storage-group blocks: each read rebuilds a new
+    # array with the given bits.
+    for name in ("sigma_p", "sigma_q", "sigma_pq"):
+        assert getattr(model, name) is not fields[name]
+        assert np.array_equal(_bits(getattr(model, name)), _bits(fields[name]))
 
 
 def test_default_model_satisfies_assumption1(fig3):
@@ -511,15 +516,15 @@ def _multi_tree_instance(seed):
     return generate_random_grid(n, k, int(rng.integers(k - 1, k + 5)), seed=int(rng.integers(2**32)))
 
 
-def _cross_tree_model(forest, seed):
-    """Explicit model with dense cross-tree covariance and non-central means."""
+def _cross_tree_model(forest, seed, build=model_from_covariances):
+    """Explicit model with dense cross-tree covariance and non-central means;
+    ``build`` takes its means and covariances."""
     rng = np.random.default_rng(seed)
     n = forest.grid.n_loads
     f = rng.normal(size=(2 * n, 2 * n + 3)) * 1e-3
     joint = f @ f.T
-    return model_from_covariances(
-        forest.grid.load_ids, -rng.uniform(0.002, 0.01, n), -rng.uniform(0.0, 0.004, n),
-        joint[:n, :n], joint[n:, n:], joint[:n, n:])
+    return build(forest.grid.load_ids, -rng.uniform(0.002, 0.01, n), -rng.uniform(0.0, 0.004, n),
+                 joint[:n, :n], joint[n:, n:], joint[:n, n:])
 
 
 def _dense_moments(forest, model, variant):
@@ -562,9 +567,10 @@ def test_per_tree_moments_match_dense_inverse_oracle(seed, variant, kind):
     np.testing.assert_allclose(mset.sigma_eps[np.ix_(perm, perm)], want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
 
 
-def _coupled_trees_model(forest, seed):
+def _coupled_trees_model(forest, seed, build=model_from_covariances):
     """Explicit model with nonzero means whose covariance couples the first
-    two trees that hold loads; every other tree is a block of its own."""
+    two trees that hold loads; every other tree is a block of its own.
+    ``build`` takes its means and covariances."""
     rng = np.random.default_rng(seed)
     tree = forest.load_tree_index
     n = len(tree)
@@ -575,9 +581,8 @@ def _coupled_trees_model(forest, seed):
         both = np.concatenate([members, n + members])
         f = rng.normal(size=(len(both), len(both) + 2)) * 1e-3
         joint[np.ix_(both, both)] = f @ f.T
-    return model_from_covariances(
-        forest.grid.load_ids, -rng.uniform(0.002, 0.01, n), -rng.uniform(0.0, 0.004, n),
-        joint[:n, :n], joint[n:, n:], joint[:n, n:])
+    return build(forest.grid.load_ids, -rng.uniform(0.002, 0.01, n), -rng.uniform(0.0, 0.004, n),
+                 joint[:n, :n], joint[n:, n:], joint[:n, n:])
 
 
 ORACLE_GRIDS = ("multi_tree", "empty_substation", "shuffled_chain", "star")
@@ -1039,6 +1044,107 @@ def test_assumption1_violations_equal_loop_oracle(seed):
     assert got == _violations_loop(forest, model)
     assert {name for _, _, name in got} == {"sigma_p", "sigma_q", "sigma_pq"}
     assert all(isinstance(a, int) and isinstance(b, int) for a, b, _ in got)
+
+
+# -- the block store against the dense matrices it was built from -------------------
+
+
+# The _EXPLICIT model of the CLI tests: mu_q = 0 makes fl(mu_p mu_q) = -0.0,
+# where sigma_pq holds +0.0.  Its omegas are zero off the diagonal, so each
+# load is a component of its own, but only one storage group keeps both zeros.
+_SIGNED_ZERO = ((1, 2), np.array([-0.01, -0.01]), np.array([0.0, 0.0]),
+                np.array([[2e-4, 1e-4], [1e-4, 2e-4]]), np.zeros((2, 2)), np.zeros((2, 2)))
+_EXPLICIT_CASES = ("coupled_trees", "cross_tree", "zero_mu_q", "rho_0", "rho_1e-16", "mixed_means")
+
+
+def _explicit_arguments(case, seed):
+    """An explicit model's forest and the dense InjectionModel arguments it
+    is built from."""
+    forest = _multi_tree_instance(seed)[1]
+    covariances = lambda *args: args
+    if case == "cross_tree":
+        args = _cross_tree_model(forest, seed, build=covariances)
+    elif case.startswith("rho_"):
+        loop = _default_covariances_loop(forest, rho=float(case[4:]))
+        args = tuple(loop[key] for key in ("nodes", "mu_p", "mu_q", "omega_p", "omega_q", "omega_pq"))
+    else:
+        args = _coupled_trees_model(forest, seed, build=covariances)
+    nodes, mu_p, mu_q, *omegas = args
+    rng = np.random.default_rng(seed)
+    if case == "zero_mu_q":  # every zero of omega_pq ends as +0.0 where the mean product is -0.0
+        mu_q = np.zeros_like(mu_q)
+    elif case == "mixed_means":  # entries of either sign, and an asymmetric sigma_pq
+        mu_p, mu_q = rng.normal(0, 0.01, len(nodes)), rng.normal(0, 0.01, len(nodes))
+    return forest, covariance_moments(nodes, mu_p, mu_q, *omegas)
+
+
+def _group_of(model):
+    return {i: g for g, members in enumerate(model.groups) for i in members.tolist()}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", _EXPLICIT_CASES + ("signed_zero",))
+def test_explicit_model_rebuilds_its_dense_input_from_its_storage_groups(case, seed):
+    args = _SIGNED_ZERO if case == "signed_zero" else _explicit_arguments(case, seed)[1]
+    names = ("mu_p", "mu_q", "sigma_p", "sigma_q", "sigma_pq")
+    model = InjectionModel(*args)
+    back = model_from_dict(model_to_dict(model))
+    for built in (model, back):
+        for name, given in zip(names, args[1:]):
+            assert np.array_equal(_bits(getattr(built, name)), _bits(given)), name
+        assert [g.tolist() for g in built.groups] == [g.tolist() for g in model.groups]
+    group_of = _group_of(model)
+    assert all(len({group_of[i] for i in comp.tolist()}) == 1 for comp in model.components)
+    if case == "signed_zero":
+        assert [c.tolist() for c in model.components] == [[0], [1]]
+        assert [g.tolist() for g in model.groups] == [[0, 1]]
+
+
+@pytest.mark.parametrize("params", [{}, {"rho": 0.0}, {"rho": 1e-16}, {"mu_p": -0.0, "q_alpha": 0.0},
+                                    {"mu_p": -0.0, "q_alpha": -0.0}, {"q_alpha": -0.0}, {"q_alpha": -0.3}],
+                         ids=lambda params: "-".join(f"{k}={v!r}" for k, v in params.items()) or "defaults")
+def test_default_model_trees_are_storage_groups_signed_zeros_included(params):
+    # Across trees the default model's values are the mean products, zeros
+    # of either sign included, so the trees hold every other entry.
+    forest = _multi_tree_instance(4)[1]
+    model = default_model(forest, **params)
+    loop = _default_covariances_loop(forest, **params)
+    args = covariance_moments(*(loop[key] for key in ("nodes", "mu_p", "mu_q", "omega_p", "omega_q", "omega_pq")))
+    for name, given in zip(("mu_p", "mu_q", "sigma_p", "sigma_q", "sigma_pq"), args[1:]):
+        assert np.array_equal(_bits(getattr(model, name)), _bits(given)), name
+    tree = forest.load_tree_index
+    assert sorted(g.tolist() for g in model.groups) == sorted(
+        np.flatnonzero(tree == k).tolist() for k in range(forest.n_trees) if (tree == k).any())
+
+
+@pytest.mark.parametrize("case", _EXPLICIT_CASES + ("default",))
+def test_block_reads_the_bits_of_the_dense_gather(case):
+    if case == "default":
+        forest = _multi_tree_instance(1)[1]
+        model = default_model(forest, q_alpha=-0.3)
+        dense = (model.sigma_p, model.sigma_q, model.sigma_pq)
+    else:
+        forest, args = _explicit_arguments(case, 1)
+        model, dense = InjectionModel(*args), args[3:]
+    n = len(model.nodes)
+    rng = np.random.default_rng(0)
+    index_sets = [np.arange(n), rng.permutation(n)[:n // 2], rng.integers(0, n, 7), np.array([], dtype=np.intp),
+                  model.groups[0][::-1], np.concatenate([model.groups[-1], model.groups[0]])]
+    for k, sigma in enumerate(dense):
+        for rows in index_sets:
+            for cols in index_sets:
+                got = model.block(k, rows, cols)
+                assert got.shape == (len(rows), len(cols))
+                assert np.array_equal(_bits(got), _bits(sigma[np.ix_(rows, cols)]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", _EXPLICIT_CASES)
+def test_assumption1_violations_from_blocks_equal_the_dense_loop(case, seed):
+    forest, args = _explicit_arguments(case, seed)
+    model = InjectionModel(*args)
+    for mod in (model, model.aligned_to(reversed(model.nodes))):
+        assert assumption1_violations(forest, mod) == _violations_loop(forest, mod)
 
 
 # -- the analytic pair statistic in edge coordinates -------------------------------
