@@ -1,9 +1,12 @@
 #!/usr/bin/env python
 """Scaling of the infinite-sample path with the number of loads.
 
-Times five calls on two kinds of forest and fits the exponent k of
+Times six calls on two kinds of forest and fits the exponent k of
 t ~ N^k by least squares on the log-log points of each (call, kind):
 
+* ``parse_grid``: the grid file reader on the JSON text of the case, its
+  declared forest included (for a feeder the text ``feeder_document``
+  writes, for a chain that of ``grid_to_dict``);
 * ``forest_build``: ``ForestConfig.from_closed_edges`` on the grid and its
   closed lines;
 * ``default_model``: the injection model every other call is fed;
@@ -44,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from gridtop.grid import LOAD, SUBSTATION, ForestConfig, GridGraph, GridNode, LineEdge
-from gridtop.harness import parse_grid
+from gridtop.harness import grid_to_dict, parse_grid
 from gridtop.learner import LearnerConfig, reconstruct
 from gridtop.moments import analytic_moment_set, default_model
 from gridtop.powerflow import lcpf_response
@@ -66,13 +69,16 @@ def shuffled_chain(n_loads: int, rng: np.random.Generator) -> GridGraph:
 
 
 def forests(kind: str, n: int, rng: np.random.Generator):
-    """The grid of one case and a function that builds a fresh forest of it."""
+    """The grid of one case, its grid file text and a function that builds a
+    fresh forest of it."""
     if kind == "shuffled_chain":
         grid, closed = shuffled_chain(n, rng), range(n)
+        text = json.dumps(grid_to_dict(grid, ForestConfig.from_closed_edges(grid, closed)))
     else:
-        grid, forest = parse_grid(feeder_document(rng, n_loads=n, n_subs=4, spine=n // 5, name=f"feeder_{n}"))
+        text = feeder_document(rng, n_loads=n, n_subs=4, spine=n // 5, name=f"feeder_{n}")
+        grid, forest = parse_grid(text)
         closed = forest.closed_edges
-    return grid, lambda: ForestConfig.from_closed_edges(grid, closed)
+    return grid, text, lambda: ForestConfig.from_closed_edges(grid, closed)
 
 
 def best(repeats: int, build, call) -> float:
@@ -116,12 +122,12 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     cases = {}
     for kind in ("shuffled_chain", "feeder"):
-        rows = {"forest_build": [], "default_model": [], "lcpf_response": [], "analytic_moment_set": [],
-                "reconstruct": []}
+        rows = {"parse_grid": [], "forest_build": [], "default_model": [], "lcpf_response": [],
+                "analytic_moment_set": [], "reconstruct": []}
         peaks = {name: [] for name in rows}
         errors = []
         for n in args.sizes:
-            grid, fresh = forests(kind, n, rng)
+            grid, text, fresh = forests(kind, n, rng)
 
             def learned(prepared, tau=TIMED_TAU):
                 forest, model, mset = prepared
@@ -133,6 +139,7 @@ def main() -> None:
                 return forest, model, analytic_moment_set(forest, model)
 
             calls = {  # name: (untimed build of the input, timed call)
+                "parse_grid": (lambda: text, parse_grid),
                 "forest_build": (lambda: None, lambda _: fresh()),
                 "default_model": (fresh, default_model),
                 "lcpf_response": (fresh, lcpf_response),

@@ -91,6 +91,42 @@ class GridGraph:
 
     def __post_init__(self):
         ids = [n.id for n in self.nodes]
+        if not self._lines_hold(ids):
+            self._check_lines(ids)
+        if self.n_substations < 1:
+            raise StructureError("grid has no substation")
+        if self.n_loads < 1:
+            raise StructureError("grid has no load node")
+        self._check_connected()
+
+    def _lines_hold(self, ids) -> bool:
+        """Whether ``_check_lines`` would pass, decided in bulk: distinct int
+        ids, int endpoints that are known ids, no self-loop or repeated
+        pair, and float ``r``, ``x`` and r^2 + x^2 all positive and finite.
+        False where any of that fails or cannot be told this way, and
+        ``_check_lines`` must decide."""
+        us = [e.u for e in self.edges]
+        vs = [e.v for e in self.edges]
+        if not {int}.issuperset(map(type, itertools.chain(ids, us, vs))):
+            return False
+        id_set = set(ids)
+        pairs = {(u, v) if u < v else (v, u) for u, v in zip(us, vs) if u != v}
+        if not (len(id_set) == len(ids) and id_set.issuperset(us) and id_set.issuperset(vs)
+                and len(pairs) == len(self.edges)):
+            return False
+        rs = [e.r for e in self.edges]
+        xs = [e.x for e in self.edges]
+        if not {float}.issuperset(map(type, itertools.chain(rs, xs))):
+            return False
+        r, x = np.array(rs), np.array(xs)
+        with np.errstate(over="ignore"):  # an overflowing square is refused below
+            z2 = r * r + x * x
+        return bool(((0.0 < r) & (r < math.inf) & (0.0 < x) & (x < math.inf) & (0.0 < z2) & (z2 < math.inf)).all())
+
+    def _check_lines(self, ids):
+        """Raise the StructureError that names the first repeated id, or
+        the first line with an unknown endpoint, a self-loop, a repeated
+        pair or an impedance that is not positive and finite."""
         if (nid := _repeated(ids)) is not None:
             raise StructureError(f"duplicate node ids: node id {nid} is listed twice")
         id_set = set(ids)
@@ -109,11 +145,6 @@ class GridGraph:
             if not 0.0 < e.r * e.r + e.x * e.x < math.inf:  # dc divides by it; the level plan squares r and x
                 raise StructureError(f"edge {i} ({e.u},{e.v}): r^2 + x^2 must be positive and finite as a float, "
                                      f"got r {e.r}, x {e.x}")
-        if self.n_substations < 1:
-            raise StructureError("grid has no substation")
-        if self.n_loads < 1:
-            raise StructureError("grid has no load node")
-        self._check_connected()
 
     def _check_connected(self):
         adj: dict[int, list[int]] = {n.id: [] for n in self.nodes}

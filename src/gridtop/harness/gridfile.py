@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +68,8 @@ def _json_document(text: str, where: str):
 _DOCUMENT_KEYS = ("meta", "nodes", "edges")
 _NODE_KEYS = ("id", "kind")
 _EDGE_KEYS = ("from", "to", "r", "x", "closed", "switchable")
+_NODE_SHAPES = {("id", "kind"), ("kind", "id")}
+_REQUIRED_EDGE_KEYS = {"from", "to", "r", "x"}
 
 
 def parse_grid(source: str | Path | dict) -> tuple[GridGraph, ForestConfig | None]:
@@ -73,8 +77,15 @@ def parse_grid(source: str | Path | dict) -> tuple[GridGraph, ForestConfig | Non
 
     Syntax errors carry line/column; schema violations carry the document
     path of the offending entry; structural violations name the invariant.
+
+    Text is read by orjson and the document checked in bulk
+    (``_plain_entries``).  Text orjson refuses, and a document that bulk
+    check does not pass, go to ``json`` and the entry-by-entry walk
+    (``_walked_entries``), which either accepts the document or raises the
+    ParseError that names where it fails.
     """
     label = ""
+    text = None
     if isinstance(source, dict):
         doc = source
     else:
@@ -85,7 +96,68 @@ def parse_grid(source: str | Path | dict) -> tuple[GridGraph, ForestConfig | Non
             if not path.exists():
                 raise ParseError("file not found", label)
             text = _read_text(path, "grid file")
-        doc = _json_document(text, label or "<string>")
+        try:
+            doc = orjson.loads(text)
+        except orjson.JSONDecodeError:
+            doc = None
+    entries = _plain_entries(doc)
+    if entries is None:
+        if text is not None:
+            doc = _json_document(text, label or "<string>")
+        entries = _walked_entries(doc, label)
+    nodes, edges, name, closed = entries
+    grid = GridGraph(nodes=nodes, edges=edges, name=name)
+    forest = ForestConfig.from_closed_edges(grid, closed) if closed is not None else None
+    return grid, forest
+
+
+def _plain_entries(doc):
+    """The nodes, lines, name and closed line indices (None when no line
+    carries ``closed``) of a document that holds only what a grid file
+    writes: the known keys, each required one present, with exact JSON
+    types (int ids, int or float impedances, bool flags, str name and
+    kinds) and finite impedances.  None for anything else, which
+    ``_walked_entries`` must decide.  Where this returns entries, the walk
+    would return the same."""
+    if type(doc) is not dict or not doc.keys() <= set(_DOCUMENT_KEYS):
+        return None
+    meta, nodes, lines = doc.get("meta", {}), doc.get("nodes"), doc.get("edges")
+    if type(meta) is not dict or not meta.keys() <= {"name"}:
+        return None
+    name = meta.get("name", "")
+    if (type(name) is not str or type(nodes) not in (list, tuple) or type(lines) not in (list, tuple)
+            or not {dict}.issuperset(map(type, itertools.chain(nodes, lines)))):
+        return None
+    shapes = {tuple(entry) for entry in lines}  # the key order of each line
+    if not (_NODE_SHAPES.issuperset(map(tuple, nodes))
+            and all(_REQUIRED_EDGE_KEYS <= set(keys) <= set(_EDGE_KEYS) for keys in shapes)):
+        return None
+    ids = [entry["id"] for entry in nodes]
+    kinds = [entry["kind"] for entry in nodes]
+    us = [entry["from"] for entry in lines]
+    vs = [entry["to"] for entry in lines]
+    rs = [entry["r"] for entry in lines]
+    xs = [entry["x"] for entry in lines]
+    closes = [entry.get("closed", False) for entry in lines]
+    switches = [entry.get("switchable", False) for entry in lines]
+    if (not {int}.issuperset(map(type, itertools.chain(ids, us, vs)))
+            or not {str}.issuperset(map(type, kinds)) or not {SUBSTATION, LOAD}.issuperset(kinds)
+            or not {int, float}.issuperset(map(type, itertools.chain(rs, xs)))
+            or not {bool}.issuperset(map(type, itertools.chain(closes, switches)))):
+        return None
+    try:
+        rs, xs = list(map(float, rs)), list(map(float, xs))
+    except OverflowError:  # an integer too large for a float
+        return None
+    if not all(map(math.isfinite, itertools.chain(rs, xs))):
+        return None
+    closed = list(itertools.compress(range(len(lines)), closes)) if any("closed" in keys for keys in shapes) else None
+    return (tuple(map(GridNode, ids, kinds)), tuple(map(LineEdge, us, vs, rs, xs, switches)), name, closed)
+
+
+def _walked_entries(doc, label: str):
+    """``_plain_entries``' result for any document, taken entry by entry;
+    a ParseError at the document path of the first entry that fails."""
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object", label or "<document>")
 
@@ -122,10 +194,7 @@ def parse_grid(source: str | Path | dict) -> tuple[GridGraph, ForestConfig | Non
             if _entry(entry, "closed", loc, bool, "a boolean"):
                 closed.append(i)
         edges.append(LineEdge(u=u, v=v, r=r, x=x, switchable=switchable))
-
-    grid = GridGraph(nodes=tuple(nodes), edges=tuple(edges), name=name)
-    forest = ForestConfig.from_closed_edges(grid, closed) if declares_forest else None
-    return grid, forest
+    return tuple(nodes), tuple(edges), name, closed if declares_forest else None
 
 
 def grid_to_dict(grid: GridGraph, forest: ForestConfig | None = None) -> dict:

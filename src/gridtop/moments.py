@@ -340,7 +340,7 @@ class MomentSet:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (self.nodes, self.sigma_eps, self.m) == (other.nodes, other.sigma_eps, other.m)
+        return (self.nodes, self.m) == (other.nodes, other.m) and np.array_equal(self.sigma_eps, other.sigma_eps)
 
     def __repr__(self) -> str:
         return f"MomentSet(nodes={self.nodes!r}, m={self.m!r})"

@@ -1,7 +1,9 @@
 """Smoke test of the bench scripts that write the ``BENCH_*.json`` files:
 the scaling scripts each run on two small sizes, once, and must write a
-document with its cases, with a traced memory peak per call and size; the trial memory script runs its DistFlow case for one round
-and must write that case's medians.  No timing is asserted."""
+document with its cases, with a traced memory peak per call and size (for
+the infinite-sample script, a ``parse_grid`` row among the calls); the
+trial memory script runs its DistFlow case for one round and must write
+that case's medians.  No timing is asserted."""
 
 import json
 import os
@@ -29,6 +31,8 @@ def test_bench_script_runs_on_small_sizes(tmp_path, script, sizes):
     cases = json.loads(out.read_text())["cases"]
     for case in cases.values():
         assert case["peak_mib"].keys() == case["seconds"].keys()
+        if script == "path_sum_scaling.py":
+            assert "parse_grid" in case["seconds"]
         assert all(len(peaks) == len(sizes) and min(peaks) > 0 for peaks in case["peak_mib"].values())
 
 

@@ -1,5 +1,6 @@
 """Grid files, generators, bundled fixtures, and the experiment driver."""
 
+import copy
 import csv
 import io
 import json
@@ -8,14 +9,17 @@ import os
 import re
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gridtop.errors import DomainError, GridTopError, ParseError, StructureError
 from gridtop.fixtures import fixture_path, load_fixture
+from gridtop.grid import LOAD, SUBSTATION, ForestConfig, GridGraph
 from gridtop.harness import (
     add_open_lines,
     generate_random_grid,
@@ -119,6 +123,239 @@ def test_grid_file_round_trip(tmp_path):
     path2 = tmp_path / "rt2.json"
     write_grid(path2, grid2, forest2)
     assert path.read_text() == path2.read_text()
+
+
+def test_a_grid_file_that_holds_no_object_is_refused(tmp_path):
+    for text in ("[1, 2]", '"grid"', "5", "null"):
+        path = tmp_path / "not_an_object.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: top-level document must be an object$"):
+            parse_grid(path)
+
+
+# -- the bulk grid pass against the entry-by-entry walk --------------------------
+
+
+class _Raw(str):
+    """A JSON token, written as it is."""
+
+
+class _Obj(list):
+    """A JSON object as its (key, value) pairs, so that a key may repeat."""
+
+
+def _dump(value) -> str:
+    if isinstance(value, _Raw):
+        return value
+    if isinstance(value, dict):
+        value = _Obj(value.items())
+    if isinstance(value, _Obj):
+        return "{" + ", ".join(f"{json.dumps(key)}: {_dump(item)}" for key, item in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_dump, value)) + "]"
+    return json.dumps(value)
+
+
+def _walk(source):
+    """``parse_grid`` as the entry-by-entry walk and the per-line loop of
+    ``GridGraph`` decide it, with no bulk check."""
+    doc = source if isinstance(source, dict) else gridfile._json_document(source, "<string>")
+    with mock.patch.object(GridGraph, "_lines_hold", return_value=False):
+        nodes, edges, name, closed = gridfile._walked_entries(doc, "")
+        grid = GridGraph(nodes=nodes, edges=edges, name=name)
+        return grid, None if closed is None else ForestConfig.from_closed_edges(grid, closed)
+
+
+def _grid_outcome(parse, source):
+    """The grid and forest ``parse`` gives, with the types of every value and
+    the bits of every impedance, or the type and text of what it raises."""
+    try:
+        grid, forest = parse(source)
+    except Exception as exc:  # noqa: BLE001 - both paths must raise alike, whatever they raise
+        return type(exc), str(exc)
+    values = [(type(n.id), type(n.kind)) for n in grid.nodes]
+    values += [(type(e.u), type(e.v), type(e.r), type(e.x), type(e.switchable)) for e in grid.edges]
+    bits = np.array([[e.r, e.x] for e in grid.edges], dtype=float).reshape(-1, 2).view(np.int64).tolist()
+    return grid, forest, None if forest is None else forest.closed_edges, type(grid.name), values, bits
+
+
+def _assert_both_paths_agree(source):
+    want = _grid_outcome(_walk, source)
+    assert _grid_outcome(parse_grid, source) == want
+    return want
+
+
+def _bulk_verdict(source) -> str:
+    """Which way ``parse_grid`` takes ``source``: the bulk pass or the walk."""
+    try:
+        doc = source if isinstance(source, dict) else orjson.loads(source)
+    except orjson.JSONDecodeError:
+        return "orjson refuses"
+    return "walk" if gridfile._plain_entries(doc) is None else "bulk pass"
+
+
+_DIGITS = st.text("0123456789", min_size=17, max_size=25)
+# Impedances: positive floats, 17-25-digit decimals, subnormals and integers.
+_IMPEDANCES = st.one_of(
+    st.floats(1e-3, 1.0),
+    _DIGITS.map(lambda d: _Raw(f"0.{d}")),
+    st.tuples(_DIGITS, st.integers(-324, 3)).map(lambda de: _Raw(f"{de[0][0]}.{de[0][1:]}e{de[1]}")),
+    st.sampled_from(["4.9e-324", "2.2250738585072009e-308", "1", "2", "123456789012345678901234567"]).map(_Raw),
+)
+_ID_TOKENS = ["true", "false", "1.0", "-0", "0", "-0.0", "18446744073709551616", "9223372036854775808",
+              "-9223372036854775809", "null", '"1"', "[]", "{}"]
+_NUMBER_TOKENS = ["0", "-0", "0.0", "-0.0", "-0.1", "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400",
+                  "1e200", "1" + "0" * 400, "true", '"0.1"', "null", "[0.1]"]
+_KIND_TOKENS = ['"load"', '"substation"', '"Load"', '"sub"', "null", "1", '["load"]']
+_FLAG_TOKENS = ["true", "false", "0", "1", "null", '"true"']
+_NAME_TOKENS = ['"x"', "5", "null", '"\\ud800"', '"\\u00e9"', "[]"]
+_ENTRY_TOKENS = ["[]", "1", "null", '"node"', "[0, 1]"]
+_TOKENS = {"id": _ID_TOKENS, "from": _ID_TOKENS, "to": _ID_TOKENS, "r": _NUMBER_TOKENS, "x": _NUMBER_TOKENS,
+           "kind": _KIND_TOKENS, "closed": _FLAG_TOKENS, "switchable": _FLAG_TOKENS, "name": _NAME_TOKENS}
+
+
+@st.composite
+def _grid_documents(draw):
+    """A small grid document with its forest declared or not, in the form
+    ``write_grid`` writes, over node ids drawn from a wide range."""
+    n_subs, n_loads = draw(st.integers(1, 2)), draw(st.integers(1, 5))
+    ids = draw(st.lists(st.one_of(st.integers(-3, 40), st.integers(-2**70, 2**70)), min_size=n_subs + n_loads,
+                        max_size=n_subs + n_loads, unique=True))
+    nodes = [_Obj([("id", nid), ("kind", SUBSTATION if i < n_subs else LOAD)]) for i, nid in enumerate(ids)]
+    pairs = [(ids[draw(st.integers(0, k - 1))], ids[k]) for k in range(n_subs, len(ids))]
+    closed = [True] * len(pairs)
+    if n_subs == 2:  # an open line between the substations keeps the grid connected
+        pairs.append((ids[0], ids[1]))
+        closed.append(False)
+    for u, v in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3)):
+        if u != v and (u, v) not in pairs and (v, u) not in pairs:
+            pairs.append((u, v))
+            closed.append(False)
+    declares = draw(st.booleans())
+    edges = []
+    for (u, v), shut in zip(pairs, closed):
+        entry = _Obj([("from", u), ("to", v), ("r", draw(_IMPEDANCES)), ("x", draw(_IMPEDANCES))])
+        if declares:
+            entry.append(("closed", shut))
+        if draw(st.booleans()):
+            entry.append(("switchable", draw(st.booleans())))
+        edges.append(_Obj(draw(st.permutations(entry))))
+    doc = _Obj([("nodes", nodes), ("edges", edges)])
+    if draw(st.booleans()):
+        doc.insert(0, ("meta", _Obj([("name", "g")] if draw(st.booleans()) else [])))
+    return doc
+
+
+def _entries(doc, key):
+    return next(value for name, value in doc if name == key)
+
+
+@st.composite
+def _mutated_grid_documents(draw):
+    """A grid document with up to three mutations: a value replaced by a
+    mis-typed, non-finite, out-of-range or other token, a key dropped,
+    repeated or misspelt, an entry that is not an object, a bad kind, a
+    self-loop or a repeated line."""
+    doc = draw(_grid_documents())
+    nodes, edges = _entries(doc, "nodes"), _entries(doc, "edges")
+    for _ in range(draw(st.integers(0, 3))):
+        entries = draw(st.sampled_from([nodes, edges]))
+        i = draw(st.integers(0, len(entries) - 1))
+        entry = entries[i]
+        how = draw(st.sampled_from(["set", "drop", "repeat", "misspell", "not an object", "self-loop", "copy line",
+                                    "top", "name"]))
+        if how == "top":
+            doc.insert(draw(st.integers(0, len(doc))),
+                       draw(st.sampled_from([("mta", 1), ("meta", _Raw("[]")), ("nodes", _Raw("{}"))])))
+        elif how == "name":
+            doc.insert(0, ("meta", _Obj([("name", _Raw(draw(st.sampled_from(_NAME_TOKENS))))])))
+        elif how == "not an object":
+            entries[i] = _Raw(draw(st.sampled_from(_ENTRY_TOKENS)))
+        elif not isinstance(entry, _Obj) or not entry:
+            continue
+        elif how == "self-loop" and entries is edges:
+            entry.append(("to", dict(entry).get("from", 0)))
+        elif how == "copy line" and entries is edges:
+            line = _Obj(entry)
+            if draw(st.booleans()):
+                line = _Obj(({"from": "to", "to": "from"}.get(k, k), v) for k, v in line)
+            edges.insert(draw(st.integers(0, len(edges))), line)
+        else:
+            j = draw(st.integers(0, len(entry) - 1))
+            key = entry[j][0]
+            token = _Raw(draw(st.sampled_from(_TOKENS.get(key, _FLAG_TOKENS))))
+            if how == "set":
+                entry[j] = (key, token)
+            elif how == "drop":
+                del entry[j]
+            elif how == "repeat":
+                entry.insert(draw(st.sampled_from([j, j + 1, len(entry)])), (key, token))
+            else:
+                entry[j] = (key[:-1] or "k", entry[j][1])
+    return _dump(doc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_grid_documents())
+def test_the_bulk_grid_pass_agrees_with_the_walk(text):
+    """Text and the dict ``json`` reads from it give the same grid and forest
+    (ids and flags of the same types, impedances with the same bits), or the
+    same exception and text, through the bulk pass and through the walk."""
+    outcome = _assert_both_paths_agree(text)
+    event(f"text: {_bulk_verdict(text)}, {'grid' if len(outcome) > 2 else outcome[0].__name__}")
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return
+    outcome = _assert_both_paths_agree(doc)
+    event(f"dict: {_bulk_verdict(doc)}, {'grid' if len(outcome) > 2 else outcome[0].__name__}")
+
+
+def test_every_token_in_every_slot_agrees_with_the_walk():
+    tokens = sorted(set(_ID_TOKENS + _NUMBER_TOKENS + _KIND_TOKENS + _FLAG_TOKENS + _NAME_TOKENS + _ENTRY_TOKENS))
+    slots = [("nodes", 1, key) for key in ("id", "kind")] + [("meta", "name")]
+    slots += [("edges", 1, key) for key in ("from", "to", "r", "x", "closed", "switchable")]
+    for path in slots:
+        for token in tokens:
+            doc = copy.deepcopy(_SWEEP_GRID)
+            inner = doc
+            for key in path[:-1]:
+                inner = inner[key]
+            inner[path[-1]] = _Raw(token)
+            text = _dump(doc)
+            _assert_both_paths_agree(text)
+            _assert_both_paths_agree(json.loads(text))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("nodes", 1, "id"), np.int64(1)), (("nodes", 1, "id"), 1.0), (("edges", 0, "r"), float("nan")),
+    (("edges", 0, "x"), float("inf")), (("edges", 0, "r"), np.float64(0.1)), (("edges", 0, "r"), 10**400),
+    (("edges", 0, "r"), 1), (("edges", 0, "closed"), np.bool_(True)), (("nodes", 1, "kind"), "Load"),
+    (("meta", "name"), None),
+])
+def test_a_dict_source_agrees_with_the_walk_on_values_no_json_text_holds(path, value):
+    doc = copy.deepcopy(MINIMAL)
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    _assert_both_paths_agree(doc)
+
+
+def test_a_dict_source_may_list_its_entries_in_tuples():
+    tuples = dict(MINIMAL, nodes=tuple(MINIMAL["nodes"]), edges=tuple(MINIMAL["edges"]))
+    grid, forest = _assert_both_paths_agree(tuples)[:2]
+    assert (grid, forest) == parse_grid(MINIMAL)
+
+
+@pytest.mark.parametrize("name", ["bus_13_3", "bus_29_1", "bus_83_11"])
+def test_fixtures_take_the_bulk_pass_and_agree_with_the_walk(name, monkeypatch):
+    text = fixture_path(name).read_text()
+    want = _assert_both_paths_agree(text)
+    assert want[1] is not None
+    monkeypatch.setattr(gridfile, "_walked_entries", None)
+    monkeypatch.setattr(GridGraph, "_check_lines", None)
+    assert parse_grid(text)[0] == want[0]
 
 
 # -- generator ------------------------------------------------------------------

@@ -13,6 +13,7 @@ from gridtop.grid import LOAD, SUBSTATION
 from gridtop.moments import (
     _PSD_SLACK,
     InjectionModel,
+    MomentSet,
     analytic_moment_set,
     assumption1_violations,
     default_model,
@@ -1227,6 +1228,22 @@ def test_hand_built_moment_sets_carry_no_pair_statistic(fig3):
     assert plain.drops is None
     assert plain == type(mset)(nodes=mset.nodes, sigma_eps=mset.sigma_eps, drops=mset.drops)
     assert "drops" not in repr(plain)
+
+
+def test_moment_sets_with_equal_but_distinct_arrays_compare_equal():
+    s = np.array([[2.0, 0.5], [0.5, 1.0]])
+    assert MomentSet(nodes=(1, 2), sigma_eps=s) == MomentSet(nodes=(1, 2), sigma_eps=s.copy())
+    assert MomentSet(nodes=(1, 2), sigma_eps=s, m=10) != MomentSet(nodes=(1, 2), sigma_eps=s.copy(), m=20)
+    assert MomentSet(nodes=(1, 2), sigma_eps=s) != MomentSet(nodes=(2, 1), sigma_eps=s.copy())
+
+
+def test_moment_sets_with_other_values_or_shapes_compare_unequal():
+    s = np.array([[2.0, 0.5], [0.5, 1.0]])
+    other = s.copy()
+    other[0, 1] = other[1, 0] = 0.25
+    assert MomentSet(nodes=(1, 2), sigma_eps=s) != MomentSet(nodes=(1, 2), sigma_eps=other)
+    assert MomentSet(nodes=(1, 2), sigma_eps=s) != MomentSet(nodes=(1, 2, 3), sigma_eps=np.eye(3))
+    assert MomentSet(nodes=(1,), sigma_eps=np.ones((1, 1))) != MomentSet(nodes=(1, 2), sigma_eps=np.ones((2, 2)))
 
 
 # -- input checks -------------------------------------------------------------------
